@@ -80,8 +80,7 @@ SUBCOMMAND_OPS = {
     "dimension": ["dimension"],
     "density": ["density", "validate"],
     "build-wk": ["context", "build", "default_params"],
-    "jacobian": ["jacobian_at", "symbolic_density", "partial_derivative",
-                 "restrict_univariate"],
+    "jacobian": ["jacobian_at", "symbolic_density", "partial_derivative"],
     "certify": ["certify_det_nonzero", "leading_monomial_coefficient",
                 "det_rational"],
     "solve": ["solve"],
@@ -265,7 +264,7 @@ def _cmd_build_wk(args):
 def _cmd_jacobian(args):
     ctx = context(args.k)
     if args.symbolic:
-        J = jacobian_symbolic(ctx, budget_seconds=args.budget_seconds)
+        J = jacobian_symbolic(ctx)
         return {"symbolic": [[poly_to_json(e) for e in row] for row in J]}
     p = _params_for(ctx, args.params)
     J = jacobian_at(ctx, p)
@@ -276,9 +275,7 @@ def _cmd_certify(args):
     ctx = context(args.k)
     out = {}
     if args.leading:
-        out["leading_coefficient"] = fmt_q(
-            leading_monomial_coefficient(ctx, budget_seconds=args.budget_seconds)
-        )
+        out["leading_coefficient"] = fmt_q(leading_monomial_coefficient(ctx))
     cert = certify_det_nonzero(ctx, trials=args.trials, seed=args.seed)
     out.update(
         {
@@ -295,8 +292,11 @@ def _cmd_solve(args):
     targets = [_target_value(x) for x in args.targets]
     t = None
     if args.t is not None:
-        data = _load_json(args.t)
-        t = data["t"] if isinstance(data, dict) else data
+        t = _load_json(args.t)
+        if isinstance(t, dict):
+            if "t" not in t:
+                raise DomainError("%s has no \"t\" entry" % args.t)
+            t = t["t"]
     opts = SolveOptions()
     if args.tolerance is not None:
         opts = SolveOptions(tolerance=args.tolerance)
@@ -449,7 +449,6 @@ def _build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--params", help="JSON file with s and t")
     p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--budget-seconds", type=float)
     p.set_defaults(fn=_cmd_jacobian)
 
     p = sub.add_parser("certify", parents=[common],
@@ -460,7 +459,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--leading", action="store_true",
                    help="include the full-t monomial coefficient")
-    p.add_argument("--budget-seconds", type=float)
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("solve", parents=[common],

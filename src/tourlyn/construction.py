@@ -22,32 +22,26 @@ unique monomial containing every t_{i,j} of row i once is
 The Jacobian d t(T_i, W_k) / d s_j is evaluated exactly at rational
 points; a nonzero determinant at one point certifies det as a nonzero
 polynomial, which is the computable content of the inverse-function step.
-Two independent routes exist: the map-sum above (symbolic, k <= 4 by
-default) and a per-point univariate restriction of the density with only
-s_j left symbolic (fast, any k), and tests hold them equal.
+The map-sum above runs once per context and letter (tournamentons.map_sum
+with the monomial s_j t_{j,j'} as the measure of host vertex v_{j,j'});
+densities at a point, the s-polynomials at fixed t and the Jacobian all
+follow from that one polynomial by substitution and differentiation.
+build() + tournamentons.density is kept as the independent oracle: it
+integrates the rational tournamenton at each point, and the solver's
+verification and test_density_two_routes_agree hold the two routes equal.
 """
 
 import random
-import time
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, factorial
+from math import ceil
 
 from .errors import BudgetError, DomainError, InconclusiveError
 from .poly import Polynomial, det_rational, s_var, t_var
 from .rational import ONE, ZERO, Q, as_q, fmt_q
 from .tournaments import direct_sum, encode
-from .tournamentons import (
-    TRANSITIVE_KIND,
-    acyclic_within,
-    map_sum,
-    step_tournamenton,
-)
+from .tournamentons import TRANSITIVE_KIND, map_sum, step_tournamenton
 from .words import enumerate_lyndon, serialize_word, word_of
-
-HOM_T_MAX = 5
-HOM_HOST_MAX = 51
-SYMBOLIC_TERM_CAP = 200000
 
 
 @dataclass(frozen=True)
@@ -85,14 +79,22 @@ def make_params(ctx, s, t):
     return p
 
 
+def check_t(ctx, t):
+    """Validate the shape of the t-parameters (row i has n_i entries) and
+    that every entry is strictly positive."""
+    if len(t) != ctx.ell or any(len(row) != n for row, n in zip(t, ctx.sizes)):
+        raise DomainError("t rows must have lengths %s" % (ctx.sizes,))
+    if any(x <= 0 for row in t for x in row):
+        raise DomainError("all parameters must be strictly positive")
+
+
 def check_domain(ctx, p):
     """Validate shapes and the open-domain condition; returns the remainder
     measure 1 - sum_i s_i sum_j t_{i,j} (the measure of I_0)."""
     if len(p.s) != ctx.ell:
         raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
-    if len(p.t) != ctx.ell or any(len(row) != n for row, n in zip(p.t, ctx.sizes)):
-        raise DomainError("t rows must have lengths %s" % (ctx.sizes,))
-    if any(x <= 0 for x in p.s) or any(x <= 0 for row in p.t for x in row):
+    check_t(ctx, p.t)
+    if any(x <= 0 for x in p.s):
         raise DomainError("all parameters must be strictly positive")
     used = sum((si * sum(row, ZERO) for si, row in zip(p.s, p.t)), ZERO)
     slack = ONE - used
@@ -111,22 +113,21 @@ def host_tournament(ctx):
 
 @lru_cache(maxsize=None)
 def _cross_matrix(ctx):
-    # (N+1)x(N+1) with 0/1 entries: host edges among the first N, and every
-    # interval beating the remainder I_0 at index N
+    # (N+1)x(N+1) with 0/1 ints: host edges among the first N, and every
+    # interval beating the remainder I_0 at index N.  Plain ints keep the
+    # symbolic map-sum cheap; build() turns them into rationals.
     host = host_tournament(ctx)
     N = ctx.N
     rows = []
     for u in range(N + 1):
         row = []
         for v in range(N + 1):
-            if u == v:
-                row.append(ZERO)
+            if u == v or u == N:
+                row.append(0)
             elif v == N:
-                row.append(ONE)
-            elif u == N:
-                row.append(ZERO)
+                row.append(1)
             else:
-                row.append(ONE if host.out[u] >> v & 1 else ZERO)
+                row.append(host.out[u] >> v & 1)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -151,48 +152,6 @@ def build(ctx, p):
     return step_tournamenton(blocks, _cross_matrix(ctx))
 
 
-def homomorphism_set(T, host):
-    """All maps V(T)->V(host) with forward-or-collapsed edges and acyclic
-    fibers, as image tuples; DFS over vertices with incremental pruning."""
-    if T.n > HOM_T_MAX:
-        raise BudgetError("homomorphism_set is budgeted to |T| <= %d" % HOM_T_MAX)
-    if host.n > HOM_HOST_MAX:
-        raise BudgetError("homomorphism_set is budgeted to |host| <= %d" % HOM_HOST_MAX)
-    n, m = T.n, host.n
-    img = [0] * n
-    fibers = [[] for _ in range(m)]
-    found = []
-
-    def rec(v):
-        if v == n:
-            found.append(tuple(img))
-            return
-        for w in range(m):
-            ok = True
-            for u in range(v):
-                fu = img[u]
-                if fu == w:
-                    continue
-                if T.out[u] >> v & 1:
-                    if not host.out[fu] >> w & 1:
-                        ok = False
-                        break
-                elif not host.out[w] >> fu & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if not acyclic_within(T.out, fibers[w] + [v]):
-                continue
-            img[v] = w
-            fibers[w].append(v)
-            rec(v + 1)
-            fibers[w].pop()
-
-    rec(0)
-    return found
-
-
 def _vertex_vars(ctx):
     # host vertex index -> (s-variable, t-variable)
     pairs = []
@@ -205,127 +164,36 @@ def _vertex_vars(ctx):
 _symbolic_cache = {}
 
 
-def symbolic_density(ctx, i, budget_seconds=None, max_terms=SYMBOLIC_TERM_CAP):
+def symbolic_density(ctx, i):
     """t(T_i, W_k) as an exact polynomial in the s- and t-variables (i is
     1-based, matching the variable names).
 
-    k = 5 hosts have 51 vertices, so the full map enumeration is gated
-    behind an explicit time budget; k <= 4 runs unconditionally.
+    One map-sum over the N host blocks, each with the monomial s_j t_{j,j'}
+    as its measure; I_0 is left out (no T_i has a sink).  Cached per
+    (ctx, i): at k = 5 all eleven take about 50 s, once per process.
     """
     if not 1 <= i <= ctx.ell:
         raise DomainError("index i must be in 1..%d" % ctx.ell)
     key = (ctx, i)
-    if key in _symbolic_cache:
-        return _symbolic_cache[key]
-    if ctx.k >= 5 and budget_seconds is None:
-        raise BudgetError(
-            "symbolic_density at k >= 5 requires an explicit budget_seconds"
+    if key not in _symbolic_cache:
+        measures = [Polynomial.var(sv) * Polynomial.var(tv) for sv, tv in _vertex_vars(ctx)]
+        _symbolic_cache[key] = map_sum(
+            ctx.lyndon_seq[i - 1], measures, [TRANSITIVE_KIND] * ctx.N,
+            _cross_matrix(ctx), Polynomial.zero(),
         )
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    T = ctx.lyndon_seq[i - 1]
-    host = host_tournament(ctx)
-    vvars = _vertex_vars(ctx)
-    terms = {}
-    n, m = T.n, host.n
-    img = [0] * n
-    fibers = [[] for _ in range(m)]
-    counter = 0
-    nodes = 0
-
-    def check_deadline():
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError("symbolic_density budget exhausted")
-
-    def emit():
-        nonlocal counter
-        counter += 1
-        if counter % 512 == 0:
-            check_deadline()
-        exps = {}
-        coeff = ONE
-        for w in range(m):
-            c = len(fibers[w])
-            if not c:
-                continue
-            sv, tv = vvars[w]
-            exps[sv] = exps.get(sv, 0) + c
-            exps[tv] = c
-            coeff /= factorial(c)
-        mono = tuple(sorted(exps.items()))
-        prev = terms.get(mono, ZERO)
-        total = prev + coeff
-        terms[mono] = total
-        if len(terms) > max_terms:
-            raise BudgetError("symbolic_density exceeded %d monomials" % max_terms)
-
-    def rec(v):
-        # prune-heavy regions emit rarely, so the walk itself must also
-        # watch the clock
-        nonlocal nodes
-        nodes += 1
-        if nodes % 1024 == 0:
-            check_deadline()
-        if v == n:
-            emit()
-            return
-        for w in range(m):
-            ok = True
-            for u in range(v):
-                fu = img[u]
-                if fu == w:
-                    continue
-                if T.out[u] >> v & 1:
-                    if not host.out[fu] >> w & 1:
-                        ok = False
-                        break
-                elif not host.out[w] >> fu & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if not acyclic_within(T.out, fibers[w] + [v]):
-                continue
-            img[v] = w
-            fibers[w].append(v)
-            rec(v + 1)
-            fibers[w].pop()
-
-    rec(0)
-    p = Polynomial(terms.items())
-    _symbolic_cache[key] = p
-    return p
-
-
-_s_poly_cache = {}
+    return _symbolic_cache[key]
 
 
 def density_s_poly(ctx, i, t_values):
-    """t(T_i, W_k) with t bound to rationals and every s_j left symbolic.
-
-    This is the workhorse behind exact Jacobians: one map-sum per (i, t)
-    yields a small polynomial in s_1..s_ell that all ell partial
-    derivatives share.  The I_0 block participates with its remainder
-    measure 1 - sum_j s_j * (row sum of t_j).
-    """
-    if not 1 <= i <= ctx.ell:
-        raise DomainError("index i must be in 1..%d" % ctx.ell)
+    """t(T_i, W_k) with t bound to rationals and every s_j left symbolic:
+    symbolic_density with the t-variables substituted."""
     t_values = tuple(tuple(as_q(x) for x in row) for row in t_values)
-    key = (ctx, i, t_values)
-    if key in _s_poly_cache:
-        return _s_poly_cache[key]
-    measures = []
-    slack = Polynomial.const(1)
-    for j, row in enumerate(t_values, start=1):
-        sv = Polynomial.var(s_var(j))
-        for tij in row:
-            measures.append(sv * tij)
-        slack = slack - sv * sum(row, ZERO)
-    measures.append(slack)
-    kinds = [TRANSITIVE_KIND] * len(measures)
-    T = ctx.lyndon_seq[i - 1]
-    p = map_sum(T, measures, kinds, _cross_matrix(ctx), Polynomial.zero())
-    _s_poly_cache[key] = p
-    return p
+    check_t(ctx, t_values)
+    return symbolic_density(ctx, i).substitute(
+        {t_var(j, m): v
+         for j, row in enumerate(t_values, start=1)
+         for m, v in enumerate(row, start=1)}
+    )
 
 
 def jacobian_at(ctx, p):
@@ -335,21 +203,15 @@ def jacobian_at(ctx, p):
     rows = []
     for i in range(1, ctx.ell + 1):
         poly = density_s_poly(ctx, i, p.t)
-        row = []
-        for j in range(1, ctx.ell + 1):
-            v = s_var(j)
-            others = {u: point[u] for u in point if u != v}
-            coeffs = poly.restrict_univariate(v, others)
-            uni = Polynomial([(((v, d),), c) for d, c in enumerate(coeffs) if d and c != 0])
-            row.append(uni.partial_derivative(v).evaluate({v: point[v]}))
-        rows.append(row)
+        rows.append([poly.partial_derivative(s_var(j)).evaluate(point)
+                     for j in range(1, ctx.ell + 1)])
     return rows
 
 
-def jacobian_symbolic(ctx, budget_seconds=None):
-    """Entry (i,j) = d symbolic_density(i) / d s_j; k <= 4 unless budgeted."""
+def jacobian_symbolic(ctx):
+    """Entry (i,j) = d symbolic_density(i) / d s_j."""
     return [
-        [symbolic_density(ctx, i, budget_seconds).partial_derivative(s_var(j))
+        [symbolic_density(ctx, i).partial_derivative(s_var(j))
          for j in range(1, ctx.ell + 1)]
         for i in range(1, ctx.ell + 1)
     ]
@@ -377,12 +239,16 @@ def det_polynomial(M):
     return total
 
 
-def unique_full_t_monomial(ctx, budget_seconds=None):
+def unique_full_t_monomial(ctx):
     """The single monomial of det(J) containing every t-variable, with its
-    coefficient.  Checks it is prod_i s_i^{n_i - 1} * prod t_{i,j}."""
-    if ctx.k > 4 and budget_seconds is None:
-        raise BudgetError("full symbolic determinant at k = 5 requires a budget")
-    det = det_polynomial(jacobian_symbolic(ctx, budget_seconds))
+    coefficient.  Checks it is prod_i s_i^{n_i - 1} * prod t_{i,j}.
+
+    k <= 4 only: det_polynomial expands over ell! permutations, and at
+    k = 5 that is 11! products of large polynomials.
+    """
+    if ctx.k > 4:
+        raise BudgetError("the full symbolic determinant is budgeted to k <= 4")
+    det = det_polynomial(jacobian_symbolic(ctx))
     all_t = set()
     for i, n in enumerate(ctx.sizes, start=1):
         for j in range(1, n + 1):
@@ -408,8 +274,8 @@ def unique_full_t_monomial(ctx, budget_seconds=None):
     return mono, coeff
 
 
-def leading_monomial_coefficient(ctx, budget_seconds=None):
-    return unique_full_t_monomial(ctx, budget_seconds)[1]
+def leading_monomial_coefficient(ctx):
+    return unique_full_t_monomial(ctx)[1]
 
 
 def random_params(ctx, rng, max_denominator=16):

@@ -247,26 +247,6 @@ class Polynomial:
             return max(sum(e for _, e in mono) for mono in self.terms)
         return max((dict(mono).get(v, 0) for mono in self.terms), default=0)
 
-    def restrict_univariate(self, v, others):
-        """Coefficient list [c0, c1, ...] of the polynomial as a univariate in v,
-        with every other variable evaluated at `others`."""
-        deg = self.degree(v)
-        coeffs = [ZERO] * (deg + 1)
-        for mono, c in self.terms.items():
-            val = c
-            e_v = 0
-            for u, e in mono:
-                if u == v:
-                    e_v = e
-                elif u in others:
-                    val *= Q(others[u]) ** e
-                else:
-                    raise DomainError("restrict_univariate: %s unassigned" % var_name(u))
-            coeffs[e_v] += val
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs.pop()
-        return coeffs
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -7,7 +7,9 @@ evaluated exactly at a rational rounding of each iterate
 (continued-fraction, denominator <= 10^6) so singularity detection never
 trusts floating point, halving line search, and a converged report
 re-verifies the densities exactly at the rounded solution through the
-independent build-then-density path.
+independent build-then-density path.  The s-polynomials and their ell^2
+partial derivatives are taken once per solve; every exact Jacobian is
+those derivatives evaluated at the rounded iterate.
 
 Newton alone is local, and this map is nastier than it looks: target
 components routinely differ by two orders of magnitude (letter sizes
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 from math import exp, log
 
-from .construction import build, density_s_poly, jacobian_at, make_params
+from .construction import build, check_t, density_s_poly, make_params
 from .errors import DomainError
 from .poly import s_var, solve_linear
 from .rational import ONE, Q, ZERO, fmt_q, q_from_float
@@ -309,7 +311,7 @@ def _starts(ctx, polys, dpolys, row_sums, targets_f):
     return [s for _, s in polished[:ATTEMPT_CAP]]
 
 
-def _attempt(ctx, targets_f, t, polys, row_sums, start, opts, want_trace):
+def _attempt(ctx, targets_f, t, polys, dpolys, row_sums, start, opts, want_trace):
     """One damped Newton run from `start`; returns a result dict.
 
     The step is always the full Newton direction J^{-1}(x - G); halving
@@ -358,7 +360,8 @@ def _attempt(ctx, targets_f, t, polys, row_sums, start, opts, want_trace):
                 "domain-violation", it - 1, res, history,
                 "iterate rounds outside the open domain",
             )
-        J = jacobian_at(ctx, params)
+        point = {s_var(j): v for j, v in enumerate(params.s, start=1)}
+        J = [[d.evaluate(point) for d in row] for row in dpolys]
         rhs = [q_from_float(x - g) for x, g in zip(targets_f, G)]
         delta = solve_linear(J, rhs)
         if delta is None:
@@ -414,7 +417,14 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     """
     opts = options or SolveOptions()
     defaults = default_params(ctx)
-    t = defaults.t if t is None else tuple(tuple(Q(x) for x in row) for row in t)
+    if t is None:
+        t = defaults.t
+    else:
+        try:
+            t = tuple(tuple(Q(x) for x in row) for row in t)
+        except (TypeError, ValueError) as e:
+            raise DomainError("malformed t: %s" % e) from None
+    check_t(ctx, t)
     if len(x_target) != ctx.ell:
         raise DomainError("expected %d targets, got %d" % (ctx.ell, len(x_target)))
     targets = [_as_target(x) for x in x_target]
@@ -458,20 +468,24 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         )
 
     polys = [density_s_poly(ctx, i, t) for i in range(1, ctx.ell + 1)]
-    row_sums = [float(sum(row, ZERO)) for row in t]
-
-    if s0 is not None:
-        outcome = _attempt(ctx, targets_f, t, polys, row_sums, s0, opts, want_trace)
-        return report(outcome, attempts=1)
-
     dpolys = [
         [p.partial_derivative(s_var(j + 1)) for j in range(ctx.ell)] for p in polys
     ]
+    row_sums = [float(sum(row, ZERO)) for row in t]
+
+    if s0 is not None:
+        outcome = _attempt(
+            ctx, targets_f, t, polys, dpolys, row_sums, s0, opts, want_trace
+        )
+        return report(outcome, attempts=1)
+
     outcome = None
     attempts = 0
     for start in _starts(ctx, polys, dpolys, row_sums, targets_f):
         attempts += 1
-        outcome = _attempt(ctx, targets_f, t, polys, row_sums, start, opts, want_trace)
+        outcome = _attempt(
+            ctx, targets_f, t, polys, dpolys, row_sums, start, opts, want_trace
+        )
         if outcome["status"] == "converged":
             break
     return report(outcome, attempts)

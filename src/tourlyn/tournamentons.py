@@ -122,9 +122,9 @@ def map_sum(T, measures, kinds, cross, zero):
     """Sum over block assignments shared by density() and the construction
     module's symbolic variant: `measures` may be rationals or polynomials.
 
-    Cross factors are always rationals; they fold into a scalar prefactor,
-    so measure polynomials only enter through the per-block diagonal
-    factors at the leaves.
+    Cross factors are rationals or plain ints (the construction's 0/1
+    matrix); they fold into a scalar prefactor, so measure polynomials only
+    enter through the per-block diagonal factors at the leaves.
     """
     n = T.n
     B = len(measures)

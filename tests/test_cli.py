@@ -224,6 +224,20 @@ def test_solve_trace_flag():
     assert "trace" in payload
 
 
+def test_solve_rejects_malformed_t(tmp_path):
+    cases = (
+        {"t": [["1/3", "1/3", "1/3"]]},
+        {"s": ["1/6", "1/6", "1/6"]},
+        {"t": 3},
+        {"t": [["1/4", "x", "1/4", "1/4"], ["1/3"] * 3, ["1/4"] * 4]},
+    )
+    for i, data in enumerate(cases):
+        path = tmp_path / ("t%d.json" % i)
+        path.write_text(json.dumps(data))
+        code, out, err = run("solve", "--k", "4", "0.01", "0.02", "0.03", "--t", str(path))
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_probe_custom_center():
     payload = run_json(
         "probe", "--k", "3", "--eps", "1e-3", "--samples", "3", "--seed", "2",

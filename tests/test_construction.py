@@ -13,7 +13,6 @@ from tourlyn.construction import (
     context_to_json,
     density_s_poly,
     det_polynomial,
-    homomorphism_set,
     host_tournament,
     jacobian_at,
     jacobian_symbolic,
@@ -103,16 +102,18 @@ def test_check_domain_rejections():
 
 def test_density_two_routes_agree():
     # the closed-form polynomial and the generic tournamenton integrator
-    # compute the same exact rationals
+    # compute the same exact rationals; at k = 5 only the letters on at
+    # most four vertices, whose map-sums take seconds rather than a minute
     rng = random.Random(31)
-    for k in (3, 4):
+    for k, draws, max_n in ((3, 3, 3), (4, 3, 4), (5, 1, 4)):
         ctx = context(k)
-        for _ in range(3):
+        for _ in range(draws):
             p = random_params(ctx, rng)
             W = build(ctx, p)
             point = {s_var(j): p.s[j - 1] for j in range(1, ctx.ell + 1)}
             for i, T in enumerate(ctx.lyndon_seq, start=1):
-                assert density_s_poly(ctx, i, p.t).evaluate(point) == density(T, W)
+                if T.n <= max_n:
+                    assert density_s_poly(ctx, i, p.t).evaluate(point) == density(T, W)
 
 
 def test_symbolic_density_matches_bound_t_route():
@@ -249,31 +250,6 @@ def test_params_json_round_trip():
         params_from_json(ctx, {"t": [["1/3"]]})
 
 
-def test_homomorphism_set_on_the_smallest_host():
-    ctx = context(3)
-    T = ctx.lyndon_seq[0]
-    host = host_tournament(ctx)
-    maps = homomorphism_set(T, host)
-    # only the three rotations survive: collapses force a forward-and-back
-    # contradiction through the third vertex
-    assert len(maps) == 3
-    assert all(len(set(img)) == 3 for img in maps)
-
-
-def test_homomorphism_set_budgets():
-    from tourlyn.tournaments import transitive
-
-    with pytest.raises(BudgetError):
-        homomorphism_set(transitive(6), transitive(3))
-    with pytest.raises(BudgetError):
-        homomorphism_set(transitive(3), transitive(52))
-
-
 def test_symbolic_density_budgets():
-    ctx = context(5)
-    with pytest.raises(BudgetError):
-        symbolic_density(ctx, 1)
-    with pytest.raises(BudgetError):
-        symbolic_density(ctx, 1, budget_seconds=0.005)
     with pytest.raises(DomainError):
         symbolic_density(context(3), 2)

@@ -93,25 +93,6 @@ def test_derivative_power_rule():
 
 
 @given(polys, points)
-def test_restrict_univariate_agrees_with_evaluation(p, pt):
-    others = {S2: pt[S2], T11: pt[T11]}
-    coeffs = p.restrict_univariate(S1, others)
-    at = pt[S1]
-    horner = ZERO
-    for c in reversed(coeffs):
-        horner = horner * at + c
-    assert horner == p.evaluate(pt)
-    # substitution can kill the leading term, so only an upper bound holds
-    assert 1 <= len(coeffs) <= p.degree(S1) + 1
-
-
-def test_restrict_univariate_requires_assignments():
-    p = Polynomial.var(S1) * Polynomial.var(S2)
-    with pytest.raises(DomainError):
-        p.restrict_univariate(S1, {})
-
-
-@given(polys, points)
 def test_substitute_then_evaluate(p, pt):
     partial = p.substitute({S1: pt[S1]})
     assert S1 not in partial.variables()

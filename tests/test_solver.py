@@ -6,6 +6,7 @@ import pytest
 
 from tourlyn.construction import context, random_params
 from tourlyn.errors import DomainError
+from tourlyn import solver
 from tourlyn.rational import Q
 from tourlyn.solver import (
     SolveOptions,
@@ -72,6 +73,24 @@ def test_boundary_targets_refused_without_iterating():
 def test_wrong_target_count():
     with pytest.raises(DomainError):
         solve(context(4), [Q(1, 16)])
+
+
+@pytest.mark.parametrize("shape", ["short", "long", "zero"])
+def test_malformed_t_refused_before_polynomial_work(monkeypatch, shape):
+    ctx = context(4)
+    t = default_params(ctx).t
+    bad = {
+        "short": t[:1],
+        "long": t + (t[0],),
+        "zero": ((Q(0),) + t[0][1:],) + t[1:],
+    }[shape]
+
+    def no_polynomials(*args):
+        raise AssertionError("density_s_poly reached with a malformed t")
+
+    monkeypatch.setattr(solver, "density_s_poly", no_polynomials)
+    with pytest.raises(DomainError):
+        solve(ctx, [Q(1, 100), Q(1, 50), Q(3, 100)], t=bad)
 
 
 def test_explicit_start_is_single_attempt():
