@@ -12,6 +12,8 @@ clearly-labeled conversion at the boundary that needs one (the solver).
 
 from fractions import Fraction
 
+from .errors import DomainError
+
 try:
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover - exercised only without gmpy2
@@ -25,13 +27,16 @@ HALF = Q(1, 2)
 def as_q(x):
     """Coerce an int, Fraction, Q, or 'p/q' string to Q.
 
-    Floats are refused on purpose; see the module docstring.
+    Floats are refused on purpose; see the module docstring.  Anything that
+    is not an exact rational (a float, an unparsable string, a zero
+    denominator, None) is a DomainError.
     """
     if isinstance(x, float):
-        raise TypeError("refusing to coerce float %r to an exact rational" % (x,))
-    if isinstance(x, str):
-        return Q(x.strip())
-    return Q(x)
+        raise DomainError("refusing to coerce float %r to an exact rational" % (x,))
+    try:
+        return Q(x.strip() if isinstance(x, str) else x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise DomainError("not an exact rational: %r" % (x,)) from None
 
 
 def fmt_q(x):

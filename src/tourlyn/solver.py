@@ -15,18 +15,15 @@ Newton alone is local, and this map is nastier than it looks: target
 components routinely differ by two orders of magnitude (letter sizes
 differ, and densities scale like s^n), some components barely react to
 their own variable, and greedy descent walks into boundary basins it
-cannot leave.  Initialization therefore does the global work.  Every
-target density is a posynomial in s - the Lyndon tournaments have no
-sinks, so no homomorphism map touches the remainder block and no negative
-coefficient survives - which buys two tools: one-dimensional slices are
-strictly increasing, so coordinatewise bisection is exact under any
-assignment of equations to variables, and dominant-monomial corners can
-be solved in closed form in log coordinates.  Candidate starts come from
-bisection sweeps over all equation-variable matchings plus those tropical
-corners; each candidate is polished by a damped Newton phase in log
-coordinates (scale-free, so the two-orders-of-magnitude spread is
-invisible to it) and handed to the exact-Jacobian finisher.  The report
-counts the candidates tried as attempts.
+cannot leave.  Initialization therefore does the global work.  Candidate
+starts are rescalings of the base point s_i = 1/(2 ell r_i), r_i the sum
+of t-row i: each component scaled by a factor from GRID_FACTORS, every
+combination up to GRID_MAX components and the uniform rescalings above.
+Each candidate is polished by a damped Newton phase in log coordinates
+(scale-free, so the two-orders-of-magnitude spread is invisible to it);
+the distinct polished points, best merit first and at most ATTEMPT_CAP of
+them, are handed to the exact-Jacobian finisher.  The report counts the
+candidates tried as attempts.
 
 Failure modes are data, not exceptions: reports carry a status out of
 converged / singular-jacobian / domain-violation / no-convergence.
@@ -34,7 +31,7 @@ converged / singular-jacobian / domain-violation / no-convergence.
 
 import random
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 from math import exp, log
 
 from .construction import build, check_t, density_s_poly, make_params
@@ -46,22 +43,12 @@ from .tournamentons import density
 MIN_STEP = 2.0 ** -20
 RATIONALIZE_DENOMINATOR = 10 ** 6
 
-SWEEP_ROUNDS = 4
-SWEEP_BITS = 60
-# keeps sweep output rationalizable at denominator 10^6
-SWEEP_FLOOR = 1e-5
-# all-matchings sweeps are factorial in ell; above this only the identity
-MATCHING_MAX = 5
-TROPICAL_CAP = 64
 POLISH_ITERATIONS = 80
 # per-component grid factors blow up as GRID^ell; above GRID_MAX components
 # only uniform rescalings of the base start are tried
 GRID_FACTORS = (1.0, 0.25, 0.0625)
 GRID_MAX = 4
 LADDER_DEPTH = 11
-# floored sweep components sit on a shelf where their equation is already
-# overshot; branching re-seeds them at several scales to step off it
-BRANCH_LEVELS = (1e-4, 1e-3, 1e-2)
 ATTEMPT_CAP = 12
 
 
@@ -165,69 +152,6 @@ def _float_solve(A, b):
     return [M[r][n] for r in range(n)]
 
 
-def _sweep(polys, row_sums, targets_f, s_init, matching):
-    """Cyclic bisection: solve equation i for variable matching[i].
-
-    Posynomial monotonicity makes each one-dimensional solve exact, but a
-    fixed assignment of equations to variables can park in a corner when an
-    equation barely reacts to its assigned variable (its mass sits on other
-    variables' monomials).  Different matchings unlock different corners,
-    so the caller sweeps over several.
-    """
-    ell = len(s_init)
-    s = list(s_init)
-    for _ in range(SWEEP_ROUNDS):
-        for i in range(ell):
-            v = matching[i]
-            used = sum(s[j] * row_sums[j] for j in range(ell) if j != v)
-            hi = (1.0 - used) / row_sums[v] * 0.999
-            if hi <= 0:
-                continue
-            lo = 0.0
-            point = {s_var(j + 1): w for j, w in enumerate(s)}
-            for _ in range(SWEEP_BITS):
-                mid = 0.5 * (lo + hi)
-                point[s_var(v + 1)] = mid
-                if polys[i].evaluate_float(point) < targets_f[i]:
-                    lo = mid
-                else:
-                    hi = mid
-            s[v] = max(0.5 * (lo + hi), SWEEP_FLOOR)
-    return s
-
-
-def _tropical_starts(polys, row_sums, targets_f):
-    """Dominant-balance corners: one monomial per equation, solved exactly
-    in log coordinates.  Each in-domain corner is a candidate start,
-    cheapest first by merit."""
-    ell = len(polys)
-    per_eq = []
-    total = 1
-    for p in polys:
-        monos = []
-        for mono, c in p.terms.items():
-            exps = [0] * ell
-            for (_, j), e in mono:
-                exps[j - 1] = e
-            monos.append((float(c), exps))
-        per_eq.append(monos)
-        total *= len(monos)
-    if total > TROPICAL_CAP:
-        return []
-    out = []
-    for combo in product(*per_eq):
-        E = [exps for _, exps in combo]
-        rhs = [log(x) - log(c) for x, (c, _) in zip(targets_f, combo)]
-        sol = _float_solve(E, rhs)
-        if sol is None:
-            continue
-        s = [exp(max(min(v, 30.0), -60.0)) for v in sol]
-        if sum(a * b for a, b in zip(s, row_sums)) < 1.0:
-            out.append((_merit(targets_f, _float_densities(polys, s)), s))
-    out.sort(key=lambda r: r[0])
-    return [s for _, s in out]
-
-
 def _log_polish(polys, dpolys, row_sums, targets_f, s_init):
     """Damped Newton in log coordinates, floats only.
 
@@ -278,25 +202,13 @@ def _starts(ctx, polys, dpolys, row_sums, targets_f):
     """Deduplicated candidate starts for the finisher, best merit first."""
     ell = ctx.ell
     base = [1.0 / (2 * ell * rs) for rs in row_sums]
-    raw = [list(base)]
-    matchings = (
-        list(permutations(range(ell))) if ell <= MATCHING_MAX else [tuple(range(ell))]
-    )
-    for m in matchings:
-        swept = _sweep(polys, row_sums, targets_f, base, m)
-        raw.append(swept)
-        for i, v in enumerate(swept):
-            if v <= SWEEP_FLOOR:
-                for level in BRANCH_LEVELS:
-                    raw.append(swept[:i] + [level] + swept[i + 1:])
-    raw.extend(_tropical_starts(polys, row_sums, targets_f))
     if ell <= GRID_MAX:
-        raw.extend(
+        raw = [
             [f * b for f, b in zip(combo, base)]
             for combo in product(GRID_FACTORS, repeat=ell)
-        )
+        ]
     else:
-        raw.extend([f * b for b in base] for f in GRID_FACTORS)
+        raw = [[f * b for b in base] for f in GRID_FACTORS]
     polished = []
     for cand in raw:
         refined = _log_polish(polys, dpolys, row_sums, targets_f, cand)
@@ -409,9 +321,9 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     the open region the construction parameterizes, and are reported as
     domain-violation without iterating.
 
-    With no explicit s0, initialization is automatic (bisection sweeps and
-    dominant-balance corners refined by a log-coordinate Newton phase, see
-    the module docstring) and candidates are tried until the finisher
+    With no explicit s0, initialization is automatic (grid rescalings of
+    the base point refined by a log-coordinate Newton phase, see the
+    module docstring) and candidates are tried until the finisher
     converges.  An explicit s0 is honored exactly: one attempt from that
     point, no refinement, no restarts.
     """

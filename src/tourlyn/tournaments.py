@@ -185,10 +185,6 @@ def canonicalize(T):
     return relabel(T, order)
 
 
-def canonical_key(T):
-    return encode(canonicalize(T))
-
-
 def is_canonical(T):
     return canonicalize(T) == T
 

@@ -238,6 +238,38 @@ def test_solve_rejects_malformed_t(tmp_path):
         assert code == 1 and out == "" and err.startswith("error: ")
 
 
+BAD_S = [["x"], [0.1], [None]]
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        pytest.param(
+            [cmd, "--k", "3", "--params"], {"s": s, "t": [["1/3"] * 3]},
+            id="%s-%s" % (cmd, s[0]),
+        )
+        for cmd in ("build-wk", "jacobian")
+        for s in BAD_S
+    ]
+    + [
+        pytest.param(
+            ["density", "3:101", "--tournamenton"],
+            {"blocks": [{"measure": "x", "diagonal": "half"}], "cross": [["0/1"]]},
+            id="density-measure",
+        ),
+        pytest.param(["express", "3:111", "--at"], {"3:101": "x"}, id="express-at"),
+        pytest.param(["solve", "--k", "3", "1/0"], None, id="solve-zero-denominator"),
+    ],
+)
+def test_bad_numbers_are_domain_errors(tmp_path, argv, data):
+    if data is not None:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        argv = argv + [str(path)]
+    code, out, err = run(*argv)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
 def test_probe_custom_center():
     payload = run_json(
         "probe", "--k", "3", "--eps", "1e-3", "--samples", "3", "--seed", "2",

@@ -136,6 +136,14 @@ def test_probe_ball_three_vertex_full_rate():
     assert out["per_radius"][0]["statuses"] == {"converged": 10}
 
 
+def test_probe_ball_four_vertex_small_radius():
+    ctx = context(4)
+    x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
+    out = probe_ball(ctx, x0, eps=1e-7, samples=8, seed=5)
+    assert out["success_rate"] == 1.0
+    assert len(out["per_radius"]) == 1
+
+
 def test_probe_ball_descends_until_perfect():
     ctx = context(3)
     x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
