@@ -10,6 +10,8 @@ with positive exponents; a polynomial is a dict monomial -> coefficient
 with no zero coefficients stored.
 """
 
+import re
+
 from .errors import DomainError
 from .rational import ONE, ZERO, Q, as_q, fmt_q
 
@@ -281,15 +283,10 @@ def poly_to_json(p):
     ]
 
 
-_VAR_RE = None
+_VAR_RE = re.compile(r"s(\d+)$|t(\d+)_(\d+)$")
 
 
 def _parse_var(name):
-    import re
-
-    global _VAR_RE
-    if _VAR_RE is None:
-        _VAR_RE = re.compile(r"s(\d+)$|t(\d+)_(\d+)$")
     if ":" in name:
         return x_var(name)
     m = _VAR_RE.match(name)

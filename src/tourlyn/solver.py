@@ -1,30 +1,30 @@
 """Damped Newton inversion of the density map s -> (t(T_i, W_k(s, t)))_i.
 
 The t-parameters stay fixed and only s moves, which keeps the system
-square with the certified ell x ell Jacobian.  The finishing iteration is
-damped Newton with the step J^{-1}(x - G): float iterates, the Jacobian
-evaluated exactly at a rational rounding of each iterate
-(continued-fraction, denominator <= 10^6) so singularity detection never
-trusts floating point, halving line search, and a converged report
-re-verifies the densities exactly at the rounded solution through the
-independent build-then-density path.  The s-polynomials and their ell^2
-partial derivatives are taken once per solve; every exact Jacobian is
-those derivatives evaluated at the rounded iterate.
+square with the certified ell x ell Jacobian; the s-polynomials and their
+partial derivatives are taken once per solve.  An attempt is one damped
+Newton run in log coordinates, floats only: the step solves
+J d = log x - log G (J the Jacobian of log G in log s), moves s_j to
+s_j exp(lam d_j) and halves lam until the merit, the largest relative
+error, drops.  Log coordinates are scale-free, which this map needs:
+target components differ by orders of magnitude (densities scale like
+s^n), and greedy descent walks into boundary basins it cannot leave.
+A run stops after ITERATION_CAP steps, at MERIT_FLOOR, on a stall or when
+no damped step helps, and is float-converged when the absolute residual
+meets the tolerance, however it stopped.
 
-Newton alone is local, and this map is nastier than it looks: target
-components routinely differ by two orders of magnitude (letter sizes
-differ, and densities scale like s^n), some components barely react to
-their own variable, and greedy descent walks into boundary basins it
-cannot leave.  Initialization therefore does the global work.  Candidate
-starts are rescalings of the base point s_i = 1/(2 ell r_i), r_i the sum
-of t-row i: each component scaled by a factor from GRID_FACTORS, every
-combination up to GRID_MAX components and the uniform rescalings above.
-Each candidate is polished by a damped Newton phase in log coordinates
-(scale-free, so the two-orders-of-magnitude spread is invisible to it);
-the distinct polished points, best merit first and at most ATTEMPT_CAP of
-them, are handed to the exact-Jacobian finisher.  The report counts the
-candidates tried as attempts.
+Newton alone is local, so the starts do the global work: rescalings of
+the base point s_i = 1/(2 ell r_i), r_i the sum of t-row i, by every
+combination of GRID_FACTORS up to GRID_MAX components and uniformly
+above.  The distinct end points of their runs, best merit first and at
+most ATTEMPT_CAP, are the attempts.
 
+`converged` means exactly verified: the end point is rounded to rationals
+(continued fraction, denominator <= 10^6) and its densities recomputed
+through the independent build-then-density path; the first attempt whose
+rounding stays in the open domain and meets the tolerance wins.  Nor are
+floats trusted with singularity: a float-singular Jacobian is reported as
+singular-jacobian only if the exact one at the rounded iterate is.
 Failure modes are data, not exceptions: reports carry a status out of
 converged / singular-jacobian / domain-violation / no-convergence.
 """
@@ -36,14 +36,15 @@ from math import exp, log
 
 from .construction import build, check_t, density_s_poly, make_params
 from .errors import DomainError
-from .poly import s_var, solve_linear
+from .poly import det_rational, s_var
 from .rational import ONE, Q, ZERO, fmt_q, q_from_float
 from .tournamentons import density
 
 MIN_STEP = 2.0 ** -20
 RATIONALIZE_DENOMINATOR = 10 ** 6
 
-POLISH_ITERATIONS = 80
+ITERATION_CAP = 80
+MERIT_FLOOR = 1e-12
 # per-component grid factors blow up as GRID^ell; above GRID_MAX components
 # only uniform rescalings of the base start are tried
 GRID_FACTORS = (1.0, 0.25, 0.0625)
@@ -54,16 +55,14 @@ ATTEMPT_CAP = 12
 
 @dataclass
 class SolveOptions:
+    """The absolute max-norm tolerance a converged solve meets exactly, at
+    the rational point it reports."""
+
     tolerance: float = 1e-10
-    max_iterations: int = 100
-    min_step: float = MIN_STEP
-    rationalize_denominator: int = RATIONALIZE_DENOMINATOR
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise DomainError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise DomainError("need at least one iteration")
 
 
 @dataclass
@@ -99,10 +98,10 @@ def _as_target(x):
     return Q(x)
 
 
-def _rationalize(ctx, s_floats, t, denominator):
+def _rationalize(ctx, s_floats, t):
     if any(x <= 0 for x in s_floats):
         return None
-    s_rat = tuple(q_from_float(x, denominator) for x in s_floats)
+    s_rat = tuple(q_from_float(x, RATIONALIZE_DENOMINATOR) for x in s_floats)
     try:
         return make_params(ctx, s_rat, t)
     except DomainError:
@@ -152,25 +151,48 @@ def _float_solve(A, b):
     return [M[r][n] for r in range(n)]
 
 
-def _log_polish(polys, dpolys, row_sums, targets_f, s_init):
-    """Damped Newton in log coordinates, floats only.
+def _singular(ctx, t, dpolys, s):
+    """Status and detail for a float-singular Jacobian at s, decided exactly
+    at the rounded iterate."""
+    params = _rationalize(ctx, s, t)
+    if params is None:
+        return "domain-violation", "iterate rounds outside the open domain"
+    point = {s_var(j): v for j, v in enumerate(params.s, start=1)}
+    if det_rational([[d.evaluate(point) for d in row] for row in dpolys]) == 0:
+        return "singular-jacobian", "exact Jacobian is singular at the rounded iterate"
+    return "no-convergence", "float Jacobian singular; the exact one is not"
 
-    Scale-free: multiplying a target or a variable by a constant does not
-    change the geometry, so the wild spread of target magnitudes that
-    cripples naive descent disappears.  Used purely as initialization for
-    the exact-Jacobian finisher; its own stalls are not failures.
+
+def _newton(ctx, t, polys, dpolys, row_sums, targets_f, start, tolerance, want_trace):
+    """One damped Newton run in log coordinates from `start`, floats only;
+    returns an outcome dict.
+
+    Halving backtracks on the merit (max relative error), while the
+    outcome is converged when the absolute residual meets the tolerance,
+    however the run stopped.  Otherwise it keeps the reason the run
+    stopped.
     """
-    ell = len(s_init)
-    s = list(s_init)
+    ell = len(start)
+    s = [float(x) for x in start]
+    trace = []
+    if not _in_domain(s, row_sums):
+        return {
+            "status": "domain-violation", "s": s, "iterations": 0,
+            "residual": float("inf"), "merit": float("inf"), "history": [],
+            "trace": trace, "detail": "initial point outside the open domain",
+        }
     G = [max(g, 1e-300) for g in _float_densities(polys, s)]
     merit = _merit(targets_f, G)
     history = [merit]
-    for _ in range(POLISH_ITERATIONS):
-        if merit <= 1e-12:
+    status, detail = "no-convergence", "iteration cap reached"
+    for it in range(1, ITERATION_CAP + 1):
+        if merit <= MERIT_FLOOR:
+            detail = "merit floor reached"
             break
         # crawling down a canyon converges never and costs plenty; a start
         # this bad is cheaper to abandon than to nurse
         if len(history) >= 11 and history[-1] > 0.95 * history[-11]:
+            detail = "stalled: relative progress under 5% across 10 iterations"
             break
         point = {s_var(j + 1): v for j, v in enumerate(s)}
         Jlog = [
@@ -180,6 +202,7 @@ def _log_polish(polys, dpolys, row_sums, targets_f, s_init):
         rhs = [log(x) - log(g) for x, g in zip(targets_f, G)]
         d = _float_solve(Jlog, rhs)
         if d is None:
+            status, detail = _singular(ctx, t, dpolys, s)
             break
         lam, accepted = 1.0, None
         while lam >= MIN_STEP:
@@ -188,129 +211,40 @@ def _log_polish(polys, dpolys, row_sums, targets_f, s_init):
                 trial_G = [max(g, 1e-300) for g in _float_densities(polys, trial)]
                 trial_merit = _merit(targets_f, trial_G)
                 if trial_merit < merit:
-                    accepted = (trial, trial_G, trial_merit)
-                    break
-            lam /= 2
-        if accepted is None:
-            break
-        s, G, merit = accepted
-        history.append(merit)
-    return s
-
-
-def _starts(ctx, polys, dpolys, row_sums, targets_f):
-    """Deduplicated candidate starts for the finisher, best merit first."""
-    ell = ctx.ell
-    base = [1.0 / (2 * ell * rs) for rs in row_sums]
-    if ell <= GRID_MAX:
-        raw = [
-            [f * b for f, b in zip(combo, base)]
-            for combo in product(GRID_FACTORS, repeat=ell)
-        ]
-    else:
-        raw = [[f * b for b in base] for f in GRID_FACTORS]
-    polished = []
-    for cand in raw:
-        refined = _log_polish(polys, dpolys, row_sums, targets_f, cand)
-        for _, seen in polished:
-            if all(abs(a - b) <= 1e-9 + 1e-6 * abs(b) for a, b in zip(refined, seen)):
-                break
-        else:
-            polished.append(
-                (_merit(targets_f, _float_densities(polys, refined)), refined)
-            )
-    polished.sort(key=lambda r: r[0])
-    return [s for _, s in polished[:ATTEMPT_CAP]]
-
-
-def _attempt(ctx, targets_f, t, polys, dpolys, row_sums, start, opts, want_trace):
-    """One damped Newton run from `start`; returns a result dict.
-
-    The step is always the full Newton direction J^{-1}(x - G); halving
-    backtracks on the scaled merit (max relative error), while convergence
-    is declared on the absolute max-norm the tolerance speaks about.
-    Scaling the rows of the system does not change the Newton direction,
-    only which trial points count as progress.
-    """
-    s = [float(x) for x in start]
-    trace = []
-
-    def done(status, iters, res, history, detail=""):
-        params = _rationalize(ctx, s, t, opts.rationalize_denominator)
-        if status == "converged" and params is None:
-            # the float iterate met the tolerance but its rounding left the
-            # open domain; without a rational point there is nothing to verify
-            status, detail = "domain-violation", "solution rounds outside the open domain"
-        return {
-            "status": status, "s": s, "params": params, "iterations": iters,
-            "residual": res, "history": history, "trace": trace, "detail": detail,
-        }
-
-    if not _in_domain(s, row_sums):
-        return {
-            "status": "domain-violation", "s": s, "params": None,
-            "iterations": 0, "residual": float("inf"), "history": [],
-            "trace": trace, "detail": "initial point outside the open domain",
-        }
-    G = _float_densities(polys, s)
-    res = _residual(targets_f, G)
-    merit = _merit(targets_f, G)
-    history = [merit]
-    for it in range(1, opts.max_iterations + 1):
-        if res <= opts.tolerance:
-            return done("converged", it - 1, res, history)
-        # each iteration below costs an exact Jacobian; bail out of crawls
-        # (near-stationary merit over a window) before paying for the next
-        if len(history) >= 9 and history[-1] > 0.99 * history[-9]:
-            return done(
-                "no-convergence", it - 1, res, history,
-                "stalled: relative progress under 1% across 8 iterations",
-            )
-        params = _rationalize(ctx, s, t, opts.rationalize_denominator)
-        if params is None:
-            return done(
-                "domain-violation", it - 1, res, history,
-                "iterate rounds outside the open domain",
-            )
-        point = {s_var(j): v for j, v in enumerate(params.s, start=1)}
-        J = [[d.evaluate(point) for d in row] for row in dpolys]
-        rhs = [q_from_float(x - g) for x, g in zip(targets_f, G)]
-        delta = solve_linear(J, rhs)
-        if delta is None:
-            return done(
-                "singular-jacobian", it - 1, res, history,
-                "exact Jacobian is singular at the current iterate",
-            )
-        delta_f = [float(d) for d in delta]
-        lam = 1.0
-        accepted = None
-        while lam >= opts.min_step:
-            trial = [a + lam * d for a, d in zip(s, delta_f)]
-            if _in_domain(trial, row_sums):
-                trial_G = _float_densities(polys, trial)
-                trial_merit = _merit(targets_f, trial_G)
-                if trial_merit < merit:
                     accepted = (trial, trial_G, trial_merit, lam)
                     break
             lam /= 2
         if accepted is None:
-            return done(
-                "domain-violation", it - 1, res, history,
-                "no admissible damped step reduced the residual",
-            )
+            status, detail = "domain-violation", "no admissible damped step reduced the residual"
+            break
         s, G, merit, lam = accepted
-        res = _residual(targets_f, G)
         history.append(merit)
         if want_trace:
             trace.append(
-                {"iteration": it, "s": list(s), "residual": res,
+                {"iteration": it, "s": list(s), "residual": _residual(targets_f, G),
                  "merit": merit, "step": lam}
             )
-    if res <= opts.tolerance:
-        return done("converged", opts.max_iterations, res, history)
-    return done(
-        "no-convergence", opts.max_iterations, res, history, "iteration cap reached"
-    )
+    residual = _residual(targets_f, G)
+    if residual <= tolerance:
+        status, detail = "converged", ""
+    return {
+        "status": status, "s": s, "iterations": len(history) - 1,
+        "residual": residual, "merit": merit, "history": history,
+        "trace": trace, "detail": detail,
+    }
+
+
+def _grid(row_sums):
+    """The grid starts: rescalings of the base point, per component up to
+    GRID_MAX components and uniformly above."""
+    ell = len(row_sums)
+    base = [1.0 / (2 * ell * rs) for rs in row_sums]
+    if ell > GRID_MAX:
+        return [[f * b for b in base] for f in GRID_FACTORS]
+    return [
+        [f * b for f, b in zip(combo, base)]
+        for combo in product(GRID_FACTORS, repeat=ell)
+    ]
 
 
 def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
@@ -321,16 +255,18 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     the open region the construction parameterizes, and are reported as
     domain-violation without iterating.
 
-    With no explicit s0, initialization is automatic (grid rescalings of
-    the base point refined by a log-coordinate Newton phase, see the
-    module docstring) and candidates are tried until the finisher
-    converges.  An explicit s0 is honored exactly: one attempt from that
-    point, no refinement, no restarts.
+    With no explicit s0, one log-coordinate Newton run goes from each grid
+    start (see the module docstring) and the distinct end points are tried
+    best first.  An explicit s0 is honored exactly: one run from that
+    point, no restarts.  A report is converged only when the rational
+    rounding of its s meets the tolerance in the exact densities; a
+    float-converged attempt that misses it ends no-convergence, its detail
+    giving the exact error, and the next attempt is tried.  `trace` holds
+    the Newton steps of the reported attempt when want_trace is set.
     """
-    opts = options or SolveOptions()
-    defaults = default_params(ctx)
+    tolerance = (options or SolveOptions()).tolerance
     if t is None:
-        t = defaults.t
+        t = default_params(ctx).t
     else:
         try:
             t = tuple(tuple(Q(x) for x in row) for row in t)
@@ -342,19 +278,37 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     targets = [_as_target(x) for x in x_target]
     targets_f = [float(x) for x in targets]
 
+    def verify(outcome):
+        """Rounds s and checks the densities exactly, once per outcome; a
+        float-converged outcome stays converged only if the check passes."""
+        if "verification" in outcome:
+            return outcome
+        params = _rationalize(ctx, outcome["s"], t)
+        verification = [] if params is None else [
+            {"target": fmt_q(x), "achieved": fmt_q(g), "abs_error": abs(float(x - g))}
+            for x, g in zip(targets, _exact_densities(ctx, params))
+        ]
+        outcome.update(params=params, verification=verification)
+        if outcome["status"] != "converged":
+            return outcome
+        if params is None:
+            # without a rational point there is nothing to verify
+            outcome.update(
+                status="domain-violation", detail="solution rounds outside the open domain"
+            )
+            return outcome
+        error = max(v["abs_error"] for v in verification)
+        if error > tolerance:
+            outcome.update(
+                status="no-convergence",
+                detail="exact error %.3g at the rounded solution exceeds the "
+                "tolerance %.3g" % (error, tolerance),
+            )
+        return outcome
+
     def report(outcome, attempts):
+        verify(outcome)
         params = outcome["params"]
-        verification = []
-        if params is not None:
-            G = _exact_densities(ctx, params)
-            verification = [
-                {
-                    "target": fmt_q(x),
-                    "achieved": fmt_q(g),
-                    "abs_error": abs(float(x - g)),
-                }
-                for x, g in zip(targets, G)
-            ]
         return SolveReport(
             status=outcome["status"],
             s=tuple(outcome["s"]),
@@ -363,7 +317,7 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
             iterations=outcome["iterations"],
             residual=outcome["residual"],
             residual_history=outcome["history"],
-            verification=verification,
+            verification=outcome["verification"],
             detail=outcome["detail"],
             attempts=attempts,
             trace=outcome["trace"],
@@ -373,8 +327,8 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         return report(
             {
                 "status": "domain-violation", "s": tuple(s0 or ()), "params": None,
-                "iterations": 0, "residual": float("inf"), "history": [],
-                "trace": [], "detail": "target not strictly inside (0,1)",
+                "verification": [], "iterations": 0, "residual": float("inf"),
+                "history": [], "trace": [], "detail": "target not strictly inside (0,1)",
             },
             attempts=0,
         )
@@ -385,20 +339,22 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     ]
     row_sums = [float(sum(row, ZERO)) for row in t]
 
-    if s0 is not None:
-        outcome = _attempt(
-            ctx, targets_f, t, polys, dpolys, row_sums, s0, opts, want_trace
+    outcomes = []
+    for start in _grid(row_sums) if s0 is None else [s0]:
+        out = _newton(
+            ctx, t, polys, dpolys, row_sums, targets_f, start, tolerance, want_trace
         )
-        return report(outcome, attempts=1)
-
-    outcome = None
+        # starts that end at the same point are one attempt
+        if not any(
+            all(abs(a - b) <= 1e-9 + 1e-6 * abs(b) for a, b in zip(out["s"], seen["s"]))
+            for seen in outcomes
+        ):
+            outcomes.append(out)
+    outcomes.sort(key=lambda o: o["merit"])
     attempts = 0
-    for start in _starts(ctx, polys, dpolys, row_sums, targets_f):
+    for outcome in outcomes[:ATTEMPT_CAP]:
         attempts += 1
-        outcome = _attempt(
-            ctx, targets_f, t, polys, dpolys, row_sums, start, opts, want_trace
-        )
-        if outcome["status"] == "converged":
+        if outcome["status"] == "converged" and verify(outcome)["status"] == "converged":
             break
     return report(outcome, attempts)
 

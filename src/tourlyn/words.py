@@ -64,7 +64,6 @@ class LetterOrder:
         self.tie_break = tie_break
         self._by_size = {}
         self._rank_of = {}
-        self._letters = {}
 
     def letters_of_size(self, m):
         if m not in self._by_size:

@@ -221,7 +221,10 @@ def test_solve_accepts_rational_and_float_targets():
 
 def test_solve_trace_flag():
     payload = run_json("solve", "--k", "3", "1/16", "--trace")
-    assert "trace" in payload
+    assert payload["status"] == "converged"
+    assert payload["trace"], "the winning attempt's Newton steps are missing"
+    for step in payload["trace"]:
+        assert set(step) == {"iteration", "s", "residual", "merit", "step"}
 
 
 def test_solve_rejects_malformed_t(tmp_path):

@@ -106,11 +106,22 @@ def test_explicit_start_is_single_attempt():
 def test_options_validation():
     with pytest.raises(DomainError):
         SolveOptions(tolerance=0)
-    with pytest.raises(DomainError):
-        SolveOptions(max_iterations=0)
     ctx = context(3)
     rep = solve(ctx, [Q(1, 16)], options=SolveOptions(tolerance=1e-6))
     assert rep.converged and rep.residual <= 1e-6
+
+
+def test_converged_means_verified():
+    # the float iterate meets 1e-13, but its rounding to denominators of at
+    # most 10^6 misses it in the exact densities
+    ctx = context(3)
+    rep = solve(ctx, [Q(1, 16)], options=SolveOptions(tolerance=1e-13))
+    error = max(v["abs_error"] for v in rep.verification)
+    if rep.converged:
+        assert error <= 1e-13
+    else:
+        assert rep.status == "no-convergence"
+        assert "exact error %.3g" % error in rep.detail
 
 
 def test_trace_collection():

@@ -155,6 +155,26 @@ def test_density_budget():
         density(transitive(7), constant_half())
 
 
+def test_density_caches_stay_at_their_bounds():
+    # each two-block W is fresh, so every call adds one entry to both caches
+    from tourlyn import tournamentons
+
+    cross = [[0, Q(1, 3)], [Q(2, 3), 0]]
+    for i in range(tournamentons.DENSITY_CACHE_SIZE + 10):
+        m = Q(1, i + 3)
+        W = step_tournamenton([(m, HALF_KIND), (1 - m, TRANSITIVE_KIND)], cross)
+        density(C3, W)
+    for cached, bound in (
+        (tournamentons._canonical_density, tournamentons.DENSITY_CACHE_SIZE),
+        (tournamentons._ensure_valid, tournamentons.VALID_CACHE_SIZE),
+    ):
+        info = cached.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
+    hits = tournamentons._canonical_density.cache_info().hits
+    density(C3, W)
+    assert tournamentons._canonical_density.cache_info().hits == hits + 1
+
+
 def test_normalization():
     rng = random.Random(11)
     for _ in range(4):
