@@ -4,8 +4,8 @@ Each check recomputes a fact the rest of the package depends on and
 compares against an independently known value: enumeration counts against
 the literature, densities against the constant-half closed form, the
 solver against the one case with a pencil-and-paper answer, and so on.
-The fast level stays at k <= 4 and runs in seconds; full adds the k = 5
-material and takes minutes.
+The fast level stays at k <= 4 and full adds the k = 5 material; both
+run in seconds.
 """
 
 import random

@@ -83,7 +83,7 @@ SUBCOMMAND_OPS = {
     "jacobian": ["jacobian_at", "symbolic_density", "partial_derivative"],
     "certify": ["certify_det_nonzero", "leading_monomial_coefficient",
                 "det_rational"],
-    "solve": ["solve"],
+    "solve": ["solve", "point_densities"],
     "probe": ["probe_ball"],
     "sample": ["sample"],
     "verify": ["normalization_check"],

@@ -2,7 +2,8 @@
 
 The t-parameters stay fixed and only s moves, which keeps the system
 square with the certified ell x ell Jacobian; the s-polynomials and their
-partial derivatives are taken once per solve.  An attempt is one damped
+partial derivatives are taken once per solve, and turned into float term
+lists once for the Newton loop.  An attempt is one damped
 Newton run in log coordinates, floats only: the step solves
 J d = log x - log G (J the Jacobian of log G in log s), moves s_j to
 s_j exp(lam d_j) and halves lam until the merit, the largest relative
@@ -21,7 +22,7 @@ most ATTEMPT_CAP, are the attempts.
 
 `converged` means exactly verified: the end point is rounded to rationals
 (continued fraction, denominator <= 10^6) and its densities recomputed
-through the independent build-then-density path; the first attempt whose
+exactly by construction.point_densities; the first attempt whose
 rounding stays in the open domain and meets the tolerance wins.  Nor are
 floats trusted with singularity: a float-singular Jacobian is reported as
 singular-jacobian only if the exact one at the rounded iterate is.
@@ -34,11 +35,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import exp, log
 
-from .construction import build, check_t, density_s_poly, make_params
+from .construction import check_t, density_s_poly, make_params, point_densities
 from .errors import DomainError
 from .poly import det_rational, s_var
 from .rational import ONE, Q, ZERO, fmt_q, q_from_float
-from .tournamentons import density
 
 MIN_STEP = 2.0 ** -20
 RATIONALIZE_DENOMINATOR = 10 ** 6
@@ -108,14 +108,25 @@ def _rationalize(ctx, s_floats, t):
         return None
 
 
-def _exact_densities(ctx, params):
-    W = build(ctx, params)
-    return [density(T, W) for T in ctx.lyndon_seq]
+def _float_terms(poly):
+    """An s-polynomial as (float coefficient, ((s index, exponent), ...))
+    terms, 0-based indices, in the polynomial's own term order."""
+    return [
+        (float(c), tuple((v[1] - 1, e) for v, e in mono))
+        for mono, c in poly.terms.items()
+    ]
 
 
-def _float_densities(polys, s):
-    point = {s_var(j): v for j, v in enumerate(s, start=1)}
-    return [p.evaluate_float(point) for p in polys]
+def _float_value(terms, s):
+    # the term order and multiply order of Polynomial.evaluate_float, so
+    # the floats are bit-identical to it
+    total = 0.0
+    for c, mono in terms:
+        val = c
+        for j, e in mono:
+            val *= s[j] ** e
+        total += val
+    return total
 
 
 def _in_domain(s, row_sums):
@@ -163,9 +174,11 @@ def _singular(ctx, t, dpolys, s):
     return "no-convergence", "float Jacobian singular; the exact one is not"
 
 
-def _newton(ctx, t, polys, dpolys, row_sums, targets_f, start, tolerance, want_trace):
+def _newton(ctx, t, dpolys, fpolys, fdpolys, row_sums, targets_f, start, tolerance,
+            want_trace):
     """One damped Newton run in log coordinates from `start`, floats only;
-    returns an outcome dict.
+    returns an outcome dict.  fpolys and fdpolys are the float term lists of
+    the s-polynomials and of dpolys, the exact partials (kept for _singular).
 
     Halving backtracks on the merit (max relative error), while the
     outcome is converged when the absolute residual meets the tolerance,
@@ -181,7 +194,7 @@ def _newton(ctx, t, polys, dpolys, row_sums, targets_f, start, tolerance, want_t
             "residual": float("inf"), "merit": float("inf"), "history": [],
             "trace": trace, "detail": "initial point outside the open domain",
         }
-    G = [max(g, 1e-300) for g in _float_densities(polys, s)]
+    G = [max(_float_value(p, s), 1e-300) for p in fpolys]
     merit = _merit(targets_f, G)
     history = [merit]
     status, detail = "no-convergence", "iteration cap reached"
@@ -194,9 +207,8 @@ def _newton(ctx, t, polys, dpolys, row_sums, targets_f, start, tolerance, want_t
         if len(history) >= 11 and history[-1] > 0.95 * history[-11]:
             detail = "stalled: relative progress under 5% across 10 iterations"
             break
-        point = {s_var(j + 1): v for j, v in enumerate(s)}
         Jlog = [
-            [s[j] * dpolys[i][j].evaluate_float(point) / G[i] for j in range(ell)]
+            [s[j] * _float_value(fdpolys[i][j], s) / G[i] for j in range(ell)]
             for i in range(ell)
         ]
         rhs = [log(x) - log(g) for x, g in zip(targets_f, G)]
@@ -208,7 +220,7 @@ def _newton(ctx, t, polys, dpolys, row_sums, targets_f, start, tolerance, want_t
         while lam >= MIN_STEP:
             trial = [v * exp(max(min(lam * dd, 30.0), -30.0)) for v, dd in zip(s, d)]
             if sum(a * b for a, b in zip(trial, row_sums)) < 1.0:
-                trial_G = [max(g, 1e-300) for g in _float_densities(polys, trial)]
+                trial_G = [max(_float_value(p, trial), 1e-300) for p in fpolys]
                 trial_merit = _merit(targets_f, trial_G)
                 if trial_merit < merit:
                     accepted = (trial, trial_G, trial_merit, lam)
@@ -286,7 +298,7 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         params = _rationalize(ctx, outcome["s"], t)
         verification = [] if params is None else [
             {"target": fmt_q(x), "achieved": fmt_q(g), "abs_error": abs(float(x - g))}
-            for x, g in zip(targets, _exact_densities(ctx, params))
+            for x, g in zip(targets, point_densities(ctx, params))
         ]
         outcome.update(params=params, verification=verification)
         if outcome["status"] != "converged":
@@ -337,12 +349,15 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     dpolys = [
         [p.partial_derivative(s_var(j + 1)) for j in range(ctx.ell)] for p in polys
     ]
+    fpolys = [_float_terms(p) for p in polys]
+    fdpolys = [[_float_terms(d) for d in row] for row in dpolys]
     row_sums = [float(sum(row, ZERO)) for row in t]
 
     outcomes = []
     for start in _grid(row_sums) if s0 is None else [s0]:
         out = _newton(
-            ctx, t, polys, dpolys, row_sums, targets_f, start, tolerance, want_trace
+            ctx, t, dpolys, fpolys, fdpolys, row_sums, targets_f, start, tolerance,
+            want_trace,
         )
         # starts that end at the same point are one attempt
         if not any(

@@ -34,8 +34,8 @@ from .tournaments import Tournament, canonicalize, enumerate_exact, automorphism
 
 DENSITY_MAX = 6
 # fixed bounds on the density and validation caches: a 40 s flag-algebra
-# benchmark run fills under 2,000 density entries, while a long probe adds
-# a fresh W (one entry per letter) with every k = 4 solve
+# benchmark run fills under 2,000 density entries (solves verify through
+# construction.point_densities and add no entries)
 DENSITY_CACHE_SIZE = 4096
 VALID_CACHE_SIZE = 1024
 HALF_KIND = "half"
@@ -123,7 +123,7 @@ def acyclic_within(out, verts):
 
 def map_sum(T, measures, kinds, cross, zero):
     """Sum over block assignments shared by density() and the construction
-    module's symbolic variant: `measures` may be rationals or polynomials.
+    module's chain DP: `measures` may be rationals or polynomials.
 
     Cross factors are rationals or plain ints (the construction's 0/1
     matrix); they fold into a scalar prefactor, so measure polynomials only

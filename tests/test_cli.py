@@ -208,6 +208,14 @@ def test_certify_leading():
     assert payload["det"] != "0/1"
 
 
+def test_certify_five_vertex():
+    # the first k = 5 certificate: eleven symbolic densities through the
+    # chain DP, their partials at one point, an 11 x 11 exact determinant
+    payload = run_json("certify", "--k", "5", "--trials", "1", "--seed", "3")
+    assert payload["det"] != "0/1"
+    assert payload["trials_used"] == 1
+
+
 def test_solve_accepts_rational_and_float_targets():
     a = run_json("solve", "--k", "3", "1/16")
     b = run_json("solve", "--k", "3", "0.0625")
@@ -291,6 +299,18 @@ def test_verify_fast_is_green_and_deterministic():
     assert payload["ok"] is True
     assert all(c["ok"] for c in payload["checks"])
     assert "verify fast" in err1
+
+
+def test_verify_full_is_green_and_deterministic():
+    code1, out1, err1 = run("verify", "--level", "full")
+    code2, out2, _ = run("verify", "--level", "full")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    payload = json.loads(out1)
+    assert payload["ok"] is True and payload["level"] == "full"
+    assert all(c["ok"] for c in payload["checks"])
+    assert "five-vertex certification" in [c["name"] for c in payload["checks"]]
+    assert "verify full" in err1
 
 
 def test_missing_file_is_a_domain_error():

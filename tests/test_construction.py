@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tourlyn.construction import (
+    WkParams,
     block_labels,
     build,
     certify_det_nonzero,
@@ -20,6 +21,7 @@ from tourlyn.construction import (
     make_params,
     params_from_json,
     params_to_json,
+    point_densities,
     random_params,
     symbolic_density,
     unique_full_t_monomial,
@@ -28,7 +30,7 @@ from tourlyn.errors import BudgetError, DomainError
 from tourlyn.poly import Polynomial, det_rational, s_var, t_var, uniform_degrees
 from tourlyn.rational import Q
 from tourlyn.solver import default_params
-from tourlyn.tournamentons import density, validate
+from tourlyn.tournamentons import TRANSITIVE_KIND, density, map_sum, validate
 from tourlyn.tournaments import parse, strongly_connected_components
 
 
@@ -103,7 +105,8 @@ def test_check_domain_rejections():
 def test_density_two_routes_agree():
     # the closed-form polynomial and the generic tournamenton integrator
     # compute the same exact rationals; at k = 5 only the letters on at
-    # most four vertices, whose map-sums take seconds rather than a minute
+    # most four vertices, since the integrator's unfactored walk over the
+    # 52 blocks of W takes seconds per letter there and far longer on five
     rng = random.Random(31)
     for k, draws, max_n in ((3, 3, 3), (4, 3, 4), (5, 1, 4)):
         ctx = context(k)
@@ -114,6 +117,53 @@ def test_density_two_routes_agree():
             for i, T in enumerate(ctx.lyndon_seq, start=1):
                 if T.n <= max_n:
                     assert density_s_poly(ctx, i, p.t).evaluate(point) == density(T, W)
+
+
+def test_chain_dp_equals_the_unfactored_walk():
+    # the oracle: one map_sum over all N host blocks, ignoring the host's
+    # strong parts, with the cross matrix read off the host tournament
+    for k in (3, 4):
+        ctx = context(k)
+        host = host_tournament(ctx)
+        cross = [[host.out[u] >> v & 1 for v in range(ctx.N)] for u in range(ctx.N)]
+        measures = [
+            Polynomial.var(s_var(i)) * Polynomial.var(t_var(i, j))
+            for i, n in enumerate(ctx.sizes, start=1) for j in range(1, n + 1)
+        ]
+        for i, T in enumerate(ctx.lyndon_seq, start=1):
+            unfactored = map_sum(
+                T, measures, [TRANSITIVE_KIND] * ctx.N, cross, Polynomial.zero()
+            )
+            assert symbolic_density(ctx, i).terms == unfactored.terms
+
+
+def test_five_vertex_symbolic_densities():
+    ctx = context(5)
+    polys = [symbolic_density(ctx, i) for i in range(1, ctx.ell + 1)]
+    assert [len(p.terms) for p in polys] == [
+        135, 1, 135, 1, 1, 1, 112, 30, 2100, 584, 8382,
+    ]
+    p = random_params(ctx, random.Random(59))
+    point = {s_var(j): v for j, v in enumerate(p.s, start=1)}
+    for i, row in enumerate(p.t, start=1):
+        for j, v in enumerate(row, start=1):
+            point[t_var(i, j)] = v
+    assert [q.evaluate(point) for q in polys] == point_densities(ctx, p)
+
+
+def test_point_densities_match_build_and_density():
+    rng = random.Random(61)
+    for k, draws, max_n in ((3, 3, 3), (4, 3, 4), (5, 1, 4)):
+        ctx = context(k)
+        for _ in range(draws):
+            p = random_params(ctx, rng)
+            W = build(ctx, p)
+            for T, value in zip(ctx.lyndon_seq, point_densities(ctx, p)):
+                if T.n <= max_n:
+                    assert value == density(T, W)
+    # used measure exactly 1: outside the open domain
+    with pytest.raises(DomainError, match="domain"):
+        point_densities(context(3), WkParams(s=(Q(1),), t=((Q(1, 3),) * 3,)))
 
 
 def test_symbolic_density_matches_bound_t_route():

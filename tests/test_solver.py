@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from tourlyn.construction import context, random_params
+from tourlyn.construction import context, density_s_poly, random_params
 from tourlyn.errors import DomainError
+from tourlyn.poly import s_var
 from tourlyn import solver
 from tourlyn.rational import Q
 from tourlyn.solver import (
@@ -189,3 +190,19 @@ def test_default_params_use_half_the_measure():
     for k in (3, 4, 5):
         ctx = context(k)
         assert check_domain(ctx, default_params(ctx)) == Q(1, 2)
+
+
+def test_float_terms_match_evaluate_float_bit_for_bit():
+    # the Newton loop's float term lists stand in for evaluate_float and
+    # must give the very same floats, partial derivatives included
+    rng = random.Random(67)
+    ctx = context(4)
+    p = random_params(ctx, rng)
+    for i in range(1, ctx.ell + 1):
+        poly = density_s_poly(ctx, i, p.t)
+        for q in [poly] + [poly.partial_derivative(s_var(j)) for j in (1, 2, 3)]:
+            terms = solver._float_terms(q)
+            for _ in range(5):
+                s = [rng.uniform(0.01, 0.2) for _ in range(ctx.ell)]
+                point = {s_var(j): v for j, v in enumerate(s, start=1)}
+                assert solver._float_value(terms, s) == q.evaluate_float(point)
