@@ -20,8 +20,8 @@ from .construction import (
     certify_det_nonzero,
     context,
     jacobian_symbolic,
-    leading_monomial_coefficient,
     random_params,
+    unique_full_t_monomial,
 )
 from .solver import solve
 from .tournaments import (
@@ -142,7 +142,7 @@ def _check_certification():
         want = want * Polynomial.var(t_var(1, j))
     if J[0][0] != want:
         return False, "symbolic k=3 Jacobian is %r" % J[0][0]
-    lead3 = leading_monomial_coefficient(context(3))
+    lead3 = unique_full_t_monomial(context(3))[1]
     if lead3 == ZERO:
         return False, "k=3 full-t monomial coefficient vanished"
     cert = certify_det_nonzero(context(4), trials=20, seed=11)

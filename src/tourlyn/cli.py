@@ -30,9 +30,10 @@ from .construction import (
     context_to_json,
     jacobian_at,
     jacobian_symbolic,
-    leading_monomial_coefficient,
     params_from_json,
     params_to_json,
+    point_densities,
+    unique_full_t_monomial,
 )
 from .solver import SolveOptions, default_params, probe_ball, solve
 from .tournaments import (
@@ -81,8 +82,7 @@ SUBCOMMAND_OPS = {
     "density": ["density", "validate"],
     "build-wk": ["context", "build", "default_params"],
     "jacobian": ["jacobian_at", "symbolic_density", "partial_derivative"],
-    "certify": ["certify_det_nonzero", "leading_monomial_coefficient",
-                "det_rational"],
+    "certify": ["certify_det_nonzero", "unique_full_t_monomial", "det_rational"],
     "solve": ["solve", "point_densities"],
     "probe": ["probe_ball"],
     "sample": ["sample"],
@@ -275,7 +275,7 @@ def _cmd_certify(args):
     ctx = context(args.k)
     out = {}
     if args.leading:
-        out["leading_coefficient"] = fmt_q(leading_monomial_coefficient(ctx))
+        out["leading_coefficient"] = fmt_q(unique_full_t_monomial(ctx)[1])
     cert = certify_det_nonzero(ctx, trials=args.trials, seed=args.seed)
     out.update(
         {
@@ -321,9 +321,7 @@ def _cmd_probe(args):
     if args.x0 is not None:
         x0 = [float(_target_value(x)) for x in args.x0.split(",")]
     else:
-        p = default_params(ctx)
-        W = build(ctx, p)
-        x0 = [float(density(T, W)) for T in ctx.lyndon_seq]
+        x0 = [float(v) for v in point_densities(ctx, default_params(ctx))]
     return probe_ball(ctx, x0, args.eps, args.samples, seed=args.seed)
 
 
@@ -355,9 +353,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true",
                         help="indented JSON instead of the compact form")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for interface stability; execution is "
-                             "single-threaded and output does not depend on it")
 
     ap = argparse.ArgumentParser(
         prog="tourlyn",
@@ -502,10 +497,6 @@ def _build_parser():
 def main(argv=None):
     ap = _build_parser()
     args = ap.parse_args(argv)
-    if args.threads != 1:
-        sys.stderr.write(
-            "note: --threads accepted but execution is single-threaded\n"
-        )
     try:
         payload = args.fn(args)
     except BudgetError as e:

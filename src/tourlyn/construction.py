@@ -38,9 +38,19 @@ polynomial (once per context and letter), with the rationals s_j t_{j,j'}
 the exact densities at a point (point_densities, the solver's
 verification).  The s-polynomials at fixed t and the Jacobian follow
 from the polynomial by substitution and differentiation.
+
+Everything above that depends on k alone is built once, by context(k):
+the host, its strong parts with their cross submatrices, each letter's
+runs of strong parts, and the block order (the WkContext fields).  The
+remainder I_0 appears only in build().
+
 build() + tournamentons.density is kept as an independent oracle: it
-integrates the rational tournamenton over all N + 1 blocks, unfactored,
-and only tests and the verify self-checks use it.
+integrates the rational tournamenton over all N + 1 blocks, unfactored.
+Only the verify self-check of the solver and these tests use it:
+test_density_two_routes_agree, test_point_densities_match_build_and_density
+and test_build_is_a_valid_tournamenton (test_construction.py), the
+round trips and probe centres of test_solver.py, acceptance items 8
+and 9, and the output checks of perfbench.
 """
 
 import random
@@ -51,17 +61,32 @@ from math import ceil
 from .errors import BudgetError, DomainError, InconclusiveError
 from .poly import Polynomial, det_rational, s_var, t_var
 from .rational import ONE, ZERO, Q, as_q, fmt_q
-from .tournaments import direct_sum, encode, induced, strongly_connected_components
+from .tournaments import Tournament, direct_sum, encode, induced, strongly_connected_components
 from .tournamentons import TRANSITIVE_KIND, map_sum, step_tournamenton
 from .words import enumerate_lyndon, serialize_word, word_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WkContext:
+    """Everything W_k depends on that is fixed by k; context(k) builds it
+    once (one instance per k, so equality is identity).
+
+    host  -- T_1 + ... + T_ell, vertex v_{i,j} at the index of block I_{i,j}
+    cells -- the block order as 1-based (i, j) pairs (I_0 excluded)
+    parts -- the host's strong parts in condensation order, each as its
+             vertex indices and the 0/1 cross submatrix among them
+    runs  -- per letter, runs[(a, b)] is T_i induced on its strong parts
+             a+1..b, 0 <= a < b <= P
+    """
+
     k: int
     lyndon_seq: tuple
     sizes: tuple
     N: int
+    host: Tournament
+    cells: tuple
+    parts: tuple
+    runs: tuple
 
     @property
     def ell(self):
@@ -74,13 +99,30 @@ class WkParams:
     t: tuple
 
 
+def _runs(T):
+    parts = strongly_connected_components(T).parts
+    return {
+        (a, b): induced(T, [v for part in parts[a:b] for v in part])
+        for b in range(1, len(parts) + 1) for a in range(b)
+    }
+
+
 @lru_cache(maxsize=None)
 def context(k):
     if not 3 <= k <= 5:
         raise DomainError("context is defined for 3 <= k <= 5")
     seq = tuple(enumerate_lyndon(k))
     sizes = tuple(T.n for T in seq)
-    return WkContext(k=k, lyndon_seq=seq, sizes=sizes, N=sum(sizes))
+    host = direct_sum(seq)
+    return WkContext(
+        k=k, lyndon_seq=seq, sizes=sizes, N=sum(sizes), host=host,
+        cells=tuple((i, j) for i, n in enumerate(sizes, start=1) for j in range(1, n + 1)),
+        parts=tuple(
+            (tuple(H), tuple(tuple(host.out[u] >> v & 1 for v in H) for u in H))
+            for H in strongly_connected_components(host).parts
+        ),
+        runs=tuple(_runs(T) for T in seq),
+    )
 
 
 def make_params(ctx, s, t):
@@ -117,95 +159,30 @@ def check_domain(ctx, p):
     return slack
 
 
-@lru_cache(maxsize=None)
-def host_tournament(ctx):
-    """The labeled direct sum T_1 + ... + T_ell; vertex order matches blocks."""
-    return direct_sum(ctx.lyndon_seq)
-
-
-@lru_cache(maxsize=None)
-def _cross_matrix(ctx):
-    # (N+1)x(N+1) with 0/1 ints: host edges among the first N, and every
-    # interval beating the remainder I_0 at index N.  Plain ints keep the
-    # symbolic map-sum cheap; build() turns them into rationals.
-    host = host_tournament(ctx)
-    N = ctx.N
-    rows = []
-    for u in range(N + 1):
-        row = []
-        for v in range(N + 1):
-            if u == v or u == N:
-                row.append(0)
-            elif v == N:
-                row.append(1)
-            else:
-                row.append(host.out[u] >> v & 1)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def block_labels(ctx):
     """Human block names in order: I_{i,j} with 1-based indices, then I_0."""
-    labels = []
-    for i, n in enumerate(ctx.sizes, start=1):
-        for j in range(1, n + 1):
-            labels.append("I_%d_%d" % (i, j))
-    labels.append("I_0")
-    return labels
+    return ["I_%d_%d" % cell for cell in ctx.cells] + ["I_0"]
 
 
 def build(ctx, p):
     slack = check_domain(ctx, p)
-    blocks = []
-    for i, row in enumerate(p.t):
-        for tij in row:
-            blocks.append((p.s[i] * tij, TRANSITIVE_KIND))
+    blocks = [(p.s[i - 1] * p.t[i - 1][j - 1], TRANSITIVE_KIND) for i, j in ctx.cells]
     blocks.append((slack, TRANSITIVE_KIND))
-    return step_tournamenton(blocks, _cross_matrix(ctx))
-
-
-def _vertex_vars(ctx):
-    # host vertex index -> (s-variable, t-variable)
-    pairs = []
-    for i, n in enumerate(ctx.sizes, start=1):
-        for j in range(1, n + 1):
-            pairs.append((s_var(i), t_var(i, j)))
-    return pairs
-
-
-@lru_cache(maxsize=None)
-def _host_parts(ctx):
-    """The host's strong parts in condensation order, each as its vertex
-    indices and the 0/1 cross matrix among them."""
-    cross = _cross_matrix(ctx)
-    return tuple(
-        (tuple(H), tuple(tuple(cross[u][v] for v in H) for u in H))
-        for H in strongly_connected_components(host_tournament(ctx)).parts
-    )
-
-
-@lru_cache(maxsize=None)
-def _part_runs(ctx):
-    """Per letter, the subtournament induced on each run of consecutive
-    strong parts: runs[(a, b)] is T_i on parts a+1..b, 0 <= a < b <= P."""
-    letters = []
-    for T in ctx.lyndon_seq:
-        parts = strongly_connected_components(T).parts
-        letters.append({
-            (a, b): induced(T, [v for part in parts[a:b] for v in part])
-            for b in range(1, len(parts) + 1) for a in range(b)
-        })
-    return tuple(letters)
+    # the host's edges among the first N blocks, and every interval beating
+    # the remainder I_0 at index N
+    cross = [[ctx.host.out[u] >> v & 1 for v in range(ctx.N)] + [1] for u in range(ctx.N)]
+    cross.append([0] * (ctx.N + 1))
+    return step_tournamenton(blocks, cross)
 
 
 def _chain_density(ctx, i, measures, one, zero):
     """t(T_i, W_k) by the chain DP over the host's strong parts (module
     docstring); measures[v] is the measure of host vertex v, in any algebra
     map_sum accepts, with `one` and `zero` its units."""
-    runs = _part_runs(ctx)[i - 1]
+    runs = ctx.runs[i - 1]
     P = max(b for _, b in runs)
     F = [one] + [zero] * P
-    for H, cross in _host_parts(ctx):
+    for H, cross in ctx.parts:
         block_measures = [measures[v] for v in H]
         kinds = [TRANSITIVE_KIND] * len(H)
         # b descending: F[a] for a < b still holds the earlier host parts
@@ -219,33 +196,31 @@ def _chain_density(ctx, i, measures, one, zero):
     return F[P]
 
 
-_symbolic_cache = {}
-
-
 def symbolic_density(ctx, i):
     """t(T_i, W_k) as an exact polynomial in the s- and t-variables (i is
     1-based, matching the variable names).
 
     The chain DP with the monomial s_j t_{j,j'} as the measure of each of
     the N host blocks; I_0 is left out (no T_i has a sink).  Cached per
-    (ctx, i): at k = 5 all eleven take under a second.
+    (ctx, i) by _symbolic_density, whose cache_info() reports the hits
+    and size: at k = 5 all eleven take under a second.
     """
     if not 1 <= i <= ctx.ell:
         raise DomainError("index i must be in 1..%d" % ctx.ell)
-    key = (ctx, i)
-    if key not in _symbolic_cache:
-        measures = [Polynomial.var(sv) * Polynomial.var(tv) for sv, tv in _vertex_vars(ctx)]
-        _symbolic_cache[key] = _chain_density(
-            ctx, i, measures, Polynomial.const(1), Polynomial.zero()
-        )
-    return _symbolic_cache[key]
+    return _symbolic_density(ctx, i)
+
+
+@lru_cache(maxsize=None)
+def _symbolic_density(ctx, i):
+    measures = [Polynomial.var(s_var(a)) * Polynomial.var(t_var(a, b)) for a, b in ctx.cells]
+    return _chain_density(ctx, i, measures, Polynomial.const(1), Polynomial.zero())
 
 
 def point_densities(ctx, p):
     """Exact t(T_i, W_k(s, t)) at p for every letter, in order: the chain
     DP with the rational block measures s_i t_{i,j}."""
     check_domain(ctx, p)
-    measures = [si * tij for si, row in zip(p.s, p.t) for tij in row]
+    measures = [p.s[i - 1] * p.t[i - 1][j - 1] for i, j in ctx.cells]
     return [_chain_density(ctx, i, measures, ONE, ZERO) for i in range(1, ctx.ell + 1)]
 
 
@@ -314,10 +289,7 @@ def unique_full_t_monomial(ctx):
     if ctx.k > 4:
         raise BudgetError("the full symbolic determinant is budgeted to k <= 4")
     det = det_polynomial(jacobian_symbolic(ctx))
-    all_t = set()
-    for i, n in enumerate(ctx.sizes, start=1):
-        for j in range(1, n + 1):
-            all_t.add(t_var(i, j))
+    all_t = {t_var(i, j) for i, j in ctx.cells}
     hits = []
     for mono, coeff in det.terms.items():
         present = {v for v, _ in mono if v[0] == "t"}
@@ -328,19 +300,13 @@ def unique_full_t_monomial(ctx):
             "expected exactly one full-t monomial in det(J), found %d" % len(hits)
         )
     mono, coeff = hits[0]
-    expected = {}
+    expected = dict.fromkeys(all_t, 1)
     for i, n in enumerate(ctx.sizes, start=1):
         if n - 1:
             expected[s_var(i)] = n - 1
-        for j in range(1, n + 1):
-            expected[t_var(i, j)] = 1
     if dict(mono) != expected:
         raise AssertionError("full-t monomial has unexpected shape: %r" % (mono,))
     return mono, coeff
-
-
-def leading_monomial_coefficient(ctx):
-    return unique_full_t_monomial(ctx)[1]
 
 
 def random_params(ctx, rng, max_denominator=16):

@@ -273,8 +273,10 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     point, no restarts.  A report is converged only when the rational
     rounding of its s meets the tolerance in the exact densities; a
     float-converged attempt that misses it ends no-convergence, its detail
-    giving the exact error, and the next attempt is tried.  `trace` holds
-    the Newton steps of the reported attempt when want_trace is set.
+    giving the exact error, and the next attempt is tried.  When none
+    verifies, the report is the attempt of best merit; `attempts` counts
+    those tried.  `trace` holds the Newton steps of the reported attempt
+    when want_trace is set.
     """
     tolerance = (options or SolveOptions()).tolerance
     if t is None:
@@ -370,8 +372,8 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     for outcome in outcomes[:ATTEMPT_CAP]:
         attempts += 1
         if outcome["status"] == "converged" and verify(outcome)["status"] == "converged":
-            break
-    return report(outcome, attempts)
+            return report(outcome, attempts)
+    return report(outcomes[0], attempts)
 
 
 def _ball_point(rng, x0, radius):

@@ -109,12 +109,6 @@ def test_pretty_is_the_same_object():
     assert out.count("\n") > 1
 
 
-def test_threads_note():
-    code, out, err = run("dimension", "--k", "3", "--threads", "2")
-    assert code == 0
-    assert "single-threaded" in err
-
-
 def test_enumerate_counts():
     payload = run_json("enumerate", "--n", "5", "--strong")
     assert payload["count"] == 6

@@ -14,10 +14,8 @@ from tourlyn.construction import (
     context_to_json,
     density_s_poly,
     det_polynomial,
-    host_tournament,
     jacobian_at,
     jacobian_symbolic,
-    leading_monomial_coefficient,
     make_params,
     params_from_json,
     params_to_json,
@@ -56,9 +54,9 @@ def test_context_json():
 def test_host_tournament_is_the_laid_out_direct_sum():
     from tourlyn.tournaments import are_isomorphic, induced
 
-    for k in (3, 4):
+    for k in (3, 4, 5):
         ctx = context(k)
-        host = host_tournament(ctx)
+        host = ctx.host
         assert host.n == ctx.N
         off = 0
         for T in ctx.lyndon_seq:
@@ -69,6 +67,7 @@ def test_host_tournament_is_the_laid_out_direct_sum():
         parts = strongly_connected_components(host).parts
         flat = [v for part in parts for v in part]
         assert sorted(flat) == list(range(ctx.N))
+        assert [H for H, _ in ctx.parts] == [tuple(H) for H in parts]
 
 
 def test_build_is_a_valid_tournamenton():
@@ -124,7 +123,7 @@ def test_chain_dp_equals_the_unfactored_walk():
     # strong parts, with the cross matrix read off the host tournament
     for k in (3, 4):
         ctx = context(k)
-        host = host_tournament(ctx)
+        host = ctx.host
         cross = [[host.out[u] >> v & 1 for v in range(ctx.N)] for u in range(ctx.N)]
         measures = [
             Polynomial.var(s_var(i)) * Polynomial.var(t_var(i, j))
@@ -219,7 +218,6 @@ def test_full_t_monomial_shape_and_coefficients():
     assert coeff3 == 9
     mono4, coeff4 = unique_full_t_monomial(context(4))
     assert coeff4 == 432
-    assert leading_monomial_coefficient(context(4)) == 432
     with pytest.raises(BudgetError):
         unique_full_t_monomial(context(5))
 

@@ -104,6 +104,22 @@ def test_explicit_start_is_single_attempt():
     assert not rep2.converged
 
 
+def test_failed_solve_reports_its_best_attempt():
+    # a k = 4 ball target that no attempt reaches: the report is the
+    # attempt of least merit over all grid starts, not the last one tried
+    ctx = context(4)
+    p = default_params(ctx)
+    x0 = [float(x) for x in exact_densities(ctx, p)]
+    x = solver._ball_point(random.Random(7), x0, 1e-4)
+    rep = solve(ctx, x)
+    assert not rep.converged and rep.attempts == solver.ATTEMPT_CAP
+    row_sums = [float(sum(row)) for row in p.t]
+    best = min(
+        solve(ctx, x, s0=start).residual_history[-1] for start in solver._grid(row_sums)
+    )
+    assert rep.residual_history[-1] == best
+
+
 def test_options_validation():
     with pytest.raises(DomainError):
         SolveOptions(tolerance=0)
