@@ -3,11 +3,13 @@
 Every exact number in this package is a ``Q``: gmpy2's mpq when gmpy2 is
 installed, fractions.Fraction otherwise.  The two are interchangeable for
 our purposes (arbitrary precision, hash-compatible, same operator surface);
-mpq is roughly an order of magnitude faster on the determinant and density
-workloads, which is why it is preferred.  Nothing else in the package may
-construct rationals directly from floats: binary rounding artifacts must
-stay out of exact pipelines, so float inputs go through an explicit,
-clearly-labeled conversion at the boundary that needs one (the solver).
+mpq is preferred because its products and sums are cheaper (the
+determinants and polynomial arithmetic); the density walk multiplies
+Python ints and meets Q only once per block occupancy.  Nothing else in
+the package may construct rationals directly from floats: binary
+rounding artifacts must stay out of exact pipelines, so float inputs go
+through an explicit, clearly-labeled conversion at the boundary that
+needs one (the solver).
 """
 
 from fractions import Fraction

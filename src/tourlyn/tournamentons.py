@@ -17,24 +17,33 @@ sum over block assignments:
 where p = |preimage of b|.  The transitive factor is the volume of the
 order-compatible region (each acyclic preimage has exactly one admissible
 vertex order, hence the 1/p!); the half factor is the fair-coin mass over
-all C(p,2) internal pairs.  Everything is exact rational arithmetic; the
-DFS prunes on zero cross factors and on cyclic transitive preimages, so
-the all-integer cross matrices of the blow-up construction stay cheap
-even with dozens of blocks.
+all C(p,2) internal pairs.
+
+map_sum evaluates the sum exactly by a DFS over the assignments that
+multiplies Python ints only: the cross matrix scaled by den, the lcm of
+its entries' denominators (den = 1 for the 0/1 matrices of the blow-up
+construction).  The DFS prunes on zero cross factors and on cyclic
+transitive preimages, so those matrices stay cheap even with dozens of
+blocks.  The diagonal factors depend on the assignment only through the
+occupancy (p_0, ..., p_{B-1}), which also fixes the number of cross edges
+C(n,2) - sum C(p_b,2) and so the power of den to divide by; the leaves'
+integer products are summed per occupancy, and the rational (or
+polynomial) measure factors are applied once per occupancy.
 """
 
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import BudgetError, DomainError
 from .rational import HALF, ONE, ZERO, Q, as_q, fmt_q
 from .tournaments import Tournament, canonicalize, enumerate_exact, automorphism_count
 
 DENSITY_MAX = 6
-# fixed bounds on the density and validation caches: a 40 s flag-algebra
-# benchmark run fills under 2,000 density entries (solves verify through
+# fixed bounds on the density and validation caches: a flag-algebra
+# benchmark run stops after 24 batches of 76 classes, so it fills at most
+# 1,824 density entries (solves verify through
 # construction.point_densities and add no entries)
 DENSITY_CACHE_SIZE = 4096
 VALID_CACHE_SIZE = 1024
@@ -115,65 +124,100 @@ def _ensure_valid(W):
     validate(W)
 
 
-def acyclic_within(out, verts):
-    # induced subtournament is transitive iff its out-degree multiset is 0..p-1
-    degs = sorted(sum(1 for w in verts if w != u and out[u] >> w & 1) for u in verts)
-    return degs == list(range(len(verts)))
-
-
 def map_sum(T, measures, kinds, cross, zero):
-    """Sum over block assignments shared by density() and the construction
-    module's chain DP: `measures` may be rationals or polynomials.
+    """The module docstring's sum over block assignments, shared by
+    density() and the construction module's chain DP: `measures` may be
+    rationals or polynomials, `cross` rationals or plain ints (the
+    construction's 0/1 matrix); any number type with .denominator works.
 
-    Cross factors are rationals or plain ints (the construction's 0/1
-    matrix); they fold into a scalar prefactor, so measure polynomials only
-    enter through the per-block diagonal factors at the leaves.
+    The DFS assigns vertices in order and multiplies the integers
+    den * F[b][c] of the cross edges.  It tries for each vertex only the
+    blocks that no earlier vertex rules out by a zero cross factor (a
+    bitmask filter, skipped when F has no zero entry) and that keep a
+    transitive preimage acyclic.  Each leaf adds its product to the weight
+    of its occupancy (p_0, ..., p_{B-1}); an occupancy then contributes
+    weight / den^(C(n,2) - sum C(p_b,2)) times the blocks' diagonal
+    factors, each computed once per (b, p) used.
     """
     n = T.n
     B = len(measures)
     out = T.out
+    den = 1
+    for row in cross:
+        for f in row:
+            den = lcm(den, f.denominator)
+    scaled = [[int(f * den) for f in row] for row in cross]
+    transitive = [kind == TRANSITIVE_KIND for kind in kinds]
+    # an occupancy is coded as the base-(n+1) number with digits p_b
+    place = [(n + 1) ** b for b in range(B)]
+    # reach[d][c]: the blocks left open to v by an earlier vertex in block
+    # c, which beats v (d = 1: F[c][b] != 0) or loses to it (d = 0:
+    # F[b][c] != 0); c itself stays open
+    reach = [[sum(1 << b for b in range(B) if b == c or scaled[b][c]) for c in range(B)],
+             [sum(1 << b for b in range(B) if b == c or scaled[c][b]) for c in range(B)]]
+    full = (1 << B) - 1
+    sparse = any(mask != full for mask in reach[0])
     assign = [0] * n
-    preimage = [[] for _ in range(B)]
-    total = zero
+    members = [0] * B  # bitmask of each block's preimage
+    weights = {}
 
-    def rec(v, acc):
-        nonlocal total
+    def rec(v, acc, code):
         if v == n:
-            term = acc
-            for b in range(B):
-                verts = preimage[b]
-                if not verts:
-                    continue
-                p = len(verts)
-                if kinds[b] == TRANSITIVE_KIND:
-                    term = term * (measures[b] ** p) / factorial(p)
-                else:
-                    term = term * (measures[b] ** p) * HALF ** (p * (p - 1) // 2)
-            total = total + term
+            weights[code] = weights.get(code, 0) + acc
             return
-        for b in range(B):
+        blocks = full
+        if sparse:
+            for u in range(v):
+                blocks &= reach[out[u] >> v & 1][assign[u]]
+        while blocks:
+            low = blocks & -blocks
+            blocks ^= low
+            b = low.bit_length() - 1
+            pre = members[b]
+            if transitive[b]:
+                # an acyclic preimage stays acyclic with v iff none of v's
+                # out-neighbours in it beats one of v's in-neighbours
+                beaten = out[v] & pre
+                beating = pre ^ beaten
+                while beaten and beating:
+                    w = beaten & -beaten
+                    if out[w.bit_length() - 1] & beating:
+                        break
+                    beaten ^= w
+                if beaten and beating:
+                    continue
             acc2 = acc
-            ok = True
+            row = scaled[b]
             for u in range(v):
                 bu = assign[u]
-                if bu == b:
-                    continue
-                f = cross[bu][b] if out[u] >> v & 1 else cross[b][bu]
-                if f == 0:
-                    ok = False
-                    break
-                if f != 1:
-                    acc2 = acc2 * f
-            if not ok:
-                continue
-            if kinds[b] == TRANSITIVE_KIND and not acyclic_within(out, preimage[b] + [v]):
-                continue
+                if bu != b:
+                    acc2 *= scaled[bu][b] if out[u] >> v & 1 else row[bu]
             assign[v] = b
-            preimage[b].append(v)
-            rec(v + 1, acc2)
-            preimage[b].pop()
+            members[b] = pre | 1 << v
+            rec(v + 1, acc2, code + place[b])
+            members[b] = pre
 
-    rec(0, ONE)
+    rec(0, 1, 0)
+
+    factors = {}
+    total = zero
+    for code, weight in weights.items():
+        sizes = []
+        for _ in range(B):
+            code, p = divmod(code, n + 1)
+            sizes.append(p)
+        edges = n * (n - 1) // 2 - sum(p * (p - 1) // 2 for p in sizes)
+        term = Q(weight, den ** edges)
+        for b, p in enumerate(sizes):
+            if not p:
+                continue
+            if (b, p) not in factors:
+                if transitive[b]:
+                    factors[b, p] = measures[b] ** p / factorial(p)
+                else:
+                    factors[b, p] = measures[b] ** p * HALF ** (p * (p - 1) // 2)
+            term = term * factors[b, p]
+        total = total + term
     return total
 
 

@@ -1,5 +1,6 @@
 """Step tournamentons: validation, exact densities, sampling, serialization."""
 
+import itertools
 import random
 from math import comb, factorial
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from tourlyn.errors import BudgetError, DomainError
+from tourlyn.poly import Polynomial, s_var
 from tourlyn.rational import ONE, Q, ZERO
 from tourlyn.tournamentons import (
     HALF_KIND,
@@ -14,6 +16,7 @@ from tourlyn.tournamentons import (
     constant_half,
     density,
     from_json,
+    map_sum,
     normalization_check,
     random_step_tournamenton,
     sample,
@@ -59,6 +62,29 @@ def mc_density(T, W, draws, seed):
             factor[diff] = cross[blk[diff, win], blk[diff, lose]]
             prod *= factor
     return float(prod.mean())
+
+
+def brute_force_map_sum(T, measures, kinds, cross, zero):
+    """The module docstring's formula evaluated on each of the B**n block
+    assignments in turn, with the diagonal factors taken per assignment."""
+    total = zero
+    for f in itertools.product(range(len(measures)), repeat=T.n):
+        term = ONE
+        for u, v in itertools.combinations(range(T.n), 2):
+            if f[u] != f[v]:
+                win, lose = (u, v) if T.out[u] >> v & 1 else (v, u)
+                term = term * cross[f[win]][f[lose]]
+        for b, m in enumerate(measures):
+            pre = [v for v in range(T.n) if f[v] == b]
+            p = len(pre)
+            if kinds[b] == HALF_KIND:
+                term = term * m ** p * Q(1, 2) ** comb(p, 2)
+            elif sorted(sum(T.out[u] >> w & 1 for w in pre) for u in pre) == list(range(p)):
+                term = term * m ** p / factorial(p)
+            else:
+                term = term * 0
+        total = total + term
+    return total
 
 
 def refine(W):
@@ -173,6 +199,44 @@ def test_density_caches_stay_at_their_bounds():
     hits = tournamentons._canonical_density.cache_info().hits
     density(C3, W)
     assert tournamentons._canonical_density.cache_info().hits == hits + 1
+
+
+def test_map_sum_equals_the_per_assignment_formula():
+    # 0 and 1 cross entries prune and pass through the walk; the coprime
+    # denominators 97 and 101 make the common denominator of the integer
+    # walk larger than any one entry's
+    rng = random.Random(23)
+    entries = [ZERO, ONE, Q(1, 97), Q(2, 101), Q(1, 2), Q(5, 12)]
+    for trial in range(10):
+        B = rng.randint(1, 4)
+        weights = [rng.randint(1, 9) for _ in range(B)]
+        blocks = [(Q(w, sum(weights)), HALF_KIND if b % 2 == trial % 2 else TRANSITIVE_KIND)
+                  for b, w in enumerate(weights)]
+        cross = [[ZERO] * B for _ in range(B)]
+        for i, j in itertools.combinations(range(B), 2):
+            cross[i][j] = rng.choice(entries)
+            cross[j][i] = 1 - cross[i][j]
+        W = step_tournamenton(blocks, cross)
+        validate(W)
+        measures = [blk.measure for blk in W.blocks]
+        kinds = [blk.diagonal for blk in W.blocks]
+        for T in [random_tournament(rng, rng.randint(1, 5)) for _ in range(6)]:
+            assert map_sum(T, measures, kinds, W.cross, ZERO) == \
+                brute_force_map_sum(T, measures, kinds, W.cross, ZERO)
+
+
+def test_map_sum_with_polynomial_measures_and_an_int_cross_matrix():
+    rng = random.Random(31)
+    for B in (2, 3, 4):
+        host = random_tournament(rng, B)
+        cross = [[host.out[i] >> j & 1 for j in range(B)] for i in range(B)]
+        measures = [Polynomial.var(s_var(b)) for b in range(B)]
+        kinds = [rng.choice((HALF_KIND, TRANSITIVE_KIND)) for _ in range(B)]
+        for n in range(1, 5):
+            for T in enumerate_exact(n):
+                got = map_sum(T, measures, kinds, cross, Polynomial.zero())
+                want = brute_force_map_sum(T, measures, kinds, cross, Polynomial.zero())
+                assert got.terms == want.terms
 
 
 def test_normalization():
