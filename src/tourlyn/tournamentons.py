@@ -33,7 +33,7 @@ polynomial) measure factors are applied once per occupancy.
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm
 
 from .errors import BudgetError, DomainError
@@ -61,6 +61,15 @@ class Block:
 class StepTournamenton:
     blocks: tuple
     cross: tuple
+
+    # the lru caches hash W on every density and sample call, so hash
+    # its Fractions once
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash((self.blocks, self.cross))
 
 
 def step_tournamenton(blocks, cross):

@@ -8,17 +8,25 @@ is lexicographically largest; on a transitive tournament every bit is 1,
 which is the main reason for preferring "largest" over "smallest".
 
 Canonicalization does an individualization-refinement search: vertices are
-placed one at a time, each placement splitting the remaining ordered cells
-by out/in against the placed vertex (out first).  Position 0 is restricted
-to vertices of maximum out-degree, since row 0 of the encoding is exactly
-1^d 0^(n-1-d).  For n <= 7 this is instant.
+placed one at a time from the first remaining cell, each placement
+splitting the remaining ordered cells by out/in against the placed vertex
+(out first).  Row p of the encoding (the bits of position p against the
+later positions) is then fixed as soon as position p is placed: every later
+cell is homogeneous against every placed vertex, so row p is 1 for each
+vertex of an out-cell and 0 for each vertex of an in-cell, in cell order.
+Siblings share rows 0..p-1, so the largest encoding lies below a sibling
+whose row p is largest: the search descends only into the siblings that
+tie for the largest row (at the root, the vertices of maximum out-degree),
+and drops a node whose rows so far fall below those of the best leaf
+found.  Neither rule drops a leaf that ties the largest encoding, so the
+search returns the first such leaf in the order of the full tree and
+counts all of them; their number is |Aut(T)| (see automorphism_count).
 
 Exact enumeration goes up to n = 7 (456 isomorphism classes); the counts
 1, 1, 2, 4, 12, 56, 456 act as a built-in regression check elsewhere.
 """
 
 from functools import lru_cache
-from itertools import permutations
 
 from .errors import BudgetError, DomainError
 
@@ -111,16 +119,6 @@ def encode(T):
     return "%d:%s" % (T.n, "".join(chunks))
 
 
-def _bits_tuple(n, out, order):
-    # encoding bits of the relabeling that puts order[p] at position p
-    bits = []
-    for p in range(n):
-        op = out[order[p]]
-        for q in range(p + 1, n):
-            bits.append(op >> order[q] & 1)
-    return tuple(bits)
-
-
 def relabel(T, perm):
     """Relabel so that old vertex perm[p] becomes new vertex p."""
     if sorted(perm) != list(range(T.n)):
@@ -140,48 +138,64 @@ def relabel(T, perm):
 
 @lru_cache(maxsize=65536)
 def _canonical_order(n, out):
-    if n == 1:
-        return (0,)
-    best = [None, None]  # bits tuple, order
+    """(order, ties): the first order in search order whose relabeling has
+    the largest encoding, and the number of search leaves that reach it."""
+    best = []  # rows of the best leaf, as ints
+    found = [None, 0]  # its order, and the count of leaves equal to it
+    prefix = []
+    rows = []
 
-    def place(prefix, cells):
+    def place(cells):
         if not cells:
-            bits = _bits_tuple(n, out, prefix)
-            if best[0] is None or bits > best[0]:
-                best[0] = bits
-                best[1] = tuple(prefix)
+            if rows > best:
+                best[:] = rows
+                found[0] = tuple(prefix)
+                found[1] = 1
+            elif rows == best:
+                found[1] += 1
             return
-        first = cells[0]
-        for v in first:
-            rest = [u for u in first if u != v]
-            nxt = []
-            for cell in ([rest] if rest else []) + cells[1:]:
-                outs = [u for u in cell if out[v] >> u & 1]
-                ins = [u for u in cell if not (out[v] >> u & 1)]
-                if outs:
-                    nxt.append(outs)
-                if ins:
-                    nxt.append(ins)
-            prefix.append(v)
-            place(prefix, nxt)
-            prefix.pop()
+        first, rest = cells[0], cells[1:]
+        top = -1
+        winners = []
+        m = first
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            ov = out[v]
+            row = 0
+            for cell in (first ^ low, *rest):
+                size = cell.bit_count()
+                wins = (cell & ov).bit_count()
+                row = (row << size) | ((1 << wins) - 1) << (size - wins)
+            if row > top:
+                top = row
+                winners = [v]
+            elif row == top:
+                winners.append(v)
+        rows.append(top)
+        # a leaf below beats or ties the best only if these rows do
+        if rows >= best[:len(rows)]:
+            for v in winners:
+                ov = out[v]
+                nxt = []
+                for cell in (first ^ 1 << v, *rest):
+                    if cell & ov:
+                        nxt.append(cell & ov)
+                    if cell & ~ov:
+                        nxt.append(cell & ~ov)
+                prefix.append(v)
+                place(nxt)
+                prefix.pop()
+        rows.pop()
 
-    # row 0 of the encoding is 1^d 0^..., so only max out-degree can win
-    scores = [bin(m).count("1") for m in out]
-    top = max(scores)
-    for v in range(n):
-        if scores[v] != top:
-            continue
-        outs = [u for u in range(n) if out[v] >> u & 1]
-        ins = [u for u in range(n) if u != v and not (out[v] >> u & 1)]
-        cells = [c for c in (outs, ins) if c]
-        place([v], cells)
-    return best[1]
+    place([(1 << n) - 1])
+    return tuple(found)
 
 
 def canonicalize(T):
     """The isomorphic copy with lexicographically largest encoding."""
-    order = _canonical_order(T.n, T.out)
+    order, _ = _canonical_order(T.n, T.out)
     return relabel(T, order)
 
 
@@ -279,29 +293,18 @@ def transitive(n):
 
 
 def automorphism_count(T):
+    """|Aut(T)|: the number of canonical-search leaves that reach the
+    canonical encoding.
+
+    The orders that map T onto its canonical form are the first one
+    composed with each automorphism, so there are |Aut(T)| of them.  Each
+    is a leaf, because an automorphism maps the search tree onto itself
+    (cells are defined by adjacency to the placed vertices), and pruning
+    keeps every leaf that ties the best.
+    """
     if T.n > ENUMERATION_MAX:
         raise BudgetError("automorphism_count is budgeted to n <= %d" % ENUMERATION_MAX)
-    n = T.n
-    if n == 1:
-        return 1
-    # group vertices by out-degree; automorphisms preserve it
-    scores = [T.out_degree(i) for i in range(n)]
-    count = 0
-    for perm in permutations(range(n)):
-        ok = True
-        for i in range(n):
-            if scores[perm[i]] != scores[i]:
-                ok = False
-                break
-            for j in range(i + 1, n):
-                if (T.out[i] >> j & 1) != (T.out[perm[i]] >> perm[j] & 1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    return _canonical_order(T.n, T.out)[1]
 
 
 @lru_cache(maxsize=None)

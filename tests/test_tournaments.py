@@ -7,6 +7,7 @@ permutation directly.
 
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -157,6 +158,83 @@ def test_automorphism_count_by_brute_force():
                 if encode(relabel(T, perm)) == encode(T)
             )
             assert automorphism_count(T) == brute
+
+
+def brute_max_bits(T):
+    # the largest encoding bit string over all relabelings, read straight
+    # off the out-masks (relabel() validates each copy, too slow at n = 7)
+    n = T.n
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    return max(
+        "".join("1" if T.out[perm[p]] >> perm[q] & 1 else "0" for p, q in pairs)
+        for perm in permutations(range(n))
+    )
+
+
+def labelled_tournaments(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for bits in range(1 << len(pairs)):
+        out = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if bits >> k & 1:
+                out[i] |= 1 << j
+            else:
+                out[j] |= 1 << i
+        yield Tournament(n, out)
+
+
+def circulant(n, jumps):
+    # vertex i beats i + d (mod n) for each d in jumps
+    return Tournament(n, [sum(1 << (i + d) % n for d in jumps) for i in range(n)])
+
+
+def rotational_regular(n):
+    # every circulant whose jump set takes one of d, n - d for each d
+    half = (n - 1) // 2
+    for choice in range(1 << half):
+        yield circulant(n, [d if choice >> (d - 1) & 1 else n - d for d in range(1, half + 1)])
+
+
+def test_canonical_pruned_search_matches_brute_force():
+    cases = [T for n in (1, 2, 3, 4) for T in labelled_tournaments(n)]
+    rng = random.Random(29)
+    for n, count in ((5, 40), (6, 20), (7, 8)):
+        cases += [random_tournament(rng, n) for _ in range(count)]
+    # the most tied searches: every vertex looks alike, so pruning cuts least
+    cases += list(rotational_regular(5)) + list(rotational_regular(7))
+    cases.append(circulant(7, (1, 2, 4)))  # the Paley tournament
+    for T in cases:
+        assert encode(canonicalize(T)) == "%d:%s" % (T.n, brute_max_bits(T))
+
+
+def shuffled(T, rng):
+    # a relabeled copy, so the search does not start from a canonical form
+    perm = list(range(T.n))
+    rng.shuffle(perm)
+    return relabel(T, perm)
+
+
+def test_automorphism_count_by_brute_force_up_to_five():
+    rng = random.Random(31)
+    for n in range(1, 6):
+        for T in enumerate_exact(n):
+            brute = sum(
+                1 for perm in permutations(range(n))
+                if all(T.beats(perm[i], perm[j]) == T.beats(i, j)
+                       for i in range(n) for j in range(i + 1, n))
+            )
+            assert automorphism_count(T) == brute
+            assert automorphism_count(shuffled(T, rng)) == brute
+
+
+def test_orbit_sizes_cover_labelled_tournaments_on_six_and_seven():
+    assert automorphism_count(circulant(7, (1, 2, 4))) == 21
+    rng = random.Random(37)
+    for n in (6, 7):
+        classes = enumerate_exact(n)
+        for copies in (classes, [shuffled(T, rng) for T in classes]):
+            total = sum(factorial(n) // automorphism_count(T) for T in copies)
+            assert total == 2 ** (n * (n - 1) // 2)
 
 
 def test_transitive_properties():
