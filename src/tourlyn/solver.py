@@ -17,17 +17,23 @@ meets the tolerance, however it stopped.
 Newton alone is local, so the starts do the global work: rescalings of
 the base point s_i = 1/(2 ell r_i), r_i the sum of t-row i, by every
 combination of GRID_FACTORS up to GRID_MAX components and uniformly
-above.  The distinct end points of their runs, best merit first and at
-most ATTEMPT_CAP, are the attempts.
+above.  The starts run one at a time in grid order, and the distinct end
+points of their runs are the attempts.
 
-`converged` means exactly verified: the end point is rounded to rationals
-(continued fraction, denominator <= 10^6) and its densities recomputed
-exactly by construction.point_densities; the first attempt whose
-rounding stays in the open domain and meets the tolerance wins.  Nor are
-floats trusted with singularity: a float-singular Jacobian is reported as
-singular-jacobian only if the exact one at the rounded iterate is.
-Failure modes are data, not exceptions: reports carry a status out of
-converged / singular-jacobian / domain-violation / no-convergence.
+`converged` means exactly verified: a float-converged attempt is rounded
+to rationals (continued fraction, denominator <= 10^6) and its densities
+recomputed exactly by construction.point_densities as soon as its run
+ends; the first attempt whose rounding stays in the open domain and
+meets the tolerance is the report, and the remaining starts never run.
+Where the map has several preimages near the target, the report is the
+one the earliest start reaches, not necessarily the one of least merit.
+When no attempt verifies, the report is the attempt of least merit.
+
+Floats are not trusted with singularity either: a float-singular Jacobian
+is reported as singular-jacobian only if the exact one at the rounded
+iterate is.  Failure modes are data, not exceptions: reports carry a
+status out of converged / singular-jacobian / domain-violation /
+no-convergence.
 """
 
 import random
@@ -77,6 +83,7 @@ class SolveReport:
     verification: list
     detail: str = ""
     attempts: int = 1
+    runs: int = 1
     trace: list = field(default_factory=list)
 
     @property
@@ -267,16 +274,18 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     the open region the construction parameterizes, and are reported as
     domain-violation without iterating.
 
-    With no explicit s0, one log-coordinate Newton run goes from each grid
-    start (see the module docstring) and the distinct end points are tried
-    best first.  An explicit s0 is honored exactly: one run from that
-    point, no restarts.  A report is converged only when the rational
-    rounding of its s meets the tolerance in the exact densities; a
-    float-converged attempt that misses it ends no-convergence, its detail
-    giving the exact error, and the next attempt is tried.  When none
-    verifies, the report is the attempt of best merit; `attempts` counts
-    those tried.  `trace` holds the Newton steps of the reported attempt
-    when want_trace is set.
+    With no explicit s0, log-coordinate Newton runs go from the grid starts
+    in order (see the module docstring), and each new float-converged end
+    point is verified at once; the first that verifies is the report.  An
+    explicit s0 is honored exactly: one run from that point, no restarts.
+    A report is converged only when the rational rounding of its s meets
+    the tolerance in the exact densities; a float-converged attempt that
+    misses it ends no-convergence, its detail giving the exact error, and
+    the next start runs.  `attempts` counts the distinct end points up to
+    the report.  When none verifies, every start has run and the report is
+    the attempt of best merit, with `attempts` capped at ATTEMPT_CAP.
+    `runs` counts the Newton runs started.  `trace` holds the Newton steps
+    of the reported attempt when want_trace is set.
     """
     tolerance = (options or SolveOptions()).tolerance
     if t is None:
@@ -320,7 +329,7 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
             )
         return outcome
 
-    def report(outcome, attempts):
+    def report(outcome, attempts, runs):
         verify(outcome)
         params = outcome["params"]
         return SolveReport(
@@ -334,6 +343,7 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
             verification=outcome["verification"],
             detail=outcome["detail"],
             attempts=attempts,
+            runs=runs,
             trace=outcome["trace"],
         )
 
@@ -345,6 +355,7 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
                 "history": [], "trace": [], "detail": "target not strictly inside (0,1)",
             },
             attempts=0,
+            runs=0,
         )
 
     polys = [density_s_poly(ctx, i, t) for i in range(1, ctx.ell + 1)]
@@ -356,24 +367,24 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     row_sums = [float(sum(row, ZERO)) for row in t]
 
     outcomes = []
+    runs = 0
     for start in _grid(row_sums) if s0 is None else [s0]:
         out = _newton(
             ctx, t, dpolys, fpolys, fdpolys, row_sums, targets_f, start, tolerance,
             want_trace,
         )
+        runs += 1
         # starts that end at the same point are one attempt
-        if not any(
+        if any(
             all(abs(a - b) <= 1e-9 + 1e-6 * abs(b) for a, b in zip(out["s"], seen["s"]))
             for seen in outcomes
         ):
-            outcomes.append(out)
+            continue
+        outcomes.append(out)
+        if out["status"] == "converged" and verify(out)["status"] == "converged":
+            return report(out, len(outcomes), runs)
     outcomes.sort(key=lambda o: o["merit"])
-    attempts = 0
-    for outcome in outcomes[:ATTEMPT_CAP]:
-        attempts += 1
-        if outcome["status"] == "converged" and verify(outcome)["status"] == "converged":
-            return report(outcome, attempts)
-    return report(outcomes[0], attempts)
+    return report(outcomes[0], min(len(outcomes), ATTEMPT_CAP), runs)
 
 
 def _ball_point(rng, x0, radius):

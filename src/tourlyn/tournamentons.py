@@ -295,7 +295,7 @@ def sample(W, n, seed):
                 out[i] |= 1 << j
             else:
                 out[j] |= 1 << i
-    return Tournament(n, out)
+    return Tournament._trusted(n, out)
 
 
 def random_step_tournamenton(rng, max_blocks=4, max_denominator=12):

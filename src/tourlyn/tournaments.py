@@ -58,6 +58,17 @@ class Tournament:
                     raise DomainError(
                         "pair (%d, %d) is %s" % (i, j, "oriented both ways" if ij else "unoriented")
                     )
+        self._fill(n, out)
+
+    @classmethod
+    def _trusted(cls, n, out):
+        """A Tournament on masks built from an already valid tournament
+        (a relabeling, a completion of cross edges, a draw), unchecked."""
+        T = object.__new__(cls)
+        T._fill(n, tuple(out))
+        return T
+
+    def _fill(self, n, out):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "out", out)
         object.__setattr__(self, "_hash", hash((n, out)))
@@ -123,6 +134,10 @@ def relabel(T, perm):
     """Relabel so that old vertex perm[p] becomes new vertex p."""
     if sorted(perm) != list(range(T.n)):
         raise DomainError("perm must be a permutation of 0..%d" % (T.n - 1))
+    return Tournament(T.n, _relabeled_out(T, perm))
+
+
+def _relabeled_out(T, perm):
     pos = [0] * T.n
     for p, v in enumerate(perm):
         pos[v] = p
@@ -133,7 +148,7 @@ def relabel(T, perm):
             w = (m & -m).bit_length() - 1
             out[pos[v]] |= 1 << pos[w]
             m &= m - 1
-    return Tournament(T.n, out)
+    return out
 
 
 @lru_cache(maxsize=65536)
@@ -196,7 +211,7 @@ def _canonical_order(n, out):
 def canonicalize(T):
     """The isomorphic copy with lexicographically largest encoding."""
     order, _ = _canonical_order(T.n, T.out)
-    return relabel(T, order)
+    return Tournament._trusted(T.n, _relabeled_out(T, order))
 
 
 def is_canonical(T):
@@ -318,7 +333,7 @@ def _reps_up_to(n):
             for j in range(n - 1):
                 if not (mask >> j & 1):
                     out[j] |= 1 << (n - 1)
-            C = canonicalize(Tournament(n, out))
+            C = canonicalize(Tournament._trusted(n, out))
             seen[C.out] = C
     return tuple(sorted(seen.values(), key=encode))
 

@@ -17,13 +17,15 @@ from tourlyn.flagalg import (
 )
 from tourlyn.poly import Polynomial, x_var
 from tourlyn.rational import ONE, Q, ZERO
-from tourlyn.tournamentons import density, random_step_tournamenton
+from tourlyn.tournamentons import density, random_step_tournamenton, sample
 from tourlyn.tournaments import (
+    Tournament,
     automorphism_count,
     canonicalize,
     encode,
     enumerate_exact,
     parse,
+    random_tournament,
     transitive,
 )
 from tourlyn.words import LetterOrder, is_lyndon_tournament, tournament_less, word_of
@@ -200,3 +202,26 @@ def test_product_support_contains_both_factors():
             )
 
         assert has_copy(T1) and has_copy(T2)
+
+
+def test_unchecked_tournaments_pass_validation():
+    # canonical forms, product keys, enumerated classes and sample draws are
+    # built without the constructor's checks; the checks accept each one
+    def assert_valid(T):
+        assert Tournament(T.n, T.out) == T
+
+    rng = random.Random(71)
+    for n in range(1, 8):
+        for _ in range(40):
+            assert_valid(canonicalize(random_tournament(rng, n)))
+    for n in range(1, 7):
+        for C in enumerate_exact(n):
+            assert_valid(C)
+    fives = enumerate_exact(5)
+    for T1, T2 in ((parse("1:"), parse("3:101")), (transitive(2), fives[3]),
+                   (parse("1:"), enumerate_exact(6)[17]), (transitive(2), fives[-1])):
+        for C in product(T1, T2):
+            assert_valid(C)
+    W = random_step_tournamenton(random.Random(72))
+    for seed in range(60):
+        assert_valid(sample(W, 1 + seed % 7, seed))

@@ -222,3 +222,42 @@ def test_float_terms_match_evaluate_float_bit_for_bit():
                 s = [rng.uniform(0.01, 0.2) for _ in range(ctx.ell)]
                 point = {s_var(j): v for j, v in enumerate(s, start=1)}
                 assert solver._float_value(terms, s) == q.evaluate_float(point)
+
+
+def test_default_point_converges_from_the_first_start():
+    # the first grid start at the default t is the default s itself, so a
+    # radius-0 target there verifies after one run and no other start runs
+    ctx = context(4)
+    x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
+    rep = solve(ctx, x0)
+    assert rep.converged
+    assert rep.runs == 1 and rep.attempts == 1
+
+
+def test_report_is_the_first_grid_start_that_verifies():
+    # this k = 4 round trip has two preimages; the best-merit end point is
+    # the other one, and the report is the preimage of the earliest start
+    ctx = context(4)
+    p = random_params(ctx, random.Random(10))
+    targets = exact_densities(ctx, p)
+    rep = solve(ctx, targets, t=p.t)
+    assert rep.converged
+    row_sums = [float(sum(row)) for row in p.t]
+    singles = [solve(ctx, targets, t=p.t, s0=start) for start in solver._grid(row_sums)]
+    first = next(i for i, one in enumerate(singles) if one.converged)
+    assert first > 0 and rep.runs == first + 1
+    assert rep.s == singles[first].s
+    assert rep.s_rational == singles[first].s_rational
+    preimages = [one.s for one in singles if one.converged]
+    assert any(max(abs(a - b) for a, b in zip(s, rep.s)) > 1e-3 for s in preimages)
+
+
+def test_failed_solve_runs_every_grid_start():
+    ctx = context(4)
+    p = default_params(ctx)
+    x0 = [float(x) for x in exact_densities(ctx, p)]
+    x = solver._ball_point(random.Random(7), x0, 1e-4)
+    rep = solve(ctx, x)
+    assert not rep.converged
+    row_sums = [float(sum(row)) for row in p.t]
+    assert rep.runs == len(solver._grid(row_sums))
