@@ -83,8 +83,8 @@ SUBCOMMAND_OPS = {
     "build-wk": ["context", "build", "default_params"],
     "jacobian": ["jacobian_at", "symbolic_density", "partial_derivative"],
     "certify": ["certify_det_nonzero", "unique_full_t_monomial", "det_rational"],
-    "solve": ["solve", "point_densities"],
-    "probe": ["probe_ball"],
+    "solve": ["solve"],
+    "probe": ["probe_ball", "point_densities"],
     "sample": ["sample"],
     "verify": ["normalization_check"],
 }

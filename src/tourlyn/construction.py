@@ -35,9 +35,11 @@ ends with F[P] = t(T_i, W_k); each inner map_sum runs on one host part
 (at most k blocks).  The DP is generic over the measure algebra: with the
 monomial s_j t_{j,j'} as the measure of host vertex v_{j,j'} it gives the
 polynomial (once per context and letter), with the rationals s_j t_{j,j'}
-the exact densities at a point (point_densities, the solver's
-verification).  The s-polynomials at fixed t and the Jacobian follow
-from the polynomial by substitution and differentiation.
+the exact densities at a point (point_densities: probe's centre, and
+the tests' oracle for the solver's check).  The s-polynomials at fixed t
+(density_s_poly, which substitutes t in integers; the solver verifies
+by evaluating them) and the Jacobian follow from the polynomial by
+substitution and differentiation.
 
 Everything above that depends on k alone is built once, by context(k):
 the host, its strong parts with their cross submatrices, each letter's
@@ -56,7 +58,7 @@ and 9, and the output checks of perfbench.
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil
+from math import ceil, lcm
 
 from .errors import BudgetError, DomainError, InconclusiveError
 from .poly import Polynomial, det_rational, s_var, t_var
@@ -205,6 +207,10 @@ def symbolic_density(ctx, i):
     (ctx, i) by _symbolic_density, whose cache_info() reports the hits
     and size: at k = 5 all eleven take under a second.
     """
+    return _letter(ctx, i)[0]
+
+
+def _letter(ctx, i):
     if not 1 <= i <= ctx.ell:
         raise DomainError("index i must be in 1..%d" % ctx.ell)
     return _symbolic_density(ctx, i)
@@ -212,8 +218,21 @@ def symbolic_density(ctx, i):
 
 @lru_cache(maxsize=None)
 def _symbolic_density(ctx, i):
+    """The polynomial, and its integer form for density_s_poly: den, the
+    lcm of the coefficients' denominators, and per s-monomial (in the
+    polynomial's term order) the terms that share it, each as
+    (coefficient * den, ((cell index, exponent), ...) of its t-monomial)."""
     measures = [Polynomial.var(s_var(a)) * Polynomial.var(t_var(a, b)) for a, b in ctx.cells]
-    return _chain_density(ctx, i, measures, Polynomial.const(1), Polynomial.zero())
+    poly = _chain_density(ctx, i, measures, Polynomial.const(1), Polynomial.zero())
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    cell = {t_var(a, b): m for m, (a, b) in enumerate(ctx.cells)}
+    by_s = {}
+    for mono, c in poly.terms.items():
+        # variables sort s before t, so the s-part is a prefix
+        s_part = tuple(f for f in mono if f[0][0] == "s")
+        t_part = tuple((cell[v], e) for v, e in mono[len(s_part):])
+        by_s.setdefault(s_part, []).append((c.numerator * (den // c.denominator), t_part))
+    return poly, den, tuple((s_part, tuple(terms)) for s_part, terms in by_s.items())
 
 
 def point_densities(ctx, p):
@@ -226,14 +245,30 @@ def point_densities(ctx, p):
 
 def density_s_poly(ctx, i, t_values):
     """t(T_i, W_k) with t bound to rationals and every s_j left symbolic:
-    symbolic_density with the t-variables substituted."""
+    symbolic_density with the t-variables substituted, in integers.
+
+    With the t-entries over their common denominator D, every t-monomial
+    is a product of ints over D^n_i (the polynomial is homogeneous of
+    degree n_i in t), so each s-monomial gets the one coefficient
+    sum / (den * D^n_i).  The s-monomials come in the order
+    Polynomial.substitute gives them (every coefficient is positive, so
+    no partial sum cancels); the solver's float terms keep that order.
+    """
     t_values = tuple(tuple(as_q(x) for x in row) for row in t_values)
     check_t(ctx, t_values)
-    return symbolic_density(ctx, i).substitute(
-        {t_var(j, m): v
-         for j, row in enumerate(t_values, start=1)
-         for m, v in enumerate(row, start=1)}
-    )
+    _, den, by_s = _letter(ctx, i)
+    D = lcm(*(x.denominator for row in t_values for x in row))
+    scaled = [x.numerator * (D // x.denominator) for row in t_values for x in row]
+    scale = den * D ** ctx.sizes[i - 1]
+    out = Polynomial()
+    for s_part, terms in by_s:
+        total = 0
+        for a, t_part in terms:
+            for m, e in t_part:
+                a *= scaled[m] ** e
+            total += a
+        out.terms[s_part] = Q(total, scale)
+    return out
 
 
 def jacobian_at(ctx, p):

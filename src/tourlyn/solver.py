@@ -21,10 +21,13 @@ above.  The starts run one at a time in grid order, and the distinct end
 points of their runs are the attempts.
 
 `converged` means exactly verified: a float-converged attempt is rounded
-to rationals (continued fraction, denominator <= 10^6) and its densities
-recomputed exactly by construction.point_densities as soon as its run
-ends; the first attempt whose rounding stays in the open domain and
-meets the tolerance is the report, and the remaining starts never run.
+to rationals (continued fraction, denominator <= 10^6, or scaled to the
+component's size where that denominator would round it to 0) and its
+densities recomputed exactly, by evaluating the s-polynomials at the
+rounded point, as soon as its run ends; the first attempt whose rounding
+stays in the open domain and meets the tolerance is the report, and the
+remaining starts never run.  The values are those of
+construction.point_densities, the tests' oracle for this check.
 Where the map has several preimages near the target, the report is the
 one the earliest start reaches, not necessarily the one of least merit.
 When no attempt verifies, the report is the attempt of least merit.
@@ -39,9 +42,9 @@ no-convergence.
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from math import exp, log
+from math import ceil, exp, log
 
-from .construction import check_t, density_s_poly, make_params, point_densities
+from .construction import check_t, density_s_poly, make_params
 from .errors import DomainError
 from .poly import det_rational, s_var
 from .rational import ONE, Q, ZERO, fmt_q, q_from_float
@@ -105,14 +108,27 @@ def _as_target(x):
     return Q(x)
 
 
+def _round(x):
+    q = q_from_float(x, RATIONALIZE_DENOMINATOR)
+    # the fixed denominator sends x below 5e-7 to 0; such a component gets
+    # a denominator scaled to its size, for the same relative precision
+    return q if q else q_from_float(x, ceil(RATIONALIZE_DENOMINATOR / q_from_float(x)))
+
+
 def _rationalize(ctx, s_floats, t):
     if any(x <= 0 for x in s_floats):
         return None
-    s_rat = tuple(q_from_float(x, RATIONALIZE_DENOMINATOR) for x in s_floats)
+    s_rat = tuple(_round(x) for x in s_floats)
     try:
         return make_params(ctx, s_rat, t)
     except DomainError:
         return None
+
+
+def _exact_values(polys, s):
+    """The s-polynomials evaluated exactly at the rational point s."""
+    point = {s_var(j): v for j, v in enumerate(s, start=1)}
+    return [p.evaluate(point) for p in polys]
 
 
 def _float_terms(poly):
@@ -175,8 +191,7 @@ def _singular(ctx, t, dpolys, s):
     params = _rationalize(ctx, s, t)
     if params is None:
         return "domain-violation", "iterate rounds outside the open domain"
-    point = {s_var(j): v for j, v in enumerate(params.s, start=1)}
-    if det_rational([[d.evaluate(point) for d in row] for row in dpolys]) == 0:
+    if det_rational([_exact_values(row, params.s) for row in dpolys]) == 0:
         return "singular-jacobian", "exact Jacobian is singular at the rounded iterate"
     return "no-convergence", "float Jacobian singular; the exact one is not"
 
@@ -279,7 +294,8 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     point is verified at once; the first that verifies is the report.  An
     explicit s0 is honored exactly: one run from that point, no restarts.
     A report is converged only when the rational rounding of its s meets
-    the tolerance in the exact densities; a float-converged attempt that
+    the tolerance in the exact densities, the s-polynomials evaluated at
+    that rounding (its `verification`); a float-converged attempt that
     misses it ends no-convergence, its detail giving the exact error, and
     the next start runs.  `attempts` counts the distinct end points up to
     the report.  When none verifies, every start has run and the report is
@@ -309,7 +325,7 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         params = _rationalize(ctx, outcome["s"], t)
         verification = [] if params is None else [
             {"target": fmt_q(x), "achieved": fmt_q(g), "abs_error": abs(float(x - g))}
-            for x, g in zip(targets, point_densities(ctx, params))
+            for x, g in zip(targets, _exact_values(polys, params.s))
         ]
         outcome.update(params=params, verification=verification)
         if outcome["status"] != "converged":

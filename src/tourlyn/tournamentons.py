@@ -43,8 +43,8 @@ from .tournaments import Tournament, canonicalize, enumerate_exact, automorphism
 DENSITY_MAX = 6
 # fixed bounds on the density and validation caches: a flag-algebra
 # benchmark run stops after 24 batches of 76 classes, so it fills at most
-# 1,824 density entries (solves verify through
-# construction.point_densities and add no entries)
+# 1,824 density entries (solves verify through their s-polynomials and
+# add no entries)
 DENSITY_CACHE_SIZE = 4096
 VALID_CACHE_SIZE = 1024
 HALF_KIND = "half"
@@ -70,6 +70,20 @@ class StepTournamenton:
     @cached_property
     def _hash(self):
         return hash((self.blocks, self.cross))
+
+    @cached_property
+    def _float_view(self):
+        """What sample reads, converted from the Fractions once: the
+        cumulative block bounds, the transitive flags and the cross
+        matrix as floats."""
+        bounds = []
+        acc = 0.0
+        for b in self.blocks:
+            acc += float(b.measure)
+            bounds.append(acc)
+        transitive = [b.diagonal == TRANSITIVE_KIND for b in self.blocks]
+        cross = [[float(f) for f in row] for row in self.cross]
+        return bounds, transitive, cross
 
 
 def step_tournamenton(blocks, cross):
@@ -266,12 +280,8 @@ def sample(W, n, seed):
     if n < 1:
         raise DomainError("need n >= 1")
     _ensure_valid(W)
+    bounds, transitive, cross = W._float_view
     rng = random.Random(seed)
-    bounds = []
-    acc = 0.0
-    for b in W.blocks:
-        acc += float(b.measure)
-        bounds.append(acc)
     pts = []
     for _ in range(n):
         r = rng.random()
@@ -285,12 +295,12 @@ def sample(W, n, seed):
             bi, pi = pts[i]
             bj, pj = pts[j]
             if bi == bj:
-                if W.blocks[bi].diagonal == TRANSITIVE_KIND and pi != pj:
+                if transitive[bi] and pi != pj:
                     i_beats = pi < pj
                 else:
                     i_beats = rng.random() < 0.5
             else:
-                i_beats = rng.random() < float(W.cross[bi][bj])
+                i_beats = rng.random() < cross[bi][bj]
             if i_beats:
                 out[i] |= 1 << j
             else:

@@ -181,6 +181,27 @@ def test_symbolic_density_matches_bound_t_route():
             assert full == bound
 
 
+def test_density_s_poly_is_the_substitution_term_for_term():
+    # the solver's float terms follow the dict order, so it is compared too;
+    # one t has large coprime denominators and entries above 1
+    rng = random.Random(71)
+    primes = (1000003, 999983, 1000033, 999979, 1000037)
+    for k in (3, 4, 5):
+        ctx = context(k)
+        wild = tuple(
+            tuple(Q(primes[(i + j) % 5] + 7 * i + j, primes[(i + 2 * j) % 5])
+                  for j in range(n))
+            for i, n in enumerate(ctx.sizes)
+        )
+        for t in (random_params(ctx, rng).t, default_params(ctx).t, wild):
+            assign = {t_var(i, j): v
+                      for i, row in enumerate(t, start=1) for j, v in enumerate(row, start=1)}
+            for i in range(1, ctx.ell + 1):
+                ours = density_s_poly(ctx, i, t).terms
+                oracle = symbolic_density(ctx, i).substitute(assign).terms
+                assert list(ours.items()) == list(oracle.items())
+
+
 def test_density_polys_are_posynomials():
     # no map reaches the remainder block (the targets have no sink), so the
     # slack polynomial never enters and every coefficient stays positive

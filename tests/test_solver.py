@@ -4,11 +4,17 @@ import random
 
 import pytest
 
-from tourlyn.construction import context, density_s_poly, random_params
+from tourlyn.construction import (
+    context,
+    density_s_poly,
+    make_params,
+    point_densities,
+    random_params,
+)
 from tourlyn.errors import DomainError
 from tourlyn.poly import s_var
 from tourlyn import solver
-from tourlyn.rational import Q
+from tourlyn.rational import Q, fmt_q
 from tourlyn.solver import (
     SolveOptions,
     default_params,
@@ -261,3 +267,36 @@ def test_failed_solve_runs_every_grid_start():
     assert not rep.converged
     row_sums = [float(sum(row)) for row in p.t]
     assert rep.runs == len(solver._grid(row_sums))
+
+
+def test_verification_is_the_chain_dp_at_the_rounded_point():
+    # the solver checks through its s-polynomials; point_densities, the
+    # chain DP over the rational block measures, is the oracle
+    rng = random.Random(73)
+    reports = []
+    for k in (3, 4):
+        ctx = context(k)
+        x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
+        for _ in range(2):
+            p = random_params(ctx, rng)
+            reports.append((ctx, solve(ctx, point_densities(ctx, p), t=p.t)))
+        reports.append((ctx, solve(ctx, solver._ball_point(rng, x0, 1e-4))))
+        # the float loop cannot meet this tolerance: a failed report that
+        # still carries its verification
+        reports.append((ctx, solve(ctx, x0, options=SolveOptions(tolerance=1e-40))))
+    assert {rep.converged for _, rep in reports} == {True, False}
+    for ctx, rep in reports:
+        assert rep.verification
+        exact = point_densities(ctx, make_params(ctx, rep.s_rational, rep.t))
+        assert [v["achieved"] for v in rep.verification] == [fmt_q(g) for g in exact]
+
+
+def test_tiny_component_keeps_its_rational_point():
+    # s = 4.48e-7 is below half the fixed 1e-6 grid, which would round it
+    # to 0 and leave the report without a point to verify
+    ctx = context(3)
+    rep = solve(ctx, [1e-20])
+    assert rep.converged, rep.detail
+    (s,), (q,) = rep.s, rep.s_rational
+    assert s < 5e-7 and abs(float(q) - s) <= 1e-6 * s
+    assert rep.verification and rep.verification[0]["abs_error"] <= 1e-10

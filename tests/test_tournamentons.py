@@ -26,6 +26,7 @@ from tourlyn.tournamentons import (
     validate,
 )
 from tourlyn.tournaments import (
+    encode,
     enumerate_exact,
     parse,
     random_tournament,
@@ -322,3 +323,16 @@ def test_step_tournamenton_zeroes_the_diagonal():
     W = step_tournamenton([(Q(1, 2), HALF_KIND), (Q(1, 2), HALF_KIND)], [[7, Q(1, 3)], [Q(2, 3), 7]])
     assert W.cross[0][0] == 0 and W.cross[1][1] == 0
     validate(W)
+
+
+def test_sample_draws_are_pinned():
+    # draws from a 3-block W with both diagonal kinds and rational cross
+    # entries, recorded when sample still converted W on every draw
+    W = step_tournamenton(
+        [(Q(1, 5), TRANSITIVE_KIND), (Q(1, 2), HALF_KIND), (Q(3, 10), TRANSITIVE_KIND)],
+        [[0, Q(1, 3), Q(2, 7)], [Q(2, 3), 0, Q(5, 8)], [Q(5, 7), Q(3, 8), 0]],
+    )
+    assert [encode(sample(W, 6, seed=s)) for s in (0, 1, 2, 3, 7, 11)] == [
+        "6:100001000010010", "6:010001001111011", "6:100000001110110",
+        "6:011100100101110", "6:101110110101000", "6:100100101101101",
+    ]
