@@ -9,7 +9,6 @@ so everything here is scriptable and golden-testable.  Exit codes: 0 ok,
 import argparse
 import json
 import sys
-import time
 
 from .checks import run_checks
 from .errors import BudgetError, DomainError, InconclusiveError
@@ -22,7 +21,7 @@ from .flagalg import (
     product,
 )
 from .poly import poly_to_json, x_var
-from .rational import Q, as_q, fmt_q, q_from_float
+from .rational import Q, as_q, fmt_q
 from .construction import (
     build,
     certify_det_nonzero,

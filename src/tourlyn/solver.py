@@ -1,15 +1,17 @@
 """Damped Newton inversion of the density map s -> (t(T_i, W_k(s, t)))_i.
 
 The t-parameters stay fixed and only s moves, which keeps the system
-square with the certified ell x ell Jacobian; the s-polynomials and their
-partial derivatives are taken once per solve, and turned into float term
-lists once for the Newton loop.  An attempt is one damped
-Newton run in log coordinates, floats only: the step solves
-J d = log x - log G (J the Jacobian of log G in log s), moves s_j to
-s_j exp(lam d_j) and halves lam until the merit, the largest relative
-error, drops.  Log coordinates are scale-free, which this map needs:
-target components differ by orders of magnitude (densities scale like
-s^n), and greedy descent walks into boundary basins it cannot leave.
+square with the certified ell x ell Jacobian; the s-polynomials are taken
+once per solve, and turned into float term lists once for the Newton
+loop.  An attempt is one damped Newton run in log coordinates, floats
+only: the step solves J d = log x - log G (J the Jacobian of log G in
+log s), moves s_j to s_j exp(lam d_j) and halves lam until the merit,
+the largest relative error, drops.  Entry (i, j) of J is
+s_j dG_i/ds_j / G_i, and s_j dG_i/ds_j is the sum of e_j times each term
+of G_i, so the pass over the terms that gives G_i gives its row too.
+Log coordinates are scale-free, which this map needs: target components
+differ by orders of magnitude (densities scale like s^n), and greedy
+descent walks into boundary basins it cannot leave.
 A run stops after ITERATION_CAP steps, at MERIT_FLOOR, on a stall or when
 no damped step helps, and is float-converged when the absolute residual
 meets the tolerance, however it stopped.
@@ -21,12 +23,15 @@ above.  The starts run one at a time in grid order, and the distinct end
 points of their runs are the attempts.
 
 `converged` means exactly verified: a float-converged attempt is rounded
-to rationals (continued fraction, denominator <= 10^6, or scaled to the
-component's size where that denominator would round it to 0) and its
-densities recomputed exactly, by evaluating the s-polynomials at the
-rounded point, as soon as its run ends; the first attempt whose rounding
-stays in the open domain and meets the tolerance is the report, and the
-remaining starts never run.  The values are those of
+to rationals (continued fraction, denominator <= 10^6) and its densities
+recomputed exactly, by evaluating the s-polynomials at the rounded point,
+as soon as its run ends.  Where that rounding misses the tolerance or
+leaves the open domain (near a simple rational it snaps onto it, and a
+component below 5e-7 rounds to 0), the float's exact binary value is
+verified instead.  The first attempt whose rational point stays in the
+open domain and meets the tolerance is the report, and the remaining
+starts never run.  A report that is not converged keeps the 10^6
+rounding whenever it stays in the domain.  The values are those of
 construction.point_densities, the tests' oracle for this check.
 Where the map has several preimages near the target, the report is the
 one the earliest start reaches, not necessarily the one of least merit.
@@ -34,17 +39,17 @@ When no attempt verifies, the report is the attempt of least merit.
 
 Floats are not trusted with singularity either: a float-singular Jacobian
 is reported as singular-jacobian only if the exact one at the rounded
-iterate is.  Failure modes are data, not exceptions: reports carry a
-status out of converged / singular-jacobian / domain-violation /
-no-convergence.
+iterate, construction.jacobian_at, is.  Failure modes are data, not
+exceptions: reports carry a status out of converged / singular-jacobian /
+domain-violation / no-convergence.
 """
 
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from math import ceil, exp, log
+from math import exp, log
 
-from .construction import check_t, density_s_poly, make_params
+from .construction import check_t, density_s_poly, jacobian_at, make_params
 from .errors import DomainError
 from .poly import det_rational, s_var
 from .rational import ONE, Q, ZERO, fmt_q, q_from_float
@@ -108,21 +113,20 @@ def _as_target(x):
     return Q(x)
 
 
-def _round(x):
-    q = q_from_float(x, RATIONALIZE_DENOMINATOR)
-    # the fixed denominator sends x below 5e-7 to 0; such a component gets
-    # a denominator scaled to its size, for the same relative precision
-    return q if q else q_from_float(x, ceil(RATIONALIZE_DENOMINATOR / q_from_float(x)))
-
-
-def _rationalize(ctx, s_floats, t):
+def _rational_points(ctx, s_floats, t):
+    """The rational points that stand for the float point s, in order of
+    preference: its rounding to denominators of at most
+    RATIONALIZE_DENOMINATOR, then its exact binary value; only those inside
+    the open domain."""
     if any(x <= 0 for x in s_floats):
-        return None
-    s_rat = tuple(_round(x) for x in s_floats)
-    try:
-        return make_params(ctx, s_rat, t)
-    except DomainError:
-        return None
+        return
+    for max_denominator in (RATIONALIZE_DENOMINATOR, None):
+        try:
+            yield make_params(
+                ctx, tuple(q_from_float(x, max_denominator) for x in s_floats), t
+            )
+        except DomainError:
+            pass
 
 
 def _exact_values(polys, s):
@@ -150,6 +154,37 @@ def _float_value(terms, s):
             val *= s[j] ** e
         total += val
     return total
+
+
+def _value_and_euler(terms, s):
+    """_float_value, bit for bit, and in the same pass the row
+    s_j dG/ds_j over j: the sum of e_j times each term."""
+    total = 0.0
+    row = [0.0] * len(s)
+    for c, mono in terms:
+        val = c
+        for j, e in mono:
+            val *= s[j] ** e
+        total += val
+        for j, e in mono:
+            row[j] += e * val
+    return total, row
+
+
+def _values(fpolys, s):
+    # floored so that logs and quotients stay finite
+    return [max(_float_value(terms, s), 1e-300) for terms in fpolys]
+
+
+def _log_jacobian(fpolys, s):
+    """Entry (i, j) = s_j dG_i/ds_j / G_i at s, row i from one pass over
+    the terms of G_i."""
+    Jlog = []
+    for terms in fpolys:
+        g, row = _value_and_euler(terms, s)
+        g = max(g, 1e-300)
+        Jlog.append([v / g for v in row])
+    return Jlog
 
 
 def _in_domain(s, row_sums):
@@ -185,29 +220,29 @@ def _float_solve(A, b):
     return [M[r][n] for r in range(n)]
 
 
-def _singular(ctx, t, dpolys, s):
-    """Status and detail for a float-singular Jacobian at s, decided exactly
-    at the rounded iterate."""
-    params = _rationalize(ctx, s, t)
+def _singular(ctx, t, s):
+    """Status and detail for a float-singular Jacobian at s, decided by the
+    exact Jacobian, construction.jacobian_at, at the rational point that
+    stands for the iterate."""
+    params = next(_rational_points(ctx, s, t), None)
     if params is None:
         return "domain-violation", "iterate rounds outside the open domain"
-    if det_rational([_exact_values(row, params.s) for row in dpolys]) == 0:
+    if det_rational(jacobian_at(ctx, params)) == 0:
         return "singular-jacobian", "exact Jacobian is singular at the rounded iterate"
     return "no-convergence", "float Jacobian singular; the exact one is not"
 
 
-def _newton(ctx, t, dpolys, fpolys, fdpolys, row_sums, targets_f, start, tolerance,
-            want_trace):
-    """One damped Newton run in log coordinates from `start`, floats only;
-    returns an outcome dict.  fpolys and fdpolys are the float term lists of
-    the s-polynomials and of dpolys, the exact partials (kept for _singular).
+def _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace):
+    """One damped Newton run in log coordinates from `start`, on floats
+    only; returns an outcome dict.  fpolys are the float term lists of the
+    s-polynomials and row_sums the row sums of t, for the domain test.
 
     Halving backtracks on the merit (max relative error), while the
     outcome is converged when the absolute residual meets the tolerance,
     however the run stopped.  Otherwise it keeps the reason the run
-    stopped.
+    stopped; a float-singular Jacobian stops it with the status
+    "float-singular", which the caller decides exactly (_singular).
     """
-    ell = len(start)
     s = [float(x) for x in start]
     trace = []
     if not _in_domain(s, row_sums):
@@ -216,7 +251,7 @@ def _newton(ctx, t, dpolys, fpolys, fdpolys, row_sums, targets_f, start, toleran
             "residual": float("inf"), "merit": float("inf"), "history": [],
             "trace": trace, "detail": "initial point outside the open domain",
         }
-    G = [max(_float_value(p, s), 1e-300) for p in fpolys]
+    G = _values(fpolys, s)
     merit = _merit(targets_f, G)
     history = [merit]
     status, detail = "no-convergence", "iteration cap reached"
@@ -229,20 +264,16 @@ def _newton(ctx, t, dpolys, fpolys, fdpolys, row_sums, targets_f, start, toleran
         if len(history) >= 11 and history[-1] > 0.95 * history[-11]:
             detail = "stalled: relative progress under 5% across 10 iterations"
             break
-        Jlog = [
-            [s[j] * _float_value(fdpolys[i][j], s) / G[i] for j in range(ell)]
-            for i in range(ell)
-        ]
         rhs = [log(x) - log(g) for x, g in zip(targets_f, G)]
-        d = _float_solve(Jlog, rhs)
+        d = _float_solve(_log_jacobian(fpolys, s), rhs)
         if d is None:
-            status, detail = _singular(ctx, t, dpolys, s)
+            status, detail = "float-singular", ""
             break
         lam, accepted = 1.0, None
         while lam >= MIN_STEP:
             trial = [v * exp(max(min(lam * dd, 30.0), -30.0)) for v, dd in zip(s, d)]
             if sum(a * b for a, b in zip(trial, row_sums)) < 1.0:
-                trial_G = [max(_float_value(p, trial), 1e-300) for p in fpolys]
+                trial_G = _values(fpolys, trial)
                 trial_merit = _merit(targets_f, trial_G)
                 if trial_merit < merit:
                     accepted = (trial, trial_G, trial_merit, lam)
@@ -293,13 +324,18 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     in order (see the module docstring), and each new float-converged end
     point is verified at once; the first that verifies is the report.  An
     explicit s0 is honored exactly: one run from that point, no restarts.
-    A report is converged only when the rational rounding of its s meets
-    the tolerance in the exact densities, the s-polynomials evaluated at
-    that rounding (its `verification`); a float-converged attempt that
-    misses it ends no-convergence, its detail giving the exact error, and
-    the next start runs.  `attempts` counts the distinct end points up to
-    the report.  When none verifies, every start has run and the report is
-    the attempt of best merit, with `attempts` capped at ATTEMPT_CAP.
+    A report is converged only when a rational point for its s meets the
+    tolerance in the exact densities, the s-polynomials evaluated at that
+    point (its `verification`): the rounding to denominators of at most
+    10^6, or, where that misses or leaves the domain, the float's exact
+    binary value.  A float-converged attempt that misses with both ends
+    no-convergence, its detail giving the exact error of the rounding, and
+    the next start runs.  A float-singular Jacobian ends a run; the exact
+    Jacobian at the iterate's rational point decides between
+    singular-jacobian and no-convergence (_singular).  `attempts` counts
+    the distinct end points up to the report.  When none verifies, every
+    start has run and the report is the attempt of best merit, with
+    `attempts` capped at ATTEMPT_CAP.
     `runs` counts the Newton runs started.  `trace` holds the Newton steps
     of the reported attempt when want_trace is set.
     """
@@ -317,16 +353,21 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     targets = [_as_target(x) for x in x_target]
     targets_f = [float(x) for x in targets]
 
-    def verify(outcome):
-        """Rounds s and checks the densities exactly, once per outcome; a
-        float-converged outcome stays converged only if the check passes."""
-        if "verification" in outcome:
-            return outcome
-        params = _rationalize(ctx, outcome["s"], t)
-        verification = [] if params is None else [
+    def check(params):
+        return [
             {"target": fmt_q(x), "achieved": fmt_q(g), "abs_error": abs(float(x - g))}
             for x, g in zip(targets, _exact_values(polys, params.s))
         ]
+
+    def verify(outcome):
+        """Finds a rational point for s and checks the densities there
+        exactly, once per outcome; a float-converged outcome stays converged
+        only if the check passes."""
+        if "verification" in outcome:
+            return outcome
+        points = _rational_points(ctx, outcome["s"], t)
+        params = next(points, None)
+        verification = [] if params is None else check(params)
         outcome.update(params=params, verification=verification)
         if outcome["status"] != "converged":
             return outcome
@@ -337,12 +378,19 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
             )
             return outcome
         error = max(v["abs_error"] for v in verification)
-        if error > tolerance:
-            outcome.update(
-                status="no-convergence",
-                detail="exact error %.3g at the rounded solution exceeds the "
-                "tolerance %.3g" % (error, tolerance),
-            )
+        if error <= tolerance:
+            return outcome
+        for exact in points:
+            # the rounding missed; the float's exact binary value may not
+            exact_verification = check(exact)
+            if max(v["abs_error"] for v in exact_verification) <= tolerance:
+                outcome.update(params=exact, verification=exact_verification)
+                return outcome
+        outcome.update(
+            status="no-convergence",
+            detail="exact error %.3g at the rounded solution exceeds the "
+            "tolerance %.3g" % (error, tolerance),
+        )
         return outcome
 
     def report(outcome, attempts, runs):
@@ -375,20 +423,15 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         )
 
     polys = [density_s_poly(ctx, i, t) for i in range(1, ctx.ell + 1)]
-    dpolys = [
-        [p.partial_derivative(s_var(j + 1)) for j in range(ctx.ell)] for p in polys
-    ]
     fpolys = [_float_terms(p) for p in polys]
-    fdpolys = [[_float_terms(d) for d in row] for row in dpolys]
     row_sums = [float(sum(row, ZERO)) for row in t]
 
     outcomes = []
     runs = 0
     for start in _grid(row_sums) if s0 is None else [s0]:
-        out = _newton(
-            ctx, t, dpolys, fpolys, fdpolys, row_sums, targets_f, start, tolerance,
-            want_trace,
-        )
+        out = _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace)
+        if out["status"] == "float-singular":
+            out["status"], out["detail"] = _singular(ctx, t, out["s"])
         runs += 1
         # starts that end at the same point are one attempt
         if any(

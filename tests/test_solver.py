@@ -7,6 +7,7 @@ import pytest
 from tourlyn.construction import (
     context,
     density_s_poly,
+    jacobian_at,
     make_params,
     point_densities,
     random_params,
@@ -300,3 +301,69 @@ def test_tiny_component_keeps_its_rational_point():
     (s,), (q,) = rep.s, rep.s_rational
     assert s < 5e-7 and abs(float(q) - s) <= 1e-6 * s
     assert rep.verification and rep.verification[0]["abs_error"] <= 1e-10
+
+
+def test_log_jacobian_rows_come_from_the_value_pass():
+    # one pass over a polynomial's float terms gives G, bit for bit as
+    # evaluate_float, and s_j dG/ds_j as the sum of e_j times each term
+    rng = random.Random(79)
+    for k in (3, 4, 5):
+        ctx = context(k)
+        for _ in range(2):
+            p = random_params(ctx, rng)
+            s = [float(x) for x in p.s]
+            point = {s_var(j): v for j, v in enumerate(s, start=1)}
+            for i in range(1, ctx.ell + 1):
+                poly = density_s_poly(ctx, i, p.t)
+                value, row = solver._value_and_euler(solver._float_terms(poly), s)
+                assert value == poly.evaluate_float(point)
+                for j, entry in enumerate(row):
+                    partial = poly.partial_derivative(s_var(j + 1))
+                    expected = s[j] * partial.evaluate_float(point)
+                    assert abs(entry - expected) <= 1e-12 * abs(expected)
+
+
+def _float_singular_report(monkeypatch):
+    # every Newton run stops at its start on a float-singular Jacobian,
+    # which the exact Jacobian at the start's rational point then decides
+    ctx = context(4)
+    p = random_params(ctx, random.Random(83))
+    monkeypatch.setattr(solver, "_float_solve", lambda A, b: None)
+    return solve(ctx, exact_densities(ctx, p), t=p.t)
+
+
+def test_float_singular_jacobian_that_is_exactly_regular(monkeypatch):
+    rep = _float_singular_report(monkeypatch)
+    assert rep.status == "no-convergence"
+    assert rep.detail == "float Jacobian singular; the exact one is not"
+    assert rep.iterations == 0 and rep.attempts == solver.ATTEMPT_CAP
+
+
+def test_exactly_singular_jacobian_is_reported(monkeypatch):
+    seen = []
+
+    def dependent_rows(ctx, params):
+        seen.append(params.s)
+        J = jacobian_at(ctx, params)
+        return J[:-1] + [J[0]]
+
+    monkeypatch.setattr(solver, "jacobian_at", dependent_rows)
+    rep = _float_singular_report(monkeypatch)
+    assert rep.status == "singular-jacobian"
+    assert rep.detail == "exact Jacobian is singular at the rounded iterate"
+    # decided at the rational point the report carries
+    assert rep.s_rational in seen
+
+
+def test_ball_targets_near_a_simple_rational_converge():
+    # the default k = 3 point is s = 1/2; within about 3e-8 of it the 10^6
+    # rounding snaps back onto 1/2 and misses the tolerance, so these
+    # solves verify the float's exact binary value
+    ctx = context(3)
+    x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
+    rng = random.Random(5)
+    reps = [solve(ctx, solver._ball_point(rng, x0, 1e-8)) for _ in range(20)]
+    assert [rep.status for rep in reps] == ["converged"] * 20
+    assert any(rep.s_rational[0].denominator > 10 ** 6 for rep in reps)
+    for rep in reps:
+        assert max(v["abs_error"] for v in rep.verification) <= 1e-10
