@@ -303,6 +303,7 @@ def _cmd_solve(args):
     out = {
         "status": rep.status,
         "attempts": rep.attempts,
+        "runs": rep.runs,
         "iterations": rep.iterations,
         "residual": rep.residual,
         "s": list(rep.s),

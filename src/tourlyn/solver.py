@@ -6,9 +6,11 @@ once per solve, and turned into float term lists once for the Newton
 loop.  An attempt is one damped Newton run in log coordinates, floats
 only: the step solves J d = log x - log G (J the Jacobian of log G in
 log s), moves s_j to s_j exp(lam d_j) and halves lam until the merit,
-the largest relative error, drops.  Entry (i, j) of J is
-s_j dG_i/ds_j / G_i, and s_j dG_i/ds_j is the sum of e_j times each term
-of G_i, so the pass over the terms that gives G_i gives its row too.
+the largest relative error, drops.  Row i of J, s_j dG_i/ds_j / G_i,
+comes from the pass over G_i's terms that gives G_i (s_j dG_i/ds_j is the
+sum of e_j times each term).  A damped trial is one fused pass, values and
+merit together, that stops at the first component whose relative error
+reaches the current merit, where the trial is rejected anyway.
 Log coordinates are scale-free, which this map needs: target components
 differ by orders of magnitude (densities scale like s^n), and greedy
 descent walks into boundary basins it cannot leave.
@@ -47,7 +49,7 @@ domain-violation / no-convergence.
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from math import exp, log
+from math import exp, isfinite, log
 
 from .construction import check_t, density_s_poly, jacobian_at, make_params
 from .errors import DomainError
@@ -75,8 +77,8 @@ class SolveOptions:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise DomainError("tolerance must be positive")
+        if not self.tolerance > 0:
+            raise DomainError("tolerance must be positive, got %r" % self.tolerance)
 
 
 @dataclass
@@ -109,6 +111,8 @@ def default_params(ctx):
 
 def _as_target(x):
     if isinstance(x, float):
+        if not isfinite(x):
+            raise DomainError("target %r is not a finite number" % x)
         return q_from_float(x)
     return Q(x)
 
@@ -144,21 +148,10 @@ def _float_terms(poly):
     ]
 
 
-def _float_value(terms, s):
-    # the term order and multiply order of Polynomial.evaluate_float, so
-    # the floats are bit-identical to it
-    total = 0.0
-    for c, mono in terms:
-        val = c
-        for j, e in mono:
-            val *= s[j] ** e
-        total += val
-    return total
-
-
 def _value_and_euler(terms, s):
-    """_float_value, bit for bit, and in the same pass the row
-    s_j dG/ds_j over j: the sum of e_j times each term."""
+    """A float term list's value at s, bit for bit evaluate_float's (same
+    term and multiply order), and in the same pass the row s_j dG/ds_j over
+    j: the sum of e_j times each term."""
     total = 0.0
     row = [0.0] * len(s)
     for c, mono in terms:
@@ -171,44 +164,47 @@ def _value_and_euler(terms, s):
     return total, row
 
 
-def _values(fpolys, s):
-    # floored so that logs and quotients stay finite
-    return [max(_float_value(terms, s), 1e-300) for terms in fpolys]
-
-
-def _log_jacobian(fpolys, s):
-    """Entry (i, j) = s_j dG_i/ds_j / G_i at s, row i from one pass over
-    the terms of G_i."""
-    Jlog = []
-    for terms in fpolys:
-        g, row = _value_and_euler(terms, s)
-        g = max(g, 1e-300)
-        Jlog.append([v / g for v in row])
-    return Jlog
-
-
-def _in_domain(s, row_sums):
-    return all(x > 0.0 for x in s) and sum(a * b for a, b in zip(s, row_sums)) < 1.0
+def _values_and_merit(fpolys, targets_f, s, bound):
+    """The values at s, floored at 1e-300 to keep logs finite, and their
+    merit, the largest relative error in max()'s order; None as soon as one
+    relative error reaches `bound`, which the merit then cannot drop below
+    (a NaN bound stops nothing).  Relative errors, as the absolute max-norm
+    is blind to a 1e-5 target next to a 1e-3 one, and descent on it walks
+    into boundary basins where the small component is never met."""
+    values = []
+    merit = None
+    for terms, x in zip(fpolys, targets_f):
+        g = 0.0
+        for c, mono in terms:
+            for j, e in mono:
+                c *= s[j] ** e
+            g += c
+        if g < 1e-300:
+            g = 1e-300
+        err = abs(x - g) / x
+        if err >= bound:
+            return None
+        if merit is None or err > merit:
+            merit = err
+        values.append(g)
+    return values, merit
 
 
 def _residual(targets, values):
     return max(abs(x - g) for x, g in zip(targets, values))
 
 
-def _merit(targets, values):
-    # relative errors: the absolute max-norm is blind to small components
-    # (a 1e-5 target next to a 1e-3 one), and greedy descent on it walks
-    # into boundary basins where the small component can never be met
-    return max(abs(x - g) / x for x, g in zip(targets, values))
-
-
 def _float_solve(A, b):
-    """Gaussian elimination with partial pivoting; None when singular."""
+    """Gaussian elimination with partial pivoting, the first largest entry
+    of a column its pivot; None when singular."""
     n = len(b)
-    M = [row[:] + [bv] for row, bv in zip(A, b)]
+    M = [row + [bv] for row, bv in zip(A, b)]
     for c in range(n):
-        p = max(range(c, n), key=lambda r: abs(M[r][c]))
-        if abs(M[p][c]) < 1e-300:
+        p, big = c, abs(M[c][c])
+        for r in range(c + 1, n):
+            if abs(M[r][c]) > big:
+                p, big = r, abs(M[r][c])
+        if big < 1e-300:
             return None
         M[c], M[p] = M[p], M[c]
         piv = M[c][c]
@@ -237,22 +233,25 @@ def _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace):
     only; returns an outcome dict.  fpolys are the float term lists of the
     s-polynomials and row_sums the row sums of t, for the domain test.
 
-    Halving backtracks on the merit (max relative error), while the
-    outcome is converged when the absolute residual meets the tolerance,
-    however the run stopped.  Otherwise it keeps the reason the run
-    stopped; a float-singular Jacobian stops it with the status
-    "float-singular", which the caller decides exactly (_singular).
+    A trial is one loop over the components for the damped point and its
+    domain sum, then the fused pass, _values_and_merit, stopped by the
+    current merit; an accepted trial has every value.  Halving backtracks
+    on the merit, while the outcome is converged when the absolute
+    residual meets the tolerance, however the run stopped.  Otherwise it
+    keeps the reason the run stopped; a float-singular Jacobian stops it
+    with the status "float-singular", which the caller decides exactly
+    (_singular).
     """
     s = [float(x) for x in start]
     trace = []
-    if not _in_domain(s, row_sums):
+    if not (all(x > 0.0 for x in s) and sum(a * b for a, b in zip(s, row_sums)) < 1.0):
         return {
             "status": "domain-violation", "s": s, "iterations": 0,
             "residual": float("inf"), "merit": float("inf"), "history": [],
             "trace": trace, "detail": "initial point outside the open domain",
         }
-    G = _values(fpolys, s)
-    merit = _merit(targets_f, G)
+    log_targets = [log(x) for x in targets_f]
+    G, merit = _values_and_merit(fpolys, targets_f, s, float("nan"))
     history = [merit]
     status, detail = "no-convergence", "iteration cap reached"
     for it in range(1, ITERATION_CAP + 1):
@@ -264,19 +263,30 @@ def _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace):
         if len(history) >= 11 and history[-1] > 0.95 * history[-11]:
             detail = "stalled: relative progress under 5% across 10 iterations"
             break
-        rhs = [log(x) - log(g) for x, g in zip(targets_f, G)]
-        d = _float_solve(_log_jacobian(fpolys, s), rhs)
+        # G holds the floored values at s, bit for bit those of this pass
+        Jlog = [[v / g for v in _value_and_euler(terms, s)[1]] for terms, g in zip(fpolys, G)]
+        d = _float_solve(Jlog, [lx - log(g) for lx, g in zip(log_targets, G)])
         if d is None:
             status, detail = "float-singular", ""
             break
         lam, accepted = 1.0, None
         while lam >= MIN_STEP:
-            trial = [v * exp(max(min(lam * dd, 30.0), -30.0)) for v, dd in zip(s, d)]
-            if sum(a * b for a, b in zip(trial, row_sums)) < 1.0:
-                trial_G = _values(fpolys, trial)
-                trial_merit = _merit(targets_f, trial_G)
-                if trial_merit < merit:
-                    accepted = (trial, trial_G, trial_merit, lam)
+            # the clamp of max(min(lam d_j, 30), -30), NaN passing through,
+            # and the domain sum from int 0 in order, as sum() adds
+            trial, used = [], 0
+            for v, dd, rs in zip(s, d, row_sums):
+                z = lam * dd
+                if z > 30.0:
+                    z = 30.0
+                elif z < -30.0:
+                    z = -30.0
+                v *= exp(z)
+                trial.append(v)
+                used += v * rs
+            if used < 1.0:
+                out = _values_and_merit(fpolys, targets_f, trial, merit)
+                if out is not None and out[1] < merit:
+                    accepted = (trial, *out, lam)
                     break
             lam /= 2
         if accepted is None:
@@ -315,29 +325,24 @@ def _grid(row_sums):
 def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     """Find s with density(T_i, W_k(s, t)) = x_target_i to the tolerance.
 
-    x_target entries may be floats or rationals; floats convert exactly.
-    Entries must lie strictly inside (0, 1) - boundary targets are not in
-    the open region the construction parameterizes, and are reported as
-    domain-violation without iterating.
+    x_target entries may be floats or rationals; floats convert exactly,
+    and NaN or infinite ones raise DomainError, as does an s0 or x_target
+    of the wrong length.  Entries must lie strictly inside (0, 1): boundary
+    targets are not in the open region the construction parameterizes, and
+    are reported as domain-violation without iterating.
 
-    With no explicit s0, log-coordinate Newton runs go from the grid starts
-    in order (see the module docstring), and each new float-converged end
-    point is verified at once; the first that verifies is the report.  An
-    explicit s0 is honored exactly: one run from that point, no restarts.
-    A report is converged only when a rational point for its s meets the
-    tolerance in the exact densities, the s-polynomials evaluated at that
-    point (its `verification`): the rounding to denominators of at most
-    10^6, or, where that misses or leaves the domain, the float's exact
-    binary value.  A float-converged attempt that misses with both ends
-    no-convergence, its detail giving the exact error of the rounding, and
-    the next start runs.  A float-singular Jacobian ends a run; the exact
-    Jacobian at the iterate's rational point decides between
-    singular-jacobian and no-convergence (_singular).  `attempts` counts
-    the distinct end points up to the report.  When none verifies, every
-    start has run and the report is the attempt of best merit, with
-    `attempts` capped at ATTEMPT_CAP.
-    `runs` counts the Newton runs started.  `trace` holds the Newton steps
-    of the reported attempt when want_trace is set.
+    With no explicit s0, Newton runs go from the grid starts in order and
+    each new float-converged end point is verified at once, at the rational
+    points of the module docstring (its `verification`); the first that
+    verifies is the report.  An explicit s0 is honored exactly: one run
+    from that point, no restarts.  A float-converged attempt that misses
+    ends no-convergence, its detail giving the exact error of the rounding,
+    and the next start runs.  A float-singular Jacobian ends a run, and
+    _singular decides it exactly.  `attempts` counts the distinct end
+    points up to the report; when none verifies, every start has run and
+    the report is the attempt of best merit, with `attempts` capped at
+    ATTEMPT_CAP.  `runs` counts the Newton runs started.  `trace` holds the
+    Newton steps of the reported attempt when want_trace is set.
     """
     tolerance = (options or SolveOptions()).tolerance
     if t is None:
@@ -350,6 +355,8 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     check_t(ctx, t)
     if len(x_target) != ctx.ell:
         raise DomainError("expected %d targets, got %d" % (ctx.ell, len(x_target)))
+    if s0 is not None and len(s0) != ctx.ell:
+        raise DomainError("expected %d start components, got %d" % (ctx.ell, len(s0)))
     targets = [_as_target(x) for x in x_target]
     targets_f = [float(x) for x in targets]
 
@@ -397,18 +404,11 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         verify(outcome)
         params = outcome["params"]
         return SolveReport(
-            status=outcome["status"],
-            s=tuple(outcome["s"]),
-            s_rational=tuple(params.s) if params is not None else (),
-            t=t,
-            iterations=outcome["iterations"],
-            residual=outcome["residual"],
-            residual_history=outcome["history"],
-            verification=outcome["verification"],
-            detail=outcome["detail"],
-            attempts=attempts,
-            runs=runs,
-            trace=outcome["trace"],
+            status=outcome["status"], s=tuple(outcome["s"]),
+            s_rational=tuple(params.s) if params is not None else (), t=t,
+            iterations=outcome["iterations"], residual=outcome["residual"],
+            residual_history=outcome["history"], verification=outcome["verification"],
+            detail=outcome["detail"], attempts=attempts, runs=runs, trace=outcome["trace"],
         )
 
     if any(not (ZERO < x < ONE) for x in targets):
@@ -418,8 +418,7 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
                 "verification": [], "iterations": 0, "residual": float("inf"),
                 "history": [], "trace": [], "detail": "target not strictly inside (0,1)",
             },
-            attempts=0,
-            runs=0,
+            attempts=0, runs=0,
         )
 
     polys = [density_s_poly(ctx, i, t) for i in range(1, ctx.ell + 1)]
@@ -474,8 +473,8 @@ def probe_ball(ctx, x0, eps, samples, seed=0, t=None, options=None):
     """
     if len(x0) != ctx.ell:
         raise DomainError("expected %d coordinates, got %d" % (ctx.ell, len(x0)))
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
+    if not eps >= 0:
+        raise DomainError("eps must be nonnegative, got %r" % eps)
     # descend dyadically from the requested radius; once a radius scores
     # perfectly there is nothing left to learn from smaller ones
     radii = [eps] if eps == 0 else [eps / (2 ** d) for d in range(LADDER_DEPTH)]

@@ -216,9 +216,24 @@ def test_solve_accepts_rational_and_float_targets():
     assert a["status"] == b["status"] == "converged"
     assert abs(a["s"][0] - b["s"][0]) < 1e-9
     assert set(a) == {
-        "status", "attempts", "iterations", "residual", "s", "s_rational",
+        "status", "attempts", "runs", "iterations", "residual", "s", "s_rational",
         "verification", "detail",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--k", "3", "nan"],
+        ["solve", "--k", "3", "inf"],
+        ["solve", "--k", "3", "1/16", "--tolerance", "nan"],
+        ["probe", "--k", "3", "--eps", "nan", "--samples", "1"],
+    ],
+)
+def test_non_finite_numbers_are_domain_errors(argv):
+    code, out, err = run(*argv)
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_solve_trace_flag():

@@ -1,5 +1,6 @@
 """Target-hitting: Newton round trips, boundary handling, ball probes."""
 
+import math
 import random
 
 import pytest
@@ -83,6 +84,20 @@ def test_wrong_target_count():
         solve(context(4), [Q(1, 16)])
 
 
+@pytest.mark.parametrize("s0", [[0.1, 0.1], [0.1] * 4])
+def test_wrong_start_length(s0):
+    ctx = context(4)
+    x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
+    with pytest.raises(DomainError, match="expected 3 start components"):
+        solve(ctx, x0, s0=s0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_targets(x):
+    with pytest.raises(DomainError, match="not a finite number"):
+        solve(context(3), [x])
+
+
 @pytest.mark.parametrize("shape", ["short", "long", "zero"])
 def test_malformed_t_refused_before_polynomial_work(monkeypatch, shape):
     ctx = context(4)
@@ -128,8 +143,9 @@ def test_failed_solve_reports_its_best_attempt():
 
 
 def test_options_validation():
-    with pytest.raises(DomainError):
-        SolveOptions(tolerance=0)
+    for bad in (0, -1e-3, math.nan):
+        with pytest.raises(DomainError):
+            SolveOptions(tolerance=bad)
     ctx = context(3)
     rep = solve(ctx, [Q(1, 16)], options=SolveOptions(tolerance=1e-6))
     assert rep.converged and rep.residual <= 1e-6
@@ -203,8 +219,9 @@ def test_probe_ball_rejections():
     ctx = context(3)
     with pytest.raises(DomainError):
         probe_ball(ctx, [0.1, 0.2], eps=1e-3, samples=1)
-    with pytest.raises(DomainError):
-        probe_ball(ctx, [0.1], eps=-1e-3, samples=1)
+    for eps in (-1e-3, math.nan):
+        with pytest.raises(DomainError, match="eps must be nonnegative"):
+            probe_ball(ctx, [0.1], eps=eps, samples=1)
 
 
 def test_default_params_use_half_the_measure():
@@ -228,7 +245,7 @@ def test_float_terms_match_evaluate_float_bit_for_bit():
             for _ in range(5):
                 s = [rng.uniform(0.01, 0.2) for _ in range(ctx.ell)]
                 point = {s_var(j): v for j, v in enumerate(s, start=1)}
-                assert solver._float_value(terms, s) == q.evaluate_float(point)
+                assert solver._value_and_euler(terms, s)[0] == q.evaluate_float(point)
 
 
 def test_default_point_converges_from_the_first_start():
@@ -321,6 +338,38 @@ def test_log_jacobian_rows_come_from_the_value_pass():
                     partial = poly.partial_derivative(s_var(j + 1))
                     expected = s[j] * partial.evaluate_float(point)
                     assert abs(entry - expected) <= 1e-12 * abs(expected)
+
+
+def test_fused_pass_stops_exactly_where_the_trial_fails():
+    # a line-search trial is one pass over the polynomials that stops at
+    # the first relative error reaching the bound (the current merit): an
+    # accepted trial has evaluate_float's values, floored, and the trial
+    # fails exactly when the full max relative error is >= the bound; the
+    # scale 1e-120 takes every value under the floor
+    rng = random.Random(89)
+    for k in (3, 4, 5):
+        ctx = context(k)
+        for scale in (1.0, 1.0, 1.0, 1e-120):
+            p = random_params(ctx, rng)
+            polys = [density_s_poly(ctx, i, p.t) for i in range(1, ctx.ell + 1)]
+            fpolys = [solver._float_terms(q) for q in polys]
+            s = [float(x) * rng.uniform(0.8, 1.2) * scale for x in p.s]
+            point = {s_var(j): v for j, v in enumerate(s, start=1)}
+            values = [max(q.evaluate_float(point), 1e-300) for q in polys]
+            targets = [g * rng.uniform(0.5, 2.0) for g in values]
+            errors = [abs(x - g) / x for x, g in zip(targets, values)]
+            full = max(errors)
+            bounds = [full / 2, full, math.nextafter(full, math.inf), 2 * full, errors[0], math.nan]
+            for bound in bounds:
+                out = solver._values_and_merit(fpolys, targets, s, bound)
+                assert (out is not None and out[1] < bound) == (full < bound)
+                if out is not None:
+                    assert out == (values, full)
+            # no polynomial after the first one whose error reaches the
+            # bound is evaluated: this one would raise
+            poison = [(1.0, ((len(s), 1),))]
+            bad = solver._values_and_merit(fpolys + [poison], targets + [0.5], s, errors[0])
+            assert bad is None
 
 
 def _float_singular_report(monkeypatch):
