@@ -48,7 +48,8 @@ remainder I_0 appears only in build().
 
 build() + tournamentons.density is kept as an independent oracle: it
 integrates the rational tournamenton over all N + 1 blocks, unfactored.
-Only the verify self-check of the solver and these tests use it:
+Besides `tourlyn build-wk`, which prints W, only the verify self-check of
+the solver and these tests use it:
 test_density_two_routes_agree, test_point_densities_match_build_and_density
 and test_build_is_a_valid_tournamenton (test_construction.py), the
 round trips and probe centres of test_solver.py, acceptance items 8

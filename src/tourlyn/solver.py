@@ -41,7 +41,9 @@ When no attempt verifies, the report is the attempt of least merit.
 
 Floats are not trusted with singularity either: a float-singular Jacobian
 is reported as singular-jacobian only if the exact one at the rounded
-iterate, construction.jacobian_at, is.  Failure modes are data, not
+iterate, construction.jacobian_at, is.  A run's SolveReport gets its final
+status in one function, _finish, which verifies it; a float-singular run
+is classified only if it is the one reported.  Failure modes are data, not
 exceptions: reports carry a status out of converged / singular-jacobian /
 domain-violation / no-convergence.
 """
@@ -54,7 +56,7 @@ from math import exp, isfinite, log
 from .construction import check_t, density_s_poly, jacobian_at, make_params
 from .errors import DomainError
 from .poly import det_rational, s_var
-from .rational import ONE, Q, ZERO, fmt_q, q_from_float
+from .rational import ONE, Q, ZERO, as_q, fmt_q, q_from_float
 
 MIN_STEP = 2.0 ** -20
 RATIONALIZE_DENOMINATOR = 10 ** 6
@@ -83,14 +85,17 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
+    """The one record of a Newton run: _newton fills the float fields, solve
+    t, attempts and runs, and _finish the exact fields and final status."""
+
     status: str
     s: tuple
-    s_rational: tuple
-    t: tuple
-    iterations: int
-    residual: float
-    residual_history: list
-    verification: list
+    s_rational: tuple = ()
+    t: tuple = ()
+    iterations: int = 0
+    residual: float = float("inf")
+    residual_history: list = field(default_factory=list)
+    verification: list = field(default_factory=list)
     detail: str = ""
     attempts: int = 1
     runs: int = 1
@@ -114,7 +119,7 @@ def _as_target(x):
         if not isfinite(x):
             raise DomainError("target %r is not a finite number" % x)
         return q_from_float(x)
-    return Q(x)
+    return as_q(x)
 
 
 def _rational_points(ctx, s_floats, t):
@@ -131,12 +136,6 @@ def _rational_points(ctx, s_floats, t):
             )
         except DomainError:
             pass
-
-
-def _exact_values(polys, s):
-    """The s-polynomials evaluated exactly at the rational point s."""
-    point = {s_var(j): v for j, v in enumerate(s, start=1)}
-    return [p.evaluate(point) for p in polys]
 
 
 def _float_terms(poly):
@@ -216,40 +215,26 @@ def _float_solve(A, b):
     return [M[r][n] for r in range(n)]
 
 
-def _singular(ctx, t, s):
-    """Status and detail for a float-singular Jacobian at s, decided by the
-    exact Jacobian, construction.jacobian_at, at the rational point that
-    stands for the iterate."""
-    params = next(_rational_points(ctx, s, t), None)
-    if params is None:
-        return "domain-violation", "iterate rounds outside the open domain"
-    if det_rational(jacobian_at(ctx, params)) == 0:
-        return "singular-jacobian", "exact Jacobian is singular at the rounded iterate"
-    return "no-convergence", "float Jacobian singular; the exact one is not"
-
-
 def _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace):
     """One damped Newton run in log coordinates from `start`, on floats
-    only; returns an outcome dict.  fpolys are the float term lists of the
-    s-polynomials and row_sums the row sums of t, for the domain test.
+    only; returns its SolveReport, not yet verified.  fpolys are the float
+    term lists of the s-polynomials and row_sums the row sums of t, for the
+    domain test.
 
     A trial is one loop over the components for the damped point and its
     domain sum, then the fused pass, _values_and_merit, stopped by the
     current merit; an accepted trial has every value.  Halving backtracks
-    on the merit, while the outcome is converged when the absolute
-    residual meets the tolerance, however the run stopped.  Otherwise it
-    keeps the reason the run stopped; a float-singular Jacobian stops it
-    with the status "float-singular", which the caller decides exactly
-    (_singular).
+    on the merit, while the run is converged when the absolute residual
+    meets the tolerance, however it stopped.  Otherwise it keeps the reason
+    the run stopped; a float-singular Jacobian stops it with the status
+    "float-singular", which _finish decides exactly.
     """
     s = [float(x) for x in start]
-    trace = []
     if not (all(x > 0.0 for x in s) and sum(a * b for a, b in zip(s, row_sums)) < 1.0):
-        return {
-            "status": "domain-violation", "s": s, "iterations": 0,
-            "residual": float("inf"), "merit": float("inf"), "history": [],
-            "trace": trace, "detail": "initial point outside the open domain",
-        }
+        return SolveReport(
+            "domain-violation", tuple(s), detail="initial point outside the open domain"
+        )
+    trace = []
     log_targets = [log(x) for x in targets_f]
     G, merit = _values_and_merit(fpolys, targets_f, s, float("nan"))
     history = [merit]
@@ -302,11 +287,52 @@ def _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace):
     residual = _residual(targets_f, G)
     if residual <= tolerance:
         status, detail = "converged", ""
-    return {
-        "status": status, "s": s, "iterations": len(history) - 1,
-        "residual": residual, "merit": merit, "history": history,
-        "trace": trace, "detail": detail,
-    }
+    return SolveReport(
+        status, tuple(s), iterations=len(history) - 1, residual=residual,
+        residual_history=history, detail=detail, trace=trace,
+    )
+
+
+def _finish(ctx, polys, targets, tolerance, report):
+    """Verifies a run exactly and decides its final status, the one place
+    that does.  The first of _rational_points is the report's point, where
+    the exact Jacobian decides a float-singular run; a converged run that
+    misses there tries the float's exact binary value next.  A converged or
+    float-singular run with no rational point is a domain-violation; other
+    runs keep their status, so finishing twice changes nothing."""
+    error = None
+    for params in _rational_points(ctx, report.s, report.t):
+        point = {s_var(j): v for j, v in enumerate(params.s, start=1)}
+        verification = [
+            {"target": fmt_q(x), "achieved": fmt_q(g), "abs_error": abs(float(x - g))}
+            for x, g in zip(targets, [p.evaluate(point) for p in polys])
+        ]
+        if error is None:
+            report.s_rational, report.verification = tuple(params.s), verification
+            error = max(v["abs_error"] for v in verification)
+            if report.status == "float-singular":
+                if det_rational(jacobian_at(ctx, params)) == 0:
+                    report.status = "singular-jacobian"
+                    report.detail = "exact Jacobian is singular at the rounded iterate"
+                else:
+                    report.status = "no-convergence"
+                    report.detail = "float Jacobian singular; the exact one is not"
+            if report.status != "converged" or error <= tolerance:
+                return report
+        elif max(v["abs_error"] for v in verification) <= tolerance:
+            # the rounding missed; the float's exact binary value meets it
+            report.s_rational, report.verification = tuple(params.s), verification
+            return report
+    if error is not None:
+        report.status, report.detail = "no-convergence", (
+            "exact error %.3g at the rounded solution exceeds the tolerance %.3g"
+            % (error, tolerance)
+        )
+    elif report.status in ("converged", "float-singular"):
+        what = "solution" if report.converged else "iterate"
+        report.status = "domain-violation"
+        report.detail = what + " rounds outside the open domain"
+    return report
 
 
 def _grid(row_sums):
@@ -337,20 +363,24 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     verifies is the report.  An explicit s0 is honored exactly: one run
     from that point, no restarts.  A float-converged attempt that misses
     ends no-convergence, its detail giving the exact error of the rounding,
-    and the next start runs.  A float-singular Jacobian ends a run, and
-    _singular decides it exactly.  `attempts` counts the distinct end
-    points up to the report; when none verifies, every start has run and
-    the report is the attempt of best merit, with `attempts` capped at
-    ATTEMPT_CAP.  `runs` counts the Newton runs started.  `trace` holds the
-    Newton steps of the reported attempt when want_trace is set.
+    and the next start runs.  A float-singular Jacobian ends a run.
+    _finish decides the status: a float-converged run's as soon as it ends,
+    any other run's only if it is reported, so a float-singular run costs an
+    exact Jacobian only then.  `attempts` counts the distinct end points up
+    to the report; when none verifies, every start has run and the report
+    is the attempt of best merit (the last of its residual_history), with
+    `attempts` capped at ATTEMPT_CAP.  `runs` counts the Newton runs.
+    `trace` holds the reported attempt's Newton steps when want_trace is
+    set.  t and the non-float targets are exact inputs, read by
+    rational.as_q: a float in t or a malformed target is a DomainError.
     """
     tolerance = (options or SolveOptions()).tolerance
     if t is None:
         t = default_params(ctx).t
     else:
         try:
-            t = tuple(tuple(Q(x) for x in row) for row in t)
-        except (TypeError, ValueError) as e:
+            t = tuple(tuple(as_q(x) for x in row) for row in t)
+        except TypeError as e:
             raise DomainError("malformed t: %s" % e) from None
     check_t(ctx, t)
     if len(x_target) != ctx.ell:
@@ -358,91 +388,36 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     if s0 is not None and len(s0) != ctx.ell:
         raise DomainError("expected %d start components, got %d" % (ctx.ell, len(s0)))
     targets = [_as_target(x) for x in x_target]
-    targets_f = [float(x) for x in targets]
-
-    def check(params):
-        return [
-            {"target": fmt_q(x), "achieved": fmt_q(g), "abs_error": abs(float(x - g))}
-            for x, g in zip(targets, _exact_values(polys, params.s))
-        ]
-
-    def verify(outcome):
-        """Finds a rational point for s and checks the densities there
-        exactly, once per outcome; a float-converged outcome stays converged
-        only if the check passes."""
-        if "verification" in outcome:
-            return outcome
-        points = _rational_points(ctx, outcome["s"], t)
-        params = next(points, None)
-        verification = [] if params is None else check(params)
-        outcome.update(params=params, verification=verification)
-        if outcome["status"] != "converged":
-            return outcome
-        if params is None:
-            # without a rational point there is nothing to verify
-            outcome.update(
-                status="domain-violation", detail="solution rounds outside the open domain"
-            )
-            return outcome
-        error = max(v["abs_error"] for v in verification)
-        if error <= tolerance:
-            return outcome
-        for exact in points:
-            # the rounding missed; the float's exact binary value may not
-            exact_verification = check(exact)
-            if max(v["abs_error"] for v in exact_verification) <= tolerance:
-                outcome.update(params=exact, verification=exact_verification)
-                return outcome
-        outcome.update(
-            status="no-convergence",
-            detail="exact error %.3g at the rounded solution exceeds the "
-            "tolerance %.3g" % (error, tolerance),
-        )
-        return outcome
-
-    def report(outcome, attempts, runs):
-        verify(outcome)
-        params = outcome["params"]
-        return SolveReport(
-            status=outcome["status"], s=tuple(outcome["s"]),
-            s_rational=tuple(params.s) if params is not None else (), t=t,
-            iterations=outcome["iterations"], residual=outcome["residual"],
-            residual_history=outcome["history"], verification=outcome["verification"],
-            detail=outcome["detail"], attempts=attempts, runs=runs, trace=outcome["trace"],
-        )
-
     if any(not (ZERO < x < ONE) for x in targets):
-        return report(
-            {
-                "status": "domain-violation", "s": tuple(s0 or ()), "params": None,
-                "verification": [], "iterations": 0, "residual": float("inf"),
-                "history": [], "trace": [], "detail": "target not strictly inside (0,1)",
-            },
-            attempts=0, runs=0,
+        return SolveReport(
+            "domain-violation", tuple(s0 or ()), t=t,
+            detail="target not strictly inside (0,1)", attempts=0, runs=0,
         )
-
+    targets_f = [float(x) for x in targets]
     polys = [density_s_poly(ctx, i, t) for i in range(1, ctx.ell + 1)]
     fpolys = [_float_terms(p) for p in polys]
     row_sums = [float(sum(row, ZERO)) for row in t]
 
-    outcomes = []
+    reports = []
     runs = 0
     for start in _grid(row_sums) if s0 is None else [s0]:
-        out = _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace)
-        if out["status"] == "float-singular":
-            out["status"], out["detail"] = _singular(ctx, t, out["s"])
+        rep = _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace)
+        rep.t = t
         runs += 1
         # starts that end at the same point are one attempt
         if any(
-            all(abs(a - b) <= 1e-9 + 1e-6 * abs(b) for a, b in zip(out["s"], seen["s"]))
-            for seen in outcomes
+            all(abs(a - b) <= 1e-9 + 1e-6 * abs(b) for a, b in zip(rep.s, seen.s))
+            for seen in reports
         ):
             continue
-        outcomes.append(out)
-        if out["status"] == "converged" and verify(out)["status"] == "converged":
-            return report(out, len(outcomes), runs)
-    outcomes.sort(key=lambda o: o["merit"])
-    return report(outcomes[0], min(len(outcomes), ATTEMPT_CAP), runs)
+        reports.append(rep)
+        if rep.converged and _finish(ctx, polys, targets, tolerance, rep).converged:
+            rep.attempts, rep.runs = len(reports), runs
+            return rep
+    reports.sort(key=lambda r: r.residual_history[-1] if r.residual_history else float("inf"))
+    best = reports[0]
+    best.attempts, best.runs = min(len(reports), ATTEMPT_CAP), runs
+    return _finish(ctx, polys, targets, tolerance, best)
 
 
 def _ball_point(rng, x0, radius):
@@ -469,12 +444,17 @@ def probe_ball(ctx, x0, eps, samples, seed=0, t=None, options=None):
     Runs solve on `samples` uniform draws from B_eps(x0) intersected with
     (0,1)^ell, for eps and a few dyadic shrinkings, and reports per-radius
     success fractions plus the largest tested radius with a perfect score.
-    Failures count toward the rate; they are not exceptions.
+    Failures count toward the rate; they are not exceptions.  A non-finite
+    x0 or eps, a negative eps or fewer than one sample is a DomainError.
     """
     if len(x0) != ctx.ell:
         raise DomainError("expected %d coordinates, got %d" % (ctx.ell, len(x0)))
-    if not eps >= 0:
-        raise DomainError("eps must be nonnegative, got %r" % eps)
+    if not all(isfinite(x) for x in x0):
+        raise DomainError("x0 coordinates must be finite, got %r" % (list(x0),))
+    if not (eps >= 0 and isfinite(eps)):
+        raise DomainError("eps must be nonnegative and finite, got %r" % eps)
+    if samples < 1:
+        raise DomainError("samples must be positive, got %r" % samples)
     # descend dyadically from the requested radius; once a radius scores
     # perfectly there is nothing left to learn from smaller ones
     radii = [eps] if eps == 0 else [eps / (2 ** d) for d in range(LADDER_DEPTH)]
@@ -494,15 +474,11 @@ def probe_ball(ctx, x0, eps, samples, seed=0, t=None, options=None):
         )
         if hits == samples:
             break
-    best = None
-    for row in per_radius:
-        if row["success_rate"] == 1.0:
-            best = max(best, row["radius"]) if best is not None else row["radius"]
     return {
         "x0": list(x0),
         "eps": eps,
         "samples": samples,
         "per_radius": per_radius,
         "success_rate": per_radius[0]["success_rate"],
-        "best_radius": best,
+        "best_radius": radius if hits == samples else None,
     }

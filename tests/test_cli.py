@@ -228,6 +228,9 @@ def test_solve_accepts_rational_and_float_targets():
         ["solve", "--k", "3", "inf"],
         ["solve", "--k", "3", "1/16", "--tolerance", "nan"],
         ["probe", "--k", "3", "--eps", "nan", "--samples", "1"],
+        ["probe", "--k", "3", "--eps", "inf", "--samples", "1"],
+        ["probe", "--k", "3", "--eps", "1e-3", "--samples", "1", "--x0", "nan"],
+        ["probe", "--k", "3", "--eps", "1e-3", "--samples", "1", "--x0", "inf"],
     ],
 )
 def test_non_finite_numbers_are_domain_errors(argv):
@@ -250,6 +253,8 @@ def test_solve_rejects_malformed_t(tmp_path):
         {"s": ["1/6", "1/6", "1/6"]},
         {"t": 3},
         {"t": [["1/4", "x", "1/4", "1/4"], ["1/3"] * 3, ["1/4"] * 4]},
+        # floats are not exact inputs, as in --params
+        {"t": [[0.25] * 4, ["1/3"] * 3, ["1/4"] * 4]},
     )
     for i, data in enumerate(cases):
         path = tmp_path / ("t%d.json" % i)
@@ -279,6 +284,10 @@ BAD_S = [["x"], [0.1], [None]]
         ),
         pytest.param(["express", "3:111", "--at"], {"3:101": "x"}, id="express-at"),
         pytest.param(["solve", "--k", "3", "1/0"], None, id="solve-zero-denominator"),
+        pytest.param(["probe", "--k", "3", "--eps", "1e-3", "--samples", "0"], None,
+                     id="probe-no-samples"),
+        pytest.param(["probe", "--k", "3", "--eps", "1e-3", "--samples", "-2"], None,
+                     id="probe-negative-samples"),
     ],
 )
 def test_bad_numbers_are_domain_errors(tmp_path, argv, data):

@@ -1,5 +1,6 @@
 """Target-hitting: Newton round trips, boundary handling, ball probes."""
 
+import dataclasses
 import math
 import random
 
@@ -95,6 +96,12 @@ def test_wrong_start_length(s0):
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_non_finite_float_targets(x):
     with pytest.raises(DomainError, match="not a finite number"):
+        solve(context(3), [x])
+
+
+@pytest.mark.parametrize("x", ["abc", None, "1/0"])
+def test_malformed_exact_targets(x):
+    with pytest.raises(DomainError, match="not an exact rational"):
         solve(context(3), [x])
 
 
@@ -219,9 +226,15 @@ def test_probe_ball_rejections():
     ctx = context(3)
     with pytest.raises(DomainError):
         probe_ball(ctx, [0.1, 0.2], eps=1e-3, samples=1)
-    for eps in (-1e-3, math.nan):
+    for eps in (-1e-3, math.nan, math.inf):
         with pytest.raises(DomainError, match="eps must be nonnegative"):
             probe_ball(ctx, [0.1], eps=eps, samples=1)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="x0 coordinates must be finite"):
+            probe_ball(ctx, [x], eps=1e-3, samples=1)
+    for samples in (0, -2):
+        with pytest.raises(DomainError, match="samples must be positive"):
+            probe_ball(ctx, [0.1], eps=1e-3, samples=samples)
 
 
 def test_default_params_use_half_the_measure():
@@ -416,3 +429,35 @@ def test_ball_targets_near_a_simple_rational_converge():
     assert any(rep.s_rational[0].denominator > 10 ** 6 for rep in reps)
     for rep in reps:
         assert max(v["abs_error"] for v in rep.verification) <= 1e-10
+
+
+def test_one_exact_jacobian_per_float_singular_solve(monkeypatch):
+    # only the reported run is classified, at the rational point it carries
+    seen = []
+
+    def counted(ctx, params):
+        seen.append(params.s)
+        return jacobian_at(ctx, params)
+
+    monkeypatch.setattr(solver, "jacobian_at", counted)
+    rep = _float_singular_report(monkeypatch)
+    assert rep.runs == 27 and seen == [rep.s_rational]
+
+
+def test_tracing_does_not_change_a_report():
+    rng = random.Random(61)
+    cases = []
+    for k in (3, 4):
+        ctx = context(k)
+        x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+        for _ in range(2):
+            p = random_params(ctx, rng)
+            cases.append((ctx, point_densities(ctx, p), {"t": p.t}))
+        for radius in (1e-7, 1e-4):
+            cases.append((ctx, solver._ball_point(rng, x0, radius), {}))
+    ctx = context(4)
+    x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+    cases.append((ctx, x0, {"s0": [0.05, 0.1, 0.08]}))
+    for ctx, x, kwargs in cases:
+        traced = solve(ctx, x, want_trace=True, **kwargs)
+        assert dataclasses.replace(traced, trace=[]) == solve(ctx, x, **kwargs)
