@@ -159,11 +159,11 @@ def _cmd_canon(args):
 
 def _cmd_scc(args):
     T = parse(args.tournament)
-    dec = strongly_connected_components(T)
+    parts = strongly_connected_components(T)
     return {
-        "count": len(dec.parts),
-        "parts": [list(p) for p in dec.parts],
-        "components": [encode(canonicalize(induced(T, p))) for p in dec.parts],
+        "count": len(parts),
+        "parts": [list(p) for p in parts],
+        "components": [encode(canonicalize(induced(T, p))) for p in parts],
     }
 
 

@@ -103,7 +103,7 @@ class WkParams:
 
 
 def _runs(T):
-    parts = strongly_connected_components(T).parts
+    parts = strongly_connected_components(T)
     return {
         (a, b): induced(T, [v for part in parts[a:b] for v in part])
         for b in range(1, len(parts) + 1) for a in range(b)
@@ -121,8 +121,8 @@ def context(k):
         k=k, lyndon_seq=seq, sizes=sizes, N=sum(sizes), host=host,
         cells=tuple((i, j) for i, n in enumerate(sizes, start=1) for j in range(1, n + 1)),
         parts=tuple(
-            (tuple(H), tuple(tuple(host.out[u] >> v & 1 for v in H) for u in H))
-            for H in strongly_connected_components(host).parts
+            (H, tuple(tuple(host.out[u] >> v & 1 for v in H) for u in H))
+            for H in strongly_connected_components(host)
         ),
         runs=tuple(_runs(T) for T in seq),
     )

@@ -353,9 +353,10 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
 
     x_target entries may be floats or rationals; floats convert exactly,
     and NaN or infinite ones raise DomainError, as does an s0 or x_target
-    of the wrong length.  Entries must lie strictly inside (0, 1): boundary
-    targets are not in the open region the construction parameterizes, and
-    are reported as domain-violation without iterating.
+    of the wrong length or an s0 entry float() refuses.  Entries must lie
+    strictly inside (0, 1): boundary targets are not in the open region
+    the construction parameterizes, and are reported as domain-violation
+    without iterating.
 
     With no explicit s0, Newton runs go from the grid starts in order and
     each new float-converged end point is verified at once, at the rational
@@ -385,8 +386,14 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     check_t(ctx, t)
     if len(x_target) != ctx.ell:
         raise DomainError("expected %d targets, got %d" % (ctx.ell, len(x_target)))
-    if s0 is not None and len(s0) != ctx.ell:
-        raise DomainError("expected %d start components, got %d" % (ctx.ell, len(s0)))
+    if s0 is not None:
+        if len(s0) != ctx.ell:
+            raise DomainError("expected %d start components, got %d" % (ctx.ell, len(s0)))
+        for x in s0:
+            try:
+                float(x)
+            except (TypeError, ValueError):
+                raise DomainError("start component %r is not a number" % (x,)) from None
     targets = [_as_target(x) for x in x_target]
     if any(not (ZERO < x < ONE) for x in targets):
         return SolveReport(
@@ -438,19 +445,26 @@ def _ball_point(rng, x0, radius):
     raise DomainError("could not sample a point inside (0,1)^ell")
 
 
-def probe_ball(ctx, x0, eps, samples, seed=0, t=None, options=None):
+def probe_ball(ctx, x0, eps, samples, seed=0):
     """Empirical solvability rate on the eps-ball around x0.
 
-    Runs solve on `samples` uniform draws from B_eps(x0) intersected with
-    (0,1)^ell, for eps and a few dyadic shrinkings, and reports per-radius
-    success fractions plus the largest tested radius with a perfect score.
-    Failures count toward the rate; they are not exceptions.  A non-finite
-    x0 or eps, a negative eps or fewer than one sample is a DomainError.
+    Runs solve, at the default t and tolerance, on `samples` uniform draws
+    from B_eps(x0) intersected with (0,1)^ell, for eps and then dyadic
+    halvings of it (LADDER_DEPTH radii at most), stopping at the first
+    radius where every draw converges; the draws come from
+    random.Random(seed).  Reports per-radius success fractions and status
+    counts, the rate at eps, and the largest tested radius with a perfect
+    score (None if there is none).  Failures count toward the rate; they
+    are not exceptions.  A centre of the wrong length, non-finite or
+    outside (0,1)^ell, a non-finite or negative eps, or fewer than one
+    sample is a DomainError, raised before any draw.
     """
     if len(x0) != ctx.ell:
         raise DomainError("expected %d coordinates, got %d" % (ctx.ell, len(x0)))
     if not all(isfinite(x) for x in x0):
         raise DomainError("x0 coordinates must be finite, got %r" % (list(x0),))
+    if not all(0.0 < x < 1.0 for x in x0):
+        raise DomainError("the centre x0 = %r lies outside (0,1)^ell" % (list(x0),))
     if not (eps >= 0 and isfinite(eps)):
         raise DomainError("eps must be nonnegative and finite, got %r" % eps)
     if samples < 1:
@@ -465,7 +479,7 @@ def probe_ball(ctx, x0, eps, samples, seed=0, t=None, options=None):
         hits = 0
         for _ in range(samples):
             point = _ball_point(rng, x0, radius)
-            rep = solve(ctx, point, t=t, options=options)
+            rep = solve(ctx, point)
             statuses[rep.status] = statuses.get(rep.status, 0) + 1
             if rep.converged:
                 hits += 1

@@ -22,6 +22,13 @@ found.  Neither rule drops a leaf that ties the largest encoding, so the
 search returns the first such leaf in the order of the full tree and
 counts all of them; their number is |Aut(T)| (see automorphism_count).
 
+The strong parts are cuts of the score sequence (Landau): the condensation
+is transitive, so a part boundary falls after m vertices exactly when those
+m beat the other n - m, that is when their scores sum to C(m,2) + m(n - m).
+Such m vertices score at least n - m each and the others at most n - m - 1,
+so ties in the scores never straddle a cut: sorting by score and cutting
+where the prefix sums meet that bound gives the parts in order.
+
 Exact enumeration goes up to n = 7 (456 isomorphism classes); the counts
 1, 1, 2, 4, 12, 56, 456 act as a built-in regression check elsewhere.
 """
@@ -255,46 +262,24 @@ def direct_sum(parts):
     return Tournament(n, out)
 
 
-class SccDecomposition:
-    """Strongly connected components in condensation order.
-
-    parts[k] lists the vertices (ascending) of the k-th component; every
-    vertex of parts[k] beats every vertex of parts[k+1], since the
-    condensation of a tournament is transitive.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple(tuple(p) for p in parts)
-
-    def __repr__(self):
-        return "SccDecomposition(%r)" % (self.parts,)
-
-
 def strongly_connected_components(T):
+    """The strong parts of T in condensation order, a tuple of tuples of
+    vertices in ascending order; every vertex of a part beats every vertex
+    of each later part.  Cut from the score sequence (module docstring)."""
     n = T.n
-    reach = [T.out[i] | (1 << i) for i in range(n)]
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i] >> k & 1:
-                reach[i] |= rk
-    comp = {}
-    for i in range(n):
-        key = None
-        for j in comp:
-            if reach[i] >> j & 1 and reach[j] >> i & 1:
-                key = j
-                break
-        comp.setdefault(key if key is not None else i, []).append(i)
-    # earlier components reach strictly more, so closure size sorts them
-    parts = sorted(comp.values(), key=lambda p: -bin(reach[p[0]]).count("1"))
-    return SccDecomposition(parts)
+    scores = [mask.bit_count() for mask in T.out]
+    order = sorted(range(n), key=scores.__getitem__, reverse=True)
+    parts, start, total = [], 0, 0
+    for m, v in enumerate(order, start=1):
+        total += scores[v]
+        if total == m * (m - 1) // 2 + m * (n - m):
+            parts.append(tuple(sorted(order[start:m])))
+            start = m
+    return tuple(parts)
 
 
 def is_strongly_connected(T):
-    return len(strongly_connected_components(T).parts) == 1
+    return len(strongly_connected_components(T)) == 1
 
 
 def is_transitive(T):

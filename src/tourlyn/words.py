@@ -54,8 +54,9 @@ class Letter:
 class LetterOrder:
     """The fixed linear order on the alphabet; tie_break 'asc' is the default.
 
-    'desc' reverses the order among equal-size letters only; it exists so
-    tests can confirm which results are tie-break independent.
+    'desc' reverses the order among equal-size letters only; word_of and
+    enumerate_lyndon take it so tests can confirm which results are
+    tie-break independent, and everything else reads DEFAULT_ORDER.
     """
 
     def __init__(self, tie_break="asc"):
@@ -114,10 +115,10 @@ class LetterOrder:
 DEFAULT_ORDER = LetterOrder()
 
 
-def sigma_rank(T, order=DEFAULT_ORDER):
+def sigma_rank(T):
     if T.n > ENUMERATION_MAX:
         raise BudgetError("sigma_rank is budgeted to %d vertices" % ENUMERATION_MAX)
-    return order.letter_of(T).rank
+    return DEFAULT_ORDER.letter_of(T).rank
 
 
 class Word:
@@ -176,8 +177,7 @@ class Word:
 
 
 def word_of(T, order=DEFAULT_ORDER):
-    parts = strongly_connected_components(T).parts
-    return Word(order.letter_of(induced(T, p)) for p in parts)
+    return Word(order.letter_of(induced(T, p)) for p in strongly_connected_components(T))
 
 
 def tournament_of(w):
@@ -269,21 +269,17 @@ def shuffle_coefficient_sum(words):
     return prod
 
 
-def scc_count(T):
-    return len(strongly_connected_components(T).parts)
+def tournament_sort_key(T):
+    return (T.n, len(strongly_connected_components(T)), word_of(T).ranks)
 
 
-def tournament_sort_key(T, order=DEFAULT_ORDER):
-    return (T.n, scc_count(T), word_of(T, order).ranks)
-
-
-def tournament_less(S, T, order=DEFAULT_ORDER):
+def tournament_less(S, T):
     """Three-stage order: vertex count, then component count, then word lex order."""
-    return tournament_sort_key(S, order) < tournament_sort_key(T, order)
+    return tournament_sort_key(S) < tournament_sort_key(T)
 
 
-def is_lyndon_tournament(T, order=DEFAULT_ORDER):
-    return is_lyndon(word_of(T, order))
+def is_lyndon_tournament(T):
+    return is_lyndon(word_of(T))
 
 
 def enumerate_lyndon(k, order=DEFAULT_ORDER):
@@ -309,7 +305,7 @@ def serialize_word(w):
     return ",".join(encode(l.tournament) for l in w.letters)
 
 
-def parse_word(text, order=DEFAULT_ORDER):
+def parse_word(text):
     """Accepts short-name form ("aab", "d3ab") or comma-separated encodings."""
     text = text.strip()
     if not text:
@@ -318,14 +314,14 @@ def parse_word(text, order=DEFAULT_ORDER):
         letters = []
         for enc in text.split(","):
             T = parse(enc)
-            letters.append(order.letter_of(T))
+            letters.append(DEFAULT_ORDER.letter_of(T))
         return Word(letters)
     pos = 0
     letters = []
     for m in re.finditer(r"([a-f])(\d*)", text):
         if m.start() != pos:
             raise DomainError("cannot parse word %r at position %d" % (text, pos))
-        letters.append(order.letter_by_name(m.group(0)))
+        letters.append(DEFAULT_ORDER.letter_by_name(m.group(0)))
         pos = m.end()
     if pos != len(text):
         raise DomainError("cannot parse word %r at position %d" % (text, pos))

@@ -85,11 +85,13 @@ def test_wrong_target_count():
         solve(context(4), [Q(1, 16)])
 
 
-@pytest.mark.parametrize("s0", [[0.1, 0.1], [0.1] * 4])
+@pytest.mark.parametrize(
+    "s0", [[0.1, 0.1], [0.1] * 4, ["abc", 0.1, 0.1], [0.1, None, 0.1], [0.1, 0.1, "1/2"]]
+)
 def test_wrong_start_length(s0):
     ctx = context(4)
     x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
-    with pytest.raises(DomainError, match="expected 3 start components"):
+    with pytest.raises(DomainError, match="expected 3 start components|is not a number"):
         solve(ctx, x0, s0=s0)
 
 
@@ -231,6 +233,9 @@ def test_probe_ball_rejections():
             probe_ball(ctx, [0.1], eps=eps, samples=1)
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="x0 coordinates must be finite"):
+            probe_ball(ctx, [x], eps=1e-3, samples=1)
+    for x in (2.0, 1.0, 0.0, -0.5):
+        with pytest.raises(DomainError, match="centre x0 .* outside"):
             probe_ball(ctx, [x], eps=1e-3, samples=1)
     for samples in (0, -2):
         with pytest.raises(DomainError, match="samples must be positive"):

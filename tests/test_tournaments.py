@@ -242,8 +242,7 @@ def test_transitive_properties():
         T = transitive(n)
         assert is_transitive(T)
         assert is_strongly_connected(T) == (n == 1)
-        parts = strongly_connected_components(T).parts
-        assert len(parts) == n
+        assert len(strongly_connected_components(T)) == n
 
 
 def test_direct_sum_condensation_round_trip():
@@ -253,32 +252,52 @@ def test_direct_sum_condensation_round_trip():
     T = direct_sum(parts)
     assert T.n == 5
     dec = strongly_connected_components(T)
-    assert [len(p) for p in dec.parts] == [1, 3, 1]
+    assert [len(p) for p in dec] == [1, 3, 1]
     # condensation order: earlier parts beat later parts
-    for a, pa in enumerate(dec.parts):
-        for pb in dec.parts[a + 1:]:
+    for a, pa in enumerate(dec):
+        for pb in dec[a + 1:]:
             for v in pa:
                 for w in pb:
                     assert T.beats(v, w)
     # induced components are the summands
-    for part, orig in zip(dec.parts, parts):
+    for part, orig in zip(dec, parts):
         assert are_isomorphic(induced(T, part), orig)
     del rng
 
 
+def near_transitive(rng, n):
+    """The transitive tournament with a few random arcs reversed, then
+    relabeled at random: many small strong parts, in shuffled labels."""
+    out = list(transitive(n).out)
+    for _ in range(rng.randrange(n)):
+        i, j = sorted(rng.sample(range(n), 2))
+        out[i] ^= 1 << j
+        out[j] ^= 1 << i
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Tournament(n, out), perm)
+
+
 def test_scc_on_random_tournaments_matches_brute_reachability():
+    from tourlyn.construction import context
+
     rng = random.Random(23)
-    for _ in range(25):
-        T = random_tournament(rng, 6)
+    cases = [random_tournament(rng, n) for n in range(1, 11) for _ in range(12)]
+    cases += [near_transitive(rng, n) for n in range(2, 11) for _ in range(12)]
+    cases += [context(k).host for k in (3, 4, 5)]
+    for T in cases:
         dec = strongly_connected_components(T)
-        assert sorted(v for p in dec.parts for v in p) == list(range(6))
-        for p in dec.parts:
+        assert sorted(v for p in dec for v in p) == list(range(T.n))
+        assert all(p == tuple(sorted(p)) for p in dec)
+        for p in dec:
             assert brute_strong(induced(T, p))
-        for a in range(len(dec.parts)):
-            for b in range(a + 1, len(dec.parts)):
-                for v in dec.parts[a]:
-                    for w in dec.parts[b]:
+        # each part beats every later part, so no two parts merge
+        for a in range(len(dec)):
+            for b in range(a + 1, len(dec)):
+                for v in dec[a]:
+                    for w in dec[b]:
                         assert T.beats(v, w)
+    assert max(len(strongly_connected_components(T)) for T in cases) >= 8
 
 
 def test_induced_respects_vertex_order():
