@@ -4,12 +4,12 @@ Every exact number in this package is a ``Q``: gmpy2's mpq when gmpy2 is
 installed, fractions.Fraction otherwise.  The two are interchangeable for
 our purposes (arbitrary precision, hash-compatible, same operator surface);
 mpq is preferred because its products and sums are cheaper (the
-determinants and polynomial arithmetic); the density walk multiplies
-Python ints and meets Q only once per block occupancy.  Nothing else in
-the package may construct rationals directly from floats: binary
-rounding artifacts must stay out of exact pipelines, so float inputs go
-through an explicit, clearly-labeled conversion at the boundary that
-needs one (the solver).
+determinants and polynomial arithmetic); density's walk multiplies
+Python ints, the block measures included, and meets Q only in the two
+divisions that end each call.  Nothing else in the package may
+construct rationals directly from floats: binary rounding artifacts must
+stay out of exact pipelines, so float inputs go through an explicit,
+clearly-labeled conversion at the boundary that needs one (the solver).
 """
 
 from fractions import Fraction
@@ -23,7 +23,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 ZERO = Q(0)
 ONE = Q(1)
-HALF = Q(1, 2)
 
 
 def as_q(x):

@@ -24,11 +24,20 @@ multiplies Python ints only: the cross matrix scaled by den, the lcm of
 its entries' denominators (den = 1 for the 0/1 matrices of the blow-up
 construction).  The DFS prunes on zero cross factors and on cyclic
 transitive preimages, so those matrices stay cheap even with dozens of
-blocks.  The diagonal factors depend on the assignment only through the
-occupancy (p_0, ..., p_{B-1}), which also fixes the number of cross edges
-C(n,2) - sum C(p_b,2) and so the power of den to divide by; the leaves'
-integer products are summed per occupancy, and the rational (or
-polynomial) measure factors are applied once per occupancy.
+blocks; the acyclicity test is one lookup in a table of out-set unions
+with 2^n entries (n <= 6 through density, n <= 5 in the construction's
+chain DP).  The diagonal factors depend on the assignment only through
+the occupancy (p_0, ..., p_{B-1}), which also fixes the number of cross
+edges C(n,2) - sum C(p_b,2) and so the power of den to divide by; the
+leaves' integer products are summed per occupancy, each occupancy becomes
+one integer coefficient over the common denominator
+den^C(n,2) n! 2^C(n,2) times the powers m_b^p of its measures, and the
+sum is divided by that denominator once per call.
+
+density passes the measures as integers a_b over their lcm M, so for
+rational measures the whole walk stays in ints; the sum is homogeneous of
+degree n in the measures (every occupancy sums to n), so density divides
+the result by M^n once.
 """
 
 import random
@@ -37,7 +46,7 @@ from functools import cached_property, lru_cache
 from math import factorial, lcm
 
 from .errors import BudgetError, DomainError
-from .rational import HALF, ONE, ZERO, Q, as_q, fmt_q
+from .rational import ONE, ZERO, Q, as_q, fmt_q
 from .tournaments import Tournament, canonicalize, enumerate_exact, automorphism_count
 
 DENSITY_MAX = 6
@@ -84,6 +93,13 @@ class StepTournamenton:
         transitive = [b.diagonal == TRANSITIVE_KIND for b in self.blocks]
         cross = [[float(f) for f in row] for row in self.cross]
         return bounds, transitive, cross
+
+    @cached_property
+    def _integer_measures(self):
+        """What density reads: the lcm M of the measures' denominators
+        and the measures as integers a_b = M * m_b."""
+        M = lcm(*(b.measure.denominator for b in self.blocks))
+        return M, [b.measure.numerator * (M // b.measure.denominator) for b in self.blocks]
 
 
 def step_tournamenton(blocks, cross):
@@ -150,17 +166,22 @@ def _ensure_valid(W):
 def map_sum(T, measures, kinds, cross, zero):
     """The module docstring's sum over block assignments, shared by
     density() and the construction module's chain DP: `measures` may be
-    rationals or polynomials, `cross` rationals or plain ints (the
+    ints, rationals or polynomials, `cross` rationals or plain ints (the
     construction's 0/1 matrix); any number type with .denominator works.
 
     The DFS assigns vertices in order and multiplies the integers
-    den * F[b][c] of the cross edges.  It tries for each vertex only the
+    den * F[b][c] of the cross edges (rows with a unit diagonal, so a
+    same-block pair multiplies by 1).  It tries for each vertex only the
     blocks that no earlier vertex rules out by a zero cross factor (a
     bitmask filter, skipped when F has no zero entry) and that keep a
-    transitive preimage acyclic.  Each leaf adds its product to the weight
-    of its occupancy (p_0, ..., p_{B-1}); an occupancy then contributes
-    weight / den^(C(n,2) - sum C(p_b,2)) times the blocks' diagonal
-    factors, each computed once per (b, p) used.
+    transitive preimage acyclic, which one lookup in a 2^n table of
+    out-set unions decides.  The last vertex adds its products to the
+    weight of its occupancy (p_0, ..., p_{B-1}) directly.  Over the common
+    denominator D = den^C(n,2) n! 2^C(n,2) an occupancy is the integer
+    weight * den^(sum C(p_b,2)) * n! 2^C(n,2) / prod d_b(p_b), with
+    d_b(p) = p! for a transitive block and 2^C(p,2) for a half block,
+    times the powers m_b^p (cached per (b, p)); the sum meets `zero` and
+    D once, at the end.
     """
     n = T.n
     B = len(measures)
@@ -169,29 +190,41 @@ def map_sum(T, measures, kinds, cross, zero):
     for row in cross:
         for f in row:
             den = lcm(den, f.denominator)
-    scaled = [[int(f * den) for f in row] for row in cross]
+    # win[b][c]: the factor of an edge from block b to block c; lose[b][c]
+    # = win[c][b], the factor of an edge into block b
+    win = [[int(f * den) if b != c else 1 for c, f in enumerate(row)]
+           for b, row in enumerate(cross)]
+    lose = list(zip(*win))
     transitive = [kind == TRANSITIVE_KIND for kind in kinds]
     # an occupancy is coded as the base-(n+1) number with digits p_b
     place = [(n + 1) ** b for b in range(B)]
-    # reach[d][c]: the blocks left open to v by an earlier vertex in block
-    # c, which beats v (d = 1: F[c][b] != 0) or loses to it (d = 0:
-    # F[b][c] != 0); c itself stays open
-    reach = [[sum(1 << b for b in range(B) if b == c or scaled[b][c]) for c in range(B)],
-             [sum(1 << b for b in range(B) if b == c or scaled[c][b]) for c in range(B)]]
+    # the blocks left open to v by an earlier vertex in block c that v
+    # beats (opened_by_loser) or that beats v (opened_by_winner)
+    opened_by_loser = [sum(1 << b for b in range(B) if win[b][c]) for c in range(B)]
+    opened_by_winner = [sum(1 << b for b in range(B) if lose[b][c]) for c in range(B)]
     full = (1 << B) - 1
-    sparse = any(mask != full for mask in reach[0])
+    sparse = any(mask != full for mask in opened_by_loser)
+    # per vertex, the earlier vertices it beats and the ones beating it
+    losers = [tuple(u for u in range(v) if out[v] >> u & 1) for v in range(n)]
+    winners = [tuple(u for u in range(v) if out[u] >> v & 1) for v in range(n)]
+    # outs[S]: the union of the out-sets of the vertices in S
+    outs = [0] * (1 << n)
+    for S in range(1, 1 << n):
+        low = S & -S
+        outs[S] = outs[S ^ low] | out[low.bit_length() - 1]
     assign = [0] * n
     members = [0] * B  # bitmask of each block's preimage
     weights = {}
 
     def rec(v, acc, code):
-        if v == n:
-            weights[code] = weights.get(code, 0) + acc
-            return
+        below, above = losers[v], winners[v]
         blocks = full
         if sparse:
-            for u in range(v):
-                blocks &= reach[out[u] >> v & 1][assign[u]]
+            for u in below:
+                blocks &= opened_by_loser[assign[u]]
+            for u in above:
+                blocks &= opened_by_winner[assign[u]]
+        last = v == n - 1
         while blocks:
             low = blocks & -blocks
             blocks ^= low
@@ -201,47 +234,47 @@ def map_sum(T, measures, kinds, cross, zero):
                 # an acyclic preimage stays acyclic with v iff none of v's
                 # out-neighbours in it beats one of v's in-neighbours
                 beaten = out[v] & pre
-                beating = pre ^ beaten
-                while beaten and beating:
-                    w = beaten & -beaten
-                    if out[w.bit_length() - 1] & beating:
-                        break
-                    beaten ^= w
-                if beaten and beating:
+                if outs[beaten] & (pre ^ beaten):
                     continue
             acc2 = acc
-            row = scaled[b]
-            for u in range(v):
-                bu = assign[u]
-                if bu != b:
-                    acc2 *= scaled[bu][b] if out[u] >> v & 1 else row[bu]
-            assign[v] = b
-            members[b] = pre | 1 << v
-            rec(v + 1, acc2, code + place[b])
-            members[b] = pre
+            row, col = win[b], lose[b]
+            for u in below:
+                acc2 *= row[assign[u]]
+            for u in above:
+                acc2 *= col[assign[u]]
+            if last:
+                key = code + place[b]
+                weights[key] = weights.get(key, 0) + acc2
+            else:
+                assign[v] = b
+                members[b] = pre | 1 << v
+                rec(v + 1, acc2, code + place[b])
+                members[b] = pre
 
     rec(0, 1, 0)
 
-    factors = {}
-    total = zero
-    for code, weight in weights.items():
-        sizes = []
-        for _ in range(B):
+    pairs = n * (n - 1) // 2
+    scale = factorial(n) << pairs
+    transitive_div = [factorial(p) for p in range(n + 1)]
+    half_div = [1 << p * (p - 1) // 2 for p in range(n + 1)]
+    divisors = [transitive_div if t else half_div for t in transitive]
+    powers = {}
+    acc = 0
+    for code, term in weights.items():
+        inner = 0
+        divisor = 1
+        b = 0
+        while code:
             code, p = divmod(code, n + 1)
-            sizes.append(p)
-        edges = n * (n - 1) // 2 - sum(p * (p - 1) // 2 for p in sizes)
-        term = Q(weight, den ** edges)
-        for b, p in enumerate(sizes):
-            if not p:
-                continue
-            if (b, p) not in factors:
-                if transitive[b]:
-                    factors[b, p] = measures[b] ** p / factorial(p)
-                else:
-                    factors[b, p] = measures[b] ** p * HALF ** (p * (p - 1) // 2)
-            term = term * factors[b, p]
-        total = total + term
-    return total
+            if p:
+                inner += p * (p - 1) // 2
+                divisor *= divisors[b][p]
+                if (b, p) not in powers:
+                    powers[b, p] = measures[b] ** p
+                term = term * powers[b, p]
+            b += 1
+        acc = acc + term * (den ** inner * (scale // divisor))
+    return (zero + acc) / (den ** pairs * scale)
 
 
 def density(T, W):
@@ -254,9 +287,11 @@ def density(T, W):
 
 @lru_cache(maxsize=DENSITY_CACHE_SIZE)
 def _canonical_density(C, W):
-    measures = [b.measure for b in W.blocks]
+    # the sum is homogeneous of degree n in the measures, so the walk
+    # runs on the integers a_b and the result is divided by M^n once
+    M, numerators = W._integer_measures
     kinds = [b.diagonal for b in W.blocks]
-    return map_sum(C, measures, kinds, W.cross, ZERO)
+    return map_sum(C, numerators, kinds, W.cross, ZERO) / M ** C.n
 
 
 def normalization_check(k, W):

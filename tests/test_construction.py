@@ -25,8 +25,8 @@ from tourlyn.construction import (
     unique_full_t_monomial,
 )
 from tourlyn.errors import BudgetError, DomainError
-from tourlyn.poly import Polynomial, det_rational, s_var, t_var, uniform_degrees
-from tourlyn.rational import Q
+from tourlyn.poly import Polynomial, det_rational, s_var, t_var, uniform_degrees, var_name
+from tourlyn.rational import Q, fmt_q
 from tourlyn.solver import default_params
 from tourlyn.tournamentons import TRANSITIVE_KIND, density, map_sum, validate
 from tourlyn.tournaments import parse, strongly_connected_components
@@ -105,7 +105,8 @@ def test_density_two_routes_agree():
     # the closed-form polynomial and the generic tournamenton integrator
     # compute the same exact rationals; at k = 5 only the letters on at
     # most four vertices, since the integrator's unfactored walk over the
-    # 52 blocks of W takes seconds per letter there and far longer on five
+    # 52 blocks of W takes up to 0.6 s per five-vertex letter there (about
+    # 2.6 s for all eight)
     rng = random.Random(31)
     for k, draws, max_n in ((3, 3, 3), (4, 3, 4), (5, 1, 4)):
         ctx = context(k)
@@ -148,6 +149,34 @@ def test_five_vertex_symbolic_densities():
         for j, v in enumerate(row, start=1):
             point[t_var(i, j)] = v
     assert [q.evaluate(point) for q in polys] == point_densities(ctx, p)
+
+
+def test_four_vertex_symbolic_term_order():
+    # density_s_poly, and through it the solver's float terms, follows the
+    # polynomial's term order, so the order is pinned along with the terms
+    def written(mono, c):
+        return "*".join([fmt_q(c)] + [var_name(v) + ("^%d" % e if e > 1 else "")
+                                      for v, e in mono])
+
+    ctx = context(4)
+    assert [[written(m, c) for m, c in symbolic_density(ctx, i).terms.items()]
+            for i in range(1, ctx.ell + 1)] == [
+        ["1/2*s1^4*t1_1*t1_2^2*t1_4", "1/1*s1^4*t1_1*t1_2*t1_3*t1_4",
+         "1/2*s1^4*t1_1*t1_3^2*t1_4", "1/2*s1^4*t1_1*t1_2*t1_4^2",
+         "1/2*s1^4*t1_1*t1_3*t1_4^2", "1/2*s1^4*t1_1^2*t1_2*t1_4",
+         "1/2*s1^4*t1_1^2*t1_3*t1_4", "1/2*s2^4*t2_1*t2_2^2*t2_3",
+         "1/2*s2^4*t2_1*t2_2*t2_3^2", "1/2*s2^4*t2_1^2*t2_2*t2_3",
+         "1/2*s3^4*t3_2*t3_3^2*t3_4", "1/2*s3^4*t3_2*t3_3*t3_4^2",
+         "1/2*s3^4*t3_2^2*t3_3*t3_4"],
+        ["3/1*s1^3*t1_1*t1_2*t1_4", "3/1*s1^3*t1_1*t1_3*t1_4",
+         "3/1*s2^3*t2_1*t2_2*t2_3", "3/1*s3^3*t3_2*t3_3*t3_4"],
+        ["3/1*s1*s2^3*t1_1*t2_1*t2_2*t2_3", "3/1*s1*s2^3*t1_2*t2_1*t2_2*t2_3",
+         "3/1*s1*s2^3*t1_3*t2_1*t2_2*t2_3", "3/1*s1*s2^3*t1_4*t2_1*t2_2*t2_3",
+         "3/1*s1*s3^3*t1_1*t3_2*t3_3*t3_4", "3/1*s1*s3^3*t1_2*t3_2*t3_3*t3_4",
+         "3/1*s1*s3^3*t1_3*t3_2*t3_3*t3_4", "3/1*s1*s3^3*t1_4*t3_2*t3_3*t3_4",
+         "3/1*s2*s3^3*t2_1*t3_2*t3_3*t3_4", "3/1*s2*s3^3*t2_2*t3_2*t3_3*t3_4",
+         "3/1*s2*s3^3*t2_3*t3_2*t3_3*t3_4", "3/1*s3^4*t3_1*t3_2*t3_3*t3_4"],
+    ]
 
 
 def test_point_densities_match_build_and_density():

@@ -224,6 +224,30 @@ def test_map_sum_equals_the_per_assignment_formula():
         for T in [random_tournament(rng, rng.randint(1, 5)) for _ in range(6)]:
             assert map_sum(T, measures, kinds, W.cross, ZERO) == \
                 brute_force_map_sum(T, measures, kinds, W.cross, ZERO)
+    # measures over the coprime 97 and 101, so density walks on integers
+    # over their lcm M and divides by M^n; map_sum on integers a_b is M^n
+    # times map_sum on a_b / M; every cross entry strictly inside (0, 1)
+    for trial in range(4):
+        B = 2 + trial % 3
+        measures = [Q(rng.randint(1, 30), 97 if b % 2 else 101) for b in range(B - 1)]
+        measures.append(1 - sum(measures))
+        blocks = [(m, HALF_KIND if b % 2 == trial % 2 else TRANSITIVE_KIND)
+                  for b, m in enumerate(measures)]
+        cross = [[ZERO] * B for _ in range(B)]
+        for i, j in itertools.combinations(range(B), 2):
+            den = rng.choice((101, 97, 12))
+            cross[i][j] = Q(rng.randint(1, den - 1), den)
+            cross[j][i] = 1 - cross[i][j]
+        W = step_tournamenton(blocks, cross)
+        validate(W)
+        kinds = [blk.diagonal for blk in W.blocks]
+        M = 97 * 101
+        integers = [int(m * M) for m in measures]
+        for n in range(1, 7):
+            T = random_tournament(rng, n)
+            assert density(T, W) == brute_force_map_sum(T, measures, kinds, W.cross, ZERO)
+            assert map_sum(T, integers, kinds, W.cross, ZERO) == \
+                M ** n * map_sum(T, [Q(a, M) for a in integers], kinds, W.cross, ZERO)
 
 
 def test_map_sum_with_polynomial_measures_and_an_int_cross_matrix():
