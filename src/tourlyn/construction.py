@@ -36,10 +36,10 @@ ends with F[P] = t(T_i, W_k); each inner map_sum runs on one host part
 monomial s_j t_{j,j'} as the measure of host vertex v_{j,j'} it gives the
 polynomial (once per context and letter), with the rationals s_j t_{j,j'}
 the exact densities at a point (point_densities: probe's centre, and
-the tests' oracle for the solver's check).  The s-polynomials at fixed t
-(density_s_poly, which substitutes t in integers; the solver verifies
-by evaluating them) and the Jacobian follow from the polynomial by
-substitution and differentiation.
+the tests' oracle for the solver's check).  At fixed t, s_forms
+substitutes t into the polynomial in integers, once for every letter: the
+solver's float terms, its domain test and its exact check, the exact
+Jacobian (jacobian_at) and density_s_poly all read these s-forms.
 
 Everything above that depends on k alone is built once, by context(k):
 the host, its strong parts with their cross submatrices, each letter's
@@ -219,9 +219,9 @@ def _letter(ctx, i):
 
 @lru_cache(maxsize=None)
 def _symbolic_density(ctx, i):
-    """The polynomial, and its integer form for density_s_poly: den, the
-    lcm of the coefficients' denominators, and per s-monomial (in the
-    polynomial's term order) the terms that share it, each as
+    """The polynomial, and its integer form for s_forms: den (the lcm of
+    its denominators), the s-monomials in term order, and per s-monomial as
+    ((0-based s index, exponent), ...) the terms sharing it, each as
     (coefficient * den, ((cell index, exponent), ...) of its t-monomial)."""
     measures = [Polynomial.var(s_var(a)) * Polynomial.var(t_var(a, b)) for a, b in ctx.cells]
     poly = _chain_density(ctx, i, measures, Polynomial.const(1), Polynomial.zero())
@@ -232,8 +232,10 @@ def _symbolic_density(ctx, i):
         # variables sort s before t, so the s-part is a prefix
         s_part = tuple(f for f in mono if f[0][0] == "s")
         t_part = tuple((cell[v], e) for v, e in mono[len(s_part):])
-        by_s.setdefault(s_part, []).append((c.numerator * (den // c.denominator), t_part))
-    return poly, den, tuple((s_part, tuple(terms)) for s_part, terms in by_s.items())
+        by_s.setdefault(s_part, []).append((int(c.numerator * (den // c.denominator)), t_part))
+    return poly, den, tuple(by_s), tuple(
+        (tuple((v[1] - 1, e) for v, e in s_part), tuple(terms)) for s_part, terms in by_s.items()
+    )
 
 
 def point_densities(ctx, p):
@@ -244,44 +246,73 @@ def point_densities(ctx, p):
     return [_chain_density(ctx, i, measures, ONE, ZERO) for i in range(1, ctx.ell + 1)]
 
 
+def s_forms(ctx, t_values, letters=None):
+    """The s-polynomials at fixed t in Python ints (so N / scale rounds to
+    the float nearest, whatever Q is), t read by as_q and checked once:
+    (t, D, R, forms), D the common denominator of t, R_i / D the row sums,
+    and per letter (every one, or the 1-based `letters`) the s-form
+    (scale, n_i, [(N, ((j, e), ...)), ...]), G_i = sum N prod s_j^e / scale,
+    j 0-based, scale = den * D^n_i, in Polynomial.substitute's term order.
+    symbolic_density is homogeneous of degree n_i in t, so each s-monomial
+    gets one positive integer N; it is also homogeneous of degree n_i in s,
+    so at s = A / L, G_i is one integer sum over scale * L^n_i."""
+    try:
+        t = tuple(tuple(as_q(x) for x in row) for row in t_values)
+    except TypeError as e:
+        raise DomainError("malformed t: %s" % e) from None
+    check_t(ctx, t)
+    D = lcm(*(x.denominator for row in t for x in row))
+    rows = [[int(x.numerator * (D // x.denominator)) for x in row] for row in t]
+    scaled = [a for row in rows for a in row]
+    forms = []
+    for i in range(1, ctx.ell + 1) if letters is None else letters:
+        _, den, _, by_s = _letter(ctx, i)
+        terms = []
+        for s_mono, t_terms in by_s:
+            total = 0
+            for a, t_part in t_terms:
+                for m, e in t_part:
+                    a *= scaled[m] ** e
+                total += a
+            terms.append((total, s_mono))
+        forms.append((den * D ** ctx.sizes[i - 1], ctx.sizes[i - 1], terms))
+    return t, D, [sum(row) for row in rows], forms
+
+
 def density_s_poly(ctx, i, t_values):
     """t(T_i, W_k) with t bound to rationals and every s_j left symbolic:
-    symbolic_density with the t-variables substituted, in integers.
-
-    With the t-entries over their common denominator D, every t-monomial
-    is a product of ints over D^n_i (the polynomial is homogeneous of
-    degree n_i in t), so each s-monomial gets the one coefficient
-    sum / (den * D^n_i).  The s-monomials come in the order
-    Polynomial.substitute gives them (every coefficient is positive, so
-    no partial sum cancels); the solver's float terms keep that order.
-    """
-    t_values = tuple(tuple(as_q(x) for x in row) for row in t_values)
-    check_t(ctx, t_values)
-    _, den, by_s = _letter(ctx, i)
-    D = lcm(*(x.denominator for row in t_values for x in row))
-    scaled = [x.numerator * (D // x.denominator) for row in t_values for x in row]
-    scale = den * D ** ctx.sizes[i - 1]
+    letter i's s-form as a Polynomial, coefficient N / scale per term."""
+    _, _, _, ((scale, _, terms),) = s_forms(ctx, t_values, (i,))
     out = Polynomial()
-    for s_part, terms in by_s:
-        total = 0
-        for a, t_part in terms:
-            for m, e in t_part:
-                a *= scaled[m] ** e
-            total += a
-        out.terms[s_part] = Q(total, scale)
+    out.terms = dict(zip(_letter(ctx, i)[2], [Q(N, scale) for N, _ in terms]))
     return out
 
 
 def jacobian_at(ctx, p):
-    """Exact ell x ell matrix with entry (i, j) = d t(T_i, W_k)/d s_j at p."""
+    """Exact ell x ell matrix with entry (i, j) = d t(T_i, W_k)/d s_j at p:
+    the Euler rows of one s_forms call at s = A / L, divided by s_j."""
     check_domain(ctx, p)
-    point = {s_var(j): p.s[j - 1] for j in range(1, ctx.ell + 1)}
-    rows = []
-    for i in range(1, ctx.ell + 1):
-        poly = density_s_poly(ctx, i, p.t)
-        rows.append([poly.partial_derivative(s_var(j)).evaluate(point)
-                     for j in range(1, ctx.ell + 1)])
-    return rows
+    L = lcm(*(x.denominator for x in p.s))
+    A = [x.numerator * (L // x.denominator) for x in p.s]
+    return [
+        [Q(x, scale * L ** (n - 1) * a) for x, a in zip(value_and_euler(terms, A)[1], A)]
+        for scale, n, terms in s_forms(ctx, p.t)[3]
+    ]
+
+
+def value_and_euler(terms, s):
+    """An s-form's value at s and its Euler row s_j dG/ds_j (the sum of e_j
+    times each term): over scale * L^n at s = A; evaluate_float's value bit
+    for bit at float s and terms (same order; sums start at 0 * first N)."""
+    total = terms[0][0] * 0
+    row = [total] * len(s)
+    for c, mono in terms:
+        for j, e in mono:
+            c *= s[j] ** e
+        total += c
+        for j, e in mono:
+            row[j] += e * c
+    return total, row
 
 
 def jacobian_symbolic(ctx):

@@ -1,16 +1,16 @@
 """Damped Newton inversion of the density map s -> (t(T_i, W_k(s, t)))_i.
 
 The t-parameters stay fixed and only s moves, which keeps the system
-square with the certified ell x ell Jacobian; the s-polynomials are taken
-once per solve, and turned into float term lists once for the Newton
-loop.  An attempt is one damped Newton run in log coordinates, floats
-only: the step solves J d = log x - log G (J the Jacobian of log G in
-log s), moves s_j to s_j exp(lam d_j) and halves lam until the merit,
-the largest relative error, drops.  Row i of J, s_j dG_i/ds_j / G_i,
-comes from the pass over G_i's terms that gives G_i (s_j dG_i/ds_j is the
-sum of e_j times each term).  A damped trial is one fused pass, values and
-merit together, that stops at the first component whose relative error
-reaches the current merit, where the trial is rejected anyway.
+square with the certified ell x ell Jacobian.  Each solve takes the
+integer s-forms of construction.s_forms once; the Newton loop reads them
+as float terms N / scale, the row sums as R_i / D.  An attempt is one
+damped Newton run in log coordinates, floats only: the step solves
+J d = log x - log G (J the Jacobian of log G in log s), moves s_j to
+s_j exp(lam d_j) and halves lam until the merit, the largest relative
+error, drops.  Row i of J, s_j dG_i/ds_j / G_i, comes from the pass that
+gives G_i (construction.value_and_euler).  A damped trial is one fused
+pass, values and merit together, that stops at the first component whose
+relative error reaches the current merit, where the trial is rejected.
 Log coordinates are scale-free, which this map needs: target components
 differ by orders of magnitude (densities scale like s^n), and greedy
 descent walks into boundary basins it cannot leave.
@@ -25,18 +25,17 @@ above.  The starts run one at a time in grid order, and the distinct end
 points of their runs are the attempts.
 
 `converged` means exactly verified: a float-converged attempt is rounded
-to rationals (continued fraction, denominator <= 10^6) and its densities
-recomputed exactly, by evaluating the s-polynomials at the rounded point,
-as soon as its run ends.  Where that rounding misses the tolerance or
-leaves the open domain (near a simple rational it snaps onto it, and a
-component below 5e-7 rounds to 0), the float's exact binary value is
-verified instead.  The first attempt whose rational point stays in the
-open domain and meets the tolerance is the report, and the remaining
-starts never run.  A report that is not converged keeps the 10^6
-rounding whenever it stays in the domain.  The values are those of
-construction.point_densities, the tests' oracle for this check.
-Where the map has several preimages near the target, the report is the
-one the earliest start reaches, not necessarily the one of least merit.
+to rationals s = A / L (continued fraction, denominator <= 10^6) as soon
+as its run ends.  The open-domain test is in integers, and each density
+is one integer sum of the s-form over scale * L^n_i, the exact value of
+construction.point_densities (the tests' oracle for this check).  Where
+that rounding misses the tolerance or leaves the domain (near a simple
+rational it snaps onto it, and a component below 5e-7 rounds to 0), the
+float's exact binary value is verified instead.  The first attempt whose
+rational point is in the domain and meets the tolerance is the report; the
+remaining starts never run.  A failed report keeps the 10^6 rounding
+whenever it is in the domain.  Of several preimages near the target the
+report is the earliest start's, not necessarily the one of least merit.
 When no attempt verifies, the report is the attempt of least merit.
 
 Floats are not trusted with singularity either: a float-singular Jacobian
@@ -51,11 +50,12 @@ domain-violation / no-convergence.
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from math import exp, isfinite, log
+from math import exp, isfinite, lcm, log
+from numbers import Integral, Real
 
-from .construction import check_t, density_s_poly, jacobian_at, make_params
+from .construction import WkParams, jacobian_at, s_forms, value_and_euler
 from .errors import DomainError
-from .poly import det_rational, s_var
+from .poly import det_rational
 from .rational import ONE, Q, ZERO, as_q, fmt_q, q_from_float
 
 MIN_STEP = 2.0 ** -20
@@ -107,11 +107,11 @@ class SolveReport:
 
 
 def default_params(ctx):
-    """s_i = 1/(2 ell), t_{i,j} = 1/n_i; always inside the domain since the
-    used measure is exactly 1/2."""
+    """s_i = 1/(2 ell), t_{i,j} = 1/n_i; inside the domain by construction,
+    the used measure being exactly 1/2, so not checked again."""
     s = tuple(Q(1, 2 * ctx.ell) for _ in range(ctx.ell))
     t = tuple(tuple(Q(1, n) for _ in range(n)) for n in ctx.sizes)
-    return make_params(ctx, s, t)
+    return WkParams(s, t)
 
 
 def _as_target(x):
@@ -122,45 +122,19 @@ def _as_target(x):
     return as_q(x)
 
 
-def _rational_points(ctx, s_floats, t):
-    """The rational points that stand for the float point s, in order of
-    preference: its rounding to denominators of at most
-    RATIONALIZE_DENOMINATOR, then its exact binary value; only those inside
-    the open domain."""
+def _rational_points(s_floats, D, R):
+    """The rational points s = A / L (L the lcm of the denominators) that
+    stand for the float point s, in order of preference: its rounding to
+    denominators of at most RATIONALIZE_DENOMINATOR, then its exact binary
+    value; those in the open domain, every A_j > 0 and sum A_i R_i < L D."""
     if any(x <= 0 for x in s_floats):
         return
     for max_denominator in (RATIONALIZE_DENOMINATOR, None):
-        try:
-            yield make_params(
-                ctx, tuple(q_from_float(x, max_denominator) for x in s_floats), t
-            )
-        except DomainError:
-            pass
-
-
-def _float_terms(poly):
-    """An s-polynomial as (float coefficient, ((s index, exponent), ...))
-    terms, 0-based indices, in the polynomial's own term order."""
-    return [
-        (float(c), tuple((v[1] - 1, e) for v, e in mono))
-        for mono, c in poly.terms.items()
-    ]
-
-
-def _value_and_euler(terms, s):
-    """A float term list's value at s, bit for bit evaluate_float's (same
-    term and multiply order), and in the same pass the row s_j dG/ds_j over
-    j: the sum of e_j times each term."""
-    total = 0.0
-    row = [0.0] * len(s)
-    for c, mono in terms:
-        val = c
-        for j, e in mono:
-            val *= s[j] ** e
-        total += val
-        for j, e in mono:
-            row[j] += e * val
-    return total, row
+        s = tuple(q_from_float(x, max_denominator) for x in s_floats)
+        L = lcm(*(q.denominator for q in s))
+        A = [q.numerator * (L // q.denominator) for q in s]
+        if min(A) > 0 and sum(a * r for a, r in zip(A, R)) < L * D:
+            yield s, A, L
 
 
 def _values_and_merit(fpolys, targets_f, s, bound):
@@ -249,7 +223,7 @@ def _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace):
             detail = "stalled: relative progress under 5% across 10 iterations"
             break
         # G holds the floored values at s, bit for bit those of this pass
-        Jlog = [[v / g for v in _value_and_euler(terms, s)[1]] for terms, g in zip(fpolys, G)]
+        Jlog = [[v / g for v in value_and_euler(terms, s)[1]] for terms, g in zip(fpolys, G)]
         d = _float_solve(Jlog, [lx - log(g) for lx, g in zip(log_targets, G)])
         if d is None:
             status, detail = "float-singular", ""
@@ -293,25 +267,26 @@ def _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace):
     )
 
 
-def _finish(ctx, polys, targets, tolerance, report):
+def _finish(ctx, forms, targets, tolerance, report):
     """Verifies a run exactly and decides its final status, the one place
     that does.  The first of _rational_points is the report's point, where
     the exact Jacobian decides a float-singular run; a converged run that
     misses there tries the float's exact binary value next.  A converged or
     float-singular run with no rational point is a domain-violation; other
     runs keep their status, so finishing twice changes nothing."""
+    _, D, R, letters = forms
     error = None
-    for params in _rational_points(ctx, report.s, report.t):
-        point = {s_var(j): v for j, v in enumerate(params.s, start=1)}
+    for s, A, L in _rational_points(report.s, D, R):
+        values = [Q(value_and_euler(terms, A)[0], scale * L ** n) for scale, n, terms in letters]
         verification = [
             {"target": fmt_q(x), "achieved": fmt_q(g), "abs_error": abs(float(x - g))}
-            for x, g in zip(targets, [p.evaluate(point) for p in polys])
+            for x, g in zip(targets, values)
         ]
         if error is None:
-            report.s_rational, report.verification = tuple(params.s), verification
+            report.s_rational, report.verification = s, verification
             error = max(v["abs_error"] for v in verification)
             if report.status == "float-singular":
-                if det_rational(jacobian_at(ctx, params)) == 0:
+                if det_rational(jacobian_at(ctx, WkParams(s, report.t))) == 0:
                     report.status = "singular-jacobian"
                     report.detail = "exact Jacobian is singular at the rounded iterate"
                 else:
@@ -321,7 +296,7 @@ def _finish(ctx, polys, targets, tolerance, report):
                 return report
         elif max(v["abs_error"] for v in verification) <= tolerance:
             # the rounding missed; the float's exact binary value meets it
-            report.s_rational, report.verification = tuple(params.s), verification
+            report.s_rational, report.verification = s, verification
             return report
     if error is not None:
         report.status, report.detail = "no-convergence", (
@@ -360,8 +335,8 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
 
     With no explicit s0, Newton runs go from the grid starts in order and
     each new float-converged end point is verified at once, at the rational
-    points of the module docstring (its `verification`); the first that
-    verifies is the report.  An explicit s0 is honored exactly: one run
+    points of the module docstring, by the integer s-forms (its
+    `verification`); the first that verifies is the report.  An explicit s0 is honored exactly: one run
     from that point, no restarts.  A float-converged attempt that misses
     ends no-convergence, its detail giving the exact error of the rounding,
     and the next start runs.  A float-singular Jacobian ends a run.
@@ -376,14 +351,8 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     rational.as_q: a float in t or a malformed target is a DomainError.
     """
     tolerance = (options or SolveOptions()).tolerance
-    if t is None:
-        t = default_params(ctx).t
-    else:
-        try:
-            t = tuple(tuple(as_q(x) for x in row) for row in t)
-        except TypeError as e:
-            raise DomainError("malformed t: %s" % e) from None
-    check_t(ctx, t)
+    forms = s_forms(ctx, default_params(ctx).t if t is None else t)
+    t, D, R, letters = forms
     if len(x_target) != ctx.ell:
         raise DomainError("expected %d targets, got %d" % (ctx.ell, len(x_target)))
     if s0 is not None:
@@ -401,9 +370,9 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
             detail="target not strictly inside (0,1)", attempts=0, runs=0,
         )
     targets_f = [float(x) for x in targets]
-    polys = [density_s_poly(ctx, i, t) for i in range(1, ctx.ell + 1)]
-    fpolys = [_float_terms(p) for p in polys]
-    row_sums = [float(sum(row, ZERO)) for row in t]
+    # int true division rounds correctly: bit for bit float(Q(N, scale))
+    fpolys = [[(N / scale, mono) for N, mono in terms] for scale, _, terms in letters]
+    row_sums = [r / D for r in R]
 
     reports = []
     runs = 0
@@ -418,13 +387,13 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         ):
             continue
         reports.append(rep)
-        if rep.converged and _finish(ctx, polys, targets, tolerance, rep).converged:
+        if rep.converged and _finish(ctx, forms, targets, tolerance, rep).converged:
             rep.attempts, rep.runs = len(reports), runs
             return rep
     reports.sort(key=lambda r: r.residual_history[-1] if r.residual_history else float("inf"))
     best = reports[0]
     best.attempts, best.runs = min(len(reports), ATTEMPT_CAP), runs
-    return _finish(ctx, polys, targets, tolerance, best)
+    return _finish(ctx, forms, targets, tolerance, best)
 
 
 def _ball_point(rng, x0, radius):
@@ -455,20 +424,20 @@ def probe_ball(ctx, x0, eps, samples, seed=0):
     random.Random(seed).  Reports per-radius success fractions and status
     counts, the rate at eps, and the largest tested radius with a perfect
     score (None if there is none).  Failures count toward the rate; they
-    are not exceptions.  A centre of the wrong length, non-finite or
-    outside (0,1)^ell, a non-finite or negative eps, or fewer than one
-    sample is a DomainError, raised before any draw.
+    are not exceptions.  A centre of the wrong length or not a real point
+    of (0,1)^ell, an eps not a finite real >= 0, or samples not a positive
+    integer is a DomainError, raised before any draw.
     """
     if len(x0) != ctx.ell:
         raise DomainError("expected %d coordinates, got %d" % (ctx.ell, len(x0)))
-    if not all(isfinite(x) for x in x0):
-        raise DomainError("x0 coordinates must be finite, got %r" % (list(x0),))
+    if not all(isinstance(x, Real) and isfinite(x) for x in x0):
+        raise DomainError("x0 coordinates must be finite numbers, got %r" % (list(x0),))
     if not all(0.0 < x < 1.0 for x in x0):
         raise DomainError("the centre x0 = %r lies outside (0,1)^ell" % (list(x0),))
-    if not (eps >= 0 and isfinite(eps)):
-        raise DomainError("eps must be nonnegative and finite, got %r" % eps)
-    if samples < 1:
-        raise DomainError("samples must be positive, got %r" % samples)
+    if not (isinstance(eps, Real) and eps >= 0 and isfinite(eps)):
+        raise DomainError("eps must be nonnegative and finite, got %r" % (eps,))
+    if not (isinstance(samples, Integral) and samples >= 1):
+        raise DomainError("samples must be a positive integer, got %r" % (samples,))
     # descend dyadically from the requested radius; once a radius scores
     # perfectly there is nothing left to learn from smaller ones
     radii = [eps] if eps == 0 else [eps / (2 ** d) for d in range(LADDER_DEPTH)]

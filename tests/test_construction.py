@@ -152,8 +152,8 @@ def test_five_vertex_symbolic_densities():
 
 
 def test_four_vertex_symbolic_term_order():
-    # density_s_poly, and through it the solver's float terms, follows the
-    # polynomial's term order, so the order is pinned along with the terms
+    # s_forms, and through it density_s_poly and the solver's float terms,
+    # follows the polynomial's term order, so the order is pinned too
     def written(mono, c):
         return "*".join([fmt_q(c)] + [var_name(v) + ("^%d" % e if e > 1 else "")
                                       for v, e in mono])
@@ -287,6 +287,16 @@ def test_jacobian_two_routes_agree():
             for i in range(ctx.ell):
                 for j in range(ctx.ell):
                     assert sym[i][j].evaluate(point) == J[i][j]
+    # at k = 5 the symbolic Jacobian is too dear; jacobian_at's Euler rows
+    # are checked against the derivatives of the fixed-t s-polynomials
+    ctx = context(5)
+    p = random_params(ctx, rng)
+    point = {s_var(j): v for j, v in enumerate(p.s, start=1)}
+    assert jacobian_at(ctx, p) == [
+        [density_s_poly(ctx, i, p.t).partial_derivative(s_var(j)).evaluate(point)
+         for j in range(1, ctx.ell + 1)]
+        for i in range(1, ctx.ell + 1)
+    ]
 
 
 def test_jacobian_matches_finite_differences():

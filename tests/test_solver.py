@@ -6,18 +6,23 @@ import random
 
 import pytest
 
+from tourlyn import construction
 from tourlyn.construction import (
+    WkParams,
+    check_domain,
     context,
     density_s_poly,
     jacobian_at,
     make_params,
     point_densities,
     random_params,
+    s_forms,
+    value_and_euler,
 )
 from tourlyn.errors import DomainError
 from tourlyn.poly import s_var
 from tourlyn import solver
-from tourlyn.rational import Q, fmt_q
+from tourlyn.rational import Q, fmt_q, q_from_float
 from tourlyn.solver import (
     SolveOptions,
     default_params,
@@ -118,9 +123,10 @@ def test_malformed_t_refused_before_polynomial_work(monkeypatch, shape):
     }[shape]
 
     def no_polynomials(*args):
-        raise AssertionError("density_s_poly reached with a malformed t")
+        raise AssertionError("a letter's polynomial reached with a malformed t")
 
-    monkeypatch.setattr(solver, "density_s_poly", no_polynomials)
+    # s_forms checks t before it reads any letter's polynomial
+    monkeypatch.setattr(construction, "_letter", no_polynomials)
     with pytest.raises(DomainError):
         solve(ctx, [Q(1, 100), Q(1, 50), Q(3, 100)], t=bad)
 
@@ -237,33 +243,51 @@ def test_probe_ball_rejections():
     for x in (2.0, 1.0, 0.0, -0.5):
         with pytest.raises(DomainError, match="centre x0 .* outside"):
             probe_ball(ctx, [x], eps=1e-3, samples=1)
-    for samples in (0, -2):
-        with pytest.raises(DomainError, match="samples must be positive"):
+    for x in ("a", None, "0.5"):
+        with pytest.raises(DomainError, match="x0 coordinates must be finite"):
+            probe_ball(ctx, [x], eps=1e-3, samples=1)
+    for eps in ("abc", "1e-3", None):
+        with pytest.raises(DomainError, match="eps must be nonnegative"):
+            probe_ball(ctx, [0.1], eps=eps, samples=1)
+    for samples in (0, -2, 2.5, "3", 3.0, None):
+        with pytest.raises(DomainError, match="samples must be a positive integer"):
             probe_ball(ctx, [0.1], eps=1e-3, samples=samples)
 
 
 def test_default_params_use_half_the_measure():
-    from tourlyn.construction import check_domain
-
     for k in (3, 4, 5):
         ctx = context(k)
         assert check_domain(ctx, default_params(ctx)) == Q(1, 2)
 
 
+def integer_terms(q, scale):
+    # a polynomial in s with coefficients over `scale`, as integer s-form terms
+    terms = [(c * scale, tuple((v[1] - 1, e) for v, e in mono)) for mono, c in q.terms.items()]
+    assert all(N.denominator == 1 for N, _ in terms)
+    return [(int(N), mono) for N, mono in terms]
+
+
+def float_terms(scale, terms):
+    # the float terms solve builds from an integer s-form
+    return [(N / scale, mono) for N, mono in terms]
+
+
 def test_float_terms_match_evaluate_float_bit_for_bit():
-    # the Newton loop's float term lists stand in for evaluate_float and
-    # must give the very same floats, partial derivatives included
+    # the Newton loop's float terms, N / scale from the integer s-forms,
+    # stand in for evaluate_float and must give the very same floats,
+    # partial derivatives (e_j N over the same scale) included
     rng = random.Random(67)
     ctx = context(4)
     p = random_params(ctx, rng)
-    for i in range(1, ctx.ell + 1):
+    for i, (scale, _, form) in enumerate(s_forms(ctx, p.t)[3], start=1):
         poly = density_s_poly(ctx, i, p.t)
+        assert integer_terms(poly, scale) == form
         for q in [poly] + [poly.partial_derivative(s_var(j)) for j in (1, 2, 3)]:
-            terms = solver._float_terms(q)
+            terms = float_terms(scale, integer_terms(q, scale))
             for _ in range(5):
                 s = [rng.uniform(0.01, 0.2) for _ in range(ctx.ell)]
                 point = {s_var(j): v for j, v in enumerate(s, start=1)}
-                assert solver._value_and_euler(terms, s)[0] == q.evaluate_float(point)
+                assert value_and_euler(terms, s)[0] == q.evaluate_float(point)
 
 
 def test_default_point_converges_from_the_first_start():
@@ -348,9 +372,9 @@ def test_log_jacobian_rows_come_from_the_value_pass():
             p = random_params(ctx, rng)
             s = [float(x) for x in p.s]
             point = {s_var(j): v for j, v in enumerate(s, start=1)}
-            for i in range(1, ctx.ell + 1):
+            for i, (scale, _, terms) in enumerate(s_forms(ctx, p.t)[3], start=1):
                 poly = density_s_poly(ctx, i, p.t)
-                value, row = solver._value_and_euler(solver._float_terms(poly), s)
+                value, row = value_and_euler(float_terms(scale, terms), s)
                 assert value == poly.evaluate_float(point)
                 for j, entry in enumerate(row):
                     partial = poly.partial_derivative(s_var(j + 1))
@@ -370,7 +394,7 @@ def test_fused_pass_stops_exactly_where_the_trial_fails():
         for scale in (1.0, 1.0, 1.0, 1e-120):
             p = random_params(ctx, rng)
             polys = [density_s_poly(ctx, i, p.t) for i in range(1, ctx.ell + 1)]
-            fpolys = [solver._float_terms(q) for q in polys]
+            fpolys = [float_terms(scale, terms) for scale, _, terms in s_forms(ctx, p.t)[3]]
             s = [float(x) * rng.uniform(0.8, 1.2) * scale for x in p.s]
             point = {s_var(j): v for j, v in enumerate(s, start=1)}
             values = [max(q.evaluate_float(point), 1e-300) for q in polys]
@@ -466,3 +490,164 @@ def test_tracing_does_not_change_a_report():
     for ctx, x, kwargs in cases:
         traced = solve(ctx, x, want_trace=True, **kwargs)
         assert dataclasses.replace(traced, trace=[]) == solve(ctx, x, **kwargs)
+
+
+def test_integer_domain_test_at_the_boundary():
+    # the default k = 4 t has row sums 1, so s = (1/2, 1/4, 1/4) uses
+    # exactly the measure 1 and lies on the boundary of the open domain
+    ctx = context(4)
+    _, D, R, _ = s_forms(ctx, default_params(ctx).t, ())
+    assert list(solver._rational_points([0.5, 0.25, 0.25], D, R)) == []
+    # the next float below: its 10^6 rounding snaps back onto the boundary,
+    # its exact binary value is the one point inside
+    below = math.nextafter(0.25, 0.0)
+    ((s, A, L),) = solver._rational_points([0.5, 0.25, below], D, R)
+    assert s == (Q(1, 2), Q(1, 4), q_from_float(below)) and L == 2 ** 55
+    assert [Q(a, L) for a in A] == list(s)
+    # the next point below on the 10^6 grid is inside
+    (s, _, _), _ = solver._rational_points([0.5, 0.25, 0.249999], D, R)
+    assert s == (Q(1, 2), Q(1, 4), Q(249999, 10 ** 6))
+    # a component that the 10^6 rounding takes to 0 is refused there
+    ((s, _, _),) = solver._rational_points([0.5, 0.25, 1e-7], D, R)
+    assert s[2] == q_from_float(1e-7)
+
+
+def test_integer_domain_test_agrees_with_check_domain():
+    # float points within about 1e-6 of the boundary, some with a component
+    # that rounds to 0: _rational_points keeps exactly the roundings that
+    # check_domain accepts
+    rng = random.Random(103)
+    outcomes = set()
+    for k in (3, 4, 5):
+        ctx = context(k)
+        for _ in range(100):
+            t, D, R, _ = s_forms(ctx, random_params(ctx, rng).t, ())
+            s = [rng.uniform(1e-8, 1.0) if rng.random() < 0.9 else rng.uniform(1e-9, 1e-6)
+                 for _ in range(ctx.ell)]
+            used = sum(x * float(sum(row)) for x, row in zip(s, t))
+            s = [x / used * (1 + rng.uniform(-2e-6, 2e-6)) for x in s]
+            kept = []
+            for max_denominator in (solver.RATIONALIZE_DENOMINATOR, None):
+                q = tuple(q_from_float(x, max_denominator) for x in s)
+                try:
+                    check_domain(ctx, WkParams(q, t))
+                except DomainError:
+                    outcomes.add("out")
+                    continue
+                outcomes.add("in")
+                kept.append(q)
+            assert [q for q, _, _ in solver._rational_points(s, D, R)] == kept
+    assert outcomes == {"in", "out"}
+
+
+def test_seeded_reports_are_pinned(monkeypatch):
+    # recorded before the solver's exact side moved to integer s-forms:
+    # k = 3 and 4 round trips, ball targets at 1e-7 and 1e-4, and a
+    # float-singular solve; floats as float.hex
+    def fields(rep):
+        return (rep.status, [float.hex(x) for x in rep.s], [fmt_q(q) for q in rep.s_rational],
+                [(v["target"], v["achieved"], float.hex(v["abs_error"]))
+                 for v in rep.verification],
+                rep.detail, rep.attempts, rep.runs)
+
+    rng = random.Random(97)
+    got = []
+    for k in (3, 4):
+        ctx = context(k)
+        x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+        p = random_params(ctx, rng)
+        got.append(fields(solve(ctx, point_densities(ctx, p), t=p.t)))
+        for radius in (1e-7, 1e-4):
+            got.append(fields(solve(ctx, solver._ball_point(rng, x0, radius))))
+    ctx = context(4)
+    p = random_params(ctx, rng)
+    monkeypatch.setattr(solver, "_float_solve", lambda A, b: None)
+    got.append(fields(solve(ctx, point_densities(ctx, p), t=p.t)))
+    assert got == [
+        ("converged", ["0x1.0000000000001p-2"],
+         ["1/4"],
+         [
+             ("1/448",
+              "1/448",
+              "0x0.0p+0"),
+         ],
+         "", 1, 1),
+        ("converged", ["0x1.ffffdcbcafb4bp-2"],
+         ["475774/951549"],
+         [
+             ("8006374095375577/576460752303423488",
+              "107696630396984824/7754181835585699341",
+              "0x1.308ae09d8e8acp-46"),
+         ],
+         "", 1, 1),
+        ("converged", ["0x1.0069a1f1d29a4p-1"],
+         ["379995/758767"],
+         [
+             ("8045176528425979/576460752303423488",
+              "6096648225388875/436842921984403663",
+              "0x1.768a82cb85e89p-44"),
+         ],
+         "", 1, 1),
+        ("converged", ["0x1.c71c71c71c6efp-7", "0x1.5555555555554p-3", "0x1.8618618618696p-6"],
+         ["1/72", "1/6", "1/42"],
+         [
+             ("78672463459/11292874661376000",
+              "78672463459/11292874661376000",
+              "0x0.0p+0"),
+             ("7437677/26404963200",
+              "7437677/26404963200",
+              "0x0.0p+0"),
+             ("1567717/216040608000",
+              "1567717/216040608000",
+              "0x0.0p+0"),
+         ],
+         "", 10, 10),
+        ("converged", ["0x1.50d1ae92bccc6p-3", "0x1.5ac0bdafc2977p-3", "0x1.512a6b2e3930dp-3"],
+         ["82633/502443", "165766/979051", "12661/76905"],
+         [
+             ("2283981309072297/73786976294838206464",
+              "4947656296281160995637805407520894758101211697085045219281243/159840448961198111"
+              "900882523266172840169098412806333844474547520000",
+              "0x1.2eefccce305bbp-50"),
+             ("2687442238298811/2305843009213693952",
+              "1846633329215693946200363269947776835933824723/158442346860008055417176599803588"
+              "9960883913208000",
+              "0x1.1ae6f955b880bp-45"),
+             ("3082739825299009/18446744073709551616",
+              "26134512518395803306783234509377074495037/15638577734780536170152328013438558123"
+              "8240000",
+              "0x1.17f939a2a8778p-47"),
+         ],
+         "", 1, 1),
+        ("no-convergence", ["0x1.76266755a4dc0p-5", "0x1.5eff1cefbcd6ep-6", "0x1.2ee0e667db4cbp-2"],
+         ["31217/683495", "14141/660081", "230424/779039"],
+         [
+             ("3340815183293207/73786976294838206464",
+              "1184491119734047180706123086782229223868693711036089146724182598032187/263700426"
+              "89566602384854935080328474649558946960512838184039742687453880000",
+              "0x1.80dc7dce5fcb9p-22"),
+             ("5444102800454063/4611686018427387904",
+              "15292870428030081958978323095724319740896569103004229/12504542553055362649224951"
+              "282600766106658296899279956000",
+              "0x1.6460cad7f1286p-15"),
+             ("1519948222193483/9223372036854775808",
+              "111512672705203291854678793170657097504743493/6516379164559668288028116978118291"
+              "93621620459855",
+              "0x1.a90ad5a35d116p-18"),
+         ],
+         "stalled: relative progress under 5% across 10 iterations", 12, 27),
+        ("no-convergence", ["0x1.904ea1bb327c3p-4", "0x1.1111111111111p-5", "0x1.4a5294a5294a4p-6"],
+         ["56/573", "1/30", "5/248"],
+         [
+             ("22852736684801/9476282528122798080",
+              "6119546630954281/2134970329895202816000",
+              "0x1.e84d28ad3cffbp-22"),
+             ("42156731/296751071232",
+              "54094231009501/478263962790144000",
+              "0x1.e5cb1347a62bbp-16"),
+             ("2313652823/160245578465280",
+              "125339719/51067017216000",
+              "0x1.921ba7fce6d7ap-17"),
+         ],
+         "float Jacobian singular; the exact one is not", 12, 27),
+    ]

@@ -1,5 +1,7 @@
 """Word layer: Lyndon words, CFL factorization, shuffles, letter order."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,3 +261,19 @@ def test_parse_word_rejections():
 def test_letter_order_rejects_unknown_tie_break():
     with pytest.raises(DomainError):
         LetterOrder("random")
+
+
+def test_lyndon_counts_factor_the_class_counts():
+    # unique factorisation: a tournament is a unique non-increasing product
+    # of Lyndon ones, so prod_n (1 - x^n)^(-L_n), with L_1 = 1 for the single
+    # vertex, has the class counts as its coefficients
+    lyndon = Counter(T.n for T in enumerate_lyndon(6))
+    lyndon[1] = 1
+    series = [1] + [0] * 6
+    for n, count in lyndon.items():
+        # one factor 1 / (1 - x^n) at a time
+        for _ in range(count):
+            for d in range(n, 7):
+                series[d] += series[d - n]
+    counts = [len(enumerate_exact(n)) for n in range(1, 7)]
+    assert series[1:] == counts == [1, 1, 2, 4, 12, 56]
