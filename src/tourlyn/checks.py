@@ -161,7 +161,8 @@ def _check_solver():
     ctx = context(4)
     for seed in (1, 2):
         params = random_params(ctx, random.Random(seed))
-        targets = [density(T, build(ctx, params)) for T in ctx.lyndon_seq]
+        W = build(ctx, params)
+        targets = [density(T, W) for T in ctx.lyndon_seq]
         rep = solve(ctx, targets, t=params.t)
         if not rep.converged:
             return False, "k=4 round trip seed %d: %s" % (seed, rep.status)

@@ -48,7 +48,7 @@ from .tournaments import (
     strongly_connected_components,
     to_adjacency,
 )
-from .tournamentons import density, from_json, sample, to_json, validate
+from .tournamentons import density, from_json, sample, to_json
 from .words import (
     cfl_factorize,
     enumerate_lyndon,
@@ -233,7 +233,10 @@ def _cmd_express(args):
     p = express(T)
     out = {"polynomial": poly_to_json(p)}
     if args.at is not None:
-        point = {x_var(enc): as_q(v) for enc, v in _load_json(args.at).items()}
+        data = _load_json(args.at)
+        if not isinstance(data, dict):
+            raise DomainError("%s must map letter encodings to densities" % args.at)
+        point = {x_var(enc): as_q(v) for enc, v in data.items()}
         out["value"] = fmt_q(p.evaluate(point))
     return out
 
@@ -245,7 +248,6 @@ def _cmd_dimension(args):
 def _cmd_density(args):
     T = parse(args.tournament)
     W = from_json(_load_json(args.tournamenton))
-    validate(W)
     return {"density": fmt_q(density(T, W))}
 
 
@@ -296,6 +298,8 @@ def _cmd_solve(args):
             if "t" not in t:
                 raise DomainError("%s has no \"t\" entry" % args.t)
             t = t["t"]
+        if not (isinstance(t, list) and all(isinstance(row, list) for row in t)):
+            raise DomainError("%s: t must be a list of lists" % args.t)
     opts = SolveOptions()
     if args.tolerance is not None:
         opts = SolveOptions(tolerance=args.tolerance)
@@ -326,8 +330,9 @@ def _cmd_probe(args):
 
 
 def _cmd_sample(args):
+    if args.count < 1:
+        raise DomainError("need --count >= 1")
     W = from_json(_load_json(args.tournamenton))
-    validate(W)
     draws = [encode(sample(W, args.n, args.seed + i)) for i in range(args.count)]
     return {"n": args.n, "seed": args.seed, "tournaments": draws}
 

@@ -44,7 +44,8 @@ Jacobian (jacobian_at) and density_s_poly all read these s-forms.
 Everything above that depends on k alone is built once, by context(k):
 the host, its strong parts with their cross submatrices, each letter's
 runs of strong parts, and the block order (the WkContext fields).  The
-remainder I_0 appears only in build().
+letters' polynomials are kept on the context too, all made at the first
+read; context is the module's one cache.  I_0 appears only in build().
 
 build() + tournamentons.density is kept as an independent oracle: it
 integrates the rational tournamenton over all N + 1 blocks, unfactored.
@@ -58,7 +59,7 @@ and 9, and the output checks of perfbench.
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, lcm
 
 from .errors import BudgetError, DomainError, InconclusiveError
@@ -94,6 +95,11 @@ class WkContext:
     @property
     def ell(self):
         return len(self.lyndon_seq)
+
+    @cached_property
+    def _letters(self):
+        """Per letter, _symbolic_density(self, i), all on first use."""
+        return tuple(_symbolic_density(self, i) for i in range(1, self.ell + 1))
 
 
 @dataclass(frozen=True)
@@ -204,9 +210,9 @@ def symbolic_density(ctx, i):
     1-based, matching the variable names).
 
     The chain DP with the monomial s_j t_{j,j'} as the measure of each of
-    the N host blocks; I_0 is left out (no T_i has a sink).  Cached per
-    (ctx, i) by _symbolic_density, whose cache_info() reports the hits
-    and size: at k = 5 all eleven take under a second.
+    the N host blocks; I_0 is left out (no T_i has a sink).  Kept on the
+    context with every other letter's (ctx._letters, filled on the
+    first call): at k = 5 all eleven take under a second.
     """
     return _letter(ctx, i)[0]
 
@@ -214,10 +220,9 @@ def symbolic_density(ctx, i):
 def _letter(ctx, i):
     if not 1 <= i <= ctx.ell:
         raise DomainError("index i must be in 1..%d" % ctx.ell)
-    return _symbolic_density(ctx, i)
+    return ctx._letters[i - 1]
 
 
-@lru_cache(maxsize=None)
 def _symbolic_density(ctx, i):
     """The polynomial, and its integer form for s_forms: den (the lcm of
     its denominators), the s-monomials in term order, and per s-monomial as
@@ -430,6 +435,8 @@ def params_from_json(ctx, data):
         t = data["t"]
     except (KeyError, TypeError) as e:
         raise DomainError("malformed params JSON: %s" % e) from None
+    if not (isinstance(s, list) and isinstance(t, list) and all(isinstance(r, list) for r in t)):
+        raise DomainError("malformed params JSON: s must be a list and t a list of lists")
     return make_params(ctx, s, t)
 
 

@@ -38,11 +38,15 @@ density passes the measures as integers a_b over their lcm M, so for
 rational measures the whole walk stays in ints; the sum is homogeneous of
 degree n in the measures (every occupancy sums to n), so density divides
 the result by M^n once.
+
+W is frozen, so what is computed from it is kept on it and goes with it:
+its validation, sample's float view, the integer measures, and density's
+results per canonical class.  The module keeps no cache of its own.
 """
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import factorial, lcm
 
 from .errors import BudgetError, DomainError
@@ -50,12 +54,6 @@ from .rational import ONE, ZERO, Q, as_q, fmt_q
 from .tournaments import Tournament, canonicalize, enumerate_exact, automorphism_count
 
 DENSITY_MAX = 6
-# fixed bounds on the density and validation caches: a flag-algebra
-# benchmark run stops after 24 batches of 76 classes, so it fills at most
-# 1,824 density entries (solves verify through their s-polynomials and
-# add no entries)
-DENSITY_CACHE_SIZE = 4096
-VALID_CACHE_SIZE = 1024
 HALF_KIND = "half"
 TRANSITIVE_KIND = "transitive"
 
@@ -71,14 +69,16 @@ class StepTournamenton:
     blocks: tuple
     cross: tuple
 
-    # the lru caches hash W on every density and sample call, so hash
-    # its Fractions once
-    def __hash__(self):
-        return self._hash
+    @cached_property
+    def _valid(self):
+        """validate(self) once per W; a raise stores nothing, so it recurs."""
+        validate(self)
+        return True
 
     @cached_property
-    def _hash(self):
-        return hash((self.blocks, self.cross))
+    def _densities(self):
+        """What density has computed on this W, keyed by canonical class."""
+        return {}
 
     @cached_property
     def _float_view(self):
@@ -155,12 +155,6 @@ def validate(W):
                     )
     if problems:
         raise DomainError("; ".join(problems))
-
-
-@lru_cache(maxsize=VALID_CACHE_SIZE)
-def _ensure_valid(W):
-    # validate raises on a bad W, and lru_cache keeps no failed call
-    validate(W)
 
 
 def map_sum(T, measures, kinds, cross, zero):
@@ -281,17 +275,15 @@ def density(T, W):
     """Exact density t(T, W)."""
     if T.n > DENSITY_MAX:
         raise BudgetError("density is budgeted to |T| <= %d" % DENSITY_MAX)
-    _ensure_valid(W)
-    return _canonical_density(canonicalize(T), W)
-
-
-@lru_cache(maxsize=DENSITY_CACHE_SIZE)
-def _canonical_density(C, W):
-    # the sum is homogeneous of degree n in the measures, so the walk
-    # runs on the integers a_b and the result is divided by M^n once
-    M, numerators = W._integer_measures
-    kinds = [b.diagonal for b in W.blocks]
-    return map_sum(C, numerators, kinds, W.cross, ZERO) / M ** C.n
+    W._valid
+    C = canonicalize(T)
+    if C not in W._densities:
+        # the sum is homogeneous of degree n in the measures, so the walk
+        # runs on the integers a_b and the result is divided by M^n once
+        M, numerators = W._integer_measures
+        kinds = [b.diagonal for b in W.blocks]
+        W._densities[C] = map_sum(C, numerators, kinds, W.cross, ZERO) / M ** C.n
+    return W._densities[C]
 
 
 def normalization_check(k, W):
@@ -314,7 +306,7 @@ def sample(W, n, seed):
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    _ensure_valid(W)
+    W._valid
     bounds, transitive, cross = W._float_view
     rng = random.Random(seed)
     pts = []
@@ -377,8 +369,8 @@ def from_json(data):
     try:
         blocks = [(b["measure"], b["diagonal"]) for b in data["blocks"]]
         cross = data["cross"]
+        if len(cross) != len(blocks) or any(len(row) != len(blocks) for row in cross):
+            raise DomainError("cross matrix shape does not match block count")
+        return step_tournamenton(blocks, cross)
     except (KeyError, TypeError) as e:
         raise DomainError("malformed tournamenton JSON: %s" % e) from None
-    if len(cross) != len(blocks) or any(len(row) != len(blocks) for row in cross):
-        raise DomainError("cross matrix shape does not match block count")
-    return step_tournamenton(blocks, cross)

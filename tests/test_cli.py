@@ -256,6 +256,8 @@ def test_solve_rejects_malformed_t(tmp_path):
         {"t": [["1/4", "x", "1/4", "1/4"], ["1/3"] * 3, ["1/4"] * 4]},
         # floats are not exact inputs, as in --params
         {"t": [[0.25] * 4, ["1/3"] * 3, ["1/4"] * 4]},
+        # a string row is not read one character at a time
+        {"t": ["1111", "111", "1111"]},
     )
     for i, data in enumerate(cases):
         path = tmp_path / ("t%d.json" % i)
@@ -265,6 +267,7 @@ def test_solve_rejects_malformed_t(tmp_path):
 
 
 BAD_S = [["x"], [0.1], [None]]
+HALF_BLOCK = [{"measure": "1/1", "diagonal": "half"}]
 
 
 @pytest.mark.parametrize(
@@ -289,6 +292,29 @@ BAD_S = [["x"], [0.1], [None]]
                      id="probe-no-samples"),
         pytest.param(["probe", "--k", "3", "--eps", "1e-3", "--samples", "-2"], None,
                      id="probe-negative-samples"),
+        # JSON of the wrong shape: no traceback, and no string read one
+        # character at a time as a list of numbers
+        pytest.param(["express", "3:111", "--at"], ["1/2"], id="express-at-array"),
+        pytest.param(["density", "3:101", "--tournamenton"],
+                     {"blocks": HALF_BLOCK, "cross": 5}, id="density-cross-int"),
+        pytest.param(["density", "3:101", "--tournamenton"],
+                     {"blocks": HALF_BLOCK, "cross": [5]}, id="density-cross-row"),
+    ]
+    + [
+        pytest.param([cmd, "--k", "3", "--params"], data, id="%s-%s" % (cmd, name))
+        for cmd in ("build-wk", "jacobian")
+        for name, data in (
+            ("s-int", {"s": 5, "t": [["1/3"] * 3]}),
+            ("s-string", {"s": "1", "t": [["1/30"] * 3]}),
+            ("t-int", {"s": ["1/6"], "t": 5}),
+            ("t-row-int", {"s": ["1/6"], "t": [5]}),
+            ("t-row-string", {"s": ["1/6"], "t": ["111"]}),
+        )
+    ]
+    + [
+        pytest.param(["sample", "--n", "3", "--count", count, "--tournamenton"],
+                     {"blocks": HALF_BLOCK, "cross": [["0/1"]]}, id="sample-count%s" % count)
+        for count in ("0", "-1")
     ],
 )
 def test_bad_numbers_are_domain_errors(tmp_path, argv, data):

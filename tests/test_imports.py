@@ -1,10 +1,17 @@
-"""Every module imports only names it uses, and every private function has a
-caller (no linter ships with the package)."""
+"""Every module imports only names it uses, every private function has a
+caller (no linter ships with the package), and the module-level caches are
+the five whose key spaces are bounded."""
 
 import ast
+import importlib
+import random
 from pathlib import Path
 
 import tourlyn
+from tourlyn.construction import context, point_densities, random_params
+from tourlyn.solver import default_params, probe_ball, solve
+from tourlyn.tournamentons import density, random_step_tournamenton
+from tourlyn.tournaments import enumerate_exact
 
 PACKAGE = Path(tourlyn.__file__).parent
 
@@ -82,3 +89,61 @@ def test_every_private_function_has_a_caller():
     # callers are looked for in the package only; tests do not count
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert uncalled_private_functions(sources) == []
+
+
+MODULE_CACHES = {
+    "construction.context",
+    "tournaments._canonical_order",
+    "tournaments._reps_up_to",
+    "flagalg._product_cache",
+    "flagalg._express_cache",
+}
+
+
+def module_caches():
+    """module.name -> every module-level cache of the package: the lru
+    wrappers defined in a module, and its dicts named _*_cache."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("tourlyn." + path.stem)
+        for name, value in vars(module).items():
+            own = getattr(value, "__module__", None) == module.__name__
+            if (own and hasattr(value, "cache_info")) or (
+                isinstance(value, dict) and name.startswith("_") and name.endswith("_cache")
+            ):
+                found["%s.%s" % (path.stem, name)] = value
+    return found
+
+
+def cache_sizes(caches):
+    return {
+        name: cache.cache_info().currsize if hasattr(cache, "cache_info") else len(cache)
+        for name, cache in caches.items()
+    }
+
+
+def long_run_slice(seed):
+    """A probe, round trips at fresh t, and densities in fresh tournamentons."""
+    rng = random.Random(seed)
+    ctx = context(4)
+    centre = [float(x) for x in point_densities(ctx, default_params(ctx))]
+    probe_ball(ctx, centre, 1e-7, 2, seed=seed)
+    for _ in range(20):
+        p = random_params(ctx, rng)
+        solve(ctx, point_densities(ctx, p), t=p.t)
+    for _ in range(20):
+        W = random_step_tournamenton(rng)
+        for T in enumerate_exact(4):
+            density(T, W)
+
+
+def test_module_caches_are_the_five_and_stop_growing():
+    # every cache of a W or a t lives on its object; the module-level ones
+    # are keyed on a bounded space (k, labelled tournaments, class pairs),
+    # so once it is covered a longer run adds nothing to them
+    caches = module_caches()
+    assert set(caches) == MODULE_CACHES
+    long_run_slice(1)
+    before = cache_sizes(caches)
+    long_run_slice(2)
+    assert cache_sizes(caches) == before

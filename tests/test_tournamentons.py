@@ -182,24 +182,48 @@ def test_density_budget():
         density(transitive(7), constant_half())
 
 
-def test_density_caches_stay_at_their_bounds():
-    # each two-block W is fresh, so every call adds one entry to both caches
+def test_density_caches_live_on_each_tournamenton(monkeypatch):
+    # each two-block W is fresh; what density, sample and validation keep of
+    # it must go with it, so memory stays bounded however many Ws pass by
+    import gc
+    import weakref
+
     from tourlyn import tournamentons
 
     cross = [[0, Q(1, 3)], [Q(2, 3), 0]]
-    for i in range(tournamentons.DENSITY_CACHE_SIZE + 10):
+    refs = []
+    for i in range(3000):
         m = Q(1, i + 3)
         W = step_tournamenton([(m, HALF_KIND), (1 - m, TRANSITIVE_KIND)], cross)
         density(C3, W)
-    for cached, bound in (
-        (tournamentons._canonical_density, tournamentons.DENSITY_CACHE_SIZE),
-        (tournamentons._ensure_valid, tournamentons.VALID_CACHE_SIZE),
-    ):
-        info = cached.cache_info()
-        assert info.maxsize == bound and info.currsize == bound
-    hits = tournamentons._canonical_density.cache_info().hits
-    density(C3, W)
-    assert tournamentons._canonical_density.cache_info().hits == hits + 1
+        sample(W, 4, seed=i)
+        refs.append(weakref.ref(W))
+    del W
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) == 0
+
+    # a repeated density on one W, under any labelling, walks map_sum once
+    walks = []
+
+    def counted(*args):
+        walks.append(args[0])
+        return map_sum(*args)
+
+    monkeypatch.setattr(tournamentons, "map_sum", counted)
+    W = random_step_tournamenton(random.Random(11))
+    first = density(C3, W)
+    assert density(C3, W) == density(parse("3:010"), W) == first
+    assert len(walks) == 1
+
+    # a failed validation is not kept: every call raises again
+    bad = step_tournamenton([(Q(1, 2), HALF_KIND), (Q(1, 4), HALF_KIND)],
+                            [[0, Q(1, 2)], [Q(1, 2), 0]])
+    for seed in range(3):
+        with pytest.raises(DomainError, match="sum"):
+            density(C3, bad)
+        with pytest.raises(DomainError, match="sum"):
+            sample(bad, 3, seed=seed)
+    assert walks == [C3]
 
 
 def test_map_sum_equals_the_per_assignment_formula():
@@ -341,6 +365,12 @@ def test_from_json_rejections():
         from_json({"blocks": [{"measure": "1/1", "diagonal": "half"}], "cross": []})
     with pytest.raises(DomainError):
         from_json({"blocks": [{"measure": "1/1"}], "cross": [["0/1"]]})
+    # a cross entry that is not a matrix, and a JSON array for the whole
+    for data in ({"blocks": [{"measure": "1/1", "diagonal": "half"}], "cross": 5},
+                 {"blocks": [{"measure": "1/1", "diagonal": "half"}], "cross": [5]},
+                 [1, 2]):
+        with pytest.raises(DomainError, match="malformed"):
+            from_json(data)
 
 
 def test_step_tournamenton_zeroes_the_diagonal():
