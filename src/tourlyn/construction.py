@@ -37,15 +37,21 @@ monomial s_j t_{j,j'} as the measure of host vertex v_{j,j'} it gives the
 polynomial (once per context and letter), with the rationals s_j t_{j,j'}
 the exact densities at a point (point_densities: probe's centre, and
 the tests' oracle for the solver's check).  At fixed t, s_forms
-substitutes t into the polynomial in integers, once for every letter: the
-solver's float terms, its domain test and its exact check, the exact
-Jacobian (jacobian_at) and density_s_poly all read these s-forms.
+substitutes t into the polynomial in integers, once for every letter, and
+checks t on the way.  These s-forms are read by the solver (its float
+coefficients, its domain test and its exact check), by the exact Jacobian
+(jacobian_at, which tests the domain with them too) and by
+density_s_poly.  The solver's float kernels are generated from the
+letters' s-monomials alone, so they depend on k only and are kept on the
+context; value_and_euler is the generic pass they unroll, and the one
+the exact side runs on the integer s-forms.
 
 Everything above that depends on k alone is built once, by context(k):
 the host, its strong parts with their cross submatrices, each letter's
 runs of strong parts, and the block order (the WkContext fields).  The
 letters' polynomials are kept on the context too, all made at the first
-read; context is the module's one cache.  I_0 appears only in build().
+read, and so are the solver's float kernels, compiled at the first solve;
+context is the module's one cache.  I_0 appears only in build().
 
 build() + tournamentons.density is kept as an independent oracle: it
 integrates the rational tournamenton over all N + 1 blocks, unfactored.
@@ -101,6 +107,15 @@ class WkContext:
         """Per letter, _symbolic_density(self, i), all on first use."""
         return tuple(_symbolic_density(self, i) for i in range(1, self.ell + 1))
 
+    @cached_property
+    def _float_kernels(self):
+        """The solver's straight-line float kernels for this k, compiled on
+        first use from the letters' s-monomials (solver._compile_kernels,
+        imported here because the solver imports this module)."""
+        from .solver import _compile_kernels
+
+        return _compile_kernels(tuple(tuple(m for m, _ in by_s) for *_, by_s in self._letters))
+
 
 @dataclass(frozen=True)
 class WkParams:
@@ -143,12 +158,9 @@ def make_params(ctx, s, t):
 
 
 def check_t(ctx, t):
-    """Validate the shape of the t-parameters (row i has n_i entries) and
-    that every entry is strictly positive."""
+    """Validate the shape of the t-parameters: row i has n_i entries."""
     if len(t) != ctx.ell or any(len(row) != n for row, n in zip(t, ctx.sizes)):
         raise DomainError("t rows must have lengths %s" % (ctx.sizes,))
-    if any(x <= 0 for row in t for x in row):
-        raise DomainError("all parameters must be strictly positive")
 
 
 def check_domain(ctx, p):
@@ -157,7 +169,7 @@ def check_domain(ctx, p):
     if len(p.s) != ctx.ell:
         raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
     check_t(ctx, p.t)
-    if any(x <= 0 for x in p.s):
+    if any(x <= 0 for row in p.t for x in row) or any(x <= 0 for x in p.s):
         raise DomainError("all parameters must be strictly positive")
     used = sum((si * sum(row, ZERO) for si, row in zip(p.s, p.t)), ZERO)
     slack = ONE - used
@@ -253,7 +265,8 @@ def point_densities(ctx, p):
 
 def s_forms(ctx, t_values, letters=None):
     """The s-polynomials at fixed t in Python ints (so N / scale rounds to
-    the float nearest, whatever Q is), t read by as_q and checked once:
+    the float nearest, whatever Q is), t read by as_q and checked once
+    (its shape by check_t, its signs on the integer numerators):
     (t, D, R, forms), D the common denominator of t, R_i / D the row sums,
     and per letter (every one, or the 1-based `letters`) the s-form
     (scale, n_i, [(N, ((j, e), ...)), ...]), G_i = sum N prod s_j^e / scale,
@@ -268,6 +281,8 @@ def s_forms(ctx, t_values, letters=None):
     check_t(ctx, t)
     D = lcm(*(x.denominator for row in t for x in row))
     rows = [[int(x.numerator * (D // x.denominator)) for x in row] for row in t]
+    if any(a <= 0 for row in rows for a in row):
+        raise DomainError("all parameters must be strictly positive")
     scaled = [a for row in rows for a in row]
     forms = []
     for i in range(1, ctx.ell + 1) if letters is None else letters:
@@ -295,20 +310,34 @@ def density_s_poly(ctx, i, t_values):
 
 def jacobian_at(ctx, p):
     """Exact ell x ell matrix with entry (i, j) = d t(T_i, W_k)/d s_j at p:
-    the Euler rows of one s_forms call at s = A / L, divided by s_j."""
-    check_domain(ctx, p)
+    the Euler rows of one s_forms call at s = A / L, divided by s_j.  p is
+    refused as check_domain refuses it, in the same order and with the same
+    messages, but t is read once, by s_forms, and the domain test is the
+    solver's in integers: every A_j > 0 and sum_i A_i R_i < L D."""
+    if len(p.s) != ctx.ell:
+        raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
+    _, D, R, forms = s_forms(ctx, p.t)
     L = lcm(*(x.denominator for x in p.s))
     A = [x.numerator * (L // x.denominator) for x in p.s]
+    if min(A) <= 0:
+        raise DomainError("all parameters must be strictly positive")
+    used = sum(a * r for a, r in zip(A, R))
+    if used >= L * D:
+        raise DomainError(
+            "domain violated: sum_i s_i sum_j t_ij = %s >= 1" % fmt_q(Q(used, L * D))
+        )
     return [
         [Q(x, scale * L ** (n - 1) * a) for x, a in zip(value_and_euler(terms, A)[1], A)]
-        for scale, n, terms in s_forms(ctx, p.t)[3]
+        for scale, n, terms in forms
     ]
 
 
 def value_and_euler(terms, s):
     """An s-form's value at s and its Euler row s_j dG/ds_j (the sum of e_j
     times each term): over scale * L^n at s = A; evaluate_float's value bit
-    for bit at float s and terms (same order; sums start at 0 * first N)."""
+    for bit at float s and terms (same order; sums start at 0 * first N).
+    The exact pass of the solver's check and of jacobian_at; the solver's
+    float kernels unroll it, and the tests hold them to it bit for bit."""
     total = terms[0][0] * 0
     row = [total] * len(s)
     for c, mono in terms:

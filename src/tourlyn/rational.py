@@ -26,12 +26,18 @@ ONE = Q(1)
 
 
 def as_q(x):
-    """Coerce an int, Fraction, Q, or 'p/q' string to Q.
+    """Coerce an int, Fraction, Q, or 'p/q' string to Q; a Q comes back
+    as it is.
 
     Floats are refused on purpose; see the module docstring.  Anything that
-    is not an exact rational (a float, an unparsable string, a zero
-    denominator, None) is a DomainError.
+    is not an exact rational (a float, a bool, an unparsable string, a zero
+    denominator, None) is a DomainError: JSON's true and false are not the
+    numbers 1 and 0.
     """
+    if isinstance(x, bool):
+        raise DomainError("refusing to read bool %r as an exact rational" % (x,))
+    if type(x) is Q:
+        return x
     if isinstance(x, float):
         raise DomainError("refusing to coerce float %r to an exact rational" % (x,))
     try:

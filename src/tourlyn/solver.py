@@ -3,14 +3,20 @@
 The t-parameters stay fixed and only s moves, which keeps the system
 square with the certified ell x ell Jacobian.  Each solve takes the
 integer s-forms of construction.s_forms once; the Newton loop reads them
-as float terms N / scale, the row sums as R_i / D.  An attempt is one
-damped Newton run in log coordinates, floats only: the step solves
-J d = log x - log G (J the Jacobian of log G in log s), moves s_j to
-s_j exp(lam d_j) and halves lam until the merit, the largest relative
-error, drops.  Row i of J, s_j dG_i/ds_j / G_i, comes from the pass that
-gives G_i (construction.value_and_euler).  A damped trial is one fused
-pass, values and merit together, that stops at the first component whose
-relative error reaches the current merit, where the trial is rejected.
+as one flat tuple of float coefficients N / scale, the row sums as
+R_i / D.  An attempt is one damped Newton run in log coordinates, floats
+only: the step solves J d = log x - log G (J the Jacobian of log G in
+log s), moves s_j to s_j exp(lam d_j) and halves lam until the merit, the
+largest relative error, drops.  The float side runs in three kernels,
+straight-line code that _compile_kernels generates from the letters'
+s-monomials, once per context (WkContext._float_kernels): the values and
+merit, the rows of J, and a step's backtracking.  Row i of J,
+s_j dG_i/ds_j / G_i, is the Euler row of G_i's terms; a damped trial is
+one pass, values and merit together, that stops at the first component
+whose relative error reaches the current merit, where the trial is
+rejected.  The kernels' arithmetic is construction.value_and_euler's bit
+for bit; that generic pass is the exact side's (integer s-forms at
+s = A / L, in _finish and jacobian_at) and the kernels' test oracle.
 Log coordinates are scale-free, which this map needs: target components
 differ by orders of magnitude (densities scale like s^n), and greedy
 descent walks into boundary basins it cannot leave.
@@ -137,30 +143,108 @@ def _rational_points(s_floats, D, R):
             yield s, A, L
 
 
-def _values_and_merit(fpolys, targets_f, s, bound):
-    """The values at s, floored at 1e-300 to keep logs finite, and their
-    merit, the largest relative error in max()'s order; None as soon as one
-    relative error reaches `bound`, which the merit then cannot drop below
-    (a NaN bound stops nothing).  Relative errors, as the absolute max-norm
-    is blind to a 1e-5 target next to a 1e-3 one, and descent on it walks
-    into boundary basins where the small component is never met."""
-    values = []
-    merit = None
-    for terms, x in zip(fpolys, targets_f):
-        g = 0.0
-        for c, mono in terms:
+def _compile_kernels(monomials):
+    """The float kernels of _newton for one context, from its letters'
+    s-monomials (per letter, the ((j, e), ...) of its s-form's terms), each
+    one straight-line function, compiled once (WkContext._float_kernels).
+    Each takes the solve's coefficients c, the N / scale floats of every
+    letter in s-form term order, as one flat tuple; the source is made of
+    the monomials' indices and exponents only.
+
+    values(c, x, s, bound) -- the values at s, floored at 1e-300 to keep
+        logs finite, and their merit, the largest relative error in max()'s
+        order; None as soon as one relative error reaches `bound`, which the
+        merit then cannot drop below (a NaN bound stops nothing).  Relative
+        errors, as the absolute max-norm is blind to a 1e-5 target next to a
+        1e-3 one, and descent on it walks into boundary basins where the
+        small component is never met.
+    rows(c, s, G) -- the log-Jacobian: row i is the Euler row s_j dG_i/ds_j,
+        the sum of e_j times each term, over G_i (0.0 where s_j is absent).
+    step(c, x, s, d, row_sums, merit) -- one Newton step's backtracking:
+        for lam = 1, 1/2, ... down to MIN_STEP, the trial s_j exp(lam d_j),
+        the clamp of max(min(lam d_j, 30), -30) written as comparisons (NaN
+        passing through) and the domain sum from int 0 in order, as sum()
+        adds; a trial inside the domain goes to values at the current merit.
+        Returns (trial, values, merit, lam) of the first trial that lowers
+        the merit, None when none does.
+
+    The arithmetic is value_and_euler's, bit for bit: a term is
+    ((c * s_j1 ** e1) * s_j2 ** e2) ... in monomial order, each power taken
+    once per call, sums run left to right from the first term (0.0 + x is
+    x for these positive terms), and an Euler contribution is e * term."""
+    ell = len(monomials)
+
+    def names(prefix, n):
+        # "x0, x1, ..., x(n-1),": an unpacking target, a tuple or a list, even at n = 1
+        return ", ".join("%s%d" % (prefix, i) for i in range(n)) + ","
+
+    # per letter, its terms as (index into c, monomial)
+    letters, count = [], 0
+    for letter in monomials:
+        letters.append([(count + a, mono) for a, mono in enumerate(letter)])
+        count += len(letter)
+    head = ["%s = c" % names("c", count), "%s = s" % names("s", ell)]
+
+    def powers(terms, done):
+        for _, mono in terms:
             for j, e in mono:
-                c *= s[j] ** e
-            g += c
-        if g < 1e-300:
-            g = 1e-300
-        err = abs(x - g) / x
-        if err >= bound:
-            return None
-        if merit is None or err > merit:
-            merit = err
-        values.append(g)
-    return values, merit
+                if (j, e) not in done:
+                    done.add((j, e))
+                    yield "p%d_%d = s%d ** %d" % (j, e, j, e)
+
+    def term(m, mono):
+        return " * ".join(["c%d" % m] + ["p%d_%d" % je for je in mono])
+
+    values, done = head + ["%s = x" % names("x", ell)], set()
+    for i, terms in enumerate(letters):
+        values += powers(terms, done)
+        values += [
+            "g%d = %s" % (i, " + ".join(term(m, mono) for m, mono in terms)),
+            "if g%d < 1e-300:" % i,
+            "    g%d = 1e-300" % i,
+            "e%d = abs(x%d - g%d) / x%d" % (i, i, i, i),
+            "if e%d >= bound:" % i,
+            "    return None",
+        ]
+        values += ["m = e0"] if i == 0 else ["if e%d > m:" % i, "    m = e%d" % i]
+    values.append("return [%s], m" % names("g", ell))
+
+    rows = head + ["%s = G" % names("g", ell)]
+    rows += powers([pair for terms in letters for pair in terms], set())
+    rows += ["t%d = %s" % (m, term(m, mono)) for terms in letters for m, mono in terms]
+    matrix = []
+    for i, terms in enumerate(letters):
+        entries = []
+        for j in range(ell):
+            euler = ["%d * t%d" % (e, m) for m, mono in terms for jj, e in mono if jj == j]
+            entries.append("(%s) / g%d" % (" + ".join(euler), i) if euler else "0.0")
+        matrix.append("[%s]" % ", ".join(entries))
+    rows.append("return [%s]" % ", ".join(matrix))
+
+    step = ["%s = s" % names("s", ell), "%s = d" % names("d", ell),
+            "%s = row_sums" % names("r", ell), "lam = 1.0", "while lam >= %r:" % MIN_STEP]
+    for j in range(ell):
+        step += ["    z = lam * d%d" % j, "    if z > 30.0:", "        z = 30.0",
+                 "    elif z < -30.0:", "        z = -30.0", "    v%d = s%d * exp(z)" % (j, j)]
+    step += [
+        "    if 0 + %s < 1.0:" % " + ".join("v%d * r%d" % (j, j) for j in range(ell)),
+        "        out = values(c, x, (%s), merit)" % names("v", ell),
+        "        if out is not None and out[1] < merit:",
+        "            return [%s], out[0], out[1], lam" % names("v", ell),
+        "    lam /= 2",
+        "return None",
+    ]
+    source = "\n".join(
+        "def %s:\n%s\n" % (signature, "\n".join("    " + line for line in body))
+        for signature, body in (
+            ("values(c, x, s, bound)", values),
+            ("rows(c, s, G)", rows),
+            ("step(c, x, s, d, row_sums, merit)", step),
+        )
+    )
+    namespace = {"exp": exp}
+    exec(compile(source, "<float kernels>", "exec"), namespace)
+    return namespace["values"], namespace["rows"], namespace["step"]
 
 
 def _residual(targets, values):
@@ -169,40 +253,49 @@ def _residual(targets, values):
 
 def _float_solve(A, b):
     """Gaussian elimination with partial pivoting, the first largest entry
-    of a column its pivot; None when singular."""
+    of a column its pivot; None when singular.  Works in place on A, b
+    appended to its rows: step c touches columns c..n only, as every column
+    left of the pivot is zero in the rows it updates and is never read
+    again."""
     n = len(b)
-    M = [row + [bv] for row, bv in zip(A, b)]
+    for row, bv in zip(A, b):
+        row.append(bv)
     for c in range(n):
-        p, big = c, abs(M[c][c])
+        p, big = c, abs(A[c][c])
         for r in range(c + 1, n):
-            if abs(M[r][c]) > big:
-                p, big = r, abs(M[r][c])
+            a = abs(A[r][c])
+            if a > big:
+                p, big = r, a
         if big < 1e-300:
             return None
-        M[c], M[p] = M[p], M[c]
-        piv = M[c][c]
-        M[c] = [v / piv for v in M[c]]
+        A[c], A[p] = A[p], A[c]
+        pivot = A[c]
+        piv = pivot[c]
+        for j in range(c, n + 1):
+            pivot[j] /= piv
         for r in range(n):
-            if r != c and M[r][c]:
-                f = M[r][c]
-                M[r] = [v - f * w for v, w in zip(M[r], M[c])]
-    return [M[r][n] for r in range(n)]
+            row = A[r]
+            f = row[c]
+            if r != c and f:
+                for j in range(c, n + 1):
+                    row[j] -= f * pivot[j]
+    return [row[n] for row in A]
 
 
-def _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace):
+def _newton(kernels, c, row_sums, targets_f, start, tolerance, want_trace):
     """One damped Newton run in log coordinates from `start`, on floats
-    only; returns its SolveReport, not yet verified.  fpolys are the float
-    term lists of the s-polynomials and row_sums the row sums of t, for the
-    domain test.
+    only; returns its SolveReport, not yet verified.  kernels are the
+    context's values, rows and step (_compile_kernels), c the solve's flat
+    coefficient tuple and row_sums the row sums of t, for the domain test.
 
-    A trial is one loop over the components for the damped point and its
-    domain sum, then the fused pass, _values_and_merit, stopped by the
-    current merit; an accepted trial has every value.  Halving backtracks
-    on the merit, while the run is converged when the absolute residual
-    meets the tolerance, however it stopped.  Otherwise it keeps the reason
-    the run stopped; a float-singular Jacobian stops it with the status
-    "float-singular", which _finish decides exactly.
+    Each iteration solves for the step with the log-Jacobian of rows and
+    backtracks with step, whose accepted trial has every value.  Halving
+    backtracks on the merit, while the run is converged when the absolute
+    residual meets the tolerance, however it stopped.  Otherwise it keeps
+    the reason the run stopped; a float-singular Jacobian stops it with the
+    status "float-singular", which _finish decides exactly.
     """
+    values, rows, step = kernels
     s = [float(x) for x in start]
     if not (all(x > 0.0 for x in s) and sum(a * b for a, b in zip(s, row_sums)) < 1.0):
         return SolveReport(
@@ -210,7 +303,7 @@ def _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace):
         )
     trace = []
     log_targets = [log(x) for x in targets_f]
-    G, merit = _values_and_merit(fpolys, targets_f, s, float("nan"))
+    G, merit = values(c, targets_f, s, float("nan"))
     history = [merit]
     status, detail = "no-convergence", "iteration cap reached"
     for it in range(1, ITERATION_CAP + 1):
@@ -222,32 +315,11 @@ def _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace):
         if len(history) >= 11 and history[-1] > 0.95 * history[-11]:
             detail = "stalled: relative progress under 5% across 10 iterations"
             break
-        # G holds the floored values at s, bit for bit those of this pass
-        Jlog = [[v / g for v in value_and_euler(terms, s)[1]] for terms, g in zip(fpolys, G)]
-        d = _float_solve(Jlog, [lx - log(g) for lx, g in zip(log_targets, G)])
+        d = _float_solve(rows(c, s, G), [lx - log(g) for lx, g in zip(log_targets, G)])
         if d is None:
             status, detail = "float-singular", ""
             break
-        lam, accepted = 1.0, None
-        while lam >= MIN_STEP:
-            # the clamp of max(min(lam d_j, 30), -30), NaN passing through,
-            # and the domain sum from int 0 in order, as sum() adds
-            trial, used = [], 0
-            for v, dd, rs in zip(s, d, row_sums):
-                z = lam * dd
-                if z > 30.0:
-                    z = 30.0
-                elif z < -30.0:
-                    z = -30.0
-                v *= exp(z)
-                trial.append(v)
-                used += v * rs
-            if used < 1.0:
-                out = _values_and_merit(fpolys, targets_f, trial, merit)
-                if out is not None and out[1] < merit:
-                    accepted = (trial, *out, lam)
-                    break
-            lam /= 2
+        accepted = step(c, targets_f, s, d, row_sums, merit)
         if accepted is None:
             status, detail = "domain-violation", "no admissible damped step reduced the residual"
             break
@@ -371,13 +443,14 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         )
     targets_f = [float(x) for x in targets]
     # int true division rounds correctly: bit for bit float(Q(N, scale))
-    fpolys = [[(N / scale, mono) for N, mono in terms] for scale, _, terms in letters]
+    c = tuple(N / scale for scale, _, terms in letters for N, _ in terms)
     row_sums = [r / D for r in R]
+    kernels = ctx._float_kernels
 
     reports = []
     runs = 0
     for start in _grid(row_sums) if s0 is None else [s0]:
-        rep = _newton(fpolys, row_sums, targets_f, start, tolerance, want_trace)
+        rep = _newton(kernels, c, row_sums, targets_f, start, tolerance, want_trace)
         rep.t = t
         runs += 1
         # starts that end at the same point are one attempt

@@ -287,6 +287,12 @@ HALF_BLOCK = [{"measure": "1/1", "diagonal": "half"}]
             id="density-measure",
         ),
         pytest.param(["express", "3:111", "--at"], {"3:101": "x"}, id="express-at"),
+        # JSON true and false are not the exact numbers 1 and 0
+        pytest.param(["build-wk", "--k", "3", "--params"],
+                     {"s": [True], "t": [["1/30", "1/30", "1/30"]]}, id="build-wk-s-bool"),
+        pytest.param(["density", "3:101", "--tournamenton"],
+                     {"blocks": [{"measure": True, "diagonal": "half"}], "cross": [[False]]},
+                     id="density-bool"),
         pytest.param(["solve", "--k", "3", "1/0"], None, id="solve-zero-denominator"),
         pytest.param(["probe", "--k", "3", "--eps", "1e-3", "--samples", "0"], None,
                      id="probe-no-samples"),

@@ -101,6 +101,49 @@ def test_check_domain_rejections():
         make_params(ctx, [Q(1)], [(Q(1, 3),) * 3])  # used measure exactly 1
 
 
+def outcome(f, *args):
+    try:
+        f(*args)
+    except DomainError as e:
+        return str(e)
+    return "accepted"
+
+
+def test_jacobian_at_refuses_what_check_domain_refuses():
+    # jacobian_at reads t once, through s_forms, and tests the domain in
+    # integers; it refuses the same points with the same messages
+    rng = random.Random(113)
+    for k in (3, 4, 5):
+        ctx = context(k)
+        p = random_params(ctx, rng)
+        s, t = p.s, p.t
+        used = sum(x * sum(row) for x, row in zip(s, t))
+        zero_t = ((Q(0),) + t[0][1:],) + t[1:]
+        points = [
+            p,
+            WkParams(s + s[:1], t),
+            WkParams(s, t[:-1]),
+            WkParams(s, (t[0][:-1],) + t[1:]),
+            WkParams(s, zero_t),
+            WkParams(s, t[:-1] + ((Q(-1, 3),) + t[-1][1:],)),
+            WkParams((Q(0),) + s[1:], t),
+            WkParams(s[:-1] + (Q(-1, 7),), t),
+            # a zero t and a zero s: the t entries are checked first
+            WkParams((Q(0),) + s[1:], zero_t),
+            # the boundary, used measure exactly 1, and beyond it
+            WkParams(tuple(x / used for x in s), t),
+            WkParams(tuple(3 * x / used for x in s), t),
+        ]
+        seen = [outcome(check_domain, ctx, point) for point in points]
+        assert seen == [outcome(jacobian_at, ctx, point) for point in points]
+        assert seen[0] == "accepted"
+        assert seen[1] == "expected %d s-values, got %d" % (ctx.ell, ctx.ell + 1)
+        assert seen[2] == seen[3] == "t rows must have lengths %s" % (ctx.sizes,)
+        assert set(seen[4:9]) == {"all parameters must be strictly positive"}
+        assert seen[9] == "domain violated: sum_i s_i sum_j t_ij = 1/1 >= 1"
+        assert seen[10] == "domain violated: sum_i s_i sum_j t_ij = 3/1 >= 1"
+
+
 def test_density_two_routes_agree():
     # the closed-form polynomial and the generic tournamenton integrator
     # compute the same exact rationals; at k = 5 only the letters on at

@@ -8,6 +8,7 @@ import random
 from pathlib import Path
 
 import tourlyn
+from tourlyn import solver
 from tourlyn.construction import context, point_densities, random_params
 from tourlyn.solver import default_params, probe_ball, solve
 from tourlyn.tournamentons import density, random_step_tournamenton
@@ -147,3 +148,23 @@ def test_module_caches_are_the_five_and_stop_growing():
     before = cache_sizes(caches)
     long_run_slice(2)
     assert cache_sizes(caches) == before
+
+
+def test_float_kernels_are_built_once_per_context(monkeypatch):
+    # the solver's kernels live on the context, compiled at its first solve
+    # (not by context(k), which a fresh instance here stands in for), and
+    # adding them left the module-level caches as they were
+    calls = []
+    compile_kernels = solver._compile_kernels
+    monkeypatch.setattr(
+        solver, "_compile_kernels", lambda monomials: calls.append(1) or compile_kernels(monomials)
+    )
+    ctx = context.__wrapped__(4)
+    assert "_float_kernels" not in vars(ctx)
+    x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+    caches = module_caches()
+    before = cache_sizes(caches)
+    for radius in (0.0, 1e-7, 1e-4):
+        solve(ctx, solver._ball_point(random.Random(5), x0, radius))
+    assert len(calls) == 1 and ctx._float_kernels is ctx._float_kernels
+    assert set(caches) == MODULE_CACHES and cache_sizes(caches) == before

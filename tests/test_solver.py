@@ -382,36 +382,139 @@ def test_log_jacobian_rows_come_from_the_value_pass():
                     assert abs(entry - expected) <= 1e-12 * abs(expected)
 
 
-def test_fused_pass_stops_exactly_where_the_trial_fails():
-    # a line-search trial is one pass over the polynomials that stops at
-    # the first relative error reaching the bound (the current merit): an
+def coefficients(forms):
+    # the flat coefficient tuple solve passes to the context's kernels
+    return tuple(N / scale for scale, _, terms in forms for N, _ in terms)
+
+
+class Poison:
+    # a coefficient that no kernel may multiply
+    def __mul__(self, other):
+        raise AssertionError("a letter after the one that stopped the pass was evaluated")
+
+
+def test_values_kernel_stops_exactly_where_the_trial_fails():
+    # a line-search trial is one pass over the letters that stops at the
+    # first relative error reaching the bound (the current merit): an
     # accepted trial has evaluate_float's values, floored, and the trial
     # fails exactly when the full max relative error is >= the bound; the
     # scale 1e-120 takes every value under the floor
     rng = random.Random(89)
     for k in (3, 4, 5):
         ctx = context(k)
+        values = ctx._float_kernels[0]
         for scale in (1.0, 1.0, 1.0, 1e-120):
             p = random_params(ctx, rng)
             polys = [density_s_poly(ctx, i, p.t) for i in range(1, ctx.ell + 1)]
-            fpolys = [float_terms(scale, terms) for scale, _, terms in s_forms(ctx, p.t)[3]]
+            forms = s_forms(ctx, p.t)[3]
+            c = coefficients(forms)
             s = [float(x) * rng.uniform(0.8, 1.2) * scale for x in p.s]
             point = {s_var(j): v for j, v in enumerate(s, start=1)}
-            values = [max(q.evaluate_float(point), 1e-300) for q in polys]
-            targets = [g * rng.uniform(0.5, 2.0) for g in values]
-            errors = [abs(x - g) / x for x, g in zip(targets, values)]
+            values_f = [max(q.evaluate_float(point), 1e-300) for q in polys]
+            targets = [g * rng.uniform(0.5, 2.0) for g in values_f]
+            errors = [abs(x - g) / x for x, g in zip(targets, values_f)]
             full = max(errors)
             bounds = [full / 2, full, math.nextafter(full, math.inf), 2 * full, errors[0], math.nan]
             for bound in bounds:
-                out = solver._values_and_merit(fpolys, targets, s, bound)
+                out = values(c, targets, s, bound)
                 assert (out is not None and out[1] < bound) == (full < bound)
                 if out is not None:
-                    assert out == (values, full)
-            # no polynomial after the first one whose error reaches the
-            # bound is evaluated: this one would raise
-            poison = [(1.0, ((len(s), 1),))]
-            bad = solver._values_and_merit(fpolys + [poison], targets + [0.5], s, errors[0])
-            assert bad is None
+                    assert out == (values_f, full)
+            # no letter after the first one whose error reaches the bound is
+            # evaluated: a poisoned coefficient in the next letter's slot
+            start = 0
+            for i, (_, _, terms) in enumerate(forms[:-1]):
+                start += len(terms)
+                poisoned = c[:start] + (Poison(),) + c[start + 1:]
+                assert values(poisoned, targets, s, errors[i]) is None
+                with pytest.raises(AssertionError, match="was evaluated"):
+                    values(poisoned, targets, s, math.nan)
+
+
+def test_kernels_match_value_and_euler_bit_for_bit():
+    # values are value_and_euler's totals over the float terms, floored,
+    # and row i of the log-Jacobian its Euler row over G_i, bit for bit
+    rng = random.Random(107)
+    for k in (3, 4, 5):
+        ctx = context(k)
+        values, rows, _ = ctx._float_kernels
+        for scale in (1.0, 1.0, 1.0, 1e-120):
+            p = random_params(ctx, rng)
+            forms = s_forms(ctx, p.t)[3]
+            s = [float(x) * rng.uniform(0.5, 1.5) * scale for x in p.s]
+            expected = [value_and_euler(float_terms(sc, terms), s) for sc, _, terms in forms]
+            G = [max(g, 1e-300) for g, _ in expected]
+            targets = [rng.uniform(0.01, 0.5) for _ in G]
+            merit = max(abs(x - g) / x for x, g in zip(targets, G))
+            got_G, got_merit = values(coefficients(forms), targets, s, math.nan)
+            assert [float.hex(g) for g in got_G] == [float.hex(g) for g in G]
+            assert float.hex(got_merit) == float.hex(merit)
+            J = rows(coefficients(forms), s, G)
+            assert [[float.hex(v) for v in row] for row in J] == [
+                [float.hex(v / g) for v in row] for (_, row), g in zip(expected, G)
+            ]
+            if scale < 1:
+                assert G == [1e-300] * ctx.ell
+
+
+def elimination_oracle(A, b):
+    # the elimination solve used before it worked in place, kept verbatim
+    n = len(b)
+    M = [row + [bv] for row, bv in zip(A, b)]
+    for c in range(n):
+        p, big = c, abs(M[c][c])
+        for r in range(c + 1, n):
+            if abs(M[r][c]) > big:
+                p, big = r, abs(M[r][c])
+        if big < 1e-300:
+            return None
+        M[c], M[p] = M[p], M[c]
+        piv = M[c][c]
+        M[c] = [v / piv for v in M[c]]
+        for r in range(n):
+            if r != c and M[r][c]:
+                f = M[r][c]
+                M[r] = [v - f * w for v, w in zip(M[r], M[c])]
+    return [M[r][n] for r in range(n)]
+
+
+def test_float_solve_matches_the_copying_elimination():
+    # in place and touching only the columns from the pivot on, the solve
+    # gives the very same floats, and None on the same matrices
+    rng = random.Random(109)
+    outcomes = set()
+    for trial in range(600):
+        n = rng.randint(1, 6)
+        A = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+        b = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        kind = trial % 4
+        if kind == 1:
+            # badly scaled rows and columns
+            rows = [10.0 ** rng.randint(-150, 150) for _ in range(n)]
+            cols = [10.0 ** rng.randint(-150, 150) for _ in range(n)]
+            A = [[v * rows[i] * cols[j] for j, v in enumerate(row)] for i, row in enumerate(A)]
+        elif kind == 2 and n > 1:
+            # singular: a repeated row, a zero column or a combination
+            i, j = rng.sample(range(n), 2)
+            how = rng.choice(("row", "column", "combination"))
+            if how == "row":
+                A[i] = list(A[j])
+            elif how == "column":
+                for row in A:
+                    row[j] = 0.0
+            else:
+                A[i] = [0.5 * u + 0.25 * v for u, v in zip(A[j], A[(j + 1) % n])]
+        elif kind == 3:
+            # entries of the Jacobians' kind: nonnegative, some exact zeros
+            A = [[0.0 if rng.random() < 0.3 else rng.uniform(0.0, 5.0) for _ in row] for row in A]
+        expected = elimination_oracle([list(row) for row in A], list(b))
+        got = solver._float_solve([list(row) for row in A], list(b))
+        outcomes.add(expected is None)
+        if expected is None:
+            assert got is None
+        else:
+            assert [float.hex(x) for x in got] == [float.hex(x) for x in expected]
+    assert outcomes == {True, False}
 
 
 def _float_singular_report(monkeypatch):
