@@ -41,10 +41,11 @@ substitutes t into the polynomial in integers, once for every letter, and
 checks t on the way.  These s-forms are read by the solver (its float
 coefficients, its domain test and its exact check), by the exact Jacobian
 (jacobian_at, which tests the domain with them too) and by
-density_s_poly.  The solver's float kernels are generated from the
-letters' s-monomials alone, so they depend on k only and are kept on the
-context; value_and_euler is the generic pass they unroll, and the one
-the exact side runs on the integer s-forms.
+density_s_poly.  The solver's float kernels (values, the Newton
+direction with its elimination, and a step's backtracking) are generated
+from the letters' s-monomials alone, so they depend on k only and are
+kept on the context; value_and_euler is the generic pass they unroll,
+and the one the exact side runs on the integer s-forms.
 
 Everything above that depends on k alone is built once, by context(k):
 the host, its strong parts with their cross submatrices, each letter's
@@ -109,12 +110,15 @@ class WkContext:
 
     @cached_property
     def _float_kernels(self):
-        """The solver's straight-line float kernels for this k, compiled on
-        first use from the letters' s-monomials (solver._compile_kernels,
-        imported here because the solver imports this module)."""
+        """The solver's straight-line float kernels for this k, (values,
+        direction, step), compiled on first use from the letters'
+        s-monomials (solver._compile_kernels, imported here because the
+        solver imports this module)."""
         from .solver import _compile_kernels
 
-        return _compile_kernels(tuple(tuple(m for m, _ in by_s) for *_, by_s in self._letters))
+        return _compile_kernels(
+            self.k, tuple(tuple(m for m, _ in by_s) for *_, by_s in self._letters)
+        )
 
 
 @dataclass(frozen=True)
@@ -337,7 +341,8 @@ def value_and_euler(terms, s):
     times each term): over scale * L^n at s = A; evaluate_float's value bit
     for bit at float s and terms (same order; sums start at 0 * first N).
     The exact pass of the solver's check and of jacobian_at; the solver's
-    float kernels unroll it, and the tests hold them to it bit for bit."""
+    float kernels unroll it (values and step its totals, direction its
+    Euler rows), and the tests hold them to it bit for bit."""
     total = terms[0][0] * 0
     row = [total] * len(s)
     for c, mono in terms:

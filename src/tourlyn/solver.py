@@ -10,13 +10,16 @@ log s), moves s_j to s_j exp(lam d_j) and halves lam until the merit, the
 largest relative error, drops.  The float side runs in three kernels,
 straight-line code that _compile_kernels generates from the letters'
 s-monomials, once per context (WkContext._float_kernels): the values and
-merit, the rows of J, and a step's backtracking.  Row i of J,
-s_j dG_i/ds_j / G_i, is the Euler row of G_i's terms; a damped trial is
-one pass, values and merit together, that stops at the first component
-whose relative error reaches the current merit, where the trial is
-rejected.  The kernels' arithmetic is construction.value_and_euler's bit
-for bit; that generic pass is the exact side's (integer s-forms at
-s = A / L, in _finish and jacobian_at) and the kernels' test oracle.
+merit at the start, the direction d, and a step's backtracking, so that
+an iteration is two compiled calls.  Row i of J, s_j dG_i/ds_j / G_i, is
+the Euler row of G_i's terms, and direction solves for d by a pivoted
+Gauss-Jordan elimination unrolled over ell (_elimination).  A damped
+trial is one pass inside step, values and merit together, emitted by the
+same lines as the values kernel; it stops at the first component whose
+relative error reaches the current merit, where the trial is rejected.
+The kernels' arithmetic is construction.value_and_euler's bit for bit;
+that generic pass is the exact side's (integer s-forms at s = A / L, in
+_finish and jacobian_at) and the kernels' test oracle.
 Log coordinates are scale-free, which this map needs: target components
 differ by orders of magnitude (densities scale like s^n), and greedy
 descent walks into boundary basins it cannot leave.
@@ -53,6 +56,7 @@ exceptions: reports carry a status out of converged / singular-jacobian /
 domain-violation / no-convergence.
 """
 
+import linecache
 import random
 from dataclasses import dataclass, field
 from itertools import product
@@ -85,8 +89,9 @@ class SolveOptions:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive, got %r" % self.tolerance)
+        tol = self.tolerance
+        if isinstance(tol, bool) or not (isinstance(tol, Real) and isfinite(tol) and tol > 0):
+            raise DomainError("tolerance must be a finite positive number, got %r" % (tol,))
 
 
 @dataclass
@@ -143,13 +148,15 @@ def _rational_points(s_floats, D, R):
             yield s, A, L
 
 
-def _compile_kernels(monomials):
-    """The float kernels of _newton for one context, from its letters'
+def _compile_kernels(k, monomials):
+    """The float kernels of _newton for the context of k, from its letters'
     s-monomials (per letter, the ((j, e), ...) of its s-form's terms), each
     one straight-line function, compiled once (WkContext._float_kernels).
     Each takes the solve's coefficients c, the N / scale floats of every
     letter in s-form term order, as one flat tuple; the source is made of
-    the monomials' indices and exponents only.
+    the monomials' indices and exponents only, and is registered with
+    linecache under a per-k filename, so that tracebacks and profiles show
+    its lines.
 
     values(c, x, s, bound) -- the values at s, floored at 1e-300 to keep
         logs finite, and their merit, the largest relative error in max()'s
@@ -158,19 +165,22 @@ def _compile_kernels(monomials):
         errors, as the absolute max-norm is blind to a 1e-5 target next to a
         1e-3 one, and descent on it walks into boundary basins where the
         small component is never met.
-    rows(c, s, G) -- the log-Jacobian: row i is the Euler row s_j dG_i/ds_j,
-        the sum of e_j times each term, over G_i (0.0 where s_j is absent).
+    direction(c, s, G, log_targets) -- the Newton direction d of J d =
+        l - log G, or None when J is float-singular: J is the log-Jacobian,
+        entry (i, j) the Euler sum s_j dG_i/ds_j, the sum of e_j times each
+        term, over G_i (0.0 where s_j is absent), and the solve is
+        _elimination's.
     step(c, x, s, d, row_sums, merit) -- one Newton step's backtracking:
         for lam = 1, 1/2, ... down to MIN_STEP, the trial s_j exp(lam d_j),
         the clamp of max(min(lam d_j, 30), -30) written as comparisons (NaN
         passing through) and the domain sum from int 0 in order, as sum()
-        adds; a trial inside the domain goes to values at the current merit.
-        Returns (trial, values, merit, lam) of the first trial that lowers
-        the merit, None when none does.
+        adds; a trial inside the domain runs values' own lines, at the
+        current merit as the bound.  Returns (trial, values, merit, lam) of
+        the first trial that lowers the merit, None when none does.
 
     The arithmetic is value_and_euler's, bit for bit: a term is
     ((c * s_j1 ** e1) * s_j2 ** e2) ... in monomial order, each power taken
-    once per call, sums run left to right from the first term (0.0 + x is
+    once per pass, sums run left to right from the first term (0.0 + x is
     x for these positive terms), and an Euler contribution is e * term."""
     ell = len(monomials)
 
@@ -183,119 +193,137 @@ def _compile_kernels(monomials):
     for letter in monomials:
         letters.append([(count + a, mono) for a, mono in enumerate(letter)])
         count += len(letter)
-    head = ["%s = c" % names("c", count), "%s = s" % names("s", ell)]
 
-    def powers(terms, done):
+    def powers(point, terms, done):
         for _, mono in terms:
             for j, e in mono:
                 if (j, e) not in done:
                     done.add((j, e))
-                    yield "p%d_%d = s%d ** %d" % (j, e, j, e)
+                    yield "p%d_%d = %s%d ** %d" % (j, e, point, j, e)
 
     def term(m, mono):
         return " * ".join(["c%d" % m] + ["p%d_%d" % je for je in mono])
 
-    values, done = head + ["%s = x" % names("x", ell)], set()
-    for i, terms in enumerate(letters):
-        values += powers(terms, done)
-        values += [
-            "g%d = %s" % (i, " + ".join(term(m, mono) for m, mono in terms)),
-            "if g%d < 1e-300:" % i,
-            "    g%d = 1e-300" % i,
-            "e%d = abs(x%d - g%d) / x%d" % (i, i, i, i),
-            "if e%d >= bound:" % i,
-            "    return None",
-        ]
-        values += ["m = e0"] if i == 0 else ["if e%d > m:" % i, "    m = e%d" % i]
+    def trial(point, bound, reject):
+        # the values pass at point0, point1, ..., letter by letter, each
+        # letter's powers taken when it first needs them; `reject` runs at
+        # the first relative error reaching `bound`, else m is the merit
+        lines, done = [], set()
+        for i, terms in enumerate(letters):
+            lines += powers(point, terms, done)
+            lines += [
+                "g%d = %s" % (i, " + ".join(term(m, mono) for m, mono in terms)),
+                "if g%d < 1e-300:" % i,
+                "    g%d = 1e-300" % i,
+                "e%d = abs(x%d - g%d) / x%d" % (i, i, i, i),
+                "if e%d >= %s:" % (i, bound),
+                "    " + reject,
+            ]
+            lines += ["m = e0"] if i == 0 else ["if e%d > m:" % i, "    m = e%d" % i]
+        return lines
+
+    head = ["%s = c" % names("c", count), "%s = s" % names("s", ell)]
+    values = head + ["%s = x" % names("x", ell)] + trial("s", "bound", "return None")
     values.append("return [%s], m" % names("g", ell))
 
-    rows = head + ["%s = G" % names("g", ell)]
-    rows += powers([pair for terms in letters for pair in terms], set())
-    rows += ["t%d = %s" % (m, term(m, mono)) for terms in letters for m, mono in terms]
-    matrix = []
+    direction = head + ["%s = G" % names("g", ell), "%s = log_targets" % names("l", ell)]
+    direction += powers("s", [pair for terms in letters for pair in terms], set())
+    direction += ["t%d = %s" % (m, term(m, mono)) for terms in letters for m, mono in terms]
     for i, terms in enumerate(letters):
-        entries = []
         for j in range(ell):
             euler = ["%d * t%d" % (e, m) for m, mono in terms for jj, e in mono if jj == j]
-            entries.append("(%s) / g%d" % (" + ".join(euler), i) if euler else "0.0")
-        matrix.append("[%s]" % ", ".join(entries))
-    rows.append("return [%s]" % ", ".join(matrix))
+            direction.append(
+                "a%d_%d = %s" % (i, j, "(%s) / g%d" % (" + ".join(euler), i) if euler else "0.0")
+            )
+        direction.append("b%d = l%d - log(g%d)" % (i, i, i))
+    direction += _elimination(ell)
 
-    step = ["%s = s" % names("s", ell), "%s = d" % names("d", ell),
-            "%s = row_sums" % names("r", ell), "lam = 1.0", "while lam >= %r:" % MIN_STEP]
+    lams, lam = [], 1.0
+    while lam >= MIN_STEP:
+        lams.append(lam)
+        lam /= 2
+    step = head + ["%s = x" % names("x", ell), "%s = d" % names("d", ell),
+                   "%s = row_sums" % names("r", ell), "for lam in %r:" % (tuple(lams),)]
     for j in range(ell):
         step += ["    z = lam * d%d" % j, "    if z > 30.0:", "        z = 30.0",
                  "    elif z < -30.0:", "        z = -30.0", "    v%d = s%d * exp(z)" % (j, j)]
+    step.append("    if 0 + %s < 1.0:" % " + ".join("v%d * r%d" % (j, j) for j in range(ell)))
+    step += ["        " + line for line in trial("v", "merit", "continue")]
     step += [
-        "    if 0 + %s < 1.0:" % " + ".join("v%d * r%d" % (j, j) for j in range(ell)),
-        "        out = values(c, x, (%s), merit)" % names("v", ell),
-        "        if out is not None and out[1] < merit:",
-        "            return [%s], out[0], out[1], lam" % names("v", ell),
-        "    lam /= 2",
+        "        if m < merit:",
+        "            return [%s], [%s], m, lam" % (names("v", ell), names("g", ell)),
         "return None",
     ]
     source = "\n".join(
         "def %s:\n%s\n" % (signature, "\n".join("    " + line for line in body))
         for signature, body in (
             ("values(c, x, s, bound)", values),
-            ("rows(c, s, G)", rows),
+            ("direction(c, s, G, log_targets)", direction),
             ("step(c, x, s, d, row_sums, merit)", step),
         )
     )
-    namespace = {"exp": exp}
-    exec(compile(source, "<float kernels>", "exec"), namespace)
-    return namespace["values"], namespace["rows"], namespace["step"]
+    filename = "<float kernels, k = %d>" % k
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"exp": exp, "log": log}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["values"], namespace["direction"], namespace["step"]
+
+
+def _elimination(n):
+    """The lines of a Gauss-Jordan solve of the n x n system held in the
+    locals a{i}_{j} (the matrix) and b{i} (the right-hand side), unrolled
+    over n, ending in `return [b0, ..., b(n-1)]`, or in `return None` when
+    singular.  At step c the pivot is the first largest |a{r}_{c}| of rows
+    c..n-1, singular when under 1e-300; the swap exchanges columns c..n of
+    rows c and p, the pivot row is divided from column c on, and every
+    other row whose entry f in column c is nonzero loses f times it.  No
+    step reads a column left of its own, so column c is not written once
+    its step has read it."""
+    lines = []
+    for c in range(n):
+        # per row, its live variables at step c: columns c..n-1, then b
+        rows = [["a%d_%d" % (r, j) for j in range(c, n)] + ["b%d" % r] for r in range(n)]
+        lines += ["p = %d" % c, "big = abs(a%d_%d)" % (c, c)]
+        for r in range(c + 1, n):
+            lines += ["z = abs(a%d_%d)" % (r, c), "if z > big:", "    p, big = %d, z" % r]
+        lines += ["if big < 1e-300:", "    return None"]
+        for r in range(c + 1, n):
+            lines += [
+                "%s p == %d:" % ("if" if r == c + 1 else "elif", r),
+                "    %s = %s" % (", ".join(rows[c] + rows[r]), ", ".join(rows[r] + rows[c])),
+            ]
+        lines.append("piv = a%d_%d" % (c, c))
+        lines += ["%s = %s / piv" % (v, v) for v in rows[c][1:]]
+        for r in range(n):
+            if r != c:
+                lines += ["f = a%d_%d" % (r, c), "if f:"]
+                lines += [
+                    "    %s = %s - f * %s" % (v, v, w) for v, w in zip(rows[r][1:], rows[c][1:])
+                ]
+    lines.append("return [%s]" % ", ".join("b%d" % r for r in range(n)))
+    return lines
 
 
 def _residual(targets, values):
     return max(abs(x - g) for x, g in zip(targets, values))
 
 
-def _float_solve(A, b):
-    """Gaussian elimination with partial pivoting, the first largest entry
-    of a column its pivot; None when singular.  Works in place on A, b
-    appended to its rows: step c touches columns c..n only, as every column
-    left of the pivot is zero in the rows it updates and is never read
-    again."""
-    n = len(b)
-    for row, bv in zip(A, b):
-        row.append(bv)
-    for c in range(n):
-        p, big = c, abs(A[c][c])
-        for r in range(c + 1, n):
-            a = abs(A[r][c])
-            if a > big:
-                p, big = r, a
-        if big < 1e-300:
-            return None
-        A[c], A[p] = A[p], A[c]
-        pivot = A[c]
-        piv = pivot[c]
-        for j in range(c, n + 1):
-            pivot[j] /= piv
-        for r in range(n):
-            row = A[r]
-            f = row[c]
-            if r != c and f:
-                for j in range(c, n + 1):
-                    row[j] -= f * pivot[j]
-    return [row[n] for row in A]
-
-
 def _newton(kernels, c, row_sums, targets_f, start, tolerance, want_trace):
     """One damped Newton run in log coordinates from `start`, on floats
     only; returns its SolveReport, not yet verified.  kernels are the
-    context's values, rows and step (_compile_kernels), c the solve's flat
-    coefficient tuple and row_sums the row sums of t, for the domain test.
+    context's values, direction and step (_compile_kernels), c the solve's
+    flat coefficient tuple and row_sums the row sums of t, for the domain
+    test.
 
-    Each iteration solves for the step with the log-Jacobian of rows and
-    backtracks with step, whose accepted trial has every value.  Halving
-    backtracks on the merit, while the run is converged when the absolute
-    residual meets the tolerance, however it stopped.  Otherwise it keeps
-    the reason the run stopped; a float-singular Jacobian stops it with the
-    status "float-singular", which _finish decides exactly.
+    Each iteration is two kernel calls: direction solves for the step with
+    the log-Jacobian, and step backtracks along it, its accepted trial
+    carrying every value.  Halving backtracks on the merit, while the run
+    is converged when the absolute residual meets the tolerance, however it
+    stopped.  Otherwise it keeps the reason the run stopped; a
+    float-singular Jacobian stops it with the status "float-singular",
+    which _finish decides exactly.
     """
-    values, rows, step = kernels
+    values, direction, step = kernels
     s = [float(x) for x in start]
     if not (all(x > 0.0 for x in s) and sum(a * b for a, b in zip(s, row_sums)) < 1.0):
         return SolveReport(
@@ -315,7 +343,7 @@ def _newton(kernels, c, row_sums, targets_f, start, tolerance, want_trace):
         if len(history) >= 11 and history[-1] > 0.95 * history[-11]:
             detail = "stalled: relative progress under 5% across 10 iterations"
             break
-        d = _float_solve(rows(c, s, G), [lx - log(g) for lx, g in zip(log_targets, G)])
+        d = direction(c, s, G, log_targets)
         if d is None:
             status, detail = "float-singular", ""
             break
@@ -400,10 +428,11 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
 
     x_target entries may be floats or rationals; floats convert exactly,
     and NaN or infinite ones raise DomainError, as does an s0 or x_target
-    of the wrong length or an s0 entry float() refuses.  Entries must lie
-    strictly inside (0, 1): boundary targets are not in the open region
-    the construction parameterizes, and are reported as domain-violation
-    without iterating.
+    of the wrong length or an s0 entry that is a bool, or that float()
+    refuses or makes NaN or infinite, all before any Newton run.  Entries
+    must lie strictly inside (0, 1): boundary targets are not in the open
+    region the construction parameterizes, and are reported as
+    domain-violation without iterating.
 
     With no explicit s0, Newton runs go from the grid starts in order and
     each new float-converged end point is verified at once, at the rational
@@ -432,9 +461,11 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
             raise DomainError("expected %d start components, got %d" % (ctx.ell, len(s0)))
         for x in s0:
             try:
-                float(x)
-            except (TypeError, ValueError):
-                raise DomainError("start component %r is not a number" % (x,)) from None
+                finite = not isinstance(x, bool) and isfinite(float(x))
+            except (TypeError, ValueError, OverflowError):
+                finite = False
+            if not finite:
+                raise DomainError("start component %r is not a finite number" % (x,))
     targets = [_as_target(x) for x in x_target]
     if any(not (ZERO < x < ONE) for x in targets):
         return SolveReport(

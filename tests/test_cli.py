@@ -232,6 +232,7 @@ def test_solve_accepts_rational_and_float_targets():
         ["probe", "--k", "3", "--eps", "1e-3", "--samples", "1", "--x0", "nan"],
         ["probe", "--k", "3", "--eps", "1e-3", "--samples", "1", "--x0", "inf"],
         ["probe", "--k", "3", "--eps", "1e-3", "--samples", "1", "--x0", "2"],
+        ["solve", "--k", "4", "--tolerance", "inf", "0.01", "0.02", "0.03"],
     ],
 )
 def test_non_finite_numbers_are_domain_errors(argv):

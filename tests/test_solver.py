@@ -1,8 +1,10 @@
 """Target-hitting: Newton round trips, boundary handling, ball probes."""
 
 import dataclasses
+import inspect
 import math
 import random
+import traceback
 
 import pytest
 
@@ -91,12 +93,22 @@ def test_wrong_target_count():
 
 
 @pytest.mark.parametrize(
-    "s0", [[0.1, 0.1], [0.1] * 4, ["abc", 0.1, 0.1], [0.1, None, 0.1], [0.1, 0.1, "1/2"]]
+    "s0",
+    [
+        [0.1, 0.1], [0.1] * 4, ["abc", 0.1, 0.1], [0.1, None, 0.1], [0.1, 0.1, "1/2"],
+        [math.nan, 0.1, 0.1], [0.1, math.inf, 0.1], [0.1, 0.1, -math.inf], [True, 0.1, 0.1],
+        [0.1, 10 ** 400, 0.1],
+    ],
 )
-def test_wrong_start_length(s0):
+def test_wrong_start_length(monkeypatch, s0):
     ctx = context(4)
     x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
-    with pytest.raises(DomainError, match="expected 3 start components|is not a number"):
+
+    def no_run(*args):
+        raise AssertionError("a Newton run started from a malformed s0")
+
+    monkeypatch.setattr(solver, "_newton", no_run)
+    with pytest.raises(DomainError, match="expected 3 start components|is not a finite number"):
         solve(ctx, x0, s0=s0)
 
 
@@ -158,8 +170,8 @@ def test_failed_solve_reports_its_best_attempt():
 
 
 def test_options_validation():
-    for bad in (0, -1e-3, math.nan):
-        with pytest.raises(DomainError):
+    for bad in (0, -1e-3, math.nan, math.inf, -math.inf, True, False, "abc", None):
+        with pytest.raises(DomainError, match="tolerance must be a finite positive number"):
             SolveOptions(tolerance=bad)
     ctx = context(3)
     rep = solve(ctx, [Q(1, 16)], options=SolveOptions(tolerance=1e-6))
@@ -402,7 +414,9 @@ def test_values_kernel_stops_exactly_where_the_trial_fails():
     rng = random.Random(89)
     for k in (3, 4, 5):
         ctx = context(k)
-        values = ctx._float_kernels[0]
+        values, _, step = ctx._float_kernels
+        # a step along d = 0 with no domain to leave: every trial is s itself
+        zero = [0.0] * ctx.ell
         for scale in (1.0, 1.0, 1.0, 1e-120):
             p = random_params(ctx, rng)
             polys = [density_s_poly(ctx, i, p.t) for i in range(1, ctx.ell + 1)]
@@ -421,38 +435,55 @@ def test_values_kernel_stops_exactly_where_the_trial_fails():
                 if out is not None:
                     assert out == (values_f, full)
             # no letter after the first one whose error reaches the bound is
-            # evaluated: a poisoned coefficient in the next letter's slot
+            # evaluated: a poisoned coefficient in the next letter's slot,
+            # in values and in each of step's trials alike
             start = 0
             for i, (_, _, terms) in enumerate(forms[:-1]):
                 start += len(terms)
                 poisoned = c[:start] + (Poison(),) + c[start + 1:]
                 assert values(poisoned, targets, s, errors[i]) is None
+                assert step(poisoned, targets, s, zero, zero, errors[i]) is None
                 with pytest.raises(AssertionError, match="was evaluated"):
                     values(poisoned, targets, s, math.nan)
+                with pytest.raises(AssertionError, match="was evaluated"):
+                    step(poisoned, targets, s, zero, zero, math.nan)
 
 
 def test_kernels_match_value_and_euler_bit_for_bit():
-    # values are value_and_euler's totals over the float terms, floored,
-    # and row i of the log-Jacobian its Euler row over G_i, bit for bit
+    # values are value_and_euler's totals over the float terms, floored;
+    # direction is the copying elimination of J d = l - log G, row i of J
+    # the Euler row over G_i; an accepted step has values' floats at its
+    # trial; all bit for bit
     rng = random.Random(107)
     for k in (3, 4, 5):
         ctx = context(k)
-        values, rows, _ = ctx._float_kernels
+        values, direction, step = ctx._float_kernels
         for scale in (1.0, 1.0, 1.0, 1e-120):
             p = random_params(ctx, rng)
             forms = s_forms(ctx, p.t)[3]
+            c = coefficients(forms)
             s = [float(x) * rng.uniform(0.5, 1.5) * scale for x in p.s]
             expected = [value_and_euler(float_terms(sc, terms), s) for sc, _, terms in forms]
             G = [max(g, 1e-300) for g, _ in expected]
             targets = [rng.uniform(0.01, 0.5) for _ in G]
             merit = max(abs(x - g) / x for x, g in zip(targets, G))
-            got_G, got_merit = values(coefficients(forms), targets, s, math.nan)
+            got_G, got_merit = values(c, targets, s, math.nan)
             assert [float.hex(g) for g in got_G] == [float.hex(g) for g in G]
             assert float.hex(got_merit) == float.hex(merit)
-            J = rows(coefficients(forms), s, G)
-            assert [[float.hex(v) for v in row] for row in J] == [
-                [float.hex(v / g) for v in row] for (_, row), g in zip(expected, G)
-            ]
+            logs = [math.log(x) for x in targets]
+            d = elimination_oracle(
+                [[v / g for v in row] for (_, row), g in zip(expected, G)],
+                [lx - math.log(g) for lx, g in zip(logs, G)],
+            )
+            got = direction(c, s, G, logs)
+            assert (got is None) == (d is None)
+            if d is not None:
+                assert [float.hex(x) for x in got] == [float.hex(x) for x in d]
+            # a step with no domain to leave and no merit to beat takes lam = 1
+            d = [rng.uniform(-0.1, 0.1) for _ in s]
+            trial, trial_G, trial_merit, lam = step(c, targets, s, d, [0.0] * ctx.ell, math.inf)
+            assert lam == 1.0 and trial == [x * math.exp(dx) for x, dx in zip(s, d)]
+            assert (trial_G, trial_merit) == values(c, targets, trial, math.nan)
             if scale < 1:
                 assert G == [1e-300] * ctx.ell
 
@@ -478,37 +509,60 @@ def elimination_oracle(A, b):
     return [M[r][n] for r in range(n)]
 
 
-def test_float_solve_matches_the_copying_elimination():
-    # in place and touching only the columns from the pivot on, the solve
-    # gives the very same floats, and None on the same matrices
+def compiled_elimination(n):
+    # the kernels' elimination lines compiled on their own, the matrix and
+    # right-hand side unpacked into the locals they work on
+    head = ["%s, = A[%d]" % (", ".join("a%d_%d" % (i, j) for j in range(n)), i) for i in range(n)]
+    head.append("%s, = b" % ", ".join("b%d" % i for i in range(n)))
+    body = "".join("    %s\n" % line for line in head + solver._elimination(n))
+    namespace = {}
+    exec("def eliminate(A, b):\n" + body, namespace)
+    return namespace["eliminate"]
+
+
+def random_system(rng, n, kind):
+    A = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+    b = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    if kind == 1:
+        # badly scaled rows and columns
+        rows = [10.0 ** rng.randint(-150, 150) for _ in range(n)]
+        cols = [10.0 ** rng.randint(-150, 150) for _ in range(n)]
+        A = [[v * rows[i] * cols[j] for j, v in enumerate(row)] for i, row in enumerate(A)]
+    elif kind == 2 and n > 1:
+        # singular: a repeated row, a zero column or a combination
+        i, j = rng.sample(range(n), 2)
+        how = rng.choice(("row", "column", "combination"))
+        if how == "row":
+            A[i] = list(A[j])
+        elif how == "column":
+            for row in A:
+                row[j] = 0.0
+        else:
+            A[i] = [0.5 * u + 0.25 * v for u, v in zip(A[j], A[(j + 1) % n])]
+    elif kind == 3:
+        # entries of the Jacobians' kind: nonnegative, some exact zeros
+        A = [[0.0 if rng.random() < 0.3 else rng.uniform(0.0, 5.0) for _ in row] for row in A]
+    elif kind == 4:
+        # small integers: ties for the pivot, zero multipliers, and signed
+        # zeros that a zero multiplier's update would flip
+        A = [[rng.choice((-2.0, -1.0, 0.0, 1.0, 2.0)) for _ in row] for row in A]
+        b = [rng.choice((-0.0, 0.0, -1.0, 1.0)) for _ in b]
+    return A, b
+
+
+def test_elimination_lines_match_the_copying_elimination():
+    # unrolled on locals and touching only the columns from the pivot on,
+    # the elimination gives the very same floats, and None on the same
+    # matrices; n = 11 is the k = 5 Jacobian's size
     rng = random.Random(109)
+    systems = [random_system(rng, rng.randint(1, 6), trial % 4) for trial in range(600)]
+    systems += [random_system(rng, 11, trial % 5) for trial in range(50)]
+    systems += [random_system(rng, rng.randint(2, 6), 4) for _ in range(200)]
+    eliminate = {n: compiled_elimination(n) for n in (1, 2, 3, 4, 5, 6, 11)}
     outcomes = set()
-    for trial in range(600):
-        n = rng.randint(1, 6)
-        A = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
-        b = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-        kind = trial % 4
-        if kind == 1:
-            # badly scaled rows and columns
-            rows = [10.0 ** rng.randint(-150, 150) for _ in range(n)]
-            cols = [10.0 ** rng.randint(-150, 150) for _ in range(n)]
-            A = [[v * rows[i] * cols[j] for j, v in enumerate(row)] for i, row in enumerate(A)]
-        elif kind == 2 and n > 1:
-            # singular: a repeated row, a zero column or a combination
-            i, j = rng.sample(range(n), 2)
-            how = rng.choice(("row", "column", "combination"))
-            if how == "row":
-                A[i] = list(A[j])
-            elif how == "column":
-                for row in A:
-                    row[j] = 0.0
-            else:
-                A[i] = [0.5 * u + 0.25 * v for u, v in zip(A[j], A[(j + 1) % n])]
-        elif kind == 3:
-            # entries of the Jacobians' kind: nonnegative, some exact zeros
-            A = [[0.0 if rng.random() < 0.3 else rng.uniform(0.0, 5.0) for _ in row] for row in A]
+    for A, b in systems:
         expected = elimination_oracle([list(row) for row in A], list(b))
-        got = solver._float_solve([list(row) for row in A], list(b))
+        got = eliminate[len(b)](A, b)
         outcomes.add(expected is None)
         if expected is None:
             assert got is None
@@ -517,12 +571,33 @@ def test_float_solve_matches_the_copying_elimination():
     assert outcomes == {True, False}
 
 
+def test_kernel_sources_are_registered_for_tracebacks():
+    # each kernel's lines are readable under its context's filename, so a
+    # traceback through a kernel shows the line that raised
+    ctx = context(4)
+    values, direction, step = ctx._float_kernels
+    for kernel, signature in ((values, "values(c, x, s, bound)"),
+                              (direction, "direction(c, s, G, log_targets)"),
+                              (step, "step(c, x, s, d, row_sums, merit)")):
+        assert kernel.__code__.co_filename == "<float kernels, k = 4>"
+        assert inspect.getsource(kernel).startswith("def %s:\n" % signature)
+    with pytest.raises(AssertionError) as info:
+        direction((Poison(),) * 10, [0.1] * 3, [0.1] * 3, [0.0] * 3)
+    assert traceback.extract_tb(info.value.__traceback__)[-2].line == "t0 = c0 * p0_4"
+
+
+def float_singular(monkeypatch, ctx):
+    # every direction the context's kernels solve for is float-singular
+    values, _, step = ctx._float_kernels
+    monkeypatch.setitem(vars(ctx), "_float_kernels", (values, lambda c, s, G, l: None, step))
+
+
 def _float_singular_report(monkeypatch):
     # every Newton run stops at its start on a float-singular Jacobian,
     # which the exact Jacobian at the start's rational point then decides
     ctx = context(4)
     p = random_params(ctx, random.Random(83))
-    monkeypatch.setattr(solver, "_float_solve", lambda A, b: None)
+    float_singular(monkeypatch, ctx)
     return solve(ctx, exact_densities(ctx, p), t=p.t)
 
 
@@ -664,7 +739,7 @@ def test_seeded_reports_are_pinned(monkeypatch):
             got.append(fields(solve(ctx, solver._ball_point(rng, x0, radius))))
     ctx = context(4)
     p = random_params(ctx, rng)
-    monkeypatch.setattr(solver, "_float_solve", lambda A, b: None)
+    float_singular(monkeypatch, ctx)
     got.append(fields(solve(ctx, point_densities(ctx, p), t=p.t)))
     assert got == [
         ("converged", ["0x1.0000000000001p-2"],
