@@ -169,19 +169,45 @@ def check_t(ctx, t):
 
 def check_domain(ctx, p):
     """Validate shapes and the open-domain condition; returns the remainder
-    measure 1 - sum_i s_i sum_j t_{i,j} (the measure of I_0)."""
+    measure 1 - sum_i s_i sum_j t_{i,j} (the measure of I_0), from the
+    integers of _t_integers and integer_point."""
     if len(p.s) != ctx.ell:
         raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
     check_t(ctx, p.t)
-    if any(x <= 0 for row in p.t for x in row) or any(x <= 0 for x in p.s):
+    D, rows = _t_integers(p.t)
+    _, L, used = integer_point(
+        [(x.numerator, x.denominator) for x in p.s], D, [sum(row) for row in rows]
+    )
+    return Q(L * D - used, L * D)
+
+
+def _t_integers(t):
+    """t over its common denominator D: (D, the integer rows), every entry
+    checked positive."""
+    D = lcm(*(x.denominator for row in t for x in row))
+    rows = [[int(x.numerator * (D // x.denominator)) for x in row] for row in t]
+    if any(a <= 0 for row in rows for a in row):
         raise DomainError("all parameters must be strictly positive")
-    used = sum((si * sum(row, ZERO) for si, row in zip(p.s, p.t)), ZERO)
-    slack = ONE - used
-    if slack <= 0:
+    return D, rows
+
+
+def integer_point(ratios, D, R):
+    """The point s = A / L of the (numerator, denominator) pairs of its
+    coordinates, L the lcm of the denominators, tested against the open
+    domain in integers, t's row sums being R / D: every A_j > 0 and
+    sum_i A_i R_i < L D.  Returns (A, L, used), used / (L D) the measure
+    sum_i s_i sum_j t_ij; a point outside is a DomainError.  The one domain
+    test of check_domain, jacobian_at and the solver's rational points."""
+    L = lcm(*(q for _, q in ratios))
+    A = [p * (L // q) for p, q in ratios]
+    if min(A) <= 0:
+        raise DomainError("all parameters must be strictly positive")
+    used = sum(a * r for a, r in zip(A, R))
+    if used >= L * D:
         raise DomainError(
-            "domain violated: sum_i s_i sum_j t_ij = %s >= 1" % fmt_q(used)
+            "domain violated: sum_i s_i sum_j t_ij = %s >= 1" % fmt_q(Q(used, L * D))
         )
-    return slack
+    return A, L, used
 
 
 def block_labels(ctx):
@@ -283,10 +309,7 @@ def s_forms(ctx, t_values, letters=None):
     except TypeError as e:
         raise DomainError("malformed t: %s" % e) from None
     check_t(ctx, t)
-    D = lcm(*(x.denominator for row in t for x in row))
-    rows = [[int(x.numerator * (D // x.denominator)) for x in row] for row in t]
-    if any(a <= 0 for row in rows for a in row):
-        raise DomainError("all parameters must be strictly positive")
+    D, rows = _t_integers(t)
     scaled = [a for row in rows for a in row]
     forms = []
     for i in range(1, ctx.ell + 1) if letters is None else letters:
@@ -316,20 +339,12 @@ def jacobian_at(ctx, p):
     """Exact ell x ell matrix with entry (i, j) = d t(T_i, W_k)/d s_j at p:
     the Euler rows of one s_forms call at s = A / L, divided by s_j.  p is
     refused as check_domain refuses it, in the same order and with the same
-    messages, but t is read once, by s_forms, and the domain test is the
-    solver's in integers: every A_j > 0 and sum_i A_i R_i < L D."""
+    messages, but t is read once, by s_forms, and the domain test is
+    integer_point's on its integers."""
     if len(p.s) != ctx.ell:
         raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
     _, D, R, forms = s_forms(ctx, p.t)
-    L = lcm(*(x.denominator for x in p.s))
-    A = [x.numerator * (L // x.denominator) for x in p.s]
-    if min(A) <= 0:
-        raise DomainError("all parameters must be strictly positive")
-    used = sum(a * r for a, r in zip(A, R))
-    if used >= L * D:
-        raise DomainError(
-            "domain violated: sum_i s_i sum_j t_ij = %s >= 1" % fmt_q(Q(used, L * D))
-        )
+    A, L, _ = integer_point([(x.numerator, x.denominator) for x in p.s], D, R)
     return [
         [Q(x, scale * L ** (n - 1) * a) for x, a in zip(value_and_euler(terms, A)[1], A)]
         for scale, n, terms in forms

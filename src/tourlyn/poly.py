@@ -213,6 +213,15 @@ class Polynomial:
         return total
 
     def evaluate_float(self, point):
+        """The value at a point of floats, term by term in float arithmetic.
+
+        No production code calls it: it is the tests' float oracle for the
+        solver's float side, in test_float_terms_match_evaluate_float_bit_for_bit,
+        test_log_jacobian_rows_come_from_the_value_pass and
+        test_values_kernel_stops_exactly_where_the_trial_fails
+        (test_solver.py) and test_jacobian_matches_finite_differences
+        (test_construction.py); test_evaluate_float_tracks_exact
+        (test_poly.py) holds it to evaluate."""
         total = 0.0
         for mono, c in self.terms.items():
             val = float(c)

@@ -52,12 +52,44 @@ def fmt_q(x):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def q_from_float(x, max_denominator=None):
-    """Exact (or denominator-limited) rational from a float.
+def ratio_from_float(x, max_denominator=None):
+    """The (numerator, denominator) ints of
+    Fraction(x).limit_denominator(max_denominator), or of Fraction(x) when
+    max_denominator is None: the same continued fraction, run on
+    x.as_integer_ratio(), with the tie between the best lower and upper
+    bounds decided by integer cross-multiplication (the closer one, the
+    convergent p1 / q1 on a tie).  Both come out in lowest terms, the
+    denominator positive."""
+    n, d = x.as_integer_ratio()
+    if max_denominator is None:
+        return n, d
+    if max_denominator < 1:
+        raise ValueError("max_denominator should be at least 1")
+    if d <= max_denominator:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = n, d
+    while True:
+        c = a // b
+        q2 = q0 + c * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + c * p1, q2
+        a, b = b, a - c * b
+    k = (max_denominator - q0) // q1
+    # the semiconvergent (p0 + k p1) / (q0 + k q1) and the convergent
+    # p1 / q1 differ from their neighbours by 1 / (q q'), so both are reduced
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
 
-    The solver's single sanctioned float-to-exact crossing.
+
+def q_from_float(x, max_denominator=None):
+    """Exact (or denominator-limited) rational from a float: Q of
+    ratio_from_float, the value of Fraction(x).limit_denominator(M).
+
+    The solver's single sanctioned float-to-exact crossing; the solver
+    reads the integers of ratio_from_float themselves.
     """
-    f = Fraction(x)
-    if max_denominator is not None:
-        f = f.limit_denominator(max_denominator)
-    return Q(f)
+    return Q(*ratio_from_float(x, max_denominator))

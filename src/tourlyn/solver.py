@@ -30,22 +30,27 @@ meets the tolerance, however it stopped.
 Newton alone is local, so the starts do the global work: rescalings of
 the base point s_i = 1/(2 ell r_i), r_i the sum of t-row i, by every
 combination of GRID_FACTORS up to GRID_MAX components and uniformly
-above.  The starts run one at a time in grid order, and the distinct end
-points of their runs are the attempts.
+above.  The starts are built and run one at a time in grid order, and
+the distinct end points of their runs are the attempts.
 
 `converged` means exactly verified: a float-converged attempt is rounded
 to rationals s = A / L (continued fraction, denominator <= 10^6) as soon
-as its run ends.  The open-domain test is in integers, and each density
-is one integer sum of the s-form over scale * L^n_i, the exact value of
-construction.point_densities (the tests' oracle for this check).  Where
-that rounding misses the tolerance or leaves the domain (near a simple
-rational it snaps onto it, and a component below 5e-7 rounds to 0), the
-float's exact binary value is verified instead.  The first attempt whose
-rational point is in the domain and meets the tolerance is the report; the
-remaining starts never run.  A failed report keeps the 10^6 rounding
-whenever it is in the domain.  Of several preimages near the target the
-report is the earliest start's, not necessarily the one of least merit.
-When no attempt verifies, the report is the attempt of least merit.
+as its run ends, in Python ints, with no Fraction arithmetic on the way:
+the rounding is rational.ratio_from_float's, the open-domain test
+construction.integer_point's, and each density is one integer sum of the
+s-form over scale * L^n_i, reduced by one gcd, the exact value of
+construction.point_densities (the tests' oracle for this check).  Its
+error from the target is one int true division, correctly rounded, so
+abs(float(x - g)) bit for bit; Q is built only for the coordinates of a
+point that is in the domain.  Where that rounding misses the tolerance
+or leaves the domain (near a simple rational it snaps onto it, and a
+component below 5e-7 rounds to 0), the float's exact binary value is
+verified instead.  The first attempt whose rational point is in the
+domain and meets the tolerance is the report; the remaining starts are
+never built.  A failed report keeps the 10^6 rounding whenever it is in
+the domain.  Of several preimages near the target the report is the
+earliest start's, not necessarily the one of least merit.  When no
+attempt verifies, the report is the attempt of least merit.
 
 Floats are not trusted with singularity either: a float-singular Jacobian
 is reported as singular-jacobian only if the exact one at the rounded
@@ -60,13 +65,13 @@ import linecache
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from math import exp, isfinite, lcm, log
+from math import exp, gcd, isfinite, log
 from numbers import Integral, Real
 
-from .construction import WkParams, jacobian_at, s_forms, value_and_euler
+from .construction import WkParams, integer_point, jacobian_at, s_forms, value_and_euler
 from .errors import DomainError
 from .poly import det_rational
-from .rational import ONE, Q, ZERO, as_q, fmt_q, q_from_float
+from .rational import Q, as_q, q_from_float, ratio_from_float
 
 MIN_STEP = 2.0 ** -20
 RATIONALIZE_DENOMINATOR = 10 ** 6
@@ -137,15 +142,18 @@ def _rational_points(s_floats, D, R):
     """The rational points s = A / L (L the lcm of the denominators) that
     stand for the float point s, in order of preference: its rounding to
     denominators of at most RATIONALIZE_DENOMINATOR, then its exact binary
-    value; those in the open domain, every A_j > 0 and sum A_i R_i < L D."""
+    value; those in the open domain (construction.integer_point, on the
+    ints of ratio_from_float).  A point's Q tuple is built only when it is
+    yielded."""
     if any(x <= 0 for x in s_floats):
         return
     for max_denominator in (RATIONALIZE_DENOMINATOR, None):
-        s = tuple(q_from_float(x, max_denominator) for x in s_floats)
-        L = lcm(*(q.denominator for q in s))
-        A = [q.numerator * (L // q.denominator) for q in s]
-        if min(A) > 0 and sum(a * r for a, r in zip(A, R)) < L * D:
-            yield s, A, L
+        ratios = [ratio_from_float(x, max_denominator) for x in s_floats]
+        try:
+            A, L, _ = integer_point(ratios, D, R)
+        except DomainError:
+            continue
+        yield tuple(Q(p, q) for p, q in ratios), A, L
 
 
 def _compile_kernels(k, monomials):
@@ -369,19 +377,28 @@ def _newton(kernels, c, row_sums, targets_f, start, tolerance, want_trace):
 
 def _finish(ctx, forms, targets, tolerance, report):
     """Verifies a run exactly and decides its final status, the one place
-    that does.  The first of _rational_points is the report's point, where
-    the exact Jacobian decides a float-singular run; a converged run that
-    misses there tries the float's exact binary value next.  A converged or
+    that does.  targets are the (numerator, denominator) ints of each
+    letter's target.  The first of _rational_points is the report's point,
+    where the exact Jacobian decides a float-singular run; a converged run
+    that misses there tries the float's exact binary value next.  A converged or
     float-singular run with no rational point is a domain-violation; other
-    runs keep their status, so finishing twice changes nothing."""
+    runs keep their status, so finishing twice changes nothing.
+
+    Each value V / (scale L^n) is reduced by one gcd, and its error from
+    the target x = xn / xd is |xn gd - gn xd| / (xd gd) in int true
+    division, correctly rounded: abs(float(x - g)) bit for bit."""
     _, D, R, letters = forms
     error = None
     for s, A, L in _rational_points(report.s, D, R):
-        values = [Q(value_and_euler(terms, A)[0], scale * L ** n) for scale, n, terms in letters]
-        verification = [
-            {"target": fmt_q(x), "achieved": fmt_q(g), "abs_error": abs(float(x - g))}
-            for x, g in zip(targets, values)
-        ]
+        verification = []
+        for (scale, n, terms), (xn, xd) in zip(letters, targets):
+            value, den = value_and_euler(terms, A)[0], scale * L ** n
+            g = gcd(value, den)
+            gn, gd = value // g, den // g
+            verification.append({
+                "target": "%d/%d" % (xn, xd), "achieved": "%d/%d" % (gn, gd),
+                "abs_error": abs(xn * gd - gn * xd) / (xd * gd),
+            })
         if error is None:
             report.s_rational, report.verification = s, verification
             error = max(v["abs_error"] for v in verification)
@@ -411,16 +428,28 @@ def _finish(ctx, forms, targets, tolerance, report):
 
 
 def _grid(row_sums):
-    """The grid starts: rescalings of the base point, per component up to
-    GRID_MAX components and uniformly above."""
+    """The grid starts, each built when it is drawn: rescalings of the base
+    point, per component up to GRID_MAX components and uniformly above."""
     ell = len(row_sums)
     base = [1.0 / (2 * ell * rs) for rs in row_sums]
     if ell > GRID_MAX:
-        return [[f * b for b in base] for f in GRID_FACTORS]
-    return [
-        [f * b for f, b in zip(combo, base)]
-        for combo in product(GRID_FACTORS, repeat=ell)
-    ]
+        combos = ((f,) * ell for f in GRID_FACTORS)
+    else:
+        combos = product(GRID_FACTORS, repeat=ell)
+    for combo in combos:
+        yield [f * b for f, b in zip(combo, base)]
+
+
+def _repeats(s, reports):
+    """Whether the end point s is one of the reports' end points, each
+    coordinate within 1e-9 + 1e-6 |b| of theirs (a NaN is never within)."""
+    for seen in reports:
+        for a, b in zip(s, seen.s):
+            if not abs(a - b) <= 1e-9 + 1e-6 * abs(b):
+                break
+        else:
+            return True
+    return False
 
 
 def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
@@ -467,12 +496,14 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
             if not finite:
                 raise DomainError("start component %r is not a finite number" % (x,))
     targets = [_as_target(x) for x in x_target]
-    if any(not (ZERO < x < ONE) for x in targets):
+    if any(not 0 < x.numerator < x.denominator for x in targets):
         return SolveReport(
             "domain-violation", tuple(s0 or ()), t=t,
             detail="target not strictly inside (0,1)", attempts=0, runs=0,
         )
     targets_f = [float(x) for x in targets]
+    # ints, so that _finish's arithmetic stays in Python ints whatever Q is
+    exact = [(int(x.numerator), int(x.denominator)) for x in targets]
     # int true division rounds correctly: bit for bit float(Q(N, scale))
     c = tuple(N / scale for scale, _, terms in letters for N, _ in terms)
     row_sums = [r / D for r in R]
@@ -485,19 +516,16 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         rep.t = t
         runs += 1
         # starts that end at the same point are one attempt
-        if any(
-            all(abs(a - b) <= 1e-9 + 1e-6 * abs(b) for a, b in zip(rep.s, seen.s))
-            for seen in reports
-        ):
+        if _repeats(rep.s, reports):
             continue
         reports.append(rep)
-        if rep.converged and _finish(ctx, forms, targets, tolerance, rep).converged:
+        if rep.converged and _finish(ctx, forms, exact, tolerance, rep).converged:
             rep.attempts, rep.runs = len(reports), runs
             return rep
     reports.sort(key=lambda r: r.residual_history[-1] if r.residual_history else float("inf"))
     best = reports[0]
     best.attempts, best.runs = min(len(reports), ATTEMPT_CAP), runs
-    return _finish(ctx, forms, targets, tolerance, best)
+    return _finish(ctx, forms, exact, tolerance, best)
 
 
 def _ball_point(rng, x0, radius):

@@ -1,6 +1,7 @@
 """The blow-up family: contexts, exact densities two ways, Jacobians."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from tourlyn.construction import (
     build,
     certify_det_nonzero,
     check_domain,
+    check_t,
     context,
     context_to_json,
     density_s_poly,
@@ -109,9 +111,25 @@ def outcome(f, *args):
     return "accepted"
 
 
+def fraction_check_domain(ctx, p):
+    # check_domain as a Fraction sum, the oracle of the integer test that
+    # check_domain and jacobian_at share: the same refusals, in the same
+    # order, and the remainder measure
+    if len(p.s) != ctx.ell:
+        raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
+    check_t(ctx, p.t)
+    if any(x <= 0 for row in p.t for x in row) or any(x <= 0 for x in p.s):
+        raise DomainError("all parameters must be strictly positive")
+    used = sum(Fraction(x) * sum(Fraction(y) for y in row) for x, row in zip(p.s, p.t))
+    if used >= 1:
+        raise DomainError("domain violated: sum_i s_i sum_j t_ij = %s >= 1" % fmt_q(used))
+    return 1 - used
+
+
 def test_jacobian_at_refuses_what_check_domain_refuses():
-    # jacobian_at reads t once, through s_forms, and tests the domain in
-    # integers; it refuses the same points with the same messages
+    # check_domain and jacobian_at test the domain in integers (jacobian_at
+    # reading t once, through s_forms); they refuse the same points as the
+    # Fraction sum, with the same messages
     rng = random.Random(113)
     for k in (3, 4, 5):
         ctx = context(k)
@@ -134,8 +152,10 @@ def test_jacobian_at_refuses_what_check_domain_refuses():
             WkParams(tuple(x / used for x in s), t),
             WkParams(tuple(3 * x / used for x in s), t),
         ]
-        seen = [outcome(check_domain, ctx, point) for point in points]
+        seen = [outcome(fraction_check_domain, ctx, point) for point in points]
+        assert seen == [outcome(check_domain, ctx, point) for point in points]
         assert seen == [outcome(jacobian_at, ctx, point) for point in points]
+        assert check_domain(ctx, p) == fraction_check_domain(ctx, p)
         assert seen[0] == "accepted"
         assert seen[1] == "expected %d s-values, got %d" % (ctx.ell, ctx.ell + 1)
         assert seen[2] == seen[3] == "t rows must have lengths %s" % (ctx.sizes,)

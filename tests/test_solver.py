@@ -2,9 +2,11 @@
 
 import dataclasses
 import inspect
+import itertools
 import math
 import random
 import traceback
+from fractions import Fraction
 
 import pytest
 
@@ -338,7 +340,7 @@ def test_failed_solve_runs_every_grid_start():
     rep = solve(ctx, x)
     assert not rep.converged
     row_sums = [float(sum(row)) for row in p.t]
-    assert rep.runs == len(solver._grid(row_sums))
+    assert rep.runs == len(list(solver._grid(row_sums)))
 
 
 def test_verification_is_the_chain_dp_at_the_rounded_point():
@@ -361,6 +363,62 @@ def test_verification_is_the_chain_dp_at_the_rounded_point():
         assert rep.verification
         exact = point_densities(ctx, make_params(ctx, rep.s_rational, rep.t))
         assert [v["achieved"] for v in rep.verification] == [fmt_q(g) for g in exact]
+
+
+def test_verification_entries_match_the_fraction_formulas():
+    # each entry's strings and error, from _finish's ints, against the
+    # formulas it replaced: fmt_q of the target and of the chain DP's value
+    # at the rounded point, and abs(float(x - g)), bit for bit
+    rng = random.Random(131)
+    statuses = set()
+    for k in (3, 4):
+        ctx = context(k)
+        x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+        cases = []
+        for _ in range(6):
+            p = random_params(ctx, rng)
+            cases.append((point_densities(ctx, p), p.t, None))
+        for radius in (1e-7, 1e-4):
+            cases += [(solver._ball_point(rng, x0, radius), None, None) for _ in range(4)]
+        cases.append((x0, None, SolveOptions(tolerance=1e-40)))
+        for x, t, options in cases:
+            rep = solve(ctx, x, t=t, options=options)
+            if not rep.verification:
+                continue
+            statuses.add(rep.status)
+            exact = point_densities(ctx, make_params(ctx, rep.s_rational, rep.t))
+            assert [(v["target"], v["achieved"], float.hex(v["abs_error"]))
+                    for v in rep.verification] == [
+                (fmt_q(Q(xi)), fmt_q(g), float.hex(abs(float(Q(xi) - g))))
+                for xi, g in zip(x, exact)
+            ]
+    assert {"converged", "no-convergence", "domain-violation"} <= statuses
+
+
+def test_a_first_start_solve_builds_one_start_and_one_point(monkeypatch):
+    # a k = 4 round trip that verifies after its first run draws one grid
+    # combination, and builds Q only for the coordinates of the point it
+    # reports: no other start, and no exact value in Q
+    ctx = context(4)
+    p = random_params(ctx, random.Random(1))
+    targets = point_densities(ctx, p)
+    drawn, built = [], []
+
+    def counted_product(*args, **kwargs):
+        for combo in itertools.product(*args, **kwargs):
+            drawn.append(combo)
+            yield combo
+
+    def counted_Q(*args):
+        built.append(args)
+        return Q(*args)
+
+    monkeypatch.setattr(solver, "product", counted_product)
+    monkeypatch.setattr(solver, "Q", counted_Q)
+    rep = solve(ctx, targets, t=p.t)
+    assert rep.converged and rep.runs == 1
+    assert drawn == [(1.0,) * ctx.ell]
+    assert built == [(q.numerator, q.denominator) for q in rep.s_rational]
 
 
 def test_tiny_component_keeps_its_rational_point():
@@ -690,10 +748,17 @@ def test_integer_domain_test_at_the_boundary():
     assert s[2] == q_from_float(1e-7)
 
 
+def in_open_domain(s, t):
+    # the open domain as a Fraction sum, the oracle of the integer test
+    s = [Fraction(x) for x in s]
+    used = sum(x * sum(Fraction(y) for y in row) for x, row in zip(s, t))
+    return all(x > 0 for x in s) and used < 1
+
+
 def test_integer_domain_test_agrees_with_check_domain():
     # float points within about 1e-6 of the boundary, some with a component
     # that rounds to 0: _rational_points keeps exactly the roundings that
-    # check_domain accepts
+    # the Fraction sum, and check_domain, accept
     rng = random.Random(103)
     outcomes = set()
     for k in (3, 4, 5):
@@ -710,8 +775,10 @@ def test_integer_domain_test_agrees_with_check_domain():
                 try:
                     check_domain(ctx, WkParams(q, t))
                 except DomainError:
+                    assert not in_open_domain(q, t)
                     outcomes.add("out")
                     continue
+                assert in_open_domain(q, t)
                 outcomes.add("in")
                 kept.append(q)
             assert [q for q, _, _ in solver._rational_points(s, D, R)] == kept
