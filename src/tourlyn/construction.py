@@ -45,7 +45,7 @@ density_s_poly.  The solver's float kernels (values, the Newton
 direction with its elimination, and a step's backtracking) are generated
 from the letters' s-monomials alone, so they depend on k only and are
 kept on the context; value_and_euler is the generic pass they unroll,
-and the one the exact side runs on the integer s-forms.
+and the one jacobian_at runs on the integer s-forms.
 
 Everything above that depends on k alone is built once, by context(k):
 the host, its strong parts with their cross submatrices, each letter's
@@ -355,9 +355,9 @@ def value_and_euler(terms, s):
     """An s-form's value at s and its Euler row s_j dG/ds_j (the sum of e_j
     times each term): over scale * L^n at s = A; evaluate_float's value bit
     for bit at float s and terms (same order; sums start at 0 * first N).
-    The exact pass of the solver's check and of jacobian_at; the solver's
-    float kernels unroll it (values and step its totals, direction its
-    Euler rows), and the tests hold them to it bit for bit."""
+    The exact pass of jacobian_at; the solver's float kernels unroll it
+    (values and step its totals, direction its Euler rows), and the tests
+    hold them to it bit for bit."""
     total = terms[0][0] * 0
     row = [total] * len(s)
     for c, mono in terms:

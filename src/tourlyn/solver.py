@@ -18,8 +18,8 @@ trial is one pass inside step, values and merit together, emitted by the
 same lines as the values kernel; it stops at the first component whose
 relative error reaches the current merit, where the trial is rejected.
 The kernels' arithmetic is construction.value_and_euler's bit for bit;
-that generic pass is the exact side's (integer s-forms at s = A / L, in
-_finish and jacobian_at) and the kernels' test oracle.
+that generic pass is jacobian_at's (integer s-forms at s = A / L) and
+the kernels' test oracle.
 Log coordinates are scale-free, which this map needs: target components
 differ by orders of magnitude (densities scale like s^n), and greedy
 descent walks into boundary basins it cannot leave.
@@ -68,7 +68,7 @@ from itertools import product
 from math import exp, gcd, isfinite, log
 from numbers import Integral, Real
 
-from .construction import WkParams, integer_point, jacobian_at, s_forms, value_and_euler
+from .construction import WkParams, integer_point, jacobian_at, s_forms
 from .errors import DomainError
 from .poly import det_rational
 from .rational import Q, as_q, q_from_float, ratio_from_float
@@ -392,7 +392,12 @@ def _finish(ctx, forms, targets, tolerance, report):
     for s, A, L in _rational_points(report.s, D, R):
         verification = []
         for (scale, n, terms), (xn, xd) in zip(letters, targets):
-            value, den = value_and_euler(terms, A)[0], scale * L ** n
+            value = 0
+            for c, mono in terms:
+                for j, e in mono:
+                    c *= A[j] ** e
+                value += c
+            den = scale * L ** n
             g = gcd(value, den)
             gn, gd = value // g, den // g
             verification.append({
@@ -529,8 +534,12 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
 
 
 def _ball_point(rng, x0, radius):
-    """Uniform draw from the ball of the given radius around x0, rejected
-    until it lands inside (0,1)^ell; radius 0 returns x0 itself."""
+    """Uniform draw from the ball of the given radius around x0 intersected
+    with (0,1)^ell; radius 0 returns x0 itself.  Draws from the ball are
+    rejected until one lands inside (0,1)^ell.  When 1,000 of them miss (a
+    centre close to the faces in many coordinates, as at k = 5), draws from
+    the box [max(0, c - r), min(1, c + r)]^ell, which holds that set, are
+    rejected instead until one lies in both: uniform on the same set."""
     ell = len(x0)
     if radius == 0:
         return list(x0)
@@ -542,6 +551,13 @@ def _ball_point(rng, x0, radius):
         r = radius * rng.random() ** (1.0 / ell)
         point = [x + r * d / norm for x, d in zip(x0, direction)]
         if all(0.0 < p < 1.0 for p in point):
+            return point
+    low = [max(0.0, x - radius) for x in x0]
+    high = [min(1.0, x + radius) for x in x0]
+    for _ in range(10 ** 6):
+        point = [a + (b - a) * rng.random() for a, b in zip(low, high)]
+        if (all(0.0 < p < 1.0 for p in point)
+                and sum((p - x) ** 2 for p, x in zip(point, x0)) <= radius * radius):
             return point
     raise DomainError("could not sample a point inside (0,1)^ell")
 

@@ -14,13 +14,21 @@ splitting the remaining ordered cells by out/in against the placed vertex
 later positions) is then fixed as soon as position p is placed: every later
 cell is homogeneous against every placed vertex, so row p is 1 for each
 vertex of an out-cell and 0 for each vertex of an in-cell, in cell order.
-Siblings share rows 0..p-1, so the largest encoding lies below a sibling
-whose row p is largest: the search descends only into the siblings that
-tie for the largest row (at the root, the vertices of maximum out-degree),
-and drops a node whose rows so far fall below those of the best leaf
-found.  Neither rule drops a leaf that ties the largest encoding, so the
-search returns the first such leaf in the order of the full tree and
-counts all of them; their number is |Aut(T)| (see automorphism_count).
+The search packs row p as the placed vertex's win count in each cell, a
+few bits a cell.  Two paths whose rows agree so far have cells of the same
+sizes (each row fixes the sizes of the next cells), so wherever two packed
+rows are compared they order exactly as the bit rows do.  Siblings share
+rows 0..p-1, so the largest encoding lies below a sibling whose row p is
+largest: the search descends only into the siblings that tie for the
+largest row (at the root, the vertices of maximum out-degree).  Against
+the best leaf found it compares one packed row per depth, with a flag
+saying whether the path so far ties the best leaf's rows or is already
+above them, and drops a node whose row falls below the best leaf's while
+the path ties.  Once every cell is a singleton the rest of the order is
+forced, so the tail is placed in one loop, without branching, its rows
+compared the same way.  Neither rule drops a leaf that ties the largest
+encoding, so the search counts all of them; their number is |Aut(T)| (see
+automorphism_count).
 
 The strong parts are cuts of the score sequence (Landau): the condensation
 is transitive, so a part boundary falls after m vertices exactly when those
@@ -141,84 +149,121 @@ def relabel(T, perm):
     """Relabel so that old vertex perm[p] becomes new vertex p."""
     if sorted(perm) != list(range(T.n)):
         raise DomainError("perm must be a permutation of 0..%d" % (T.n - 1))
-    return Tournament(T.n, _relabeled_out(T, perm))
+    return Tournament(T.n, _relabeled_out(T.out, perm))
 
 
-def _relabeled_out(T, perm):
-    pos = [0] * T.n
+def _relabeled_out(out, perm):
+    bit = [0] * len(out)  # old vertex -> its new bit
     for p, v in enumerate(perm):
-        pos[v] = p
-    out = [0] * T.n
-    for v in range(T.n):
-        m = T.out[v]
+        bit[v] = 1 << p
+    new = []
+    for v in perm:
+        m = out[v]
+        mask = 0
         while m:
-            w = (m & -m).bit_length() - 1
-            out[pos[v]] |= 1 << pos[w]
-            m &= m - 1
-    return out
+            low = m & -m
+            mask |= bit[low.bit_length() - 1]
+            m ^= low
+        new.append(mask)
+    return new
+
+
+# popcounts of the masks on up to ENUMERATION_MAX vertices: pop[cell & out[v]]
+# is the number of vertices of the cell that v beats
+_POPCOUNT = bytes(m.bit_count() for m in range(1 << ENUMERATION_MAX))
+
+
+class _BitCounts:
+    """Subscripted like _POPCOUNT, for tournaments beyond its size."""
+
+    __getitem__ = staticmethod(int.bit_count)
 
 
 @lru_cache(maxsize=65536)
 def _canonical_order(n, out):
-    """(order, ties): the first order in search order whose relabeling has
-    the largest encoding, and the number of search leaves that reach it."""
-    best = []  # rows of the best leaf, as ints
-    found = [None, 0]  # its order, and the count of leaves equal to it
-    prefix = []
-    rows = []
+    """(C, ties): the canonical form of the tournament with out-masks `out`,
+    as a Tournament, and the number of search leaves that reach it.
 
-    def place(cells):
-        if not cells:
-            if rows > best:
+    Cached on the labelled tournament, so canonicalizing one seen before
+    returns the same C with no search and no relabeling."""
+    pop = _POPCOUNT if n <= ENUMERATION_MAX else _BitCounts()
+    width = n.bit_length()  # a cell holds at most n - 1 wins
+    full = (1 << n) - 1
+    best = [0] * n  # packed rows of the best leaf, by depth
+    rows = [0] * n  # and of the current path
+    prefix = [0] * n
+    above = True  # the current path is above the best leaf (none yet)
+    order = None
+    ties = 0
+
+    def place(cells, d):
+        nonlocal above, order, ties
+        if len(cells) == n - d:
+            # every cell is a singleton: the order is forced, and a row is
+            # one bit for each later vertex
+            up = above
+            for p, cell in enumerate(cells, d):
+                prefix[p] = v = cell.bit_length() - 1
+                ov = out[v]
+                row = 0
+                for later in cells[p - d + 1:]:
+                    row = row << 1 | (later & ov > 0)
+                if not up:
+                    if row < best[p]:
+                        return
+                    up = row > best[p]
+                rows[p] = row
+            if up:
                 best[:] = rows
-                found[0] = tuple(prefix)
-                found[1] = 1
-            elif rows == best:
-                found[1] += 1
+                order = prefix[:]
+                ties = 1
+                # the path is now the best leaf
+                above = False
+            else:
+                ties += 1
             return
-        first, rest = cells[0], cells[1:]
         top = -1
-        winners = []
-        m = first
+        m = cells[0]
         while m:
             low = m & -m
             m ^= low
-            v = low.bit_length() - 1
-            ov = out[v]
+            ov = out[low.bit_length() - 1]
             row = 0
-            for cell in (first ^ low, *rest):
-                size = cell.bit_count()
-                wins = (cell & ov).bit_count()
-                row = (row << size) | ((1 << wins) - 1) << (size - wins)
+            for cell in cells:
+                row = row << width | pop[cell & ov]
             if row > top:
                 top = row
-                winners = [v]
+                winners = [low]
             elif row == top:
-                winners.append(v)
-        rows.append(top)
-        # a leaf below beats or ties the best only if these rows do
-        if rows >= best[:len(rows)]:
-            for v in winners:
-                ov = out[v]
-                nxt = []
-                for cell in (first ^ 1 << v, *rest):
-                    if cell & ov:
-                        nxt.append(cell & ov)
-                    if cell & ~ov:
-                        nxt.append(cell & ~ov)
-                prefix.append(v)
-                place(nxt)
-                prefix.pop()
-        rows.pop()
+                winners.append(low)
+        if not above:
+            # a leaf below beats or ties the best only if this row does
+            if top < best[d]:
+                return
+            above = top > best[d]
+        rows[d] = top
+        for low in winners:
+            v = low.bit_length() - 1
+            ov = out[v]
+            iv = full ^ ov ^ low
+            nxt = []
+            for cell in cells:
+                a = cell & ov
+                if a:
+                    nxt.append(a)
+                b = cell & iv
+                if b:
+                    nxt.append(b)
+            prefix[d] = v
+            place(nxt, d + 1)
 
-    place([(1 << n) - 1])
-    return tuple(found)
+    place([full], 0)
+    return Tournament._trusted(n, _relabeled_out(out, order)), ties
 
 
 def canonicalize(T):
     """The isomorphic copy with lexicographically largest encoding."""
-    order, _ = _canonical_order(T.n, T.out)
-    return Tournament._trusted(T.n, _relabeled_out(T, order))
+    return _canonical_order(T.n, T.out)[0]
 
 
 def is_canonical(T):

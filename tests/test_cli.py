@@ -342,6 +342,12 @@ def test_probe_custom_center():
     assert payload["success_rate"] == 1.0
 
 
+def test_probe_at_k5_samples_the_ball():
+    payload = run_json("probe", "--k", "5", "--eps", "1e-4", "--samples", "2")
+    assert payload["per_radius"][0]["radius"] == 1e-4
+    assert sum(payload["per_radius"][0]["statuses"].values()) == 2
+
+
 def test_verify_fast_is_green_and_deterministic():
     code1, out1, err1 = run("verify", "--level", "fast")
     code2, out2, _ = run("verify", "--level", "fast")

@@ -8,11 +8,11 @@ import random
 from pathlib import Path
 
 import tourlyn
-from tourlyn import solver
+from tourlyn import solver, tournaments
 from tourlyn.construction import context, point_densities, random_params
 from tourlyn.solver import default_params, probe_ball, solve
 from tourlyn.tournamentons import density, random_step_tournamenton
-from tourlyn.tournaments import enumerate_exact
+from tourlyn.tournaments import canonicalize, enumerate_exact, random_tournament
 
 PACKAGE = Path(tourlyn.__file__).parent
 
@@ -148,6 +148,19 @@ def test_module_caches_are_the_five_and_stop_growing():
     before = cache_sizes(caches)
     long_run_slice(2)
     assert cache_sizes(caches) == before
+
+
+def test_clearing_the_canonical_cache_forgets_every_form():
+    # the benchmark clears _canonical_order before each timed batch, so a
+    # tournament seen before must then be searched again, nothing else
+    # holding its canonical form
+    T = random_tournament(random.Random(3), 6)
+    C = canonicalize(T)
+    tournaments._canonical_order.cache_clear()
+    misses = tournaments._canonical_order.cache_info().misses
+    assert canonicalize(T) == C
+    assert tournaments._canonical_order.cache_info().misses == misses + 1
+    assert set(module_caches()) == MODULE_CACHES
 
 
 def test_float_kernels_are_built_once_per_context(monkeypatch):

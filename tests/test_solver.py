@@ -244,6 +244,33 @@ def test_probe_ball_zero_radius():
     assert out["best_radius"] == 0
 
 
+def test_ball_points_at_k5_lie_in_the_ball_and_the_cube():
+    # the k = 5 centre has coordinates down to 6.2e-11, so nearly every draw
+    # from the ball leaves (0,1)^11 and the box draws take over
+    ctx = context(5)
+    x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
+    rng = random.Random(11)
+    for radius in (1e-4, 1e-7):
+        for _ in range(4):
+            x = solver._ball_point(rng, x0, radius)
+            assert all(0.0 < p < 1.0 for p in x)
+            assert sum((p - c) ** 2 for p, c in zip(x, x0)) <= radius * radius
+
+
+def test_ball_points_near_a_corner_are_uniform():
+    # at a corner of (0,1)^11 the set is an orthant of the ball, 2^-11 of
+    # it, so most draws come from the box; uniform there, (|x - c| / r)^11
+    # is uniform on (0, 1)
+    x0, radius = [1e-12] * 11, 0.01
+    rng = random.Random(3)
+    u = []
+    for _ in range(50):
+        x = solver._ball_point(rng, x0, radius)
+        assert all(0.0 < p < 1.0 for p in x)
+        u.append((math.dist(x, x0) / radius) ** 11)
+    assert max(u) <= 1.0 and abs(sum(u) / len(u) - 0.5) < 0.15
+
+
 def test_probe_ball_rejections():
     ctx = context(3)
     with pytest.raises(DomainError):

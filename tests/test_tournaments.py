@@ -14,6 +14,7 @@ import pytest
 from tourlyn.errors import DomainError
 from tourlyn.tournaments import (
     Tournament,
+    _canonical_order,
     are_isomorphic,
     automorphism_count,
     canonicalize,
@@ -205,6 +206,80 @@ def test_canonical_pruned_search_matches_brute_force():
     cases.append(circulant(7, (1, 2, 4)))  # the Paley tournament
     for T in cases:
         assert encode(canonicalize(T)) == "%d:%s" % (T.n, brute_max_bits(T))
+
+
+def parent_canonical_order(n, out):
+    """The search before rows were packed and compared per depth, kept
+    verbatim as the oracle of the current one: (order, ties)."""
+    best = []  # rows of the best leaf, as ints
+    found = [None, 0]  # its order, and the count of leaves equal to it
+    prefix = []
+    rows = []
+
+    def place(cells):
+        if not cells:
+            if rows > best:
+                best[:] = rows
+                found[0] = tuple(prefix)
+                found[1] = 1
+            elif rows == best:
+                found[1] += 1
+            return
+        first, rest = cells[0], cells[1:]
+        top = -1
+        winners = []
+        m = first
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            ov = out[v]
+            row = 0
+            for cell in (first ^ low, *rest):
+                size = cell.bit_count()
+                wins = (cell & ov).bit_count()
+                row = (row << size) | ((1 << wins) - 1) << (size - wins)
+            if row > top:
+                top = row
+                winners = [v]
+            elif row == top:
+                winners.append(v)
+        rows.append(top)
+        # a leaf below beats or ties the best only if these rows do
+        if rows >= best[:len(rows)]:
+            for v in winners:
+                ov = out[v]
+                nxt = []
+                for cell in (first ^ 1 << v, *rest):
+                    if cell & ov:
+                        nxt.append(cell & ov)
+                    if cell & ~ov:
+                        nxt.append(cell & ~ov)
+                prefix.append(v)
+                place(nxt)
+                prefix.pop()
+        rows.pop()
+
+    place([(1 << n) - 1])
+    return tuple(found)
+
+
+def test_canonical_search_matches_the_parent_search():
+    # every labelled tournament to n = 5, seeded ones at 6 and 7 and past
+    # the popcount table at 8 and 9, and the most tied searches
+    cases = [T for n in range(1, 6) for T in labelled_tournaments(n)]
+    rng = random.Random(41)
+    for n, count in ((6, 3000), (7, 3000), (8, 200), (9, 100)):
+        cases += [random_tournament(rng, n) for _ in range(count)]
+    cases += [T for n in (3, 5, 7, 9) for T in rotational_regular(n)]
+    cases.append(circulant(7, (1, 2, 4)))
+    for T in cases:
+        order, ties = parent_canonical_order(T.n, T.out)
+        assert canonicalize(T) == relabel(T, order)
+        if T.n <= 7:
+            assert automorphism_count(T) == ties
+        else:
+            assert _canonical_order(T.n, T.out)[1] == ties
 
 
 def shuffled(T, rng):
