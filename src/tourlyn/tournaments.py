@@ -168,17 +168,6 @@ def _relabeled_out(out, perm):
     return new
 
 
-# popcounts of the masks on up to ENUMERATION_MAX vertices: pop[cell & out[v]]
-# is the number of vertices of the cell that v beats
-_POPCOUNT = bytes(m.bit_count() for m in range(1 << ENUMERATION_MAX))
-
-
-class _BitCounts:
-    """Subscripted like _POPCOUNT, for tournaments beyond its size."""
-
-    __getitem__ = staticmethod(int.bit_count)
-
-
 @lru_cache(maxsize=65536)
 def _canonical_order(n, out):
     """(C, ties): the canonical form of the tournament with out-masks `out`,
@@ -186,7 +175,6 @@ def _canonical_order(n, out):
 
     Cached on the labelled tournament, so canonicalizing one seen before
     returns the same C with no search and no relabeling."""
-    pop = _POPCOUNT if n <= ENUMERATION_MAX else _BitCounts()
     width = n.bit_length()  # a cell holds at most n - 1 wins
     full = (1 << n) - 1
     best = [0] * n  # packed rows of the best leaf, by depth
@@ -197,6 +185,12 @@ def _canonical_order(n, out):
     ties = 0
 
     def place(cells, d):
+        # Every call returns with `above` False: a tail leaves it False or
+        # sets it False when its path becomes the best leaf, and a node
+        # places at least one winner.  So each winner after the first starts
+        # tied with the best leaf through row d, as it should: the earlier
+        # siblings' subtrees either made a leaf below this prefix the best
+        # or left the best leaf as it was.
         nonlocal above, order, ties
         if len(cells) == n - d:
             # every cell is a singleton: the order is forced, and a row is
@@ -230,7 +224,7 @@ def _canonical_order(n, out):
             ov = out[low.bit_length() - 1]
             row = 0
             for cell in cells:
-                row = row << width | pop[cell & ov]
+                row = row << width | (cell & ov).bit_count()
             if row > top:
                 top = row
                 winners = [low]

@@ -266,7 +266,7 @@ def parent_canonical_order(n, out):
 
 def test_canonical_search_matches_the_parent_search():
     # every labelled tournament to n = 5, seeded ones at 6 and 7 and past
-    # the popcount table at 8 and 9, and the most tied searches
+    # enumeration at 8 and 9, and the most tied searches
     cases = [T for n in range(1, 6) for T in labelled_tournaments(n)]
     rng = random.Random(41)
     for n, count in ((6, 3000), (7, 3000), (8, 200), (9, 100)):
