@@ -38,14 +38,16 @@ polynomial (once per context and letter), with the rationals s_j t_{j,j'}
 the exact densities at a point (point_densities: probe's centre, and
 the tests' oracle for the solver's check).  At fixed t, s_forms
 substitutes t into the polynomial in integers, once for every letter, and
-checks t on the way.  These s-forms are read by the solver (its float
-coefficients, its domain test and its exact check), by the exact Jacobian
-(jacobian_at, which tests the domain with them too) and by
-density_s_poly.  The solver's float kernels (values, the Newton
-direction with its elimination, and a step's backtracking) are generated
-from the letters' s-monomials alone, so they depend on k only and are
-kept on the context; value_and_euler is the generic pass they unroll,
-and the one jacobian_at runs on the integer s-forms.
+is the one reader of t.  A point (s, t) has one reader, _read_point: it
+reads t through s_forms and tests the domain in integers, and every
+function taking a point refuses a bad one through it.  These s-forms are read by the solver
+(its float coefficients, its domain test and its exact check), by the
+exact Jacobian (jacobian_at) and by density_s_poly.  The solver's float
+kernels (values, the Newton direction with its elimination, and a step's
+backtracking) are generated from the letters' s-monomials alone, so they
+depend on k only and are kept on the context; value_and_euler is the
+generic pass they unroll, and the one jacobian_at runs on the integer
+s-forms.
 
 Everything above that depends on k alone is built once, by context(k):
 the host, its strong parts with their cross submatrices, each letter's
@@ -154,41 +156,27 @@ def context(k):
 
 
 def make_params(ctx, s, t):
-    s = tuple(as_q(x) for x in s)
-    t = tuple(tuple(as_q(x) for x in row) for row in t)
-    p = WkParams(s=s, t=t)
-    check_domain(ctx, p)
-    return p
-
-
-def check_t(ctx, t):
-    """Validate the shape of the t-parameters: row i has n_i entries."""
-    if len(t) != ctx.ell or any(len(row) != n for row, n in zip(t, ctx.sizes)):
-        raise DomainError("t rows must have lengths %s" % (ctx.sizes,))
+    s, t, *_ = _read_point(ctx, WkParams(s, t))
+    return WkParams(s, t)
 
 
 def check_domain(ctx, p):
-    """Validate shapes and the open-domain condition; returns the remainder
-    measure 1 - sum_i s_i sum_j t_{i,j} (the measure of I_0), from the
-    integers of _t_integers and integer_point."""
+    """Validate p through _read_point; returns the measure of I_0,
+    1 - sum_i s_i sum_j t_{i,j}."""
+    return _read_point(ctx, p)[-1]
+
+
+def _read_point(ctx, p, letters=()):
+    """The one reader of a W_k point: s counted, t read by s_forms (with
+    the s-forms of `letters`), s read by as_q and tested by integer_point.
+    Returns (s, t, forms, A, L, slack), s = A / L, slack = 1 - sum_i s_i
+    sum_j t_{i,j}."""
     if len(p.s) != ctx.ell:
         raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
-    check_t(ctx, p.t)
-    D, rows = _t_integers(p.t)
-    _, L, used = integer_point(
-        [(x.numerator, x.denominator) for x in p.s], D, [sum(row) for row in rows]
-    )
-    return Q(L * D - used, L * D)
-
-
-def _t_integers(t):
-    """t over its common denominator D: (D, the integer rows), every entry
-    checked positive."""
-    D = lcm(*(x.denominator for row in t for x in row))
-    rows = [[int(x.numerator * (D // x.denominator)) for x in row] for row in t]
-    if any(a <= 0 for row in rows for a in row):
-        raise DomainError("all parameters must be strictly positive")
-    return D, rows
+    t, D, R, forms = s_forms(ctx, p.t, letters)
+    s = tuple(as_q(x) for x in p.s)
+    A, L, used = integer_point([(x.numerator, x.denominator) for x in s], D, R)
+    return s, t, forms, A, L, Q(L * D - used, L * D)
 
 
 def integer_point(ratios, D, R):
@@ -197,7 +185,7 @@ def integer_point(ratios, D, R):
     domain in integers, t's row sums being R / D: every A_j > 0 and
     sum_i A_i R_i < L D.  Returns (A, L, used), used / (L D) the measure
     sum_i s_i sum_j t_ij; a point outside is a DomainError.  The one domain
-    test of check_domain, jacobian_at and the solver's rational points."""
+    test of _read_point and the solver's rational points."""
     L = lcm(*(q for _, q in ratios))
     A = [p * (L // q) for p, q in ratios]
     if min(A) <= 0:
@@ -287,7 +275,10 @@ def _symbolic_density(ctx, i):
 
 def point_densities(ctx, p):
     """Exact t(T_i, W_k(s, t)) at p for every letter, in order: the chain
-    DP with the rational block measures s_i t_{i,j}."""
+    DP with the rational block measures s_i t_{i,j}.  Probe's centre, and
+    the oracle of test_verification_is_the_chain_dp_at_the_rounded_point,
+    test_verification_entries_match_the_fraction_formulas (test_solver.py)
+    and test_five_vertex_symbolic_densities."""
     check_domain(ctx, p)
     measures = [p.s[i - 1] * p.t[i - 1][j - 1] for i, j in ctx.cells]
     return [_chain_density(ctx, i, measures, ONE, ZERO) for i in range(1, ctx.ell + 1)]
@@ -295,9 +286,9 @@ def point_densities(ctx, p):
 
 def s_forms(ctx, t_values, letters=None):
     """The s-polynomials at fixed t in Python ints (so N / scale rounds to
-    the float nearest, whatever Q is), t read by as_q and checked once
-    (its shape by check_t, its signs on the integer numerators):
-    (t, D, R, forms), D the common denominator of t, R_i / D the row sums,
+    the float nearest, whatever Q is), and the one reader of t: ell rows,
+    row i a sequence, not a string, of n_i positive entries read by as_q.
+    Returns (t, D, R, forms), D the common denominator of t, R_i / D the row sums,
     and per letter (every one, or the 1-based `letters`) the s-form
     (scale, n_i, [(N, ((j, e), ...)), ...]), G_i = sum N prod s_j^e / scale,
     j 0-based, scale = den * D^n_i, in Polynomial.substitute's term order.
@@ -305,11 +296,18 @@ def s_forms(ctx, t_values, letters=None):
     gets one positive integer N; it is also homogeneous of degree n_i in s,
     so at s = A / L, G_i is one integer sum over scale * L^n_i."""
     try:
+        # a string row would pass as the integers of its characters
+        if any(isinstance(row, str) for row in t_values):
+            raise TypeError("a row is a string")
         t = tuple(tuple(as_q(x) for x in row) for row in t_values)
     except TypeError as e:
         raise DomainError("malformed t: %s" % e) from None
-    check_t(ctx, t)
-    D, rows = _t_integers(t)
+    if len(t) != ctx.ell or any(len(row) != n for row, n in zip(t, ctx.sizes)):
+        raise DomainError("t rows must have lengths %s" % (ctx.sizes,))
+    D = lcm(*(x.denominator for row in t for x in row))
+    rows = [[int(x.numerator * (D // x.denominator)) for x in row] for row in t]
+    if any(a <= 0 for row in rows for a in row):
+        raise DomainError("all parameters must be strictly positive")
     scaled = [a for row in rows for a in row]
     forms = []
     for i in range(1, ctx.ell + 1) if letters is None else letters:
@@ -337,14 +335,9 @@ def density_s_poly(ctx, i, t_values):
 
 def jacobian_at(ctx, p):
     """Exact ell x ell matrix with entry (i, j) = d t(T_i, W_k)/d s_j at p:
-    the Euler rows of one s_forms call at s = A / L, divided by s_j.  p is
-    refused as check_domain refuses it, in the same order and with the same
-    messages, but t is read once, by s_forms, and the domain test is
-    integer_point's on its integers."""
-    if len(p.s) != ctx.ell:
-        raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
-    _, D, R, forms = s_forms(ctx, p.t)
-    A, L, _ = integer_point([(x.numerator, x.denominator) for x in p.s], D, R)
+    the Euler rows of the s-forms at s = A / L, divided by s_j, p read and
+    its s-forms made by _read_point."""
+    _, _, forms, A, L, _ = _read_point(ctx, p, None)
     return [
         [Q(x, scale * L ** (n - 1) * a) for x, a in zip(value_and_euler(terms, A)[1], A)]
         for scale, n, terms in forms
@@ -356,8 +349,9 @@ def value_and_euler(terms, s):
     times each term): over scale * L^n at s = A; evaluate_float's value bit
     for bit at float s and terms (same order; sums start at 0 * first N).
     The exact pass of jacobian_at; the solver's float kernels unroll it
-    (values and step its totals, direction its Euler rows), and the tests
-    hold them to it bit for bit."""
+    (values and step its totals, direction its Euler rows), and is their
+    oracle, bit for bit, in test_kernels_match_value_and_euler_bit_for_bit
+    and test_log_jacobian_rows_come_from_the_value_pass (test_solver.py)."""
     total = terms[0][0] * 0
     row = [total] * len(s)
     for c, mono in terms:
@@ -370,7 +364,8 @@ def value_and_euler(terms, s):
 
 
 def jacobian_symbolic(ctx):
-    """Entry (i,j) = d symbolic_density(i) / d s_j."""
+    """Entry (i,j) = d symbolic_density(i) / d s_j; jacobian_at's oracle in
+    test_jacobian_two_routes_agree."""
     return [
         [symbolic_density(ctx, i).partial_derivative(s_var(j))
          for j in range(1, ctx.ell + 1)]
@@ -430,21 +425,21 @@ def unique_full_t_monomial(ctx):
     return mono, coeff
 
 
-def random_params(ctx, rng, max_denominator=16):
+def random_params(ctx, rng):
     """Random rational point in the open domain with small entries: t from
-    (0,1] with denominator <= max_denominator, then s scaled so that
-    sum s_i (row sum) <= 1/2 automatically."""
+    (0,1] with denominator <= 16, then s scaled so that sum s_i (row sum)
+    <= 1/2 automatically."""
     t = []
     for n in ctx.sizes:
         row = []
         for _ in range(n):
-            den = rng.randint(1, max_denominator)
+            den = rng.randint(1, 16)
             num = rng.randint(1, den)
             row.append(Q(num, den))
         t.append(tuple(row))
     s = []
     for row in t:
-        den = rng.randint(1, max_denominator)
+        den = rng.randint(1, 16)
         num = rng.randint(1, den)
         u = Q(num, den)
         cap = int(ceil(sum(row, ZERO)))
@@ -452,7 +447,7 @@ def random_params(ctx, rng, max_denominator=16):
     return make_params(ctx, s, t)
 
 
-def certify_det_nonzero(ctx, trials, seed, max_denominator=16):
+def certify_det_nonzero(ctx, trials, seed):
     """First random point where det(jacobian) is nonzero, as a certificate
     that det(J) is not the zero polynomial."""
     if trials < 1:
@@ -460,7 +455,7 @@ def certify_det_nonzero(ctx, trials, seed, max_denominator=16):
     rng = random.Random(seed)
     zeros = 0
     for trial in range(1, trials + 1):
-        p = random_params(ctx, rng, max_denominator)
+        p = random_params(ctx, rng)
         d = det_rational(jacobian_at(ctx, p))
         if d != 0:
             return {"point": p, "det": d, "trials_used": trial}

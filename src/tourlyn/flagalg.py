@@ -20,8 +20,8 @@ otherwise.
 
 from .errors import BudgetError, DomainError
 from .poly import Polynomial, x_var
-from .rational import ONE, ZERO, Q, as_q, fmt_q
-from .tournaments import Tournament, canonicalize, encode, parse
+from .rational import ONE, ZERO, Q, fmt_q
+from .tournaments import Tournament, canonicalize, encode
 from .words import (
     cfl_factorize,
     enumerate_lyndon,
@@ -154,15 +154,3 @@ def lincomb_to_json(combo):
         {"tournament": encode(T), "coeff": fmt_q(c)}
         for T, c in sorted(combo.items(), key=lambda kv: encode(kv[0]))
     ]
-
-
-def lincomb_from_json(data):
-    combo = {}
-    for item in data:
-        T = canonicalize(parse(item["tournament"]))
-        c = combo.get(T, ZERO) + as_q(item["coeff"])
-        if c == 0:
-            combo.pop(T, None)
-        else:
-            combo[T] = c
-    return combo

@@ -10,8 +10,6 @@ with positive exponents; a polynomial is a dict monomial -> coefficient
 with no zero coefficients stored.
 """
 
-import re
-
 from .errors import DomainError
 from .rational import ONE, ZERO, Q, as_q, fmt_q
 
@@ -231,7 +229,9 @@ class Polynomial:
         return total
 
     def substitute(self, assignment):
-        """Replace some variables by rationals, leaving the rest symbolic."""
+        """Replace some variables by rationals, leaving the rest symbolic;
+        the oracle of construction.s_forms in
+        test_density_s_poly_is_the_substitution_term_for_term."""
         out = Polynomial()
         for mono, c in self.terms.items():
             coeff = c
@@ -292,28 +292,6 @@ def poly_to_json(p):
     ]
 
 
-_VAR_RE = re.compile(r"s(\d+)$|t(\d+)_(\d+)$")
-
-
-def _parse_var(name):
-    if ":" in name:
-        return x_var(name)
-    m = _VAR_RE.match(name)
-    if not m:
-        raise DomainError("bad variable name %r" % name)
-    if m.group(1) is not None:
-        return s_var(int(m.group(1)))
-    return t_var(int(m.group(2)), int(m.group(3)))
-
-
-def poly_from_json(data):
-    terms = []
-    for item in data:
-        mono = tuple((_parse_var(f["var"]), int(f["exp"])) for f in item["monomial"])
-        terms.append((mono, as_q(item["coeff"])))
-    return Polynomial(terms)
-
-
 def det_rational(M):
     """Determinant by fraction-free (Bareiss) elimination; exact."""
     n = len(M)
@@ -343,7 +321,9 @@ def det_rational(M):
 
 
 def solve_linear(M, rhs):
-    """Exact solve of M x = rhs by Gaussian elimination; None when singular."""
+    """Exact solve of M x = rhs by Gaussian elimination; None when singular.
+    No caller in the package: it stays while perfbench/tracing.py looks it
+    up, until the benchmark change of ROADMAP item 2 deletes both."""
     n = len(M)
     A = [[Q(x) for x in row] + [Q(rhs[i])] for i, row in enumerate(M)]
     for col in range(n):

@@ -102,7 +102,9 @@ class SolveOptions:
 @dataclass
 class SolveReport:
     """The one record of a Newton run: _newton fills the float fields, solve
-    t, attempts and runs, and _finish the exact fields and final status."""
+    t, attempts and runs, and _finish the exact fields and final status.
+    residual_history holds the merit (the largest relative error, which
+    solve sorts by), not the absolute residual."""
 
     status: str
     s: tuple
@@ -466,7 +468,8 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     refuses or makes NaN or infinite, all before any Newton run.  Entries
     must lie strictly inside (0, 1): boundary targets are not in the open
     region the construction parameterizes, and are reported as
-    domain-violation without iterating.
+    domain-violation without iterating, as is a target below the float
+    range, which rounds to 0.0.
 
     With no explicit s0, Newton runs go from the grid starts in order and
     each new float-converged end point is verified at once, at the rational
@@ -501,12 +504,17 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
             if not finite:
                 raise DomainError("start component %r is not a finite number" % (x,))
     targets = [_as_target(x) for x in x_target]
+    detail = ""
     if any(not 0 < x.numerator < x.denominator for x in targets):
+        detail = "target not strictly inside (0,1)"
+    else:
+        targets_f = [float(x) for x in targets]
+        if 0.0 in targets_f:
+            detail = "target below the float range (under 5e-324): it rounds to 0.0"
+    if detail:
         return SolveReport(
-            "domain-violation", tuple(s0 or ()), t=t,
-            detail="target not strictly inside (0,1)", attempts=0, runs=0,
+            "domain-violation", tuple(s0 or ()), t=t, detail=detail, attempts=0, runs=0
         )
-    targets_f = [float(x) for x in targets]
     # ints, so that _finish's arithmetic stays in Python ints whatever Q is
     exact = [(int(x.numerator), int(x.denominator)) for x in targets]
     # int true division rounds correctly: bit for bit float(Q(N, scale))

@@ -335,9 +335,10 @@ def sample(W, n, seed):
     return Tournament._trusted(n, out)
 
 
-def random_step_tournamenton(rng, max_blocks=4, max_denominator=12):
+def random_step_tournamenton(rng, max_blocks=4):
     """Random valid tournamenton for property tests: 1..max_blocks blocks,
-    integer-weight measures normalized to sum 1, rational cross entries."""
+    integer-weight measures normalized to sum 1, rational cross entries
+    with denominators at most 12."""
     B = rng.randint(1, max_blocks)
     weights = [rng.randint(1, 8) for _ in range(B)]
     tot = sum(weights)
@@ -348,7 +349,7 @@ def random_step_tournamenton(rng, max_blocks=4, max_denominator=12):
     cross = [[ZERO] * B for _ in range(B)]
     for i in range(B):
         for j in range(i + 1, B):
-            den = rng.randint(1, max_denominator)
+            den = rng.randint(1, 12)
             num = rng.randint(0, den)
             cross[i][j] = Q(num, den)
             cross[j][i] = ONE - cross[i][j]

@@ -241,6 +241,13 @@ def test_non_finite_numbers_are_domain_errors(argv):
     assert len(err.splitlines()) == 1
 
 
+def test_solve_target_below_the_float_range():
+    payload = run_json("solve", "--k", "3", "1/1" + "0" * 400)
+    assert payload["status"] == "domain-violation"
+    assert payload["attempts"] == payload["runs"] == 0
+    assert "below the float range" in payload["detail"]
+
+
 def test_solve_trace_flag():
     payload = run_json("solve", "--k", "3", "1/16", "--trace")
     assert payload["status"] == "converged"

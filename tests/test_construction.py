@@ -11,7 +11,6 @@ from tourlyn.construction import (
     build,
     certify_det_nonzero,
     check_domain,
-    check_t,
     context,
     context_to_json,
     density_s_poly,
@@ -23,13 +22,14 @@ from tourlyn.construction import (
     params_to_json,
     point_densities,
     random_params,
+    s_forms,
     symbolic_density,
     unique_full_t_monomial,
 )
 from tourlyn.errors import BudgetError, DomainError
 from tourlyn.poly import Polynomial, det_rational, s_var, t_var, uniform_degrees, var_name
 from tourlyn.rational import Q, fmt_q
-from tourlyn.solver import default_params
+from tourlyn.solver import default_params, solve
 from tourlyn.tournamentons import TRANSITIVE_KIND, density, map_sum, validate
 from tourlyn.tournaments import parse, strongly_connected_components
 
@@ -117,7 +117,8 @@ def fraction_check_domain(ctx, p):
     # order, and the remainder measure
     if len(p.s) != ctx.ell:
         raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
-    check_t(ctx, p.t)
+    if len(p.t) != ctx.ell or any(len(row) != n for row, n in zip(p.t, ctx.sizes)):
+        raise DomainError("t rows must have lengths %s" % (ctx.sizes,))
     if any(x <= 0 for row in p.t for x in row) or any(x <= 0 for x in p.s):
         raise DomainError("all parameters must be strictly positive")
     used = sum(Fraction(x) * sum(Fraction(y) for y in row) for x, row in zip(p.s, p.t))
@@ -162,6 +163,55 @@ def test_jacobian_at_refuses_what_check_domain_refuses():
         assert set(seen[4:9]) == {"all parameters must be strictly positive"}
         assert seen[9] == "domain violated: sum_i s_i sum_j t_ij = 1/1 >= 1"
         assert seen[10] == "domain violated: sum_i s_i sum_j t_ij = 3/1 >= 1"
+
+
+def test_every_caller_refuses_a_bad_point_alike():
+    # one reader of a W_k point: each fault is the same DomainError, with
+    # the same message, wherever the point enters; a fault of t alone also
+    # through s_forms and solve's t
+    ctx = context(4)
+    s, t = default_params(ctx).s, default_params(ctx).t
+    x = [float(v) for v in point_densities(ctx, default_params(ctx))]
+
+    def row(i, new):
+        return t[:i] + (new,) + t[i + 1:]
+
+    positive = "all parameters must be strictly positive"
+    lengths = "t rows must have lengths %s" % (ctx.sizes,)
+    a_float = "refusing to coerce float %r to an exact rational"
+    t_faults = {
+        "float t": (row(0, (0.25,) + t[0][1:]), a_float % 0.25),
+        "string row": (row(1, "111"), "malformed t: a row is a string"),
+        "None row": (row(2, None), "malformed t: 'NoneType' object is not iterable"),
+        "no rows": (5, "malformed t: 'int' object is not iterable"),
+        "short row": (row(0, t[0][:-1]), lengths),
+        "long row": (row(2, t[2] + t[2][:1]), lengths),
+        "zero t": (row(1, (Q(0),) + t[1][1:]), positive),
+        "negative t": (row(2, t[2][:-1] + (Q(-1, 4),)), positive),
+    }
+    s_faults = {
+        "float s": ((0.1,) + s[1:], a_float % 0.1),
+        "s count": (s[:-1], "expected 3 s-values, got 2"),
+        "zero s": ((Q(0),) + s[1:], positive),
+        "negative s": (s[:-1] + (Q(-1, 6),), positive),
+        # the default point uses half the measure
+        "boundary": (tuple(2 * v for v in s), "domain violated: sum_i s_i sum_j t_ij = 1/1 >= 1"),
+    }
+    readers = [
+        check_domain, build, point_densities, jacobian_at,
+        lambda ctx, p: make_params(ctx, p.s, p.t),
+    ]
+    t_readers = readers + [
+        lambda ctx, p: s_forms(ctx, p.t),
+        lambda ctx, p: solve(ctx, x, t=p.t),
+    ]
+    assert {outcome(f, ctx, WkParams(s, t)) for f in t_readers} == {"accepted"}
+    for fault, (bad_t, message) in t_faults.items():
+        seen = [outcome(f, ctx, WkParams(s, bad_t)) for f in t_readers]
+        assert seen == [message] * len(t_readers), fault
+    for fault, (bad_s, message) in s_faults.items():
+        seen = [outcome(f, ctx, WkParams(bad_s, t)) for f in readers]
+        assert seen == [message] * len(readers), fault
 
 
 def test_density_two_routes_agree():

@@ -1,6 +1,6 @@
-"""Every module imports only names it uses, every private function has a
-caller (no linter ships with the package), and the module-level caches are
-the five whose key spaces are bounded."""
+"""Every module imports only names it uses, every function has a caller
+(no linter ships with the package), and the module-level caches are the
+five whose key spaces are bounded."""
 
 import ast
 import importlib
@@ -15,6 +15,7 @@ from tourlyn.tournamentons import density, random_step_tournamenton
 from tourlyn.tournaments import canonicalize, enumerate_exact, random_tournament
 
 PACKAGE = Path(tourlyn.__file__).parent
+BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source):
@@ -47,26 +48,43 @@ def test_no_module_imports_an_unused_name():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def uncalled_private_functions(sources):
-    """(module, name) of each private module-level function that no module
-    of `sources` (name -> source) refers to outside the function's own body."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def name_counts(trees, strings=False):
+    """name -> how often the trees refer to it: as a name, an attribute or an
+    imported name, and with `strings` as a string constant too (a function
+    looked up by its name)."""
     refs = {}
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs[node.id] = refs.get(node.id, 0) + 1
+                names = [node.id]
             elif isinstance(node, ast.Attribute):
-                refs[node.attr] = refs.get(node.attr, 0) + 1
+                names = [node.attr]
             elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    refs[alias.name] = refs.get(alias.name, 0) + 1
+                names = [alias.name for alias in node.names]
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            for name in names:
+                refs[name] = refs.get(name, 0) + 1
+    return refs
+
+
+def uncalled_functions(sources, private, lookups=None):
+    """(module, name) of each private (or, with private False, public)
+    module-level function that no module of `sources` (name -> source)
+    refers to outside the function's own body, nor any module of `lookups`,
+    which may also name it in a string."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    refs = name_counts(trees.values())
+    for name, count in name_counts(map(ast.parse, (lookups or {}).values()), True).items():
+        refs[name] = refs.get(name, 0) + count
     found = []
     for name, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, ast.FunctionDef):
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
                 continue
-            if not node.name.startswith("_") or node.name.startswith("__"):
+            if node.name.startswith("_") != private:
                 continue
             # a recursive call is not a caller
             own = sum(
@@ -82,14 +100,54 @@ def test_uncalled_private_functions_are_caught():
         "a.py": "def _used():\n    pass\n\ndef _dead(n):\n    return _dead(n - 1)\n",
         "b.py": "from a import _used\n\ndef public():\n    _used()\n\ndef __dir__():\n    pass\n",
     }
-    assert uncalled_private_functions(sources) == [("a.py", "_dead")]
-    assert uncalled_private_functions({"c.py": "def _f():\n    pass\nKEY = _f\n"}) == []
+    assert uncalled_functions(sources, private=True) == [("a.py", "_dead")]
+    assert uncalled_functions({"c.py": "def _f():\n    pass\nKEY = _f\n"}, private=True) == []
 
 
 def test_every_private_function_has_a_caller():
     # callers are looked for in the package only; tests do not count
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert uncalled_private_functions(sources) == []
+    assert uncalled_functions(sources, private=True) == []
+
+
+def test_uncalled_public_functions_are_caught():
+    sources = {
+        "a.py": "def used():\n    pass\n\ndef looked_up():\n    pass\n\n"
+                "def dead(n):\n    return dead(n - 1)\n",
+        "b.py": "from a import used\n\ndef caller():\n    used()\n\nlater = caller\n",
+    }
+    lookups = {"bench.py": "TRACED = [('a', 'looked_up')]\n"}
+    assert uncalled_functions(sources, private=False, lookups=lookups) == [("a.py", "dead")]
+    # a string names a function only outside the package
+    assert uncalled_functions(sources, private=False) == [("a.py", "dead"), ("a.py", "looked_up")]
+
+
+# public functions only the tests call: test tools and oracles, each with
+# the tests that use it
+TEST_TOOLS = {
+    # test_tournaments, test_tournamentons, test_flagalg, test_imports
+    "random_tournament",
+    # test_tournaments, test_tournamentons
+    "relabel",
+    # test_tournaments
+    "is_transitive",
+    # test_tournamentons, test_acceptance
+    "single_transitive",
+    # test_poly, test_construction
+    "uniform_degrees",
+    # test_words
+    "shuffle_coefficient_sum",
+}
+
+
+def test_every_public_function_has_a_caller():
+    # a caller is another function of the package, or the benchmark, which
+    # also looks functions up by name; the tests do not count
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    lookups = {path.name: path.read_text() for path in sorted(BENCHMARK.glob("*.py"))}
+    found = uncalled_functions(sources, private=False, lookups=lookups)
+    assert [name for _, name in found if name not in TEST_TOOLS] == []
+    assert {name for _, name in found} == TEST_TOOLS
 
 
 MODULE_CACHES = {

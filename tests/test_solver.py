@@ -89,6 +89,18 @@ def test_boundary_targets_refused_without_iterating():
         assert not rep.converged
 
 
+def test_target_below_the_float_range_refused_without_iterating(monkeypatch):
+    # inside (0, 1), but its float is 0.0, whose log the Newton run needs
+    def no_run(*args):
+        raise AssertionError("a Newton run started for a target that rounds to 0.0")
+
+    monkeypatch.setattr(solver, "_newton", no_run)
+    rep = solve(context(3), [Q(1, 10 ** 400)])
+    assert rep.status == "domain-violation"
+    assert rep.attempts == rep.runs == rep.iterations == 0
+    assert "below the float range" in rep.detail
+
+
 def test_wrong_target_count():
     with pytest.raises(DomainError):
         solve(context(4), [Q(1, 16)])
@@ -126,7 +138,7 @@ def test_malformed_exact_targets(x):
         solve(context(3), [x])
 
 
-@pytest.mark.parametrize("shape", ["short", "long", "zero"])
+@pytest.mark.parametrize("shape", ["short", "long", "zero", "no rows", "None row"])
 def test_malformed_t_refused_before_polynomial_work(monkeypatch, shape):
     ctx = context(4)
     t = default_params(ctx).t
@@ -134,6 +146,8 @@ def test_malformed_t_refused_before_polynomial_work(monkeypatch, shape):
         "short": t[:1],
         "long": t + (t[0],),
         "zero": ((Q(0),) + t[0][1:],) + t[1:],
+        "no rows": 5,
+        "None row": [None],
     }[shape]
 
     def no_polynomials(*args):
@@ -143,6 +157,25 @@ def test_malformed_t_refused_before_polynomial_work(monkeypatch, shape):
     monkeypatch.setattr(construction, "_letter", no_polynomials)
     with pytest.raises(DomainError):
         solve(ctx, [Q(1, 100), Q(1, 50), Q(3, 100)], t=bad)
+
+
+@pytest.mark.parametrize(
+    "status, detail",
+    [("converged", "solution"), ("float-singular", "iterate")],
+)
+def test_a_run_ending_on_the_boundary_is_a_domain_violation(status, detail):
+    # s = (1/2, 1/4, 1/4) uses the whole measure at the default t, so
+    # neither rounding of it is a rational point of the open domain
+    ctx = context(4)
+    t = default_params(ctx).t
+    forms = s_forms(ctx, t)
+    targets = [(1, 100), (1, 50), (3, 100)]
+    assert list(solver._rational_points([0.5, 0.25, 0.25], *forms[1:3])) == []
+    rep = solver.SolveReport(status, (0.5, 0.25, 0.25), t=t)
+    rep = solver._finish(ctx, forms, targets, 1e-10, rep)
+    assert rep.status == "domain-violation"
+    assert rep.detail == detail + " rounds outside the open domain"
+    assert rep.s_rational == () and rep.verification == []
 
 
 def test_explicit_start_is_single_attempt():
