@@ -20,8 +20,11 @@ from .construction import (
     certify_det_nonzero,
     context,
     jacobian_symbolic,
+    point_densities,
     random_params,
+    symbolic_density,
     unique_full_t_monomial,
+    unreachable,
 )
 from .solver import solve
 from .tournaments import (
@@ -196,6 +199,30 @@ def _check_five_certification():
         cert["det"], cert["trials_used"])
 
 
+def _check_four_bound(seeds):
+    # the premise of construction.unreachable, from symbolic_density: in the
+    # block measures m_ij = s_i t_ij, t(c) = m11 m12 m13 m14 + 1/2 sum p_D
+    # sigma_D and t(b) = 3 sum p_D over four cyclic block triples D
+    ctx = context(4)
+    m = {cell: Polynomial.var(s_var(cell[0])) * Polynomial.var(t_var(*cell))
+         for cell in ctx.cells}
+    triples = [[m[cell] for cell in D] for D in (
+        ((1, 1), (1, 2), (1, 4)), ((1, 1), (1, 3), (1, 4)),
+        ((2, 1), (2, 2), (2, 3)), ((3, 2), (3, 3), (3, 4)))]
+    p = [a * b * c for a, b, c in triples]
+    sigma = [a + b + c for a, b, c in triples]
+    t_c = m[1, 1] * m[1, 2] * m[1, 3] * m[1, 4] + Q(1, 2) * sum(
+        (x * y for x, y in zip(p, sigma)), Polynomial.zero())
+    t_b = 3 * sum(p, Polynomial.zero())
+    if symbolic_density(ctx, 1) != t_c or symbolic_density(ctx, 2) != t_b:
+        return False, "t(c), t(b) at k=4 are not the block-triple sums"
+    for seed in seeds:
+        x = point_densities(ctx, random_params(ctx, random.Random(seed)))
+        if 96 * x[0] ** 3 < x[1] ** 4 or unreachable(ctx, x) is not None:
+            return False, "96 t(c)^3 < t(b)^4 at a W_4 point (seed %d)" % seed
+    return True, "t(c), t(b) identity; 96 t(c)^3 >= t(b)^4 at %d W_4 points" % len(seeds)
+
+
 def run_checks(level="fast", budget_seconds=None):
     """Run the named suite; returns {"level", "ok", "seconds", "checks"}."""
     fast = [
@@ -213,6 +240,7 @@ def run_checks(level="fast", budget_seconds=None):
         ("five-vertex normalization", lambda: _check_five_normalization((401,))),
         ("five-vertex density polynomial", lambda: _check_five_express(402)),
         ("five-vertex certification", _check_five_certification),
+        ("k=4 reachability bound", lambda: _check_four_bound(range(501, 541))),
     ]
     suites = {"fast": fast, "full": full}
     if level not in suites:

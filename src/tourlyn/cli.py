@@ -462,7 +462,16 @@ def _build_parser():
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("solve", parents=[common],
-                       help="recover s from target densities")
+                       help="recover s from target densities",
+                       description="Recover s from target densities.  The "
+                                   "status is converged (verified exactly), "
+                                   "unreachable (k = 4: the target violates "
+                                   "96 t(4:110111)^3 >= t(3:101)^4, so no "
+                                   "W_4(s, t) attains it; no Newton run), "
+                                   "domain-violation, singular-jacobian or "
+                                   "no-convergence; the last three say what "
+                                   "the solver did, not that the target is "
+                                   "unattained.")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("targets", nargs="+",
                    help="one per letter, as 'p/q' or a decimal")

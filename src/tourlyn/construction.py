@@ -49,6 +49,10 @@ depend on k only and are kept on the context; value_and_euler is the
 generic pass they unroll, and the one jacobian_at runs on the integer
 s-forms.
 
+The letters' polynomials also bound the image of the construction: at
+k = 4 they imply 96 t(c)^3 >= t(b)^4 on the whole domain (unreachable,
+with the proof), which the solver uses to refuse targets outside it.
+
 Everything above that depends on k alone is built once, by context(k):
 the host, its strong parts with their cross submatrices, each letter's
 runs of strong parts, and the block order (the WkContext fields).  The
@@ -204,8 +208,8 @@ def block_labels(ctx):
 
 
 def build(ctx, p):
-    slack = check_domain(ctx, p)
-    blocks = [(p.s[i - 1] * p.t[i - 1][j - 1], TRANSITIVE_KIND) for i, j in ctx.cells]
+    s, t, *_, slack = _read_point(ctx, p)
+    blocks = [(s[i - 1] * t[i - 1][j - 1], TRANSITIVE_KIND) for i, j in ctx.cells]
     blocks.append((slack, TRANSITIVE_KIND))
     # the host's edges among the first N blocks, and every interval beating
     # the remainder I_0 at index N
@@ -279,9 +283,37 @@ def point_densities(ctx, p):
     the oracle of test_verification_is_the_chain_dp_at_the_rounded_point,
     test_verification_entries_match_the_fraction_formulas (test_solver.py)
     and test_five_vertex_symbolic_densities."""
-    check_domain(ctx, p)
-    measures = [p.s[i - 1] * p.t[i - 1][j - 1] for i, j in ctx.cells]
+    s, t, *_ = _read_point(ctx, p)
+    measures = [s[i - 1] * t[i - 1][j - 1] for i, j in ctx.cells]
     return [_chain_density(ctx, i, measures, ONE, ZERO) for i in range(1, ctx.ell + 1)]
+
+
+def unreachable(ctx, x):
+    """Why the target densities x (exact rationals, one per letter) are no
+    point of W_4(s, t) for any (s, t) in the domain: the inequality
+    96 t(c)^3 >= t(b)^4 they violate, with its exact values, c = 4:110111
+    and b = 3:101 the first two letters of context(4).  None when x obeys
+    it, and at every k but 4, where it is not a theorem (seeded W_5 points
+    go below it).  The test is one comparison of integers.
+
+    Proof.  In the block measures m_ij = s_i t_ij, symbolic_density gives
+
+        t(c) = m11 m12 m13 m14 + 1/2 sum_D p_D sigma_D,
+        t(b) = 3 sum_D p_D,
+
+    D over the four cyclic block triples {11, 12, 14}, {11, 13, 14},
+    {21, 22, 23} and {32, 33, 34}, p_D the product and sigma_D the sum of
+    their measures (verify --level full checks this identity).  AM-GM gives
+    sigma_D >= 3 p_D^(1/3), so t(c) >= 3/2 sum_D p_D^(4/3), and the power
+    mean of the four p_D gives sum_D p_D^(4/3) >= 4^(-1/3) (sum_D p_D)^(4/3)
+    = 4^(-1/3) (t(b)/3)^(4/3).  Cubing, t(c)^3 >= 27/8 * 1/4 * 3^-4 t(b)^4
+    = t(b)^4 / 96."""
+    if ctx.k != 4:
+        return None
+    c, b = x[0], x[1]
+    if 96 * c.numerator ** 3 * b.denominator ** 4 >= b.numerator ** 4 * c.denominator ** 3:
+        return None
+    return "violates 96 t(4:110111)^3 >= t(3:101)^4: %s < %s" % (fmt_q(96 * c ** 3), fmt_q(b ** 4))
 
 
 def s_forms(ctx, t_values, letters=None):
@@ -334,10 +366,16 @@ def density_s_poly(ctx, i, t_values):
 
 
 def jacobian_at(ctx, p):
-    """Exact ell x ell matrix with entry (i, j) = d t(T_i, W_k)/d s_j at p:
-    the Euler rows of the s-forms at s = A / L, divided by s_j, p read and
-    its s-forms made by _read_point."""
+    """Exact ell x ell matrix with entry (i, j) = d t(T_i, W_k)/d s_j at p,
+    p read and its s-forms made by _read_point."""
     _, _, forms, A, L, _ = _read_point(ctx, p, None)
+    return jacobian_of_forms(forms, A, L)
+
+
+def jacobian_of_forms(forms, A, L):
+    """The exact core of jacobian_at, on s-forms already made: row i is the
+    Euler row of s-form i at s = A / L, entry j divided by s_j.  The
+    solver's singularity check calls it with the forms of its solve."""
     return [
         [Q(x, scale * L ** (n - 1) * a) for x, a in zip(value_and_euler(terms, A)[1], A)]
         for scale, n, terms in forms

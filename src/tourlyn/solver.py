@@ -54,11 +54,31 @@ attempt verifies, the report is the attempt of least merit.
 
 Floats are not trusted with singularity either: a float-singular Jacobian
 is reported as singular-jacobian only if the exact one at the rounded
-iterate, construction.jacobian_at, is.  A run's SolveReport gets its final
-status in one function, _finish, which verifies it; a float-singular run
-is classified only if it is the one reported.  Failure modes are data, not
-exceptions: reports carry a status out of converged / singular-jacobian /
-domain-violation / no-convergence.
+iterate, construction.jacobian_of_forms on the solve's s-forms, is.  A
+run's SolveReport gets its final status in one function, _finish, which
+verifies it; a float-singular run is classified only if it is the one
+reported.
+
+Failure modes are data, not exceptions.  A report's status is one of
+
+    converged          -- the reported rational point meets the tolerance
+                          exactly;
+    unreachable        -- at k = 4, the target violates the inequality of
+                          construction.unreachable, so it is outside the
+                          image of W_4(s, t) over the whole domain; decided
+                          before any Newton run;
+    domain-violation   -- a target not strictly inside (0, 1) or below the
+                          float range (both before any run), a start outside
+                          the domain, no admissible damped step, or an end
+                          point that rounds outside the open domain;
+    singular-jacobian  -- the exact Jacobian at the reported iterate is
+                          singular;
+    no-convergence     -- the runs stalled or hit the iteration cap, or the
+                          reported end point misses the tolerance exactly.
+
+Only converged and unreachable are proved verdicts on the target; the
+other failures say what the solver did, not that the target is
+unattained.
 """
 
 import linecache
@@ -68,7 +88,7 @@ from itertools import product
 from math import exp, gcd, isfinite, log
 from numbers import Integral, Real
 
-from .construction import WkParams, integer_point, jacobian_at, s_forms
+from .construction import WkParams, integer_point, jacobian_of_forms, s_forms, unreachable
 from .errors import DomainError
 from .poly import det_rational
 from .rational import Q, as_q, q_from_float, ratio_from_float
@@ -83,7 +103,6 @@ MERIT_FLOOR = 1e-12
 GRID_FACTORS = (1.0, 0.25, 0.0625)
 GRID_MAX = 4
 LADDER_DEPTH = 11
-ATTEMPT_CAP = 12
 
 
 @dataclass
@@ -377,7 +396,7 @@ def _newton(kernels, c, row_sums, targets_f, start, tolerance, want_trace):
     )
 
 
-def _finish(ctx, forms, targets, tolerance, report):
+def _finish(forms, targets, tolerance, report):
     """Verifies a run exactly and decides its final status, the one place
     that does.  targets are the (numerator, denominator) ints of each
     letter's target.  The first of _rational_points is the report's point,
@@ -410,7 +429,7 @@ def _finish(ctx, forms, targets, tolerance, report):
             report.s_rational, report.verification = s, verification
             error = max(v["abs_error"] for v in verification)
             if report.status == "float-singular":
-                if det_rational(jacobian_at(ctx, WkParams(s, report.t))) == 0:
+                if det_rational(jacobian_of_forms(letters, A, L)) == 0:
                     report.status = "singular-jacobian"
                     report.detail = "exact Jacobian is singular at the rounded iterate"
                 else:
@@ -469,7 +488,10 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     must lie strictly inside (0, 1): boundary targets are not in the open
     region the construction parameterizes, and are reported as
     domain-violation without iterating, as is a target below the float
-    range, which rounds to 0.0.
+    range, which rounds to 0.0.  A target that construction.unreachable
+    proves outside the image of W_k(s, t) is reported unreachable, its
+    detail the violated inequality, also without iterating.  Such early
+    reports have attempts = runs = iterations = 0.
 
     With no explicit s0, Newton runs go from the grid starts in order and
     each new float-converged end point is verified at once, at the rational
@@ -482,8 +504,8 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     any other run's only if it is reported, so a float-singular run costs an
     exact Jacobian only then.  `attempts` counts the distinct end points up
     to the report; when none verifies, every start has run and the report
-    is the attempt of best merit (the last of its residual_history), with
-    `attempts` capped at ATTEMPT_CAP.  `runs` counts the Newton runs.
+    is the attempt of best merit (the last of its residual_history).
+    `runs` counts the Newton runs.
     `trace` holds the reported attempt's Newton steps when want_trace is
     set.  t and the non-float targets are exact inputs, read by
     rational.as_q: a float in t or a malformed target is a DomainError.
@@ -504,17 +526,17 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
             if not finite:
                 raise DomainError("start component %r is not a finite number" % (x,))
     targets = [_as_target(x) for x in x_target]
-    detail = ""
+    status, detail = "domain-violation", ""
     if any(not 0 < x.numerator < x.denominator for x in targets):
         detail = "target not strictly inside (0,1)"
     else:
         targets_f = [float(x) for x in targets]
         if 0.0 in targets_f:
             detail = "target below the float range (under 5e-324): it rounds to 0.0"
+        else:
+            status, detail = "unreachable", unreachable(ctx, targets)
     if detail:
-        return SolveReport(
-            "domain-violation", tuple(s0 or ()), t=t, detail=detail, attempts=0, runs=0
-        )
+        return SolveReport(status, tuple(s0 or ()), t=t, detail=detail, attempts=0, runs=0)
     # ints, so that _finish's arithmetic stays in Python ints whatever Q is
     exact = [(int(x.numerator), int(x.denominator)) for x in targets]
     # int true division rounds correctly: bit for bit float(Q(N, scale))
@@ -532,13 +554,13 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         if _repeats(rep.s, reports):
             continue
         reports.append(rep)
-        if rep.converged and _finish(ctx, forms, exact, tolerance, rep).converged:
+        if rep.converged and _finish(forms, exact, tolerance, rep).converged:
             rep.attempts, rep.runs = len(reports), runs
             return rep
     reports.sort(key=lambda r: r.residual_history[-1] if r.residual_history else float("inf"))
     best = reports[0]
-    best.attempts, best.runs = min(len(reports), ATTEMPT_CAP), runs
-    return _finish(ctx, forms, exact, tolerance, best)
+    best.attempts, best.runs = len(reports), runs
+    return _finish(forms, exact, tolerance, best)
 
 
 def _ball_point(rng, x0, radius):
@@ -580,7 +602,8 @@ def probe_ball(ctx, x0, eps, samples, seed=0):
     random.Random(seed).  Reports per-radius success fractions and status
     counts, the rate at eps, and the largest tested radius with a perfect
     score (None if there is none).  Failures count toward the rate; they
-    are not exceptions.  A centre of the wrong length or not a real point
+    are not exceptions.  The status counts keep the draws proved
+    unreachable apart from the failures with no verdict.  A centre of the wrong length or not a real point
     of (0,1)^ell, an eps not a finite real >= 0, or samples not a positive
     integer is a DomainError, raised before any draw.
     """

@@ -248,14 +248,16 @@ def test_acceptance_probe():
         W = build_wk(ctx, default_params(ctx))
         x0 = [float(density(T, W)) for T in ctx.lyndon_seq]
         out = probe_ball(ctx, x0, eps, samples=50, seed=0)
+        statuses = out["per_radius"][0]["statuses"]
         assert out["success_rate"] == 1.0, (
             "k=%d: success rate %.2f at eps=%g (every converged-or-not sample "
-            "counted); the rate reaches 1.0 only at radius %s.  The center's "
-            "first coordinate sits about 9e-7 above the boundary of the set "
-            "of reachable density vectors at the default t, so an eps this "
-            "large mixes in targets no parameter point attains; the solver "
-            "converged on every sample that lies inside the reachable set."
-            % (k, out["success_rate"], eps, out["best_radius"])
+            "counted); the rate reaches 1.0 only at radius %s.  Statuses at "
+            "eps: %s.  %d of the %d draws at eps are certified unreachable: "
+            "they violate 96 t(4:110111)^3 >= t(3:101)^4, so they lie outside "
+            "the image of W_4(s, t), which does not show that no tournament "
+            "attains them.  No verdict is proved for the other failures."
+            % (k, out["success_rate"], eps, out["best_radius"],
+               dict(sorted(statuses.items())), statuses.get("unreachable", 0), out["samples"])
         )
 
 

@@ -248,6 +248,23 @@ def test_solve_target_below_the_float_range():
     assert "below the float range" in payload["detail"]
 
 
+def test_solve_unreachable_target():
+    # 96 (1/1000)^3 < (1/10)^4: outside the image of W_4(s, t)
+    payload = run_json("solve", "--k", "4", "1/1000", "1/10", "1/100")
+    assert payload["status"] == "unreachable"
+    assert payload["attempts"] == payload["runs"] == payload["iterations"] == 0
+    assert payload["detail"] == (
+        "violates 96 t(4:110111)^3 >= t(3:101)^4: 3/31250000 < 1/10000"
+    )
+    assert payload["s"] == [] and payload["s_rational"] is None
+
+
+def test_probe_counts_unreachable_draws():
+    # the third draw of seed 0 at eps 1e-4 is certified unreachable
+    payload = run_json("probe", "--k", "4", "--eps", "1e-4", "--samples", "3")
+    assert payload["per_radius"][0]["statuses"].get("unreachable") == 1
+
+
 def test_solve_trace_flag():
     payload = run_json("solve", "--k", "3", "1/16", "--trace")
     assert payload["status"] == "converged"
@@ -374,7 +391,8 @@ def test_verify_full_is_green_and_deterministic():
     payload = json.loads(out1)
     assert payload["ok"] is True and payload["level"] == "full"
     assert all(c["ok"] for c in payload["checks"])
-    assert "five-vertex certification" in [c["name"] for c in payload["checks"]]
+    names = [c["name"] for c in payload["checks"]]
+    assert "five-vertex certification" in names and "k=4 reachability bound" in names
     assert "verify full" in err1
 
 

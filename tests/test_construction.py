@@ -167,8 +167,9 @@ def test_jacobian_at_refuses_what_check_domain_refuses():
 
 def test_every_caller_refuses_a_bad_point_alike():
     # one reader of a W_k point: each fault is the same DomainError, with
-    # the same message, wherever the point enters; a fault of t alone also
-    # through s_forms and solve's t
+    # the same message, wherever the point enters, and every caller accepts
+    # a good point alike; a fault of t alone also through s_forms and
+    # solve's t
     ctx = context(4)
     s, t = default_params(ctx).s, default_params(ctx).t
     x = [float(v) for v in point_densities(ctx, default_params(ctx))]
@@ -205,7 +206,16 @@ def test_every_caller_refuses_a_bad_point_alike():
         lambda ctx, p: s_forms(ctx, p.t),
         lambda ctx, p: solve(ctx, x, t=p.t),
     ]
-    assert {outcome(f, ctx, WkParams(s, t)) for f in t_readers} == {"accepted"}
+    # a good point is accepted alike, and read to the same values, however
+    # its exact entries are spelled
+    good = [
+        WkParams(s, t),
+        WkParams(("1/6",) * 3, t),
+        WkParams(tuple(Fraction(v) for v in s), tuple(tuple(fmt_q(v) for v in r) for r in t)),
+    ]
+    for f in t_readers:
+        want = f(ctx, good[0])
+        assert all(f(ctx, p) == want for p in good[1:])
     for fault, (bad_t, message) in t_faults.items():
         seen = [outcome(f, ctx, WkParams(s, bad_t)) for f in t_readers]
         assert seen == [message] * len(t_readers), fault

@@ -137,6 +137,9 @@ TEST_TOOLS = {
     "uniform_degrees",
     # test_words
     "shuffle_coefficient_sum",
+    # test_construction, test_solver: the domain test alone, with its
+    # remainder measure (build and point_densities read through _read_point)
+    "check_domain",
 }
 
 

@@ -16,7 +16,6 @@ from tourlyn.construction import (
     check_domain,
     context,
     density_s_poly,
-    jacobian_at,
     make_params,
     point_densities,
     random_params,
@@ -34,6 +33,7 @@ from tourlyn.solver import (
     solve,
 )
 from tourlyn.tournamentons import density
+from tourlyn.tournaments import encode
 from tourlyn.construction import build
 
 
@@ -99,6 +99,75 @@ def test_target_below_the_float_range_refused_without_iterating(monkeypatch):
     assert rep.status == "domain-violation"
     assert rep.attempts == rep.runs == rep.iterations == 0
     assert "below the float range" in rep.detail
+
+
+def test_certified_draws_are_unreachable_without_a_run(monkeypatch):
+    # acceptance 9's 50 draws at k = 4 (probe seed 0, eps 1e-4): the 11 that
+    # violate 96 t(c)^3 >= t(b)^4 are refused before any Newton run
+    ctx = context(4)
+    x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+    rng = random.Random(0)
+    draws = [solver._ball_point(rng, x0, 1e-4) for _ in range(50)]
+    verdicts = [construction.unreachable(ctx, [q_from_float(v) for v in x]) for x in draws]
+    certified = [(x, why) for x, why in zip(draws, verdicts) if why]
+    assert len(certified) == 11
+    probed = probe_ball(ctx, x0, 1e-4, samples=50, seed=0)
+    assert probed["per_radius"][0]["statuses"]["unreachable"] == 11
+
+    def no_run(*args):
+        raise AssertionError("a Newton run started for a certified unreachable target")
+
+    monkeypatch.setattr(solver, "_newton", no_run)
+    for x, why in certified:
+        rep = solve(ctx, x)
+        assert rep.status == "unreachable" and not rep.converged
+        assert rep.attempts == rep.runs == rep.iterations == 0
+        assert rep.detail == why
+        assert why.startswith("violates 96 t(4:110111)^3 >= t(3:101)^4: ")
+
+
+def test_unreachable_is_decided_exactly_at_the_bound():
+    # 96 (3/128)^3 = (3/16)^4 = 81/65536: on the bound, which W_4 may meet
+    ctx = context(4)
+    assert construction.unreachable(ctx, [Q(3, 128), Q(3, 16), Q(1, 2)]) is None
+    below = Q(3, 128) - Q(1, 10 ** 30)
+    # a float test sees no difference from the point on the bound
+    assert float(below) == 3 / 128
+    assert construction.unreachable(ctx, [below, Q(3, 16), Q(1, 2)]) == (
+        "violates 96 t(4:110111)^3 >= t(3:101)^4: %s < 81/65536" % fmt_q(96 * below ** 3)
+    )
+    rep = solve(ctx, [below, Q(3, 16), Q(1, 2)])
+    assert rep.status == "unreachable" and rep.attempts == rep.runs == 0
+    # just below the bound at c = 6/11^4, b = 12/11^3, where floats put
+    # the pair above it
+    c, b = Q(6, 11 ** 4) - Q(1, 10 ** 40), Q(12, 11 ** 3)
+    assert 96 * float(c) ** 3 > float(b) ** 4
+    assert construction.unreachable(ctx, [c, b, Q(1, 2)]) is not None
+    # the bound is a theorem at k = 4 only
+    assert construction.unreachable(context(3), [Q(1, 10 ** 9)]) is None
+
+
+def test_no_seeded_w4_point_violates_the_bound():
+    ctx = context(4)
+    rng = random.Random(211)
+    points = [default_params(ctx)] + [random_params(ctx, rng) for _ in range(100)]
+    for p in points:
+        x = point_densities(ctx, p)
+        assert 96 * x[0] ** 3 >= x[1] ** 4
+        assert construction.unreachable(ctx, x) is None
+
+
+def test_w5_round_trip_below_the_k4_bound_is_not_unreachable():
+    # the densities of c = 4:110111 and b = 3:101 at this W_5 point violate
+    # 96 t(c)^3 >= t(b)^4, which holds on W_4 only
+    ctx = context(5)
+    p = random_params(ctx, random.Random(3))
+    x = point_densities(ctx, p)
+    names = [encode(T) for T in ctx.lyndon_seq]
+    c, b = names.index("4:110111"), names.index("3:101")
+    assert 96 * x[c] ** 3 < x[b] ** 4
+    rep = solve(ctx, x, t=p.t)
+    assert rep.status != "unreachable" and rep.runs > 0
 
 
 def test_wrong_target_count():
@@ -172,7 +241,7 @@ def test_a_run_ending_on_the_boundary_is_a_domain_violation(status, detail):
     targets = [(1, 100), (1, 50), (3, 100)]
     assert list(solver._rational_points([0.5, 0.25, 0.25], *forms[1:3])) == []
     rep = solver.SolveReport(status, (0.5, 0.25, 0.25), t=t)
-    rep = solver._finish(ctx, forms, targets, 1e-10, rep)
+    rep = solver._finish(forms, targets, 1e-10, rep)
     assert rep.status == "domain-violation"
     assert rep.detail == detail + " rounds outside the open domain"
     assert rep.s_rational == () and rep.verification == []
@@ -196,12 +265,16 @@ def test_failed_solve_reports_its_best_attempt():
     x0 = [float(x) for x in exact_densities(ctx, p)]
     x = solver._ball_point(random.Random(7), x0, 1e-4)
     rep = solve(ctx, x)
-    assert not rep.converged and rep.attempts == solver.ATTEMPT_CAP
     row_sums = [float(sum(row)) for row in p.t]
-    best = min(
-        solve(ctx, x, s0=start).residual_history[-1] for start in solver._grid(row_sums)
-    )
-    assert rep.residual_history[-1] == best
+    runs = [solve(ctx, x, s0=start) for start in solver._grid(row_sums)]
+    assert rep.residual_history[-1] == min(run.residual_history[-1] for run in runs)
+    # attempts are the distinct end points of all 27 runs, uncapped
+    distinct = []
+    for run in runs:
+        if not solver._repeats(run.s, distinct):
+            distinct.append(run)
+    assert not rep.converged and rep.runs == len(runs) == 27
+    assert rep.attempts == len(distinct) > 12
 
 
 def test_options_validation():
@@ -420,6 +493,10 @@ def test_verification_is_the_chain_dp_at_the_rounded_point():
         reports.append((ctx, solve(ctx, x0, options=SolveOptions(tolerance=1e-40))))
     assert {rep.converged for _, rep in reports} == {True, False}
     for ctx, rep in reports:
+        if rep.status == "unreachable":
+            # refused before any run, so there is no point to verify
+            assert rep.s_rational == () and rep.verification == []
+            continue
         assert rep.verification
         exact = point_densities(ctx, make_params(ctx, rep.s_rational, rep.t))
         assert [v["achieved"] for v in rep.verification] == [fmt_q(g) for g in exact]
@@ -723,18 +800,19 @@ def test_float_singular_jacobian_that_is_exactly_regular(monkeypatch):
     rep = _float_singular_report(monkeypatch)
     assert rep.status == "no-convergence"
     assert rep.detail == "float Jacobian singular; the exact one is not"
-    assert rep.iterations == 0 and rep.attempts == solver.ATTEMPT_CAP
+    # every run ends at its own start, so each is a distinct attempt
+    assert rep.iterations == 0 and rep.attempts == rep.runs == 27
 
 
 def test_exactly_singular_jacobian_is_reported(monkeypatch):
     seen = []
 
-    def dependent_rows(ctx, params):
-        seen.append(params.s)
-        J = jacobian_at(ctx, params)
+    def dependent_rows(forms, A, L):
+        seen.append(tuple(Q(a, L) for a in A))
+        J = construction.jacobian_of_forms(forms, A, L)
         return J[:-1] + [J[0]]
 
-    monkeypatch.setattr(solver, "jacobian_at", dependent_rows)
+    monkeypatch.setattr(solver, "jacobian_of_forms", dependent_rows)
     rep = _float_singular_report(monkeypatch)
     assert rep.status == "singular-jacobian"
     assert rep.detail == "exact Jacobian is singular at the rounded iterate"
@@ -760,11 +838,11 @@ def test_one_exact_jacobian_per_float_singular_solve(monkeypatch):
     # only the reported run is classified, at the rational point it carries
     seen = []
 
-    def counted(ctx, params):
-        seen.append(params.s)
-        return jacobian_at(ctx, params)
+    def counted(forms, A, L):
+        seen.append(tuple(Q(a, L) for a in A))
+        return construction.jacobian_of_forms(forms, A, L)
 
-    monkeypatch.setattr(solver, "jacobian_at", counted)
+    monkeypatch.setattr(solver, "jacobian_of_forms", counted)
     rep = _float_singular_report(monkeypatch)
     assert rep.runs == 27 and seen == [rep.s_rational]
 
@@ -848,7 +926,8 @@ def test_integer_domain_test_agrees_with_check_domain():
 def test_seeded_reports_are_pinned(monkeypatch):
     # recorded before the solver's exact side moved to integer s-forms:
     # k = 3 and 4 round trips, ball targets at 1e-7 and 1e-4, and a
-    # float-singular solve; floats as float.hex
+    # float-singular solve; floats as float.hex.  The failed reports'
+    # attempts are uncapped counts of distinct end points.
     def fields(rep):
         return (rep.status, [float.hex(x) for x in rep.s], [fmt_q(q) for q in rep.s_rational],
                 [(v["target"], v["achieved"], float.hex(v["abs_error"]))
@@ -940,7 +1019,7 @@ def test_seeded_reports_are_pinned(monkeypatch):
               "93621620459855",
               "0x1.a90ad5a35d116p-18"),
          ],
-         "stalled: relative progress under 5% across 10 iterations", 12, 27),
+         "stalled: relative progress under 5% across 10 iterations", 26, 27),
         ("no-convergence", ["0x1.904ea1bb327c3p-4", "0x1.1111111111111p-5", "0x1.4a5294a5294a4p-6"],
          ["56/573", "1/30", "5/248"],
          [
@@ -954,5 +1033,5 @@ def test_seeded_reports_are_pinned(monkeypatch):
               "125339719/51067017216000",
               "0x1.921ba7fce6d7ap-17"),
          ],
-         "float Jacobian singular; the exact one is not", 12, 27),
+         "float Jacobian singular; the exact one is not", 27, 27),
     ]
