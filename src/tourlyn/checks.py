@@ -19,12 +19,15 @@ from .construction import (
     build,
     certify_det_nonzero,
     context,
+    density_s_poly,
     jacobian_symbolic,
     point_densities,
     random_params,
     symbolic_density,
+    s_forms,
     unique_full_t_monomial,
     unreachable,
+    unreachable_at_t,
 )
 from .solver import solve
 from .tournaments import (
@@ -53,6 +56,10 @@ from .words import (
 CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 4, 5: 12}
 STRONG_COUNTS = {1: 1, 2: 0, 3: 1, 4: 1, 5: 6}
 DIMENSIONS = {3: 1, 4: 3, 5: 11}
+POWER_SUM_PAIRS = {
+    4: [("3:101", "4:110111")],
+    5: [("3:101", "4:110111"), ("4:110111", "5:1110111111"), ("4:110111", "5:1110110111")],
+}
 
 
 def _check_enumeration():
@@ -223,6 +230,44 @@ def _check_four_bound(seeds):
     return True, "t(c), t(b) identity; 96 t(c)^3 >= t(b)^4 at %d W_4 points" % len(seeds)
 
 
+def _power_sum_interval(ctx, t, i, j, p):
+    # (min_m w_m, sum_m w_m), w_m = beta_m^(p+1) / gamma_m^p, read off the
+    # s-polynomials of letters i and j (0-based) at t
+    beta, gamma = ({mono[0][0]: c for mono, c in density_s_poly(ctx, n + 1, t).terms.items()}
+                   for n in (i, j))
+    w = [beta[v] ** (p + 1) / gamma[v] ** p for v in beta]
+    return min(w), sum(w)
+
+
+def _check_power_sums(seeds, t_seeds):
+    # the pairs of construction.unreachable_at_t, its interval at seeded
+    # W_4 and W_5 points (densities by the chain DP), and sum_m w_m <= 96
+    # at k = 4, which makes it refuse all that unreachable refuses
+    for k, want in POWER_SUM_PAIRS.items():
+        ctx = context(k)
+        got = [tuple(encode(ctx.lyndon_seq[n]) for n in pair[:2]) for pair in ctx._power_sums]
+        if sorted(got) != sorted(want):
+            return False, "k=%d power-sum pairs %s, expected %s" % (k, got, want)
+    for k, count in ((4, 40), (5, 20)):
+        ctx = context(k)
+        for seed in seeds[:count]:
+            p = random_params(ctx, random.Random(seed))
+            x = point_densities(ctx, p)
+            for i, j, q, _ in ctx._power_sums:
+                low, high = _power_sum_interval(ctx, p.t, i, j, q)
+                if not low < x[i] ** (q + 1) / x[j] ** q <= high:
+                    return False, "k=%d point outside its power-sum interval (seed %d)" % (k, seed)
+            if unreachable_at_t(ctx, s_forms(ctx, p.t)[3], x) is not None:
+                return False, "k=%d point refused at its own t (seed %d)" % (k, seed)
+    ctx = context(4)
+    for seed in t_seeds:
+        t = random_params(ctx, random.Random(seed)).t
+        if _power_sum_interval(ctx, t, 1, 0, 3)[1] > 96:
+            return False, "sum_m w_m > 96 at k=4 (seed %d)" % seed
+    return True, "pairs at k=4, 5; interval holds at 40 W_4 and 20 W_5 points; " \
+        "sum_m w_m <= 96 at %d k=4 t" % len(t_seeds)
+
+
 def run_checks(level="fast", budget_seconds=None):
     """Run the named suite; returns {"level", "ok", "seconds", "checks"}."""
     fast = [
@@ -241,6 +286,7 @@ def run_checks(level="fast", budget_seconds=None):
         ("five-vertex density polynomial", lambda: _check_five_express(402)),
         ("five-vertex certification", _check_five_certification),
         ("k=4 reachability bound", lambda: _check_four_bound(range(501, 541))),
+        ("power-sum intervals", lambda: _check_power_sums(range(601, 641), range(641, 681))),
     ]
     suites = {"fast": fast, "full": full}
     if level not in suites:

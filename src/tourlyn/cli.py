@@ -468,6 +468,12 @@ def _build_parser():
                                    "unreachable (k = 4: the target violates "
                                    "96 t(4:110111)^3 >= t(3:101)^4, so no "
                                    "W_4(s, t) attains it; no Newton run), "
+                                   "unreachable-at-t (k = 4, 5: for two "
+                                   "letters whose s-forms are power sums P, "
+                                   "Q of degrees p, p + 1, P^(p+1) / Q^p "
+                                   "lies outside (min_m w_m, sum_m w_m], "
+                                   "so no s attains it at this t; no Newton "
+                                   "run), "
                                    "domain-violation, singular-jacobian or "
                                    "no-convergence; the last three say what "
                                    "the solver did, not that the target is "

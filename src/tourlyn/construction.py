@@ -51,7 +51,16 @@ s-forms.
 
 The letters' polynomials also bound the image of the construction: at
 k = 4 they imply 96 t(c)^3 >= t(b)^4 on the whole domain (unreachable,
-with the proof), which the solver uses to refuse targets outside it.
+with the proof).  At fixed t, two letters whose s-forms are power sums
+P, Q of degrees p, p + 1 over the same copies of the host keep
+P^(p+1) / Q^p inside the interval (min_m w_m, sum_m w_m], w_m =
+beta_m^(p+1) / gamma_m^p from their coefficients (unreachable_at_t, with
+the proof; the pairs are found once per context, WkContext._power_sums).
+At k = 4 the interval's upper end is at most 96, so the fixed-t test
+refuses all the first one does.  The solver refuses targets with both
+before any Newton run: _inside_power_sums, on the float coefficients and
+log targets it builds anyway, passes a target whose ratio lies inside by
+a margin, and only the others meet the exact test.
 
 Everything above that depends on k alone is built once, by context(k):
 the host, its strong parts with their cross submatrices, each letter's
@@ -73,7 +82,7 @@ and 9, and the output checks of perfbench.
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import ceil, lcm
+from math import ceil, lcm, log
 
 from .errors import BudgetError, DomainError, InconclusiveError
 from .poly import Polynomial, det_rational, s_var, t_var
@@ -113,6 +122,25 @@ class WkContext:
     def _letters(self):
         """Per letter, _symbolic_density(self, i), all on first use."""
         return tuple(_symbolic_density(self, i) for i in range(1, self.ell + 1))
+
+    @cached_property
+    def _power_sums(self):
+        """The letter pairs of unreachable_at_t, each (i, j, p, copies): the
+        s-forms of letters i and j (0-based) are single powers s_m^p and
+        s_m^(p+1) over the same copies m, at least two, and copies holds
+        each copy's term indices (a, b) into the concatenated terms of
+        every letter's s-form, a of letter i's, b of letter j's."""
+        powers, offset = [], 0
+        for *_, by_s in self._letters:
+            monos = [mono for mono, _ in by_s]
+            single = all(len(mono) == 1 for mono in monos)
+            powers.append({mono[0][0]: offset + a for a, mono in enumerate(monos)} if single else {})
+            offset += len(monos)
+        return tuple(
+            (i, j, self.sizes[i], tuple((Pi[m], Pj[m]) for m in sorted(Pi)))
+            for i, Pi in enumerate(powers) for j, Pj in enumerate(powers)
+            if len(Pi) > 1 and self.sizes[j] == self.sizes[i] + 1 and Pi.keys() == Pj.keys()
+        )
 
     @cached_property
     def _float_kernels(self):
@@ -314,6 +342,89 @@ def unreachable(ctx, x):
     if 96 * c.numerator ** 3 * b.denominator ** 4 >= b.numerator ** 4 * c.denominator ** 3:
         return None
     return "violates 96 t(4:110111)^3 >= t(3:101)^4: %s < %s" % (fmt_q(96 * c ** 3), fmt_q(b ** 4))
+
+
+def unreachable_at_t(ctx, forms, x):
+    """Why the target densities x (exact rationals, one per letter) are no
+    point of W_k(s, t) for any s in the domain at the t of `forms`, the
+    s-forms of every letter at t (s_forms(ctx, t)[3]): the violated
+    inequality with its exact values, or None.  Its pairs are those of
+    ctx._power_sums: (3:101, 4:110111) at k = 4; that pair,
+    (4:110111, 5:1110111111) and (4:110111, 5:1110110111) at k = 5; none
+    at k = 3.
+
+    Proof.  A strong letter lands inside one copy of the host, so the
+    s-forms of a pair are P = sum_m beta_m s_m^p and Q = sum_m gamma_m
+    s_m^(p+1) over the same copies m (at least two), beta, gamma > 0 fixed
+    by t.  With w_m = beta_m^(p+1) / gamma_m^p, every s > 0 has
+
+        min_m w_m < P^(p+1) / Q^p <= sum_m w_m.
+
+    Upper end: Hoelder with exponents p + 1 and (p + 1)/p, on the products
+    beta_m s_m^p = (beta_m gamma_m^(-p/(p+1))) (gamma_m^(p/(p+1)) s_m^p),
+    gives P <= (sum_m w_m)^(1/(p+1)) Q^(p/(p+1)), with equality at s
+    proportional to beta/gamma; the ratio is invariant under scaling s, so
+    the end is attained in the domain.  Lower end: with y_m = beta_m s_m^p
+    > 0, Q = sum_m w_m^(-1/p) y_m^((p+1)/p) <= (min_m w_m)^(-1/p) sum_m
+    y_m^((p+1)/p) < (min_m w_m)^(-1/p) P^((p+1)/p), the last step strict
+    because x^((p+1)/p) is strictly superadditive on two or more positive
+    terms.  At k = 4 the attained upper end is a point of W_4, so sum_m w_m
+    <= 96 by unreachable, and this test refuses every target that one
+    does (verify --level full checks it at 40 seeded t)."""
+    flat = [N for _, _, terms in forms for N, _ in terms]
+    for i, j, p, copies in ctx._power_sums:
+        # in integers: w_m = K n_m / g_m, n_m = N_beta^(p+1), g_m = N_gamma^p,
+        # K = sj / si from the scales; the ratio is K A / B, sum_m n_m / g_m
+        # is U / V and n / g is the least n_m / g_m
+        q, si, sj = p + 1, forms[i][0] ** (p + 1), forms[j][0] ** p
+        A = x[i].numerator ** q * x[j].denominator ** p * si
+        B = x[i].denominator ** q * x[j].numerator ** p * sj
+        U, V, n, g = 0, 1, 0, 0
+        for a, b in copies:
+            n_m, g_m = flat[a] ** q, flat[b] ** p
+            U, V = U * g_m + n_m * V, V * g_m
+            if not g or n_m * g < n * g_m:
+                n, g = n_m, g_m
+        if A * V > B * U:
+            end, sign, value = "<= sum_m w_m", ">", Q(U * sj, V * si)
+        elif A * g <= B * n:
+            end, sign, value = "> min_m w_m", "<=", Q(n * sj, g * si)
+        else:
+            continue
+        return "violates t(%s)^%d / t(%s)^%d %s at this t: %s %s %s" % (
+            encode(ctx.lyndon_seq[i]), q, encode(ctx.lyndon_seq[j]), p, end,
+            fmt_q(Q(A * sj, B * si)), sign, fmt_q(value))
+    return None
+
+
+def _inside_power_sums(ctx, c, log_targets):
+    """The float pre-test of unreachable_at_t: whether floats place every
+    pair's ratio P^(p+1) / Q^p inside its interval with a margin of 1e-9
+    in its log, so that the exact test need not run.  c holds the float
+    coefficients N / scale of every letter's s-form terms, concatenated
+    (the solver's), and log_targets the logs of the float targets.  The
+    margin is far above the float error while the powers and w_m are
+    normal floats; otherwise the answer is False, so floats only ever send
+    a target to the exact test, whose verdict alone refuses."""
+    try:
+        for i, j, p, copies in ctx._power_sums:
+            low, high = float("inf"), 0.0
+            for a, b in copies:
+                x, y = c[a] ** (p + 1), c[b] ** p
+                if x < 1e-300 or y < 1e-300:
+                    return False
+                w = x / y
+                high += w
+                if w < low:
+                    low = w
+            if not (low > 1e-300 and high < 1e300):
+                return False
+            ratio = (p + 1) * log_targets[i] - p * log_targets[j]
+            if not log(low) + 1e-9 < ratio < log(high) - 1e-9:
+                return False
+    except OverflowError:
+        return False
+    return True
 
 
 def s_forms(ctx, t_values, letters=None):

@@ -67,6 +67,9 @@ Failure modes are data, not exceptions.  A report's status is one of
                           construction.unreachable, so it is outside the
                           image of W_4(s, t) over the whole domain; decided
                           before any Newton run;
+    unreachable-at-t   -- proved that no s in the domain attains the target
+                          at this t (construction.unreachable_at_t, k = 4
+                          and 5); decided before any Newton run;
     domain-violation   -- a target not strictly inside (0, 1) or below the
                           float range (both before any run), a start outside
                           the domain, no admissible damped step, or an end
@@ -76,9 +79,9 @@ Failure modes are data, not exceptions.  A report's status is one of
     no-convergence     -- the runs stalled or hit the iteration cap, or the
                           reported end point misses the tolerance exactly.
 
-Only converged and unreachable are proved verdicts on the target; the
-other failures say what the solver did, not that the target is
-unattained.
+Only converged, unreachable and unreachable-at-t are proved verdicts on
+the target; the other failures say what the solver did, not that the
+target is unattained.
 """
 
 import linecache
@@ -88,7 +91,10 @@ from itertools import product
 from math import exp, gcd, isfinite, log
 from numbers import Integral, Real
 
-from .construction import WkParams, integer_point, jacobian_of_forms, s_forms, unreachable
+from .construction import (
+    WkParams, _inside_power_sums, integer_point, jacobian_of_forms, s_forms, unreachable,
+    unreachable_at_t,
+)
 from .errors import DomainError
 from .poly import det_rational
 from .rational import Q, as_q, q_from_float, ratio_from_float
@@ -337,12 +343,12 @@ def _residual(targets, values):
     return max(abs(x - g) for x, g in zip(targets, values))
 
 
-def _newton(kernels, c, row_sums, targets_f, start, tolerance, want_trace):
+def _newton(kernels, c, row_sums, targets_f, log_targets, start, tolerance, want_trace):
     """One damped Newton run in log coordinates from `start`, on floats
     only; returns its SolveReport, not yet verified.  kernels are the
     context's values, direction and step (_compile_kernels), c the solve's
-    flat coefficient tuple and row_sums the row sums of t, for the domain
-    test.
+    flat coefficient tuple, row_sums the row sums of t, for the domain
+    test, and log_targets the logs of targets_f, taken once per solve.
 
     Each iteration is two kernel calls: direction solves for the step with
     the log-Jacobian, and step backtracks along it, its accepted trial
@@ -359,7 +365,6 @@ def _newton(kernels, c, row_sums, targets_f, start, tolerance, want_trace):
             "domain-violation", tuple(s), detail="initial point outside the open domain"
         )
     trace = []
-    log_targets = [log(x) for x in targets_f]
     G, merit = values(c, targets_f, s, float("nan"))
     history = [merit]
     status, detail = "no-convergence", "iteration cap reached"
@@ -488,10 +493,12 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     must lie strictly inside (0, 1): boundary targets are not in the open
     region the construction parameterizes, and are reported as
     domain-violation without iterating, as is a target below the float
-    range, which rounds to 0.0.  A target that construction.unreachable
-    proves outside the image of W_k(s, t) is reported unreachable, its
-    detail the violated inequality, also without iterating.  Such early
-    reports have attempts = runs = iterations = 0.
+    range, which rounds to 0.0.  A target that
+    construction.unreachable_at_t refuses at this t is reported
+    unreachable-at-t, or unreachable when construction.unreachable, run
+    only then, refuses it for every t; its detail is the inequality, and
+    an explicit s0 changes nothing.  Such early reports have attempts =
+    runs = iterations = 0.
 
     With no explicit s0, Newton runs go from the grid starts in order and
     each new float-converged end point is verified at once, at the rational
@@ -534,20 +541,25 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         if 0.0 in targets_f:
             detail = "target below the float range (under 5e-324): it rounds to 0.0"
         else:
-            status, detail = "unreachable", unreachable(ctx, targets)
+            # int true division rounds correctly: bit for bit float(Q(N, scale))
+            c = tuple(N / scale for scale, _, terms in letters for N, _ in terms)
+            log_targets = [log(x) for x in targets_f]
+            if not _inside_power_sums(ctx, c, log_targets):
+                status, detail = "unreachable-at-t", unreachable_at_t(ctx, letters, targets)
+                why = detail and unreachable(ctx, targets)
+                if why:
+                    status, detail = "unreachable", why
     if detail:
         return SolveReport(status, tuple(s0 or ()), t=t, detail=detail, attempts=0, runs=0)
     # ints, so that _finish's arithmetic stays in Python ints whatever Q is
     exact = [(int(x.numerator), int(x.denominator)) for x in targets]
-    # int true division rounds correctly: bit for bit float(Q(N, scale))
-    c = tuple(N / scale for scale, _, terms in letters for N, _ in terms)
     row_sums = [r / D for r in R]
     kernels = ctx._float_kernels
 
     reports = []
     runs = 0
     for start in _grid(row_sums) if s0 is None else [s0]:
-        rep = _newton(kernels, c, row_sums, targets_f, start, tolerance, want_trace)
+        rep = _newton(kernels, c, row_sums, targets_f, log_targets, start, tolerance, want_trace)
         rep.t = t
         runs += 1
         # starts that end at the same point are one attempt
@@ -602,8 +614,9 @@ def probe_ball(ctx, x0, eps, samples, seed=0):
     random.Random(seed).  Reports per-radius success fractions and status
     counts, the rate at eps, and the largest tested radius with a perfect
     score (None if there is none).  Failures count toward the rate; they
-    are not exceptions.  The status counts keep the draws proved
-    unreachable apart from the failures with no verdict.  A centre of the wrong length or not a real point
+    are not exceptions.  The status counts keep unreachable,
+    unreachable-at-t and the failures with no verdict apart.  A centre of
+    the wrong length or not a real point
     of (0,1)^ell, an eps not a finite real >= 0, or samples not a positive
     integer is a DomainError, raised before any draw.
     """

@@ -255,9 +255,14 @@ def test_acceptance_probe():
             "eps: %s.  %d of the %d draws at eps are certified unreachable: "
             "they violate 96 t(4:110111)^3 >= t(3:101)^4, so they lie outside "
             "the image of W_4(s, t), which does not show that no tournament "
-            "attains them.  No verdict is proved for the other failures."
+            "attains them.  %d more are unreachable at the default t: their "
+            "t(3:101)^4 / t(4:110111)^3 lies outside the interval of "
+            "construction.unreachable_at_t, so no s attains them at that t, "
+            "which does not show that no other t does.  No verdict is proved "
+            "for the other failures."
             % (k, out["success_rate"], eps, out["best_radius"],
-               dict(sorted(statuses.items())), statuses.get("unreachable", 0), out["samples"])
+               dict(sorted(statuses.items())), statuses.get("unreachable", 0), out["samples"],
+               statuses.get("unreachable-at-t", 0))
         )
 
 

@@ -259,10 +259,22 @@ def test_solve_unreachable_target():
     assert payload["s"] == [] and payload["s_rational"] is None
 
 
+def test_solve_unreachable_at_t_target():
+    # (1/100)^4 / (1/1000)^3 = 10 lies below min_m w_m = 81/4 at the
+    # default t, while 96 (1/1000)^3 >= (1/100)^4 holds
+    payload = run_json("solve", "--k", "4", "1/1000", "1/100", "1/100")
+    assert payload["status"] == "unreachable-at-t"
+    assert payload["attempts"] == payload["runs"] == payload["iterations"] == 0
+    assert payload["detail"] == (
+        "violates t(3:101)^4 / t(4:110111)^3 > min_m w_m at this t: 10/1 <= 81/4"
+    )
+
+
 def test_probe_counts_unreachable_draws():
-    # the third draw of seed 0 at eps 1e-4 is certified unreachable
+    # the third draw of seed 0 at eps 1e-4 is certified unreachable for
+    # every t, the first two at the default t only
     payload = run_json("probe", "--k", "4", "--eps", "1e-4", "--samples", "3")
-    assert payload["per_radius"][0]["statuses"].get("unreachable") == 1
+    assert payload["per_radius"][0]["statuses"] == {"unreachable": 1, "unreachable-at-t": 2}
 
 
 def test_solve_trace_flag():
@@ -393,6 +405,7 @@ def test_verify_full_is_green_and_deterministic():
     assert all(c["ok"] for c in payload["checks"])
     names = [c["name"] for c in payload["checks"]]
     assert "five-vertex certification" in names and "k=4 reachability bound" in names
+    assert "power-sum intervals" in names
     assert "verify full" in err1
 
 

@@ -112,7 +112,9 @@ def test_certified_draws_are_unreachable_without_a_run(monkeypatch):
     certified = [(x, why) for x, why in zip(draws, verdicts) if why]
     assert len(certified) == 11
     probed = probe_ball(ctx, x0, 1e-4, samples=50, seed=0)
-    assert probed["per_radius"][0]["statuses"]["unreachable"] == 11
+    statuses = probed["per_radius"][0]["statuses"]
+    # counted apart: 11 refused for every t, 27 more at the default t
+    assert statuses["unreachable"] == 11 and statuses["unreachable-at-t"] == 27
 
     def no_run(*args):
         raise AssertionError("a Newton run started for a certified unreachable target")
@@ -168,6 +170,143 @@ def test_w5_round_trip_below_the_k4_bound_is_not_unreachable():
     assert 96 * x[c] ** 3 < x[b] ** 4
     rep = solve(ctx, x, t=p.t)
     assert rep.status != "unreachable" and rep.runs > 0
+
+
+def power_sum_ends(ctx, t):
+    # (min_m w_m, sum_m w_m) of the pair (3:101, 4:110111), from the
+    # s-polynomials at t: t(3:101) = sum_m beta_m s_m^3 and t(4:110111) =
+    # sum_m gamma_m s_m^4
+    (i, j, p, _), = [pair for pair in ctx._power_sums if pair[2] == 3]
+    beta, gamma = ({mono[0][0]: c for mono, c in density_s_poly(ctx, n + 1, t).terms.items()}
+                   for n in (i, j))
+    w = [beta[v] ** 4 / gamma[v] ** 3 for v in beta]
+    return min(w), sum(w), beta, gamma
+
+
+def target_with_ratio(ctx, ratio, u=Q(1, 100)):
+    # t(3:101) = ratio u^3, t(4:110111) = ratio u^4: t(3:101)^4 /
+    # t(4:110111)^3 is exactly `ratio`; every other letter's target is 1/2
+    x = [Q(1, 2)] * ctx.ell
+    (i, j, _, _), = [pair for pair in ctx._power_sums if pair[2] == 3]
+    x[i], x[j] = ratio * u ** 3, ratio * u ** 4
+    return x
+
+
+def refusal(ctx, x, t=None):
+    t = default_params(ctx).t if t is None else t
+    return construction.unreachable_at_t(ctx, s_forms(ctx, t)[3], x)
+
+
+def test_power_sum_pairs_are_found_from_the_monomials():
+    names = {k: [(encode(context(k).lyndon_seq[i]), encode(context(k).lyndon_seq[j]), p)
+                 for i, j, p, _ in context(k)._power_sums] for k in (3, 4, 5)}
+    assert names[3] == []
+    assert names[4] == [("3:101", "4:110111", 3)]
+    assert sorted(names[5]) == [("3:101", "4:110111", 3), ("4:110111", "5:1110110111", 4),
+                                ("4:110111", "5:1110111111", 4)]
+    # k = 4: all three copies, in copy order
+    assert context(4)._power_sums[0][3] == ((3, 0), (4, 1), (5, 2))
+
+
+def test_target_at_the_attained_upper_end_is_not_refused():
+    # s proportional to beta/gamma attains the ratio sum_m w_m exactly
+    ctx = context(4)
+    t = random_params(ctx, random.Random(5)).t
+    low, high, beta, gamma = power_sum_ends(ctx, t)
+    direction = [beta[s_var(m)] / gamma[s_var(m)] for m in range(1, 4)]
+    used = sum(d * sum(row) for d, row in zip(direction, t))
+    p = make_params(ctx, [d / (2 * used) for d in direction], t)
+    x = point_densities(ctx, p)
+    assert x[1] ** 4 / x[0] ** 3 == high > low
+    assert refusal(ctx, x, t) is None
+    rep = solve(ctx, x, t=t)
+    assert rep.runs > 0 and rep.converged
+
+
+def test_targets_at_or_beyond_the_ends_are_refused(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a Newton run started for a target refused at t")
+
+    monkeypatch.setattr(solver, "_newton", no_run)
+    ctx = context(4)
+    low, high, _, _ = power_sum_ends(ctx, default_params(ctx).t)
+    assert (float(low), float(high)) == (20.25, 68.25)
+    above = target_with_ratio(ctx, high + Q(1, 10 ** 20))
+    at_low = target_with_ratio(ctx, low)
+    assert refusal(ctx, above) == (
+        "violates t(3:101)^4 / t(4:110111)^3 <= sum_m w_m at this t: %s > %s"
+        % (fmt_q(high + Q(1, 10 ** 20)), fmt_q(high)))
+    assert refusal(ctx, at_low) == (
+        "violates t(3:101)^4 / t(4:110111)^3 > min_m w_m at this t: %s <= %s"
+        % (fmt_q(low), fmt_q(low)))
+    for x in (above, at_low):
+        rep = solve(ctx, x)
+        assert rep.status == "unreachable-at-t" and not rep.converged
+        assert rep.attempts == rep.runs == rep.iterations == 0
+        assert rep.detail == refusal(ctx, x)
+        # the all-t bound holds for these, so the label stays at t
+        assert construction.unreachable(ctx, x) is None
+
+
+def test_targets_near_the_ends_are_decided_exactly(monkeypatch):
+    # within 1e-12 of either end floats cannot tell; the exact test decides
+    ctx = context(4)
+    low, high, _, _ = power_sum_ends(ctx, default_params(ctx).t)
+    calls = []
+
+    def exact_test(*args):
+        calls.append(construction.unreachable_at_t(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(solver, "unreachable_at_t", exact_test)
+    nudge = Q(1, 10 ** 13)
+    for end, outside, inside in ((high, 1 + nudge, 1 - nudge), (low, 1 - nudge, 1 + nudge)):
+        for factor, refused in ((outside, True), (inside, False)):
+            x = target_with_ratio(ctx, end * factor)
+            calls.clear()
+            rep = solve(ctx, x, options=SolveOptions(tolerance=1e-3))
+            assert len(calls) == 1 and (calls[0] is not None) == refused
+            assert (rep.status == "unreachable-at-t") == refused and (rep.runs == 0) == refused
+    # 1e-6 inside either end, or at the default point, the float pre-test
+    # passes the target without the exact test
+    calls.clear()
+    for ratio in (low * (1 + Q(1, 10 ** 6)), high * (1 - Q(1, 10 ** 6))):
+        solve(ctx, target_with_ratio(ctx, ratio), options=SolveOptions(tolerance=1e-3))
+    assert calls == []
+    x0 = point_densities(ctx, default_params(ctx))
+    assert solve(ctx, x0).converged and calls == []
+
+
+def test_t_beyond_the_float_range_is_decided_exactly():
+    # at t = 10^-30 the coefficients' powers underflow, so floats send every
+    # target to the exact test; the interval is invariant under scaling t,
+    # so the verdicts are those at the default t
+    ctx = context(4)
+    tiny = [[Q(1, 10 ** 30)] * n for n in ctx.sizes]
+    statuses = []
+    for x in ([Q(1, 1000), Q(1, 10), Q(1, 100)], [Q(1, 1000), Q(1, 100), Q(1, 100)]):
+        rep, ref = solve(ctx, x, t=tiny), solve(ctx, x)
+        assert (rep.status, rep.detail, rep.runs) == (ref.status, ref.detail, 0)
+        statuses.append(rep.status)
+    assert statuses == ["unreachable", "unreachable-at-t"]
+
+
+def test_no_seeded_round_trip_is_refused(monkeypatch):
+    # a W_k point's densities satisfy the interval at its own t, and the
+    # all-t test runs only on refused targets, so never on these
+    def no_all_t_test(*args):
+        raise AssertionError("the all-t test ran on a target that was not refused")
+
+    monkeypatch.setattr(solver, "unreachable", no_all_t_test)
+    rng = random.Random(223)
+    for k, draws in ((4, 40), (5, 4)):
+        ctx = context(k)
+        for _ in range(draws):
+            p = random_params(ctx, rng)
+            x = point_densities(ctx, p)
+            assert refusal(ctx, x, p.t) is None
+            rep = solve(ctx, x, t=p.t)
+            assert rep.runs > 0 and not rep.status.startswith("unreachable")
 
 
 def test_wrong_target_count():
@@ -257,13 +396,20 @@ def test_explicit_start_is_single_attempt():
     assert not rep2.converged
 
 
+def not_refused(ctx, x, t):
+    # the precondition of a test that needs Newton runs on the target x
+    letters = s_forms(ctx, t)[3]
+    return construction.unreachable_at_t(ctx, letters, [q_from_float(v) for v in x]) is None
+
+
 def test_failed_solve_reports_its_best_attempt():
     # a k = 4 ball target that no attempt reaches: the report is the
     # attempt of least merit over all grid starts, not the last one tried
     ctx = context(4)
     p = default_params(ctx)
     x0 = [float(x) for x in exact_densities(ctx, p)]
-    x = solver._ball_point(random.Random(7), x0, 1e-4)
+    x = solver._ball_point(random.Random(3), x0, 1e-4)
+    assert not_refused(ctx, x, p.t)
     rep = solve(ctx, x)
     row_sums = [float(sum(row)) for row in p.t]
     runs = [solve(ctx, x, s0=start) for start in solver._grid(row_sums)]
@@ -469,7 +615,8 @@ def test_failed_solve_runs_every_grid_start():
     ctx = context(4)
     p = default_params(ctx)
     x0 = [float(x) for x in exact_densities(ctx, p)]
-    x = solver._ball_point(random.Random(7), x0, 1e-4)
+    x = solver._ball_point(random.Random(3), x0, 1e-4)
+    assert not_refused(ctx, x, p.t)
     rep = solve(ctx, x)
     assert not rep.converged
     row_sums = [float(sum(row)) for row in p.t]
@@ -518,6 +665,11 @@ def test_verification_entries_match_the_fraction_formulas():
         for radius in (1e-7, 1e-4):
             cases += [(solver._ball_point(rng, x0, radius), None, None) for _ in range(4)]
         cases.append((x0, None, SolveOptions(tolerance=1e-40)))
+        if k == 4:
+            # a far-ball target that runs Newton and ends domain-violation
+            x = solver._ball_point(random.Random(35), x0, 1e-4)
+            assert not_refused(ctx, x, default_params(ctx).t)
+            cases.append((x, None, None))
         for x, t, options in cases:
             rep = solve(ctx, x, t=t, options=options)
             if not rep.verification:
