@@ -19,7 +19,6 @@ from .construction import (
     build,
     certify_det_nonzero,
     context,
-    density_s_poly,
     jacobian_symbolic,
     point_densities,
     random_params,
@@ -230,11 +229,11 @@ def _check_four_bound(seeds):
     return True, "t(c), t(b) identity; 96 t(c)^3 >= t(b)^4 at %d W_4 points" % len(seeds)
 
 
-def _power_sum_interval(ctx, t, i, j, p):
+def _power_sum_interval(forms, i, j, p):
     # (min_m w_m, sum_m w_m), w_m = beta_m^(p+1) / gamma_m^p, read off the
-    # s-polynomials of letters i and j (0-based) at t
-    beta, gamma = ({mono[0][0]: c for mono, c in density_s_poly(ctx, n + 1, t).terms.items()}
-                   for n in (i, j))
+    # s-forms of letters i and j (0-based) at their t, s_forms(ctx, t)[3]
+    beta, gamma = ({mono[0][0]: Q(N, scale) for N, mono in terms}
+                   for scale, _, terms in (forms[i], forms[j]))
     w = [beta[v] ** (p + 1) / gamma[v] ** p for v in beta]
     return min(w), sum(w)
 
@@ -253,16 +252,17 @@ def _check_power_sums(seeds, t_seeds):
         for seed in seeds[:count]:
             p = random_params(ctx, random.Random(seed))
             x = point_densities(ctx, p)
+            forms = s_forms(ctx, p.t)[3]
             for i, j, q, _ in ctx._power_sums:
-                low, high = _power_sum_interval(ctx, p.t, i, j, q)
+                low, high = _power_sum_interval(forms, i, j, q)
                 if not low < x[i] ** (q + 1) / x[j] ** q <= high:
                     return False, "k=%d point outside its power-sum interval (seed %d)" % (k, seed)
-            if unreachable_at_t(ctx, s_forms(ctx, p.t)[3], x) is not None:
+            if unreachable_at_t(ctx, forms, x) is not None:
                 return False, "k=%d point refused at its own t (seed %d)" % (k, seed)
     ctx = context(4)
     for seed in t_seeds:
         t = random_params(ctx, random.Random(seed)).t
-        if _power_sum_interval(ctx, t, 1, 0, 3)[1] > 96:
+        if _power_sum_interval(s_forms(ctx, t)[3], 1, 0, 3)[1] > 96:
             return False, "sum_m w_m > 96 at k=4 (seed %d)" % seed
     return True, "pairs at k=4, 5; interval holds at 40 W_4 and 20 W_5 points; " \
         "sum_m w_m <= 96 at %d k=4 t" % len(t_seeds)

@@ -192,12 +192,6 @@ def make_params(ctx, s, t):
     return WkParams(s, t)
 
 
-def check_domain(ctx, p):
-    """Validate p through _read_point; returns the measure of I_0,
-    1 - sum_i s_i sum_j t_{i,j}."""
-    return _read_point(ctx, p)[-1]
-
-
 def _read_point(ctx, p, letters=()):
     """The one reader of a W_k point: s counted, t read by s_forms (with
     the s-forms of `letters`), s read by as_q and tested by integer_point.
@@ -434,7 +428,8 @@ def s_forms(ctx, t_values, letters=None):
     Returns (t, D, R, forms), D the common denominator of t, R_i / D the row sums,
     and per letter (every one, or the 1-based `letters`) the s-form
     (scale, n_i, [(N, ((j, e), ...)), ...]), G_i = sum N prod s_j^e / scale,
-    j 0-based, scale = den * D^n_i, in Polynomial.substitute's term order.
+    j 0-based, scale = den * D^n_i, the s-monomials in the order they first
+    appear among symbolic_density's terms.
     symbolic_density is homogeneous of degree n_i in t, so each s-monomial
     gets one positive integer N; it is also homogeneous of degree n_i in s,
     so at s = A / L, G_i is one integer sum over scale * L^n_i."""

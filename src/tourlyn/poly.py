@@ -79,19 +79,8 @@ class Polynomial:
         return Polynomial([((), c)]) if c != 0 else Polynomial()
 
     @staticmethod
-    def var(v, exp=1):
-        return Polynomial([(((v, exp),), ONE)])
-
-    def is_zero(self):
-        return not self.terms
-
-    def constant_value(self):
-        """The value if the polynomial is constant; error otherwise."""
-        if not self.terms:
-            return ZERO
-        if set(self.terms) == {()}:
-            return self.terms[()]
-        raise DomainError("polynomial is not constant")
+    def var(v):
+        return Polynomial([(((v, 1),), ONE)])
 
     def variables(self):
         seen = set()
@@ -213,8 +202,11 @@ class Polynomial:
     def evaluate_float(self, point):
         """The value at a point of floats, term by term in float arithmetic.
 
-        No production code calls it: it is the tests' float oracle for the
-        solver's float side, in test_float_terms_match_evaluate_float_bit_for_bit,
+        No production code calls it.  It stays in the package because the
+        benchmark traces it by name (its ("poly",
+        "Polynomial.evaluate_float") row of TRACED in perfbench/tracing.py),
+        and it is the tests' float oracle for the solver's float side, in
+        test_float_terms_match_evaluate_float_bit_for_bit,
         test_log_jacobian_rows_come_from_the_value_pass and
         test_values_kernel_stops_exactly_where_the_trial_fails
         (test_solver.py) and test_jacobian_matches_finite_differences
@@ -228,36 +220,6 @@ class Polynomial:
             total += val
         return total
 
-    def substitute(self, assignment):
-        """Replace some variables by rationals, leaving the rest symbolic;
-        the oracle of construction.s_forms in
-        test_density_s_poly_is_the_substitution_term_for_term."""
-        out = Polynomial()
-        for mono, c in self.terms.items():
-            coeff = c
-            rest = []
-            for v, e in mono:
-                if v in assignment:
-                    coeff *= Q(assignment[v]) ** e
-                else:
-                    rest.append((v, e))
-            if coeff == 0:
-                continue
-            key = tuple(rest)
-            s = out.terms.get(key, ZERO) + coeff
-            if s == 0:
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = s
-        return out
-
-    def degree(self, v=None):
-        if not self.terms:
-            return 0
-        if v is None:
-            return max(sum(e for _, e in mono) for mono in self.terms)
-        return max((dict(mono).get(v, 0) for mono in self.terms), default=0)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -267,18 +229,6 @@ class Polynomial:
             names = ["%s^%d" % (var_name(v), e) if e > 1 else var_name(v) for v, e in mono]
             bits.append("*".join([head] + names) if names else head)
         return " + ".join(bits)
-
-
-def uniform_degrees(p, kinds=("s", "t")):
-    """(deg_kind1, deg_kind2, ...) when every monomial agrees; None otherwise."""
-    result = None
-    for mono in p.terms:
-        degs = tuple(sum(e for v, e in mono if v[0] == k) for k in kinds)
-        if result is None:
-            result = degs
-        elif result != degs:
-            return None
-    return result
 
 
 def poly_to_json(p):
@@ -323,7 +273,7 @@ def det_rational(M):
 def solve_linear(M, rhs):
     """Exact solve of M x = rhs by Gaussian elimination; None when singular.
     No caller in the package: it stays while perfbench/tracing.py looks it
-    up, until the benchmark change of ROADMAP item 2 deletes both."""
+    up, until the benchmark change of ROADMAP items 1 and 11 deletes both."""
     n = len(M)
     A = [[Q(x) for x in row] + [Q(rhs[i])] for i, row in enumerate(M)]
     for col in range(n):

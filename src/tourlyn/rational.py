@@ -85,11 +85,11 @@ def ratio_from_float(x, max_denominator=None):
     return p2, q2
 
 
-def q_from_float(x, max_denominator=None):
-    """Exact (or denominator-limited) rational from a float: Q of
-    ratio_from_float, the value of Fraction(x).limit_denominator(M).
+def q_from_float(x):
+    """The exact rational value of a float: Q of ratio_from_float, the
+    value of Fraction(x).
 
     The solver's single sanctioned float-to-exact crossing; the solver
     reads the integers of ratio_from_float themselves.
     """
-    return Q(*ratio_from_float(x, max_denominator))
+    return Q(*ratio_from_float(x))

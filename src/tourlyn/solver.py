@@ -71,9 +71,9 @@ Failure modes are data, not exceptions.  A report's status is one of
                           at this t (construction.unreachable_at_t, k = 4
                           and 5); decided before any Newton run;
     domain-violation   -- a target not strictly inside (0, 1) or below the
-                          float range (both before any run), a start outside
-                          the domain, no admissible damped step, or an end
-                          point that rounds outside the open domain;
+                          float range (both before any run), no admissible
+                          damped step, or an end point that rounds outside
+                          the open domain;
     singular-jacobian  -- the exact Jacobian at the reported iterate is
                           singular;
     no-convergence     -- the runs stalled or hit the iteration cap, or the
@@ -109,6 +109,10 @@ MERIT_FLOOR = 1e-12
 GRID_FACTORS = (1.0, 0.25, 0.0625)
 GRID_MAX = 4
 LADDER_DEPTH = 11
+FLOAT_RANGE = (
+    "t is outside the float range of the solver: its s-form coefficients and row "
+    "sums r_j must be finite floats with (1 / r_j)^%d < 2^1023"
+)
 
 
 @dataclass
@@ -343,9 +347,10 @@ def _residual(targets, values):
     return max(abs(x - g) for x, g in zip(targets, values))
 
 
-def _newton(kernels, c, row_sums, targets_f, log_targets, start, tolerance, want_trace):
-    """One damped Newton run in log coordinates from `start`, on floats
-    only; returns its SolveReport, not yet verified.  kernels are the
+def _newton(kernels, c, row_sums, targets_f, log_targets, s, tolerance, want_trace):
+    """One damped Newton run in log coordinates from the point s, a grid
+    start and so inside the open domain, on floats only; returns its
+    SolveReport, not yet verified.  kernels are the
     context's values, direction and step (_compile_kernels), c the solve's
     flat coefficient tuple, row_sums the row sums of t, for the domain
     test, and log_targets the logs of targets_f, taken once per solve.
@@ -359,11 +364,6 @@ def _newton(kernels, c, row_sums, targets_f, log_targets, start, tolerance, want
     which _finish decides exactly.
     """
     values, direction, step = kernels
-    s = [float(x) for x in start]
-    if not (all(x > 0.0 for x in s) and sum(a * b for a, b in zip(s, row_sums)) < 1.0):
-        return SolveReport(
-            "domain-violation", tuple(s), detail="initial point outside the open domain"
-        )
     trace = []
     G, merit = values(c, targets_f, s, float("nan"))
     history = [merit]
@@ -460,7 +460,11 @@ def _finish(forms, targets, tolerance, report):
 
 def _grid(row_sums):
     """The grid starts, each built when it is drawn: rescalings of the base
-    point, per component up to GRID_MAX components and uniformly above."""
+    point, per component up to GRID_MAX components and uniformly above.
+    A start has s_j > 0 and s_j r_j = f_j / (2 ell), f_j <= 1, up to
+    rounding, so sum_j s_j r_j is about 1/2 at most: every start lies
+    inside the open domain for the finite, nonzero row sums r_j that
+    _row_sums admits."""
     ell = len(row_sums)
     base = [1.0 / (2 * ell * rs) for rs in row_sums]
     if ell > GRID_MAX:
@@ -469,6 +473,22 @@ def _grid(row_sums):
         combos = product(GRID_FACTORS, repeat=ell)
     for combo in combos:
         yield [f * b for f, b in zip(combo, base)]
+
+
+def _row_sums(k, D, R):
+    """The row sums R_i / D of t as floats, refused with DomainError unless
+    each is a finite float with r_j^k > 2^-1023, that is (1 / r_j)^k <
+    2^1023: in the domain s_j < 1 / r_j, and no exponent of an s-form
+    exceeds k (letter i's is homogeneous of degree n_i <= k), so no power
+    that the float kernels take overflows, and every grid start is
+    finite."""
+    try:
+        row_sums = [r / D for r in R]
+    except OverflowError:
+        row_sums = [0.0]
+    if not min(row_sums) > 2.0 ** (-1023 / k):
+        raise DomainError(FLOAT_RANGE % k)
+    return row_sums
 
 
 def _repeats(s, reports):
@@ -483,30 +503,29 @@ def _repeats(s, reports):
     return False
 
 
-def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
+def solve(ctx, x_target, t=None, options=None, want_trace=False):
     """Find s with density(T_i, W_k(s, t)) = x_target_i to the tolerance.
 
     x_target entries may be floats or rationals; floats convert exactly,
-    and NaN or infinite ones raise DomainError, as does an s0 or x_target
-    of the wrong length or an s0 entry that is a bool, or that float()
-    refuses or makes NaN or infinite, all before any Newton run.  Entries
-    must lie strictly inside (0, 1): boundary targets are not in the open
-    region the construction parameterizes, and are reported as
-    domain-violation without iterating, as is a target below the float
-    range, which rounds to 0.0.  A target that
-    construction.unreachable_at_t refuses at this t is reported
-    unreachable-at-t, or unreachable when construction.unreachable, run
-    only then, refuses it for every t; its detail is the inequality, and
-    an explicit s0 changes nothing.  Such early reports have attempts =
-    runs = iterations = 0.
+    and NaN or infinite ones raise DomainError, as does an x_target of the
+    wrong length, all before any Newton run.  Entries must lie strictly
+    inside (0, 1): boundary targets are not in the open region the
+    construction parameterizes, and are reported as domain-violation
+    without iterating, as is a target below the float range, which rounds
+    to 0.0.  A target that construction.unreachable_at_t refuses at this t
+    is reported unreachable-at-t, or unreachable when
+    construction.unreachable, run only then, refuses it for every t; its
+    detail is the inequality.  Such early reports have attempts = runs =
+    iterations = 0.  A t whose s-form coefficients leave the float range,
+    or whose row sums would let a power in the float kernels overflow
+    (_row_sums), is a DomainError before any Newton run.
 
-    With no explicit s0, Newton runs go from the grid starts in order and
-    each new float-converged end point is verified at once, at the rational
-    points of the module docstring, by the integer s-forms (its
-    `verification`); the first that verifies is the report.  An explicit s0 is honored exactly: one run
-    from that point, no restarts.  A float-converged attempt that misses
-    ends no-convergence, its detail giving the exact error of the rounding,
-    and the next start runs.  A float-singular Jacobian ends a run.
+    Newton runs go from the grid starts in order and each new
+    float-converged end point is verified at once, at the rational points
+    of the module docstring, by the integer s-forms (its `verification`);
+    the first that verifies is the report.  A float-converged attempt that
+    misses ends no-convergence, its detail giving the exact error of the
+    rounding, and the next start runs.  A float-singular Jacobian ends a run.
     _finish decides the status: a float-converged run's as soon as it ends,
     any other run's only if it is reported, so a float-singular run costs an
     exact Jacobian only then.  `attempts` counts the distinct end points up
@@ -522,16 +541,6 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
     t, D, R, letters = forms
     if len(x_target) != ctx.ell:
         raise DomainError("expected %d targets, got %d" % (ctx.ell, len(x_target)))
-    if s0 is not None:
-        if len(s0) != ctx.ell:
-            raise DomainError("expected %d start components, got %d" % (ctx.ell, len(s0)))
-        for x in s0:
-            try:
-                finite = not isinstance(x, bool) and isfinite(float(x))
-            except (TypeError, ValueError, OverflowError):
-                finite = False
-            if not finite:
-                raise DomainError("start component %r is not a finite number" % (x,))
     targets = [_as_target(x) for x in x_target]
     status, detail = "domain-violation", ""
     if any(not 0 < x.numerator < x.denominator for x in targets):
@@ -541,8 +550,11 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
         if 0.0 in targets_f:
             detail = "target below the float range (under 5e-324): it rounds to 0.0"
         else:
-            # int true division rounds correctly: bit for bit float(Q(N, scale))
-            c = tuple(N / scale for scale, _, terms in letters for N, _ in terms)
+            try:
+                # int true division rounds correctly: bit for bit float(Q(N, scale))
+                c = tuple(N / scale for scale, _, terms in letters for N, _ in terms)
+            except OverflowError:
+                raise DomainError(FLOAT_RANGE % ctx.k) from None
             log_targets = [log(x) for x in targets_f]
             if not _inside_power_sums(ctx, c, log_targets):
                 status, detail = "unreachable-at-t", unreachable_at_t(ctx, letters, targets)
@@ -550,15 +562,15 @@ def solve(ctx, x_target, t=None, s0=None, options=None, want_trace=False):
                 if why:
                     status, detail = "unreachable", why
     if detail:
-        return SolveReport(status, tuple(s0 or ()), t=t, detail=detail, attempts=0, runs=0)
+        return SolveReport(status, (), t=t, detail=detail, attempts=0, runs=0)
     # ints, so that _finish's arithmetic stays in Python ints whatever Q is
     exact = [(int(x.numerator), int(x.denominator)) for x in targets]
-    row_sums = [r / D for r in R]
+    row_sums = _row_sums(ctx.k, D, R)
     kernels = ctx._float_kernels
 
     reports = []
     runs = 0
-    for start in _grid(row_sums) if s0 is None else [s0]:
+    for start in _grid(row_sums):
         rep = _newton(kernels, c, row_sums, targets_f, log_targets, start, tolerance, want_trace)
         rep.t = t
         runs += 1

@@ -118,10 +118,6 @@ def constant_half():
     return step_tournamenton([(1, HALF_KIND)], [[0]])
 
 
-def single_transitive():
-    return step_tournamenton([(1, TRANSITIVE_KIND)], [[0]])
-
-
 def validate(W):
     """Check all invariants; the error message lists every violation."""
     problems = []

@@ -100,12 +100,6 @@ class Tournament:
     def __repr__(self):
         return "Tournament(%r)" % encode(self)
 
-    def beats(self, i, j):
-        return self.out[i] >> j & 1 == 1
-
-    def out_degree(self, i):
-        return bin(self.out[i]).count("1")
-
 
 def parse(text):
     """Parse "n:bits" into a labeled Tournament."""
@@ -143,13 +137,6 @@ def encode(T):
         for j in range(i + 1, T.n):
             chunks.append("1" if T.out[i] >> j & 1 else "0")
     return "%d:%s" % (T.n, "".join(chunks))
-
-
-def relabel(T, perm):
-    """Relabel so that old vertex perm[p] becomes new vertex p."""
-    if sorted(perm) != list(range(T.n)):
-        raise DomainError("perm must be a permutation of 0..%d" % (T.n - 1))
-    return Tournament(T.n, _relabeled_out(T.out, perm))
 
 
 def _relabeled_out(out, perm):
@@ -321,10 +308,6 @@ def is_strongly_connected(T):
     return len(strongly_connected_components(T)) == 1
 
 
-def is_transitive(T):
-    return sorted(T.out_degree(i) for i in range(T.n)) == list(range(T.n))
-
-
 def transitive(n):
     """The transitive tournament: vertex i beats all j > i."""
     full = (1 << n) - 1
@@ -379,15 +362,3 @@ def to_adjacency(T):
             if T.out[i] >> j & 1:
                 edges.append([i, j])
     return {"n": T.n, "edges": edges}
-
-
-def random_tournament(rng, n):
-    """Uniform over labeled tournaments on n vertices (not over classes)."""
-    out = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                out[i] |= 1 << j
-            else:
-                out[j] |= 1 << i
-    return Tournament(n, out)

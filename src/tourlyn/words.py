@@ -19,7 +19,6 @@ of words) lives here too.
 
 import re
 from dataclasses import dataclass
-from math import comb
 
 from .errors import BudgetError, DomainError
 from .tournaments import (
@@ -257,16 +256,6 @@ def multi_shuffle(words):
                 nxt[v] = nxt.get(v, 0) + cu * cv
         combo = nxt
     return combo
-
-
-def shuffle_coefficient_sum(words):
-    """What Σ coefficients must be: the multinomial of the lengths."""
-    total = 0
-    prod = 1
-    for w in words:
-        total += len(w)
-        prod *= comb(total, len(w))
-    return prod
 
 
 def tournament_sort_key(T):

@@ -11,6 +11,7 @@ import time
 from math import comb, factorial
 
 from conftest import ACCEPTANCE_RESULTS
+from oracles import single_transitive
 
 from tourlyn.construction import (
     context,
@@ -32,7 +33,6 @@ from tourlyn.tournamentons import (
     normalization_check,
     random_step_tournamenton,
     sample,
-    single_transitive,
     step_tournamenton,
 )
 from tourlyn.tournaments import (
@@ -42,7 +42,6 @@ from tourlyn.tournaments import (
     encode,
     enumerate_exact,
     is_strongly_connected,
-    parse,
 )
 from tourlyn.words import (
     DEFAULT_ORDER,
@@ -52,7 +51,6 @@ from tourlyn.words import (
     is_lyndon,
     parse_word,
     shuffle,
-    word_of,
 )
 
 

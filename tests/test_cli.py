@@ -303,6 +303,18 @@ def test_solve_rejects_malformed_t(tmp_path):
         assert code == 1 and out == "" and err.startswith("error: ")
 
 
+def test_solve_refuses_t_outside_the_float_range(tmp_path):
+    cases = [("3", [["1/1" + "0" * e] * 3]) for e in (110, 200, 310, 330)]
+    cases.append(("4", [["1" + "0" * 400 + "/%d" % n] * n for n in (4, 3, 4)]))
+    for i, (k, t) in enumerate(cases):
+        path = tmp_path / ("t%d.json" % i)
+        path.write_text(json.dumps({"t": t}))
+        targets = ["1/16"] if k == "3" else ["0.01", "0.02", "0.03"]
+        code, out, err = run("solve", "--k", k, *targets, "--t", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: t is outside the float range of the solver")
+
+
 BAD_S = [["x"], [0.1], [None]]
 HALF_BLOCK = [{"measure": "1/1", "diagonal": "half"}]
 

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import substitute, uniform_degrees
+
+from tourlyn import construction
 from tourlyn.construction import (
     WkParams,
     block_labels,
     build,
     certify_det_nonzero,
-    check_domain,
     context,
     context_to_json,
     density_s_poly,
@@ -27,7 +29,7 @@ from tourlyn.construction import (
     unique_full_t_monomial,
 )
 from tourlyn.errors import BudgetError, DomainError
-from tourlyn.poly import Polynomial, det_rational, s_var, t_var, uniform_degrees, var_name
+from tourlyn.poly import Polynomial, det_rational, s_var, t_var, var_name
 from tourlyn.rational import Q, fmt_q
 from tourlyn.solver import default_params, solve
 from tourlyn.tournamentons import TRANSITIVE_KIND, density, map_sum, validate
@@ -82,11 +84,16 @@ def test_build_is_a_valid_tournamenton():
         assert density(parse("1:"), W) == 1
 
 
+def remainder(ctx, p):
+    # the measure of I_0, 1 - sum_i s_i sum_j t_{i,j}: W's last block
+    return build(ctx, p).blocks[-1].measure
+
+
 def test_check_domain_returns_the_remainder():
     ctx = context(3)
     p = default_params(ctx)
     # s = 1/2, t = (1/3, 1/3, 1/3): used measure 1/2, remainder 1/2
-    assert check_domain(ctx, p) == Q(1, 2)
+    assert remainder(ctx, p) == Q(1, 2)
 
 
 def test_check_domain_rejections():
@@ -111,10 +118,10 @@ def outcome(f, *args):
     return "accepted"
 
 
-def fraction_check_domain(ctx, p):
-    # check_domain as a Fraction sum, the oracle of the integer test that
-    # check_domain and jacobian_at share: the same refusals, in the same
-    # order, and the remainder measure
+def fraction_domain_test(ctx, p):
+    # the domain test as a Fraction sum, the oracle of the integer test
+    # behind make_params, build and jacobian_at: the same refusals, in the
+    # same order, and the remainder measure
     if len(p.s) != ctx.ell:
         raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
     if len(p.t) != ctx.ell or any(len(row) != n for row, n in zip(p.t, ctx.sizes)):
@@ -128,9 +135,9 @@ def fraction_check_domain(ctx, p):
 
 
 def test_jacobian_at_refuses_what_check_domain_refuses():
-    # check_domain and jacobian_at test the domain in integers (jacobian_at
-    # reading t once, through s_forms); they refuse the same points as the
-    # Fraction sum, with the same messages
+    # make_params, build and jacobian_at test the domain in integers
+    # (jacobian_at reading t once, through s_forms); they refuse the same
+    # points as the Fraction sum, with the same messages
     rng = random.Random(113)
     for k in (3, 4, 5):
         ctx = context(k)
@@ -153,10 +160,10 @@ def test_jacobian_at_refuses_what_check_domain_refuses():
             WkParams(tuple(x / used for x in s), t),
             WkParams(tuple(3 * x / used for x in s), t),
         ]
-        seen = [outcome(fraction_check_domain, ctx, point) for point in points]
-        assert seen == [outcome(check_domain, ctx, point) for point in points]
-        assert seen == [outcome(jacobian_at, ctx, point) for point in points]
-        assert check_domain(ctx, p) == fraction_check_domain(ctx, p)
+        seen = [outcome(fraction_domain_test, ctx, point) for point in points]
+        for reader in (lambda ctx, p: make_params(ctx, p.s, p.t), remainder, jacobian_at):
+            assert seen == [outcome(reader, ctx, point) for point in points]
+        assert remainder(ctx, p) == fraction_domain_test(ctx, p)
         assert seen[0] == "accepted"
         assert seen[1] == "expected %d s-values, got %d" % (ctx.ell, ctx.ell + 1)
         assert seen[2] == seen[3] == "t rows must have lengths %s" % (ctx.sizes,)
@@ -199,7 +206,7 @@ def test_every_caller_refuses_a_bad_point_alike():
         "boundary": (tuple(2 * v for v in s), "domain violated: sum_i s_i sum_j t_ij = 1/1 >= 1"),
     }
     readers = [
-        check_domain, build, point_densities, jacobian_at,
+        construction._read_point, build, point_densities, jacobian_at,
         lambda ctx, p: make_params(ctx, p.s, p.t),
     ]
     t_readers = readers + [
@@ -350,7 +357,7 @@ def test_density_s_poly_is_the_substitution_term_for_term():
                       for i, row in enumerate(t, start=1) for j, v in enumerate(row, start=1)}
             for i in range(1, ctx.ell + 1):
                 ours = density_s_poly(ctx, i, t).terms
-                oracle = symbolic_density(ctx, i).substitute(assign).terms
+                oracle = substitute(symbolic_density(ctx, i), assign).terms
                 assert list(ours.items()) == list(oracle.items())
 
 
@@ -465,7 +472,7 @@ def test_random_params_stay_in_domain():
         ctx = context(k)
         for _ in range(5):
             p = random_params(ctx, rng)
-            assert check_domain(ctx, p) > 0
+            assert make_params(ctx, p.s, p.t) == p
     a = random_params(context(4), random.Random(8))
     b = random_params(context(4), random.Random(8))
     assert a == b

@@ -1,21 +1,25 @@
-"""Every module imports only names it uses, every function has a caller
-(no linter ships with the package), and the module-level caches are the
-five whose key spaces are bounded."""
+"""Every module, the tests' included, imports only names it uses; every
+function and method of the package has a caller in the package or the
+benchmark (no linter ships with the package); and the module-level
+caches are the five whose key spaces are bounded."""
 
 import ast
 import importlib
 import random
 from pathlib import Path
 
+from oracles import random_tournament
+
 import tourlyn
 from tourlyn import solver, tournaments
 from tourlyn.construction import context, point_densities, random_params
 from tourlyn.solver import default_params, probe_ball, solve
 from tourlyn.tournamentons import density, random_step_tournamenton
-from tourlyn.tournaments import canonicalize, enumerate_exact, random_tournament
+from tourlyn.tournaments import canonicalize, enumerate_exact
 
 PACKAGE = Path(tourlyn.__file__).parent
-BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
+BENCHMARK = TESTS.parent / "perfbench"
 
 
 def unused_imports(source):
@@ -39,10 +43,11 @@ def test_unused_imports_are_caught():
 
 
 def test_no_module_imports_an_unused_name():
-    # __init__.py re-exports what it imports
+    # the package's modules and the tests'; __init__.py re-exports what it
+    # imports
     found = {
-        path.name: unused_imports(path.read_text())
-        for path in sorted(PACKAGE.glob("*.py"))
+        "%s/%s" % (path.parent.name, path.name): unused_imports(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
         if path.name != "__init__.py"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
@@ -70,28 +75,43 @@ def name_counts(trees, strings=False):
     return refs
 
 
+def definitions(tree):
+    """(qualified name, node) of each module-level function of the tree and
+    of each method of its module-level classes, as "Class.method"."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield "%s.%s" % (node.name, sub.name), sub
+
+
 def uncalled_functions(sources, private, lookups=None):
-    """(module, name) of each private (or, with private False, public)
-    module-level function that no module of `sources` (name -> source)
-    refers to outside the function's own body, nor any module of `lookups`,
-    which may also name it in a string."""
+    """(module, qualified name) of each private (or, with private False,
+    public) module-level function and method, dunders excepted, that no
+    module of `sources` (name -> source) refers to outside its own body,
+    nor any module of `lookups`, which may also name it in a string: a
+    dotted string such as "Class.method" names it by its last component.
+    A method counts as referred to wherever an attribute of its name is."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     refs = name_counts(trees.values())
     for name, count in name_counts(map(ast.parse, (lookups or {}).values()), True).items():
+        name = name.rpartition(".")[2]
         refs[name] = refs.get(name, 0) + count
     found = []
     for name, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+        for qualified, node in definitions(tree):
+            if node.name.startswith("__") or node.name.startswith("_") != private:
                 continue
-            if node.name.startswith("_") != private:
-                continue
-            # a recursive call is not a caller
+            # a recursive call, f(...) or self.f(...), is not a caller
             own = sum(
-                1 for sub in ast.walk(node) if isinstance(sub, ast.Name) and sub.id == node.name
+                1 for sub in ast.walk(node)
+                if (isinstance(sub, ast.Name) and sub.id == node.name)
+                or (isinstance(sub, ast.Attribute) and sub.attr == node.name)
             )
             if refs.get(node.name, 0) == own:
-                found.append((name, node.name))
+                found.append((name, qualified))
     return sorted(found)
 
 
@@ -102,6 +122,13 @@ def test_uncalled_private_functions_are_caught():
     }
     assert uncalled_functions(sources, private=True) == [("a.py", "_dead")]
     assert uncalled_functions({"c.py": "def _f():\n    pass\nKEY = _f\n"}, private=True) == []
+    # methods too: one that only calls itself is uncalled
+    methods = (
+        "class C:\n    def __init__(self):\n        self._used()\n\n"
+        "    def _used(self):\n        pass\n\n"
+        "    def _dead(self, n):\n        return self._dead(n - 1)\n"
+    )
+    assert uncalled_functions({"d.py": methods}, private=True) == [("d.py", "C._dead")]
 
 
 def test_every_private_function_has_a_caller():
@@ -120,37 +147,27 @@ def test_uncalled_public_functions_are_caught():
     assert uncalled_functions(sources, private=False, lookups=lookups) == [("a.py", "dead")]
     # a string names a function only outside the package
     assert uncalled_functions(sources, private=False) == [("a.py", "dead"), ("a.py", "looked_up")]
-
-
-# public functions only the tests call: test tools and oracles, each with
-# the tests that use it
-TEST_TOOLS = {
-    # test_tournaments, test_tournamentons, test_flagalg, test_imports
-    "random_tournament",
-    # test_tournaments, test_tournamentons
-    "relabel",
-    # test_tournaments
-    "is_transitive",
-    # test_tournamentons, test_acceptance
-    "single_transitive",
-    # test_poly, test_construction
-    "uniform_degrees",
-    # test_words
-    "shuffle_coefficient_sum",
-    # test_construction, test_solver: the domain test alone, with its
-    # remainder measure (build and point_densities read through _read_point)
-    "check_domain",
-}
+    # methods: a dotted lookup names one by its last component, an
+    # attribute anywhere in the package calls one, dunders are exempt
+    sources["c.py"] = (
+        "class P:\n    def __eq__(self, other):\n        return True\n\n"
+        "    def traced(self):\n        pass\n\n"
+        "    def used(self):\n        pass\n\n"
+        "    def unused(self):\n        pass\n\n\nP().used()\n"
+    )
+    lookups["bench.py"] += "ROWS = [('c', 'P.traced')]\n"
+    assert uncalled_functions(sources, private=False, lookups=lookups) == [
+        ("a.py", "dead"), ("c.py", "P.unused"),
+    ]
 
 
 def test_every_public_function_has_a_caller():
     # a caller is another function of the package, or the benchmark, which
-    # also looks functions up by name; the tests do not count
+    # also looks functions up by name; the tests do not count (their tools
+    # and oracles live in tests/oracles.py)
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     lookups = {path.name: path.read_text() for path in sorted(BENCHMARK.glob("*.py"))}
-    found = uncalled_functions(sources, private=False, lookups=lookups)
-    assert [name for _, name in found if name not in TEST_TOOLS] == []
-    assert {name for _, name in found} == TEST_TOOLS
+    assert uncalled_functions(sources, private=False, lookups=lookups) == []
 
 
 MODULE_CACHES = {

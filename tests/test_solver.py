@@ -12,8 +12,6 @@ import pytest
 
 from tourlyn import construction
 from tourlyn.construction import (
-    WkParams,
-    check_domain,
     context,
     density_s_poly,
     make_params,
@@ -25,7 +23,7 @@ from tourlyn.construction import (
 from tourlyn.errors import DomainError
 from tourlyn.poly import s_var
 from tourlyn import solver
-from tourlyn.rational import Q, fmt_q, q_from_float
+from tourlyn.rational import Q, fmt_q, q_from_float, ratio_from_float
 from tourlyn.solver import (
     SolveOptions,
     default_params,
@@ -314,26 +312,6 @@ def test_wrong_target_count():
         solve(context(4), [Q(1, 16)])
 
 
-@pytest.mark.parametrize(
-    "s0",
-    [
-        [0.1, 0.1], [0.1] * 4, ["abc", 0.1, 0.1], [0.1, None, 0.1], [0.1, 0.1, "1/2"],
-        [math.nan, 0.1, 0.1], [0.1, math.inf, 0.1], [0.1, 0.1, -math.inf], [True, 0.1, 0.1],
-        [0.1, 10 ** 400, 0.1],
-    ],
-)
-def test_wrong_start_length(monkeypatch, s0):
-    ctx = context(4)
-    x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
-
-    def no_run(*args):
-        raise AssertionError("a Newton run started from a malformed s0")
-
-    monkeypatch.setattr(solver, "_newton", no_run)
-    with pytest.raises(DomainError, match="expected 3 start components|is not a finite number"):
-        solve(ctx, x0, s0=s0)
-
-
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_non_finite_float_targets(x):
     with pytest.raises(DomainError, match="not a finite number"):
@@ -386,23 +364,29 @@ def test_a_run_ending_on_the_boundary_is_a_domain_violation(status, detail):
     assert rep.s_rational == () and rep.verification == []
 
 
-def test_explicit_start_is_single_attempt():
-    ctx = context(3)
-    rep = solve(ctx, [Q(1, 16)], s0=[0.8])
-    assert rep.converged and rep.attempts == 1
-    # a start outside the domain stays a single, failed attempt
-    rep2 = solve(ctx, [Q(1, 16)], s0=[5.0])
-    assert rep2.attempts == 1
-    assert not rep2.converged
-
-
 def not_refused(ctx, x, t):
     # the precondition of a test that needs Newton runs on the target x
     letters = s_forms(ctx, t)[3]
     return construction.unreachable_at_t(ctx, letters, [q_from_float(v) for v in x]) is None
 
 
-def test_failed_solve_reports_its_best_attempt():
+def single_start(monkeypatch, start):
+    # solve runs from `start` alone: _grid yields it and nothing else
+    monkeypatch.setattr(solver, "_grid", lambda row_sums: iter([start]))
+
+
+def single_start_solves(monkeypatch, ctx, x, t=None):
+    # one solve from each grid start alone, in grid order
+    _, D, R, _ = s_forms(ctx, default_params(ctx).t if t is None else t, ())
+    reports = []
+    with monkeypatch.context() as patch:
+        for start in solver._grid([r / D for r in R]):
+            single_start(patch, start)
+            reports.append(solve(ctx, x, t=t))
+    return reports
+
+
+def test_failed_solve_reports_its_best_attempt(monkeypatch):
     # a k = 4 ball target that no attempt reaches: the report is the
     # attempt of least merit over all grid starts, not the last one tried
     ctx = context(4)
@@ -411,8 +395,7 @@ def test_failed_solve_reports_its_best_attempt():
     x = solver._ball_point(random.Random(3), x0, 1e-4)
     assert not_refused(ctx, x, p.t)
     rep = solve(ctx, x)
-    row_sums = [float(sum(row)) for row in p.t]
-    runs = [solve(ctx, x, s0=start) for start in solver._grid(row_sums)]
+    runs = single_start_solves(monkeypatch, ctx, x)
     assert rep.residual_history[-1] == min(run.residual_history[-1] for run in runs)
     # attempts are the distinct end points of all 27 runs, uncapped
     distinct = []
@@ -445,10 +428,11 @@ def test_converged_means_verified():
         assert "exact error %.3g" % error in rep.detail
 
 
-def test_trace_collection():
+def test_trace_collection(monkeypatch):
     # start far from the root so Newton actually has to iterate
     ctx = context(3)
-    rep = solve(ctx, [Q(1, 16)], s0=[0.3], want_trace=True)
+    single_start(monkeypatch, [0.3])
+    rep = solve(ctx, [Q(1, 16)], want_trace=True)
     assert rep.converged
     assert rep.trace, "trace requested but empty"
     for step in rep.trace:
@@ -550,7 +534,7 @@ def test_probe_ball_rejections():
 def test_default_params_use_half_the_measure():
     for k in (3, 4, 5):
         ctx = context(k)
-        assert check_domain(ctx, default_params(ctx)) == Q(1, 2)
+        assert build(ctx, default_params(ctx)).blocks[-1].measure == Q(1, 2)
 
 
 def integer_terms(q, scale):
@@ -593,7 +577,7 @@ def test_default_point_converges_from_the_first_start():
     assert rep.runs == 1 and rep.attempts == 1
 
 
-def test_report_is_the_first_grid_start_that_verifies():
+def test_report_is_the_first_grid_start_that_verifies(monkeypatch):
     # this k = 4 round trip has two preimages; the best-merit end point is
     # the other one, and the report is the preimage of the earliest start
     ctx = context(4)
@@ -601,8 +585,7 @@ def test_report_is_the_first_grid_start_that_verifies():
     targets = exact_densities(ctx, p)
     rep = solve(ctx, targets, t=p.t)
     assert rep.converged
-    row_sums = [float(sum(row)) for row in p.t]
-    singles = [solve(ctx, targets, t=p.t, s0=start) for start in solver._grid(row_sums)]
+    singles = single_start_solves(monkeypatch, ctx, targets, t=p.t)
     first = next(i for i, one in enumerate(singles) if one.converged)
     assert first > 0 and rep.runs == first + 1
     assert rep.s == singles[first].s
@@ -621,6 +604,62 @@ def test_failed_solve_runs_every_grid_start():
     assert not rep.converged
     row_sums = [float(sum(row)) for row in p.t]
     assert rep.runs == len(list(solver._grid(row_sums)))
+
+
+def test_grid_starts_lie_inside_the_open_domain():
+    # the invariant that lets _newton take its start unchecked: every grid
+    # start, read exactly, passes the integer domain test (s_j > 0 and
+    # sum_j s_j r_j < 1), at the default t and at seeded t
+    rng = random.Random(229)
+    for k, count in ((3, 3), (4, 27), (5, 3)):
+        ctx = context(k)
+        for t in [default_params(ctx).t] + [random_params(ctx, rng).t for _ in range(40)]:
+            _, D, R, _ = s_forms(ctx, t, ())
+            starts = list(solver._grid([r / D for r in R]))
+            assert len(starts) == count
+            for start in starts:
+                construction.integer_point([ratio_from_float(x) for x in start], D, R)
+
+
+def scaled_t(ctx, factor):
+    return [[v * factor for v in row] for row in default_params(ctx).t]
+
+
+@pytest.mark.parametrize(
+    "k, factor",
+    [
+        # at k = 3 every t entry is 1/3 times the factor; these crashed:
+        # a power in the values kernel overflowed
+        (3, Q(3, 10 ** 110)), (3, Q(3, 10 ** 200)),
+        # the grid start was infinite
+        (3, Q(3, 10 ** 310)),
+        # a row sum rounded to 0.0
+        (3, Q(3, 10 ** 330)),
+        # a coefficient N / scale beyond the float range
+        (4, Q(10 ** 400)),
+        # no run overflowed, but s_1^3 can in the domain: (1 / r_1)^3 is
+        # 2.96e308, above 2^1023
+        (3, Q(3, 2 * 10 ** 103)),
+    ],
+)
+def test_t_outside_the_float_range_is_refused_before_any_run(monkeypatch, k, factor):
+    ctx = context(k)
+    x = point_densities(ctx, default_params(ctx))
+
+    def no_run(*args):
+        raise AssertionError("a Newton run started at a t outside the float range")
+
+    monkeypatch.setattr(solver, "_newton", no_run)
+    with pytest.raises(DomainError, match="outside the float range of the solver"):
+        solve(ctx, x, t=scaled_t(ctx, factor))
+
+
+def test_t_near_the_float_range_still_converges():
+    # at 10^-103 every power stays finite: (1 / r_1)^3 = 3.7e307 < 2^1023
+    ctx = context(3)
+    for factor in (Q(3, 10 ** 30), Q(3, 10 ** 103)):
+        rep = solve(ctx, [Q(1, 16)], t=scaled_t(ctx, factor))
+        assert rep.converged
 
 
 def test_verification_is_the_chain_dp_at_the_rounded_point():
@@ -999,7 +1038,7 @@ def test_one_exact_jacobian_per_float_singular_solve(monkeypatch):
     assert rep.runs == 27 and seen == [rep.s_rational]
 
 
-def test_tracing_does_not_change_a_report():
+def test_tracing_does_not_change_a_report(monkeypatch):
     rng = random.Random(61)
     cases = []
     for k in (3, 4):
@@ -1010,12 +1049,15 @@ def test_tracing_does_not_change_a_report():
             cases.append((ctx, point_densities(ctx, p), {"t": p.t}))
         for radius in (1e-7, 1e-4):
             cases.append((ctx, solver._ball_point(rng, x0, radius), {}))
-    ctx = context(4)
-    x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
-    cases.append((ctx, x0, {"s0": [0.05, 0.1, 0.08]}))
     for ctx, x, kwargs in cases:
         traced = solve(ctx, x, want_trace=True, **kwargs)
         assert dataclasses.replace(traced, trace=[]) == solve(ctx, x, **kwargs)
+    # and from a start off the grid
+    ctx = context(4)
+    x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+    single_start(monkeypatch, [0.05, 0.1, 0.08])
+    traced = solve(ctx, x0, want_trace=True)
+    assert traced.trace and dataclasses.replace(traced, trace=[]) == solve(ctx, x0)
 
 
 def test_integer_domain_test_at_the_boundary():
@@ -1048,7 +1090,7 @@ def in_open_domain(s, t):
 def test_integer_domain_test_agrees_with_check_domain():
     # float points within about 1e-6 of the boundary, some with a component
     # that rounds to 0: _rational_points keeps exactly the roundings that
-    # the Fraction sum, and check_domain, accept
+    # the Fraction sum, and make_params, accept
     rng = random.Random(103)
     outcomes = set()
     for k in (3, 4, 5):
@@ -1061,9 +1103,9 @@ def test_integer_domain_test_agrees_with_check_domain():
             s = [x / used * (1 + rng.uniform(-2e-6, 2e-6)) for x in s]
             kept = []
             for max_denominator in (solver.RATIONALIZE_DENOMINATOR, None):
-                q = tuple(q_from_float(x, max_denominator) for x in s)
+                q = tuple(Q(*ratio_from_float(x, max_denominator)) for x in s)
                 try:
-                    check_domain(ctx, WkParams(q, t))
+                    make_params(ctx, q, t)
                 except DomainError:
                     assert not in_open_domain(q, t)
                     outcomes.add("out")

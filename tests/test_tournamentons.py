@@ -7,6 +7,8 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from oracles import random_tournament, relabel, single_transitive
+
 from tourlyn.errors import BudgetError, DomainError
 from tourlyn.poly import Polynomial, s_var
 from tourlyn.rational import ONE, Q, ZERO
@@ -20,7 +22,6 @@ from tourlyn.tournamentons import (
     normalization_check,
     random_step_tournamenton,
     sample,
-    single_transitive,
     step_tournamenton,
     to_json,
     validate,
@@ -29,8 +30,6 @@ from tourlyn.tournaments import (
     encode,
     enumerate_exact,
     parse,
-    random_tournament,
-    relabel,
     transitive,
 )
 

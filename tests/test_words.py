@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import shuffle_coefficient_sum
+
 from tourlyn.errors import BudgetError, DomainError
 from tourlyn.tournaments import enumerate_exact, parse, transitive
 from tourlyn.words import (
@@ -21,7 +23,6 @@ from tourlyn.words import (
     parse_word,
     serialize_word,
     shuffle,
-    shuffle_coefficient_sum,
     sigma_rank,
     tournament_less,
     tournament_of,
