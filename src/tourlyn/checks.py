@@ -23,7 +23,7 @@ from .construction import (
     point_densities,
     random_params,
     symbolic_density,
-    s_forms,
+    t_view,
     unique_full_t_monomial,
     unreachable,
     unreachable_at_t,
@@ -231,7 +231,7 @@ def _check_four_bound(seeds):
 
 def _power_sum_interval(forms, i, j, p):
     # (min_m w_m, sum_m w_m), w_m = beta_m^(p+1) / gamma_m^p, read off the
-    # s-forms of letters i and j (0-based) at their t, s_forms(ctx, t)[3]
+    # s-forms of letters i and j (0-based) at their t, t_view(ctx, t).forms[3]
     beta, gamma = ({mono[0][0]: Q(N, scale) for N, mono in terms}
                    for scale, _, terms in (forms[i], forms[j]))
     w = [beta[v] ** (p + 1) / gamma[v] ** p for v in beta]
@@ -252,17 +252,17 @@ def _check_power_sums(seeds, t_seeds):
         for seed in seeds[:count]:
             p = random_params(ctx, random.Random(seed))
             x = point_densities(ctx, p)
-            forms = s_forms(ctx, p.t)[3]
+            view = t_view(ctx, p.t)
             for i, j, q, _ in ctx._power_sums:
-                low, high = _power_sum_interval(forms, i, j, q)
+                low, high = _power_sum_interval(view.forms[3], i, j, q)
                 if not low < x[i] ** (q + 1) / x[j] ** q <= high:
                     return False, "k=%d point outside its power-sum interval (seed %d)" % (k, seed)
-            if unreachable_at_t(ctx, forms, x) is not None:
+            if unreachable_at_t(ctx, view, x) is not None:
                 return False, "k=%d point refused at its own t (seed %d)" % (k, seed)
     ctx = context(4)
     for seed in t_seeds:
         t = random_params(ctx, random.Random(seed)).t
-        if _power_sum_interval(s_forms(ctx, t)[3], 1, 0, 3)[1] > 96:
+        if _power_sum_interval(t_view(ctx, t).forms[3], 1, 0, 3)[1] > 96:
             return False, "sum_m w_m > 96 at k=4 (seed %d)" % seed
     return True, "pairs at k=4, 5; interval holds at 40 W_4 and 20 W_5 points; " \
         "sum_m w_m <= 96 at %d k=4 t" % len(t_seeds)

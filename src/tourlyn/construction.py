@@ -40,9 +40,10 @@ the tests' oracle for the solver's check).  At fixed t, s_forms
 substitutes t into the polynomial in integers, once for every letter, and
 is the one reader of t.  A point (s, t) has one reader, _read_point: it
 reads t through s_forms and tests the domain in integers, and every
-function taking a point refuses a bad one through it.  These s-forms are read by the solver
-(its float coefficients, its domain test and its exact check), by the
-exact Jacobian (jacobian_at) and by density_s_poly.  The solver's float
+function taking a point refuses a bad one through it.  These s-forms are
+read by the solver through t_view (its float coefficients, its domain
+test and its exact check), by the exact Jacobian (jacobian_at) and by
+density_s_poly.  The solver's float
 kernels (values, the Newton direction with its elimination, and a step's
 backtracking) are generated from the letters' s-monomials alone, so they
 depend on k only and are kept on the context; value_and_euler is the
@@ -58,16 +59,23 @@ beta_m^(p+1) / gamma_m^p from their coefficients (unreachable_at_t, with
 the proof; the pairs are found once per context, WkContext._power_sums).
 At k = 4 the interval's upper end is at most 96, so the fixed-t test
 refuses all the first one does.  The solver refuses targets with both
-before any Newton run: _inside_power_sums, on the float coefficients and
-log targets it builds anyway, passes a target whose ratio lies inside by
-a margin, and only the others meet the exact test.
+before any Newton run: _inside_power_sums passes a target whose log ratio
+lies inside the float ends of every interval by a margin, and only the
+others meet the exact test.
+
+All a solve reads of t, whatever its target, is one TView, made by
+t_view: the s-forms, the float coefficients, the row sums and each
+pair's float ends, and at the first refusal its exact integer ends.
 
 Everything above that depends on k alone is built once, by context(k):
 the host, its strong parts with their cross submatrices, each letter's
-runs of strong parts, and the block order (the WkContext fields).  The
-letters' polynomials are kept on the context too, all made at the first
-read, and so are the solver's float kernels, compiled at the first solve;
-context is the module's one cache.  I_0 appears only in build().
+runs of strong parts, and the block order (the WkContext fields).  Kept
+on the context too, each made at its first use, are the letters'
+polynomials (all at once), their power-sum pairs, the solver's float
+kernels and the TView of the default t, which every solve at the default
+t shares, so that such a solve reads no t.  context is the module's one
+cache; what it keeps lives and dies with the context.  I_0 appears only
+in build().
 
 build() + tournamentons.density is kept as an independent oracle: it
 integrates the rational tournamenton over all N + 1 blocks, unfactored.
@@ -154,11 +162,62 @@ class WkContext:
             self.k, tuple(tuple(m for m, _ in by_s) for *_, by_s in self._letters)
         )
 
+    @cached_property
+    def _default_view(self):
+        """t_view at the default t (solver.default_params's, imported here
+        as _float_kernels imports), made at the first solve there."""
+        from .solver import default_params
+
+        return t_view(self, default_params(self).t)
+
 
 @dataclass(frozen=True)
 class WkParams:
     s: tuple
     t: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class TView:
+    """What a solve reads of t, the same for every target: t_view makes
+    it, once per call, or once per context at the default t.  All tuples,
+    since the default t's is shared by every solve there.
+
+    pairs    -- ctx._power_sums
+    forms    -- s_forms(ctx, t): (t, D, R, per letter its s-form)
+    c        -- the float coefficients N / scale of every letter's s-form
+                terms, concatenated; None when one is beyond the float range
+    row_sums -- the row sums R_i / D as floats; None unless each is a
+                finite float with r_i^k > 2^-1023
+    log_ends -- per pair, _log_ends of its interval (None where floats
+                cannot place it); None when c is
+    """
+
+    pairs: tuple
+    forms: tuple
+    c: tuple
+    row_sums: tuple
+    log_ends: tuple
+
+    @cached_property
+    def exact_ends(self):
+        """Per pair, the integers of unreachable_at_t that depend on t
+        alone, (si, sj, U, V, n, g), made at its first refusal at this t:
+        w_m = K n_m / g_m with n_m = N_beta^(p+1), g_m = N_gamma^p and K =
+        sj / si, si and sj the scales to the powers p + 1 and p; sum_m n_m /
+        g_m is U / V and n / g is the least n_m / g_m."""
+        letters = self.forms[3]
+        flat = [N for _, _, terms in letters for N, _ in terms]
+        ends = []
+        for i, j, p, copies in self.pairs:
+            U, V, n, g = 0, 1, 0, 0
+            for a, b in copies:
+                n_m, g_m = flat[a] ** (p + 1), flat[b] ** p
+                U, V = U * g_m + n_m * V, V * g_m
+                if not g or n_m * g < n * g_m:
+                    n, g = n_m, g_m
+            ends.append((letters[i][0] ** (p + 1), letters[j][0] ** p, U, V, n, g))
+        return tuple(ends)
 
 
 def _runs(T):
@@ -338,14 +397,13 @@ def unreachable(ctx, x):
     return "violates 96 t(4:110111)^3 >= t(3:101)^4: %s < %s" % (fmt_q(96 * c ** 3), fmt_q(b ** 4))
 
 
-def unreachable_at_t(ctx, forms, x):
+def unreachable_at_t(ctx, view, x):
     """Why the target densities x (exact rationals, one per letter) are no
-    point of W_k(s, t) for any s in the domain at the t of `forms`, the
-    s-forms of every letter at t (s_forms(ctx, t)[3]): the violated
-    inequality with its exact values, or None.  Its pairs are those of
-    ctx._power_sums: (3:101, 4:110111) at k = 4; that pair,
-    (4:110111, 5:1110111111) and (4:110111, 5:1110110111) at k = 5; none
-    at k = 3.
+    point of W_k(s, t) for any s in the domain at the t of `view`
+    (t_view(ctx, t)): the violated inequality with its exact values, or
+    None.  Its pairs are those of ctx._power_sums: (3:101, 4:110111) at
+    k = 4; that pair, (4:110111, 5:1110111111) and (4:110111,
+    5:1110110111) at k = 5; none at k = 3.
 
     Proof.  A strong letter lands inside one copy of the host, so the
     s-forms of a pair are P = sum_m beta_m s_m^p and Q = sum_m gamma_m
@@ -365,20 +423,11 @@ def unreachable_at_t(ctx, forms, x):
     terms.  At k = 4 the attained upper end is a point of W_4, so sum_m w_m
     <= 96 by unreachable, and this test refuses every target that one
     does (verify --level full checks it at 40 seeded t)."""
-    flat = [N for _, _, terms in forms for N, _ in terms]
-    for i, j, p, copies in ctx._power_sums:
-        # in integers: w_m = K n_m / g_m, n_m = N_beta^(p+1), g_m = N_gamma^p,
-        # K = sj / si from the scales; the ratio is K A / B, sum_m n_m / g_m
-        # is U / V and n / g is the least n_m / g_m
-        q, si, sj = p + 1, forms[i][0] ** (p + 1), forms[j][0] ** p
+    for (i, j, p, _), (si, sj, U, V, n, g) in zip(view.pairs, view.exact_ends):
+        # in integers, the ratio is K A / B (TView.exact_ends)
+        q = p + 1
         A = x[i].numerator ** q * x[j].denominator ** p * si
         B = x[i].denominator ** q * x[j].numerator ** p * sj
-        U, V, n, g = 0, 1, 0, 0
-        for a, b in copies:
-            n_m, g_m = flat[a] ** q, flat[b] ** p
-            U, V = U * g_m + n_m * V, V * g_m
-            if not g or n_m * g < n * g_m:
-                n, g = n_m, g_m
         if A * V > B * U:
             end, sign, value = "<= sum_m w_m", ">", Q(U * sj, V * si)
         elif A * g <= B * n:
@@ -391,33 +440,42 @@ def unreachable_at_t(ctx, forms, x):
     return None
 
 
-def _inside_power_sums(ctx, c, log_targets):
-    """The float pre-test of unreachable_at_t: whether floats place every
-    pair's ratio P^(p+1) / Q^p inside its interval with a margin of 1e-9
-    in its log, so that the exact test need not run.  c holds the float
-    coefficients N / scale of every letter's s-form terms, concatenated
-    (the solver's), and log_targets the logs of the float targets.  The
-    margin is far above the float error while the powers and w_m are
-    normal floats; otherwise the answer is False, so floats only ever send
-    a target to the exact test, whose verdict alone refuses."""
+def _log_ends(c, p, copies):
+    """The float ends of a pair's interval for _inside_power_sums, from the
+    float coefficients c: log(min_m w_m) + 1e-9 and log(sum_m w_m) - 1e-9,
+    w_m = c_a^(p+1) / c_b^p over the copies (a, b).  None unless the
+    powers and every w_m are normal floats, where the margin is far above
+    the float error."""
+    low, high = float("inf"), 0.0
     try:
-        for i, j, p, copies in ctx._power_sums:
-            low, high = float("inf"), 0.0
-            for a, b in copies:
-                x, y = c[a] ** (p + 1), c[b] ** p
-                if x < 1e-300 or y < 1e-300:
-                    return False
-                w = x / y
-                high += w
-                if w < low:
-                    low = w
-            if not (low > 1e-300 and high < 1e300):
-                return False
-            ratio = (p + 1) * log_targets[i] - p * log_targets[j]
-            if not log(low) + 1e-9 < ratio < log(high) - 1e-9:
-                return False
+        for a, b in copies:
+            x, y = c[a] ** (p + 1), c[b] ** p
+            if x < 1e-300 or y < 1e-300:
+                return None
+            w = x / y
+            high += w
+            if w < low:
+                low = w
     except OverflowError:
-        return False
+        return None
+    if not (low > 1e-300 and high < 1e300):
+        return None
+    return log(low) + 1e-9, log(high) - 1e-9
+
+
+def _inside_power_sums(view, log_targets):
+    """The float pre-test of unreachable_at_t: whether floats place every
+    pair's ratio P^(p+1) / Q^p inside its interval, strictly inside the
+    view's log ends, so that the exact test need not run.  log_targets are
+    the logs of the float targets.  A pair with no float ends fails it, so
+    floats only ever send a target to the exact test, whose verdict alone
+    refuses."""
+    for (i, j, p, _), ends in zip(view.pairs, view.log_ends):
+        if ends is None:
+            return False
+        ratio = (p + 1) * log_targets[i] - p * log_targets[j]
+        if not ends[0] < ratio < ends[1]:
+            return False
     return True
 
 
@@ -427,7 +485,7 @@ def s_forms(ctx, t_values, letters=None):
     row i a sequence, not a string, of n_i positive entries read by as_q.
     Returns (t, D, R, forms), D the common denominator of t, R_i / D the row sums,
     and per letter (every one, or the 1-based `letters`) the s-form
-    (scale, n_i, [(N, ((j, e), ...)), ...]), G_i = sum N prod s_j^e / scale,
+    (scale, n_i, ((N, ((j, e), ...)), ...)), G_i = sum N prod s_j^e / scale,
     j 0-based, scale = den * D^n_i, the s-monomials in the order they first
     appear among symbolic_density's terms.
     symbolic_density is homogeneous of degree n_i in t, so each s-monomial
@@ -458,8 +516,38 @@ def s_forms(ctx, t_values, letters=None):
                     a *= scaled[m] ** e
                 total += a
             terms.append((total, s_mono))
-        forms.append((den * D ** ctx.sizes[i - 1], ctx.sizes[i - 1], terms))
-    return t, D, [sum(row) for row in rows], forms
+        forms.append((den * D ** ctx.sizes[i - 1], ctx.sizes[i - 1], tuple(terms)))
+    return t, D, tuple(sum(row) for row in rows), tuple(forms)
+
+
+def t_view(ctx, t_values):
+    """The TView of t: s_forms read once (a malformed t raises there),
+    then the float coefficients, the row sums and the power-sum pairs'
+    float ends.  A t beyond the float range raises nothing here: its c or
+    row_sums is None, which the solver raises on only once the target has
+    been read and not refused.  The one maker of a solve's t-side: solve
+    calls it at an explicit t, and WkContext._default_view keeps the
+    default t's."""
+    forms = s_forms(ctx, t_values)
+    _, D, R, letters = forms
+    try:
+        # int true division rounds correctly: bit for bit float(Q(N, scale))
+        c = tuple(N / scale for scale, _, terms in letters for N, _ in terms)
+    except OverflowError:
+        c = None
+    try:
+        row_sums = tuple(r / D for r in R)
+    except OverflowError:
+        row_sums = (0.0,)
+    # in the domain s_i < 1 / r_i, and no exponent of an s-form exceeds k
+    # (letter i's is homogeneous of degree n_i <= k), so with (1 / r_i)^k <
+    # 2^1023 no power the float kernels take overflows, and every grid
+    # start is finite
+    if not min(row_sums) > 2.0 ** (-1023 / ctx.k):
+        row_sums = None
+    pairs = ctx._power_sums
+    log_ends = None if c is None else tuple(_log_ends(c, p, copies) for *_, p, copies in pairs)
+    return TView(pairs, forms, c, row_sums, log_ends)
 
 
 def density_s_poly(ctx, i, t_values):

@@ -1,9 +1,11 @@
 """Damped Newton inversion of the density map s -> (t(T_i, W_k(s, t)))_i.
 
 The t-parameters stay fixed and only s moves, which keeps the system
-square with the certified ell x ell Jacobian.  Each solve takes the
-integer s-forms of construction.s_forms once; the Newton loop reads them
-as one flat tuple of float coefficients N / scale, the row sums as
+square with the certified ell x ell Jacobian.  Each solve reads t
+through its construction.TView, made by construction.t_view, once per
+solve at an explicit t and once per context at the default t: the
+integer s-forms of construction.s_forms, which the Newton loop reads as
+one flat tuple of float coefficients N / scale, and the row sums as
 R_i / D.  An attempt is one damped Newton run in log coordinates, floats
 only: the step solves J d = log x - log G (J the Jacobian of log G in
 log s), moves s_j to s_j exp(lam d_j) and halves lam until the merit, the
@@ -92,7 +94,7 @@ from math import exp, gcd, isfinite, log
 from numbers import Integral, Real
 
 from .construction import (
-    WkParams, _inside_power_sums, integer_point, jacobian_of_forms, s_forms, unreachable,
+    WkParams, _inside_power_sums, integer_point, jacobian_of_forms, t_view, unreachable,
     unreachable_at_t,
 )
 from .errors import DomainError
@@ -464,7 +466,7 @@ def _grid(row_sums):
     A start has s_j > 0 and s_j r_j = f_j / (2 ell), f_j <= 1, up to
     rounding, so sum_j s_j r_j is about 1/2 at most: every start lies
     inside the open domain for the finite, nonzero row sums r_j that
-    _row_sums admits."""
+    construction.t_view admits."""
     ell = len(row_sums)
     base = [1.0 / (2 * ell * rs) for rs in row_sums]
     if ell > GRID_MAX:
@@ -473,22 +475,6 @@ def _grid(row_sums):
         combos = product(GRID_FACTORS, repeat=ell)
     for combo in combos:
         yield [f * b for f, b in zip(combo, base)]
-
-
-def _row_sums(k, D, R):
-    """The row sums R_i / D of t as floats, refused with DomainError unless
-    each is a finite float with r_j^k > 2^-1023, that is (1 / r_j)^k <
-    2^1023: in the domain s_j < 1 / r_j, and no exponent of an s-form
-    exceeds k (letter i's is homogeneous of degree n_i <= k), so no power
-    that the float kernels take overflows, and every grid start is
-    finite."""
-    try:
-        row_sums = [r / D for r in R]
-    except OverflowError:
-        row_sums = [0.0]
-    if not min(row_sums) > 2.0 ** (-1023 / k):
-        raise DomainError(FLOAT_RANGE % k)
-    return row_sums
 
 
 def _repeats(s, reports):
@@ -518,7 +504,14 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
     detail is the inequality.  Such early reports have attempts = runs =
     iterations = 0.  A t whose s-form coefficients leave the float range,
     or whose row sums would let a power in the float kernels overflow
-    (_row_sums), is a DomainError before any Newton run.
+    (construction.TView), is a DomainError before any Newton run, raised
+    only for a target not reported as domain-violation first, and a
+    row-sum fault only for one not refused either.
+
+    All that depends on t alone is read from its construction.TView: at
+    the default t (t None) the one kept on the context, made by the first
+    solve there, and at an explicit t a new one per call.  So a solve at
+    the default t reads no t, and does only the work of its target.
 
     Newton runs go from the grid starts in order and each new
     float-converged end point is verified at once, at the rational points
@@ -537,8 +530,9 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
     rational.as_q: a float in t or a malformed target is a DomainError.
     """
     tolerance = (options or SolveOptions()).tolerance
-    forms = s_forms(ctx, default_params(ctx).t if t is None else t)
-    t, D, R, letters = forms
+    view = ctx._default_view if t is None else t_view(ctx, t)
+    forms = view.forms
+    t = forms[0]
     if len(x_target) != ctx.ell:
         raise DomainError("expected %d targets, got %d" % (ctx.ell, len(x_target)))
     targets = [_as_target(x) for x in x_target]
@@ -550,14 +544,11 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
         if 0.0 in targets_f:
             detail = "target below the float range (under 5e-324): it rounds to 0.0"
         else:
-            try:
-                # int true division rounds correctly: bit for bit float(Q(N, scale))
-                c = tuple(N / scale for scale, _, terms in letters for N, _ in terms)
-            except OverflowError:
-                raise DomainError(FLOAT_RANGE % ctx.k) from None
+            if view.c is None:
+                raise DomainError(FLOAT_RANGE % ctx.k)
             log_targets = [log(x) for x in targets_f]
-            if not _inside_power_sums(ctx, c, log_targets):
-                status, detail = "unreachable-at-t", unreachable_at_t(ctx, letters, targets)
+            if not _inside_power_sums(view, log_targets):
+                status, detail = "unreachable-at-t", unreachable_at_t(ctx, view, targets)
                 why = detail and unreachable(ctx, targets)
                 if why:
                     status, detail = "unreachable", why
@@ -565,7 +556,9 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
         return SolveReport(status, (), t=t, detail=detail, attempts=0, runs=0)
     # ints, so that _finish's arithmetic stays in Python ints whatever Q is
     exact = [(int(x.numerator), int(x.denominator)) for x in targets]
-    row_sums = _row_sums(ctx.k, D, R)
+    c, row_sums = view.c, view.row_sums
+    if row_sums is None:
+        raise DomainError(FLOAT_RANGE % ctx.k)
     kernels = ctx._float_kernels
 
     reports = []
@@ -630,7 +623,7 @@ def probe_ball(ctx, x0, eps, samples, seed=0):
     unreachable-at-t and the failures with no verdict apart.  A centre of
     the wrong length or not a real point
     of (0,1)^ell, an eps not a finite real >= 0, or samples not a positive
-    integer is a DomainError, raised before any draw.
+    integer (a bool is neither) is a DomainError, raised before any draw.
     """
     if len(x0) != ctx.ell:
         raise DomainError("expected %d coordinates, got %d" % (ctx.ell, len(x0)))
@@ -638,9 +631,9 @@ def probe_ball(ctx, x0, eps, samples, seed=0):
         raise DomainError("x0 coordinates must be finite numbers, got %r" % (list(x0),))
     if not all(0.0 < x < 1.0 for x in x0):
         raise DomainError("the centre x0 = %r lies outside (0,1)^ell" % (list(x0),))
-    if not (isinstance(eps, Real) and eps >= 0 and isfinite(eps)):
+    if isinstance(eps, bool) or not (isinstance(eps, Real) and eps >= 0 and isfinite(eps)):
         raise DomainError("eps must be nonnegative and finite, got %r" % (eps,))
-    if not (isinstance(samples, Integral) and samples >= 1):
+    if isinstance(samples, bool) or not (isinstance(samples, Integral) and samples >= 1):
         raise DomainError("samples must be a positive integer, got %r" % (samples,))
     # descend dyadically from the requested radius; once a radius scores
     # perfectly there is nothing left to learn from smaller ones

@@ -54,25 +54,28 @@ def test_no_module_imports_an_unused_name():
 
 
 def name_counts(trees, strings=False):
-    """name -> how often the trees refer to it: as a name, an attribute or an
-    imported name, and with `strings` as a string constant too (a function
-    looked up by its name)."""
-    refs = {}
+    """(names, attributes): how often the trees refer to each name as a
+    name or an imported name, and as an attribute.  With `strings`, a string
+    constant refers to its last component too (a function or method looked
+    up by its name): a dotted one such as "Class.method" as an attribute,
+    any other as a name."""
+    names, attributes = {}, {}
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                names = [node.id]
+                refs, found = names, [node.id]
             elif isinstance(node, ast.Attribute):
-                names = [node.attr]
+                refs, found = attributes, [node.attr]
             elif isinstance(node, ast.ImportFrom):
-                names = [alias.name for alias in node.names]
+                refs, found = names, [alias.name for alias in node.names]
             elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names = [node.value]
+                _, dot, last = node.value.rpartition(".")
+                refs, found = (attributes if dot else names), [last]
             else:
                 continue
-            for name in names:
+            for name in found:
                 refs[name] = refs.get(name, 0) + 1
-    return refs
+    return names, attributes
 
 
 def definitions(tree):
@@ -91,26 +94,30 @@ def uncalled_functions(sources, private, lookups=None):
     """(module, qualified name) of each private (or, with private False,
     public) module-level function and method, dunders excepted, that no
     module of `sources` (name -> source) refers to outside its own body,
-    nor any module of `lookups`, which may also name it in a string: a
-    dotted string such as "Class.method" names it by its last component.
-    A method counts as referred to wherever an attribute of its name is."""
+    nor any module of `lookups`, which may also name it in a string
+    (name_counts).  A function is referred to by its name or an attribute
+    of its name; a method only by an attribute, or a dotted string, of its
+    name, so a function of the same name calls no method."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    refs = name_counts(trees.values())
-    for name, count in name_counts(map(ast.parse, (lookups or {}).values()), True).items():
-        name = name.rpartition(".")[2]
-        refs[name] = refs.get(name, 0) + count
+    names, attributes = name_counts(trees.values())
+    looked_up = name_counts(map(ast.parse, (lookups or {}).values()), True)
+    for total, counts in zip((names, attributes), looked_up):
+        for name, count in counts.items():
+            total[name] = total.get(name, 0) + count
     found = []
     for name, tree in trees.items():
         for qualified, node in definitions(tree):
             if node.name.startswith("__") or node.name.startswith("_") != private:
                 continue
+            method = "." in qualified
             # a recursive call, f(...) or self.f(...), is not a caller
             own = sum(
                 1 for sub in ast.walk(node)
-                if (isinstance(sub, ast.Name) and sub.id == node.name)
+                if (isinstance(sub, ast.Name) and sub.id == node.name and not method)
                 or (isinstance(sub, ast.Attribute) and sub.attr == node.name)
             )
-            if refs.get(node.name, 0) == own:
+            refs = attributes.get(node.name, 0) + (0 if method else names.get(node.name, 0))
+            if refs == own:
                 found.append((name, qualified))
     return sorted(found)
 
@@ -148,16 +155,21 @@ def test_uncalled_public_functions_are_caught():
     # a string names a function only outside the package
     assert uncalled_functions(sources, private=False) == [("a.py", "dead"), ("a.py", "looked_up")]
     # methods: a dotted lookup names one by its last component, an
-    # attribute anywhere in the package calls one, dunders are exempt
+    # attribute anywhere in the package calls one, dunders are exempt; a
+    # bare name calls none, so P.dead is uncalled beside the function dead,
+    # which b.py calls, and P.looked_up beside the looked-up function
     sources["c.py"] = (
         "class P:\n    def __eq__(self, other):\n        return True\n\n"
         "    def traced(self):\n        pass\n\n"
         "    def used(self):\n        pass\n\n"
-        "    def unused(self):\n        pass\n\n\nP().used()\n"
+        "    def unused(self):\n        pass\n\n"
+        "    def dead(self):\n        pass\n\n"
+        "    def looked_up(self):\n        pass\n\n\nP().used()\n"
     )
+    sources["b.py"] += "dead(3)\n"
     lookups["bench.py"] += "ROWS = [('c', 'P.traced')]\n"
     assert uncalled_functions(sources, private=False, lookups=lookups) == [
-        ("a.py", "dead"), ("c.py", "P.unused"),
+        ("c.py", "P.dead"), ("c.py", "P.looked_up"), ("c.py", "P.unused"),
     ]
 
 

@@ -192,7 +192,7 @@ def target_with_ratio(ctx, ratio, u=Q(1, 100)):
 
 def refusal(ctx, x, t=None):
     t = default_params(ctx).t if t is None else t
-    return construction.unreachable_at_t(ctx, s_forms(ctx, t)[3], x)
+    return construction.unreachable_at_t(ctx, construction.t_view(ctx, t), x)
 
 
 def test_power_sum_pairs_are_found_from_the_monomials():
@@ -366,8 +366,8 @@ def test_a_run_ending_on_the_boundary_is_a_domain_violation(status, detail):
 
 def not_refused(ctx, x, t):
     # the precondition of a test that needs Newton runs on the target x
-    letters = s_forms(ctx, t)[3]
-    return construction.unreachable_at_t(ctx, letters, [q_from_float(v) for v in x]) is None
+    view = construction.t_view(ctx, t)
+    return construction.unreachable_at_t(ctx, view, [q_from_float(v) for v in x]) is None
 
 
 def single_start(monkeypatch, start):
@@ -523,10 +523,10 @@ def test_probe_ball_rejections():
     for x in ("a", None, "0.5"):
         with pytest.raises(DomainError, match="x0 coordinates must be finite"):
             probe_ball(ctx, [x], eps=1e-3, samples=1)
-    for eps in ("abc", "1e-3", None):
+    for eps in ("abc", "1e-3", None, True, False):
         with pytest.raises(DomainError, match="eps must be nonnegative"):
             probe_ball(ctx, [0.1], eps=eps, samples=1)
-    for samples in (0, -2, 2.5, "3", 3.0, None):
+    for samples in (0, -2, 2.5, "3", 3.0, None, True, False):
         with pytest.raises(DomainError, match="samples must be a positive integer"):
             probe_ball(ctx, [0.1], eps=1e-3, samples=samples)
 
@@ -541,7 +541,7 @@ def integer_terms(q, scale):
     # a polynomial in s with coefficients over `scale`, as integer s-form terms
     terms = [(c * scale, tuple((v[1] - 1, e) for v, e in mono)) for mono, c in q.terms.items()]
     assert all(N.denominator == 1 for N, _ in terms)
-    return [(int(N), mono) for N, mono in terms]
+    return tuple((int(N), mono) for N, mono in terms)
 
 
 def float_terms(scale, terms):
@@ -1229,3 +1229,45 @@ def test_seeded_reports_are_pinned(monkeypatch):
          ],
          "float Jacobian singular; the exact one is not", 27, 27),
     ]
+
+
+def test_default_t_solve_equals_the_explicit_default_t():
+    # the default t is read once per context, an explicit t once per call:
+    # both give the same report, field for field, whatever its status
+    statuses = set()
+    for k in (3, 4, 5):
+        ctx = context(k)
+        t = default_params(ctx).t
+        x0 = [float(v) for v in point_densities(ctx, default_params(ctx))]
+        rng = random.Random(27)
+        targets = [solver._ball_point(rng, x0, radius)
+                   for radius in (0.0, 1e-7, 1e-4, 1e-3) for _ in range(6)]
+        targets += [[Q(0)] + x0[1:], [Q(1)] + x0[1:], [Q(1, 10 ** 400)] + x0[1:]]
+        for n, x in enumerate(targets):
+            rep = solve(ctx, x, want_trace=n % 2 == 1)
+            assert repr(vars(rep)) == repr(vars(solve(ctx, x, t=t, want_trace=n % 2 == 1)))
+            statuses.add(rep.status if rep.converged or rep.runs == 0 else "failed run")
+    assert statuses == {"converged", "unreachable", "unreachable-at-t", "domain-violation",
+                        "failed run"}
+
+
+def test_default_t_view_is_made_once_per_context(monkeypatch):
+    # the default t's view lives on the context, made at its first solve
+    # there (not by context(k), which a fresh instance here stands in for),
+    # and keeping it left the module-level caches as they were
+    from test_imports import MODULE_CACHES, cache_sizes, module_caches
+
+    ctx = context.__wrapped__(4)
+    assert "_default_view" not in vars(ctx)
+    x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+    calls = []
+    read = construction.s_forms
+    monkeypatch.setattr(construction, "s_forms", lambda *args: calls.append(1) or read(*args))
+    caches = module_caches()
+    before = cache_sizes(caches)
+    views = []
+    for radius in (0.0, 1e-7, 1e-4, 1e-3):
+        solve(ctx, solver._ball_point(random.Random(5), x0, radius))
+        views.append(ctx._default_view)
+    assert len(calls) == 1 and all(view is views[0] for view in views)
+    assert set(caches) == MODULE_CACHES and cache_sizes(caches) == before
