@@ -342,7 +342,8 @@ def _symbolic_density(ctx, i):
     """The polynomial, and its integer form for s_forms: den (the lcm of
     its denominators), the s-monomials in term order, and per s-monomial as
     ((0-based s index, exponent), ...) the terms sharing it, each as
-    (coefficient * den, ((cell index, exponent), ...) of its t-monomial)."""
+    (coefficient * den, the cell indices of its t-monomial, each repeated
+    as often as its exponent, so that s_forms takes no power)."""
     measures = [Polynomial.var(s_var(a)) * Polynomial.var(t_var(a, b)) for a, b in ctx.cells]
     poly = _chain_density(ctx, i, measures, Polynomial.const(1), Polynomial.zero())
     den = lcm(*(c.denominator for c in poly.terms.values()))
@@ -351,7 +352,7 @@ def _symbolic_density(ctx, i):
     for mono, c in poly.terms.items():
         # variables sort s before t, so the s-part is a prefix
         s_part = tuple(f for f in mono if f[0][0] == "s")
-        t_part = tuple((cell[v], e) for v, e in mono[len(s_part):])
+        t_part = tuple(cell[v] for v, e in mono[len(s_part):] for _ in range(e))
         by_s.setdefault(s_part, []).append((int(c.numerator * (den // c.denominator)), t_part))
     return poly, den, tuple(by_s), tuple(
         (tuple((v[1] - 1, e) for v, e in s_part), tuple(terms)) for s_part, terms in by_s.items()
@@ -511,13 +512,13 @@ def s_forms(ctx, t_values, letters=None):
         terms = []
         for s_mono, t_terms in by_s:
             total = 0
-            for a, t_part in t_terms:
-                for m, e in t_part:
-                    a *= scaled[m] ** e
+            for a, cells in t_terms:
+                for m in cells:
+                    a *= scaled[m]
                 total += a
             terms.append((total, s_mono))
         forms.append((den * D ** ctx.sizes[i - 1], ctx.sizes[i - 1], tuple(terms)))
-    return t, D, tuple(sum(row) for row in rows), tuple(forms)
+    return t, D, tuple([sum(row) for row in rows]), tuple(forms)
 
 
 def t_view(ctx, t_values):
