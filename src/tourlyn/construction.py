@@ -177,11 +177,12 @@ class WkParams:
     t: tuple
 
 
-@dataclass(frozen=True, eq=False)
 class TView:
     """What a solve reads of t, the same for every target: t_view makes
     it, once per call, or once per context at the default t.  All tuples,
-    since the default t's is shared by every solve there.
+    since the default t's is shared by every solve there.  A plain class,
+    not a dataclass: solve makes one per explicit t, and the package's
+    import pays for every dataclass it defines.
 
     pairs    -- ctx._power_sums
     forms    -- s_forms(ctx, t): (t, D, R, per letter its s-form)
@@ -193,11 +194,9 @@ class TView:
                 cannot place it); None when c is
     """
 
-    pairs: tuple
-    forms: tuple
-    c: tuple
-    row_sums: tuple
-    log_ends: tuple
+    def __init__(self, pairs, forms, c, row_sums, log_ends):
+        self.pairs, self.forms, self.c = pairs, forms, c
+        self.row_sums, self.log_ends = row_sums, log_ends
 
     @cached_property
     def exact_ends(self):
