@@ -224,7 +224,8 @@ def _check_four_bound(seeds):
         return False, "t(c), t(b) at k=4 are not the block-triple sums"
     for seed in seeds:
         x = point_densities(ctx, random_params(ctx, random.Random(seed)))
-        if 96 * x[0] ** 3 < x[1] ** 4 or unreachable(ctx, x) is not None:
+        pairs = [(q.numerator, q.denominator) for q in x]
+        if 96 * x[0] ** 3 < x[1] ** 4 or unreachable(ctx, pairs) is not None:
             return False, "96 t(c)^3 < t(b)^4 at a W_4 point (seed %d)" % seed
     return True, "t(c), t(b) identity; 96 t(c)^3 >= t(b)^4 at %d W_4 points" % len(seeds)
 
@@ -244,7 +245,7 @@ def _check_power_sums(seeds, t_seeds):
     # at k = 4, which makes it refuse all that unreachable refuses
     for k, want in POWER_SUM_PAIRS.items():
         ctx = context(k)
-        got = [tuple(encode(ctx.lyndon_seq[n]) for n in pair[:2]) for pair in ctx._power_sums]
+        got = [tuple(ctx.names[n] for n in pair[:2]) for pair in ctx._power_sums]
         if sorted(got) != sorted(want):
             return False, "k=%d power-sum pairs %s, expected %s" % (k, got, want)
     for k, count in ((4, 40), (5, 20)):
@@ -257,7 +258,8 @@ def _check_power_sums(seeds, t_seeds):
                 low, high = _power_sum_interval(view.forms[3], i, j, q)
                 if not low < x[i] ** (q + 1) / x[j] ** q <= high:
                     return False, "k=%d point outside its power-sum interval (seed %d)" % (k, seed)
-            if unreachable_at_t(ctx, view, x) is not None:
+            pairs = [(q.numerator, q.denominator) for q in x]
+            if unreachable_at_t(ctx, view, pairs) is not None:
                 return False, "k=%d point refused at its own t (seed %d)" % (k, seed)
     ctx = context(4)
     for seed in t_seeds:

@@ -65,11 +65,15 @@ others meet the exact test.
 
 All a solve reads of t, whatever its target, is one TView, made by
 t_view: the s-forms, the float coefficients, the row sums and each
-pair's float ends, and at the first refusal its exact integer ends.
+pair's float ends, and at the first refusal its exact integer ends; a t
+beyond the solver's float range is refused there.  Both tests read the
+targets as the solver does, one (numerator, denominator) pair of ints
+per letter, and print their exact values from those ints.
 
 Everything above that depends on k alone is built once, by context(k):
-the host, its strong parts with their cross submatrices, each letter's
-runs of strong parts, and the block order (the WkContext fields).  Kept
+the letters' names, the host, its strong parts with their cross
+submatrices, each letter's runs of strong parts, and the block order
+(the WkContext fields).  Kept
 on the context too, each made at its first use, are the letters'
 polynomials (all at once), their power-sum pairs, the solver's float
 kernels and the TView of the default t, which every solve at the default
@@ -90,7 +94,7 @@ and 9, and the output checks of perfbench.
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import ceil, lcm, log
+from math import ceil, gcd, lcm, log
 
 from .errors import BudgetError, DomainError, InconclusiveError
 from .poly import Polynomial, det_rational, s_var, t_var
@@ -105,6 +109,7 @@ class WkContext:
     """Everything W_k depends on that is fixed by k; context(k) builds it
     once (one instance per k, so equality is identity).
 
+    names -- the letters' encodings (tournaments.encode), in order
     host  -- T_1 + ... + T_ell, vertex v_{i,j} at the index of block I_{i,j}
     cells -- the block order as 1-based (i, j) pairs (I_0 excluded)
     parts -- the host's strong parts in condensation order, each as its
@@ -115,6 +120,7 @@ class WkContext:
 
     k: int
     lyndon_seq: tuple
+    names: tuple
     sizes: tuple
     N: int
     host: Tournament
@@ -187,11 +193,10 @@ class TView:
     pairs    -- ctx._power_sums
     forms    -- s_forms(ctx, t): (t, D, R, per letter its s-form)
     c        -- the float coefficients N / scale of every letter's s-form
-                terms, concatenated; None when one is beyond the float range
-    row_sums -- the row sums R_i / D as floats; None unless each is a
-                finite float with r_i^k > 2^-1023
+                terms, concatenated
+    row_sums -- the row sums R_i / D as floats, each with r_i^k > 2^-1023
     log_ends -- per pair, _log_ends of its interval (None where floats
-                cannot place it); None when c is
+                cannot place it)
     """
 
     def __init__(self, pairs, forms, c, row_sums, log_ends):
@@ -236,6 +241,7 @@ def context(k):
     host = direct_sum(seq)
     return WkContext(
         k=k, lyndon_seq=seq, sizes=sizes, N=sum(sizes), host=host,
+        names=tuple(encode(T) for T in seq),
         cells=tuple((i, j) for i, n in enumerate(sizes, start=1) for j in range(1, n + 1)),
         parts=tuple(
             (H, tuple(tuple(host.out[u] >> v & 1 for v in H) for u in H))
@@ -339,7 +345,7 @@ def _letter(ctx, i):
 
 def _symbolic_density(ctx, i):
     """The polynomial, and its integer form for s_forms: den (the lcm of
-    its denominators), the s-monomials in term order, and per s-monomial as
+    its denominators), and per s-monomial, in term order, as
     ((0-based s index, exponent), ...) the terms sharing it, each as
     (coefficient * den, the cell indices of its t-monomial, each repeated
     as often as its exponent, so that s_forms takes no power)."""
@@ -353,7 +359,7 @@ def _symbolic_density(ctx, i):
         s_part = tuple(f for f in mono if f[0][0] == "s")
         t_part = tuple(cell[v] for v, e in mono[len(s_part):] for _ in range(e))
         by_s.setdefault(s_part, []).append((int(c.numerator * (den // c.denominator)), t_part))
-    return poly, den, tuple(by_s), tuple(
+    return poly, den, tuple(
         (tuple((v[1] - 1, e) for v, e in s_part), tuple(terms)) for s_part, terms in by_s.items()
     )
 
@@ -369,8 +375,16 @@ def point_densities(ctx, p):
     return [_chain_density(ctx, i, measures, ONE, ZERO) for i in range(1, ctx.ell + 1)]
 
 
+def _fmt_ratio(n, d):
+    """fmt_q(Q(n, d)) for ints n and d > 0, by one gcd and no Q: the
+    exact values in the details of unreachable and unreachable_at_t."""
+    g = gcd(n, d)
+    return "%d/%d" % (n // g, d // g)
+
+
 def unreachable(ctx, x):
-    """Why the target densities x (exact rationals, one per letter) are no
+    """Why the target densities x (per letter, its (numerator, denominator)
+    ints, as solve reads them) are no
     point of W_4(s, t) for any (s, t) in the domain: the inequality
     96 t(c)^3 >= t(b)^4 they violate, with its exact values, c = 4:110111
     and b = 3:101 the first two letters of context(4).  None when x obeys
@@ -391,14 +405,16 @@ def unreachable(ctx, x):
     = t(b)^4 / 96."""
     if ctx.k != 4:
         return None
-    c, b = x[0], x[1]
-    if 96 * c.numerator ** 3 * b.denominator ** 4 >= b.numerator ** 4 * c.denominator ** 3:
+    (cn, cd), (bn, bd) = x[0], x[1]
+    c3, b4 = 96 * cn ** 3, bn ** 4
+    if c3 * bd ** 4 >= b4 * cd ** 3:
         return None
-    return "violates 96 t(4:110111)^3 >= t(3:101)^4: %s < %s" % (fmt_q(96 * c ** 3), fmt_q(b ** 4))
+    return "violates 96 t(4:110111)^3 >= t(3:101)^4: %s < %s" % (
+        _fmt_ratio(c3, cd ** 3), _fmt_ratio(b4, bd ** 4))
 
 
 def unreachable_at_t(ctx, view, x):
-    """Why the target densities x (exact rationals, one per letter) are no
+    """Why the target densities x (int pairs, as unreachable's) are no
     point of W_k(s, t) for any s in the domain at the t of `view`
     (t_view(ctx, t)): the violated inequality with its exact values, or
     None.  Its pairs are those of ctx._power_sums: (3:101, 4:110111) at
@@ -426,17 +442,17 @@ def unreachable_at_t(ctx, view, x):
     for (i, j, p, _), (si, sj, U, V, n, g) in zip(view.pairs, view.exact_ends):
         # in integers, the ratio is K A / B (TView.exact_ends)
         q = p + 1
-        A = x[i].numerator ** q * x[j].denominator ** p * si
-        B = x[i].denominator ** q * x[j].numerator ** p * sj
+        (xin, xid), (xjn, xjd) = x[i], x[j]
+        A = xin ** q * xjd ** p * si
+        B = xid ** q * xjn ** p * sj
         if A * V > B * U:
-            end, sign, value = "<= sum_m w_m", ">", Q(U * sj, V * si)
+            end, sign, value = "<= sum_m w_m", ">", _fmt_ratio(U * sj, V * si)
         elif A * g <= B * n:
-            end, sign, value = "> min_m w_m", "<=", Q(n * sj, g * si)
+            end, sign, value = "> min_m w_m", "<=", _fmt_ratio(n * sj, g * si)
         else:
             continue
         return "violates t(%s)^%d / t(%s)^%d %s at this t: %s %s %s" % (
-            encode(ctx.lyndon_seq[i]), q, encode(ctx.lyndon_seq[j]), p, end,
-            fmt_q(Q(A * sj, B * si)), sign, fmt_q(value))
+            ctx.names[i], q, ctx.names[j], p, end, _fmt_ratio(A * sj, B * si), sign, value)
     return None
 
 
@@ -507,7 +523,7 @@ def s_forms(ctx, t_values, letters=None):
     scaled = [a for row in rows for a in row]
     forms = []
     for i in range(1, ctx.ell + 1) if letters is None else letters:
-        _, den, _, by_s = _letter(ctx, i)
+        _, den, by_s = _letter(ctx, i)
         terms = []
         for s_mono, t_terms in by_s:
             total = 0
@@ -520,33 +536,35 @@ def s_forms(ctx, t_values, letters=None):
     return t, D, tuple([sum(row) for row in rows]), tuple(forms)
 
 
+FLOAT_RANGE = (
+    "t is outside the float range of the solver: its s-form coefficients and row "
+    "sums r_j must be finite floats with (1 / r_j)^%d < 2^1023"
+)
+
+
 def t_view(ctx, t_values):
     """The TView of t: s_forms read once (a malformed t raises there),
     then the float coefficients, the row sums and the power-sum pairs'
-    float ends.  A t beyond the float range raises nothing here: its c or
-    row_sums is None, which the solver raises on only once the target has
-    been read and not refused.  The one maker of a solve's t-side: solve
-    calls it at an explicit t, and WkContext._default_view keeps the
+    float ends.  A t beyond the float range is a DomainError here, before
+    any target is read (FLOAT_RANGE).  The one maker of a solve's t-side:
+    solve calls it at an explicit t, and WkContext._default_view keeps the
     default t's."""
     forms = s_forms(ctx, t_values)
     _, D, R, letters = forms
     try:
         # int true division rounds correctly: bit for bit float(Q(N, scale))
         c = tuple(N / scale for scale, _, terms in letters for N, _ in terms)
-    except OverflowError:
-        c = None
-    try:
         row_sums = tuple(r / D for r in R)
     except OverflowError:
-        row_sums = (0.0,)
+        raise DomainError(FLOAT_RANGE % ctx.k) from None
     # in the domain s_i < 1 / r_i, and no exponent of an s-form exceeds k
     # (letter i's is homogeneous of degree n_i <= k), so with (1 / r_i)^k <
     # 2^1023 no power the float kernels take overflows, and every grid
     # start is finite
     if not min(row_sums) > 2.0 ** (-1023 / ctx.k):
-        row_sums = None
+        raise DomainError(FLOAT_RANGE % ctx.k)
     pairs = ctx._power_sums
-    log_ends = None if c is None else tuple(_log_ends(c, p, copies) for *_, p, copies in pairs)
+    log_ends = tuple(_log_ends(c, p, copies) for *_, p, copies in pairs)
     return TView(pairs, forms, c, row_sums, log_ends)
 
 
@@ -554,9 +572,9 @@ def density_s_poly(ctx, i, t_values):
     """t(T_i, W_k) with t bound to rationals and every s_j left symbolic:
     letter i's s-form as a Polynomial, coefficient N / scale per term."""
     _, _, _, ((scale, _, terms),) = s_forms(ctx, t_values, (i,))
-    out = Polynomial()
-    out.terms = dict(zip(_letter(ctx, i)[2], [Q(N, scale) for N, _ in terms]))
-    return out
+    return Polynomial(
+        {tuple((s_var(j + 1), e) for j, e in mono): Q(N, scale) for N, mono in terms}
+    )
 
 
 def jacobian_at(ctx, p):
@@ -723,6 +741,6 @@ def context_to_json(ctx):
         "N": ctx.N,
         "sizes": list(ctx.sizes),
         "words": [serialize_word(word_of(T)) for T in ctx.lyndon_seq],
-        "tournaments": [encode(T) for T in ctx.lyndon_seq],
+        "tournaments": list(ctx.names),
         "blocks": block_labels(ctx),
     }

@@ -50,37 +50,23 @@ def _mul_monomials(m1, m2):
 class Polynomial:
     __slots__ = ("terms",)
 
-    def __init__(self, terms=()):
-        # accepts any iterable of (monomial, coeff); merges and drops zeros
-        acc = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for mono, c in items:
-            c = Q(c)
-            if c == 0:
-                continue
-            mono = tuple(sorted(mono))
-            if any(e <= 0 for _, e in mono):
-                raise DomainError("non-positive exponent in monomial %r" % (mono,))
-            prev = acc.get(mono, ZERO)
-            s = prev + c
-            if s == 0:
-                acc.pop(mono, None)
-            else:
-                acc[mono] = s
-        self.terms = acc
+    def __init__(self, terms):
+        # a finished dict monomial -> coefficient, kept as it is: sorted
+        # monomials of positive exponents, no zero coefficient
+        self.terms = terms
 
     @staticmethod
     def zero():
-        return Polynomial()
+        return Polynomial({})
 
     @staticmethod
     def const(c):
         c = Q(c)
-        return Polynomial([((), c)]) if c != 0 else Polynomial()
+        return Polynomial({(): c} if c != 0 else {})
 
     @staticmethod
     def var(v):
-        return Polynomial([(((v, 1),), ONE)])
+        return Polynomial({((v, 1),): ONE})
 
     def variables(self):
         seen = set()
@@ -105,16 +91,12 @@ class Polynomial:
                 merged.pop(mono, None)
             else:
                 merged[mono] = s
-        out = Polynomial()
-        out.terms = merged
-        return out
+        return Polynomial(merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -128,10 +110,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             c = Q(other)
             if c == 0:
-                return Polynomial()
-            out = Polynomial()
-            out.terms = {m: k * c for m, k in self.terms.items()}
-            return out
+                return Polynomial({})
+            return Polynomial({m: k * c for m, k in self.terms.items()})
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -141,9 +121,7 @@ class Polynomial:
                     acc.pop(mono, None)
                 else:
                     acc[mono] = s
-        out = Polynomial()
-        out.terms = acc
-        return out
+        return Polynomial(acc)
 
     __rmul__ = __mul__
 
@@ -182,9 +160,7 @@ class Polynomial:
                 acc.pop(key, None)
             else:
                 acc[key] = s
-        out = Polynomial()
-        out.terms = acc
-        return out
+        return Polynomial(acc)
 
     def evaluate(self, point):
         """Exact evaluation; every variable present must be assigned."""

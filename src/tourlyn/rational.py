@@ -8,8 +8,9 @@ determinants and polynomial arithmetic); density's walk multiplies
 Python ints, the block measures included, and meets Q only in the two
 divisions that end each call.  Nothing else in the package may
 construct rationals directly from floats: binary rounding artifacts must
-stay out of exact pipelines, so float inputs go through an explicit,
-clearly-labeled conversion at the boundary that needs one (the solver).
+stay out of exact pipelines, so float inputs go through one explicit,
+clearly-labeled conversion, ratio_from_float, at the boundary that needs
+one (the solver: its float targets, and the rounding of its iterates).
 """
 
 from fractions import Fraction
@@ -84,12 +85,3 @@ def ratio_from_float(x, max_denominator=None):
         return p1, q1
     return p2, q2
 
-
-def q_from_float(x):
-    """The exact rational value of a float: Q of ratio_from_float, the
-    value of Fraction(x).
-
-    The solver's single sanctioned float-to-exact crossing; the solver
-    reads the integers of ratio_from_float themselves.
-    """
-    return Q(*ratio_from_float(x))

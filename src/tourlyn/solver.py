@@ -35,6 +35,12 @@ combination of GRID_FACTORS up to GRID_MAX components and uniformly
 above.  The starts are built and run one at a time in grid order, and
 the distinct end points of their runs are the attempts.
 
+A solve reads each target once (_as_target), into the (numerator,
+denominator) ints of its exact value, a float's through
+rational.ratio_from_float, the one float-to-exact crossing; the
+refusals and _finish read those ints, so past its inputs a solve builds
+Q only for its report's s_rational and t.
+
 `converged` means exactly verified: a float-converged attempt is rounded
 to rationals s = A / L (continued fraction, denominator <= 10^6) as soon
 as its run ends, in Python ints, with no Fraction arithmetic on the way:
@@ -99,7 +105,7 @@ from .construction import (
 )
 from .errors import DomainError
 from .poly import det_rational
-from .rational import Q, as_q, q_from_float, ratio_from_float
+from .rational import Q, as_q, ratio_from_float
 
 MIN_STEP = 2.0 ** -20
 RATIONALIZE_DENOMINATOR = 10 ** 6
@@ -111,10 +117,6 @@ MERIT_FLOOR = 1e-12
 GRID_FACTORS = (1.0, 0.25, 0.0625)
 GRID_MAX = 4
 LADDER_DEPTH = 11
-FLOAT_RANGE = (
-    "t is outside the float range of the solver: its s-form coefficients and row "
-    "sums r_j must be finite floats with (1 / r_j)^%d < 2^1023"
-)
 
 
 @dataclass
@@ -164,11 +166,16 @@ def default_params(ctx):
 
 
 def _as_target(x):
+    """A target's exact value as (numerator, denominator) ints in lowest
+    terms, the denominator positive: a float's exact binary value
+    (ratio_from_float), anything else read by as_q.  Python ints whatever
+    Q is, so that the exact side's arithmetic stays in them."""
     if isinstance(x, float):
         if not isfinite(x):
             raise DomainError("target %r is not a finite number" % x)
-        return q_from_float(x)
-    return as_q(x)
+        return ratio_from_float(x)
+    x = as_q(x)
+    return int(x.numerator), int(x.denominator)
 
 
 def _rational_points(s_floats, D, R):
@@ -406,9 +413,10 @@ def _newton(kernels, c, row_sums, targets_f, log_targets, s, tolerance, want_tra
 def _finish(forms, targets, tolerance, report):
     """Verifies a run exactly and decides its final status, the one place
     that does.  targets are the (numerator, denominator) ints of each
-    letter's target.  The first of _rational_points is the report's point,
-    where the exact Jacobian decides a float-singular run; a converged run
-    that misses there tries the float's exact binary value next.  A converged or
+    letter's target, as _as_target reads them.  The first of
+    _rational_points is the report's point, where the exact Jacobian
+    decides a float-singular run; a converged run that misses there tries
+    the float's exact binary value next.  A converged or
     float-singular run with no rational point is a domain-violation; other
     runs keep their status, so finishing twice changes nothing.
 
@@ -503,10 +511,9 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
     construction.unreachable, run only then, refuses it for every t; its
     detail is the inequality.  Such early reports have attempts = runs =
     iterations = 0.  A t whose s-form coefficients leave the float range,
-    or whose row sums would let a power in the float kernels overflow
-    (construction.TView), is a DomainError before any Newton run, raised
-    only for a target not reported as domain-violation first, and a
-    row-sum fault only for one not refused either.
+    or whose row sums would let a power in the float kernels overflow, is
+    a DomainError raised by construction.t_view, before any target is
+    read, whatever the target.
 
     All that depends on t alone is read from its construction.TView: at
     the default t (t None) the one kept on the context, made by the first
@@ -537,15 +544,14 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
         raise DomainError("expected %d targets, got %d" % (ctx.ell, len(x_target)))
     targets = [_as_target(x) for x in x_target]
     status, detail = "domain-violation", ""
-    if any(not 0 < x.numerator < x.denominator for x in targets):
+    if any(not 0 < n < d for n, d in targets):
         detail = "target not strictly inside (0,1)"
     else:
-        targets_f = [float(x) for x in targets]
+        # the float given, or n / d in int true division: float(Q(n, d)) bit for bit
+        targets_f = [x if isinstance(x, float) else n / d for x, (n, d) in zip(x_target, targets)]
         if 0.0 in targets_f:
             detail = "target below the float range (under 5e-324): it rounds to 0.0"
         else:
-            if view.c is None:
-                raise DomainError(FLOAT_RANGE % ctx.k)
             log_targets = [log(x) for x in targets_f]
             if not _inside_power_sums(view, log_targets):
                 status, detail = "unreachable-at-t", unreachable_at_t(ctx, view, targets)
@@ -554,11 +560,7 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
                     status, detail = "unreachable", why
     if detail:
         return SolveReport(status, (), t=t, detail=detail, attempts=0, runs=0)
-    # ints, so that _finish's arithmetic stays in Python ints whatever Q is
-    exact = [(int(x.numerator), int(x.denominator)) for x in targets]
     c, row_sums = view.c, view.row_sums
-    if row_sums is None:
-        raise DomainError(FLOAT_RANGE % ctx.k)
     kernels = ctx._float_kernels
 
     reports = []
@@ -571,13 +573,13 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
         if _repeats(rep.s, reports):
             continue
         reports.append(rep)
-        if rep.converged and _finish(forms, exact, tolerance, rep).converged:
+        if rep.converged and _finish(forms, targets, tolerance, rep).converged:
             rep.attempts, rep.runs = len(reports), runs
             return rep
     reports.sort(key=lambda r: r.residual_history[-1] if r.residual_history else float("inf"))
     best = reports[0]
     best.attempts, best.runs = len(reports), runs
-    return _finish(forms, exact, tolerance, best)
+    return _finish(forms, targets, tolerance, best)
 
 
 def _ball_point(rng, x0, radius):

@@ -92,7 +92,7 @@ def substitute(p, assignment):
     construction.s_forms in test_density_s_poly_is_the_substitution_term_for_term
     (test_construction.py), held to evaluate in
     test_substitute_then_evaluate (test_poly.py)."""
-    terms = []
+    terms = {}
     for mono, c in p.terms.items():
         rest = []
         for v, e in mono:
@@ -100,6 +100,12 @@ def substitute(p, assignment):
                 c *= Q(assignment[v]) ** e
             else:
                 rest.append((v, e))
-        terms.append((rest, c))
-    # the constructor merges equal monomials in order and drops zeros
+        # equal monomials merge where the first of them stands, and a sum
+        # that reaches zero is dropped
+        rest = tuple(rest)
+        total = terms.get(rest, 0) + c
+        if total:
+            terms[rest] = total
+        else:
+            terms.pop(rest, None)
     return Polynomial(terms)

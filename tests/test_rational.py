@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tourlyn.rational import Q, q_from_float, ratio_from_float
+from tourlyn.rational import ratio_from_float
 from tourlyn.solver import RATIONALIZE_DENOMINATOR
 
 LIMITS = (RATIONALIZE_DENOMINATOR, None) + tuple(range(1, 21))
@@ -46,7 +46,6 @@ def test_integer_core_matches_limit_denominator_on_seeded_floats():
         for max_denominator in LIMITS:
             expected = limited(x, max_denominator)
             assert ratio_from_float(x, max_denominator) == expected, (x, max_denominator)
-        assert q_from_float(x) == Q(*limited(x, None))
 
 
 def test_integer_core_breaks_ties_as_limit_denominator():

@@ -23,7 +23,7 @@ from tourlyn.construction import (
 from tourlyn.errors import DomainError
 from tourlyn.poly import s_var
 from tourlyn import solver
-from tourlyn.rational import Q, fmt_q, q_from_float, ratio_from_float
+from tourlyn.rational import Q, fmt_q, ratio_from_float
 from tourlyn.solver import (
     SolveOptions,
     default_params,
@@ -38,6 +38,11 @@ from tourlyn.construction import build
 def exact_densities(ctx, p):
     W = build(ctx, p)
     return [density(T, W) for T in ctx.lyndon_seq]
+
+
+def pairs(x):
+    # exact targets as the (numerator, denominator) ints that solve reads
+    return [(q.numerator, q.denominator) for q in x]
 
 
 def test_analytic_three_vertex_solution():
@@ -106,7 +111,7 @@ def test_certified_draws_are_unreachable_without_a_run(monkeypatch):
     x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
     rng = random.Random(0)
     draws = [solver._ball_point(rng, x0, 1e-4) for _ in range(50)]
-    verdicts = [construction.unreachable(ctx, [q_from_float(v) for v in x]) for x in draws]
+    verdicts = [construction.unreachable(ctx, [v.as_integer_ratio() for v in x]) for x in draws]
     certified = [(x, why) for x, why in zip(draws, verdicts) if why]
     assert len(certified) == 11
     probed = probe_ball(ctx, x0, 1e-4, samples=50, seed=0)
@@ -129,11 +134,11 @@ def test_certified_draws_are_unreachable_without_a_run(monkeypatch):
 def test_unreachable_is_decided_exactly_at_the_bound():
     # 96 (3/128)^3 = (3/16)^4 = 81/65536: on the bound, which W_4 may meet
     ctx = context(4)
-    assert construction.unreachable(ctx, [Q(3, 128), Q(3, 16), Q(1, 2)]) is None
+    assert construction.unreachable(ctx, pairs([Q(3, 128), Q(3, 16), Q(1, 2)])) is None
     below = Q(3, 128) - Q(1, 10 ** 30)
     # a float test sees no difference from the point on the bound
     assert float(below) == 3 / 128
-    assert construction.unreachable(ctx, [below, Q(3, 16), Q(1, 2)]) == (
+    assert construction.unreachable(ctx, pairs([below, Q(3, 16), Q(1, 2)])) == (
         "violates 96 t(4:110111)^3 >= t(3:101)^4: %s < 81/65536" % fmt_q(96 * below ** 3)
     )
     rep = solve(ctx, [below, Q(3, 16), Q(1, 2)])
@@ -142,9 +147,9 @@ def test_unreachable_is_decided_exactly_at_the_bound():
     # the pair above it
     c, b = Q(6, 11 ** 4) - Q(1, 10 ** 40), Q(12, 11 ** 3)
     assert 96 * float(c) ** 3 > float(b) ** 4
-    assert construction.unreachable(ctx, [c, b, Q(1, 2)]) is not None
+    assert construction.unreachable(ctx, pairs([c, b, Q(1, 2)])) is not None
     # the bound is a theorem at k = 4 only
-    assert construction.unreachable(context(3), [Q(1, 10 ** 9)]) is None
+    assert construction.unreachable(context(3), [(1, 10 ** 9)]) is None
 
 
 def test_no_seeded_w4_point_violates_the_bound():
@@ -154,7 +159,7 @@ def test_no_seeded_w4_point_violates_the_bound():
     for p in points:
         x = point_densities(ctx, p)
         assert 96 * x[0] ** 3 >= x[1] ** 4
-        assert construction.unreachable(ctx, x) is None
+        assert construction.unreachable(ctx, pairs(x)) is None
 
 
 def test_w5_round_trip_below_the_k4_bound_is_not_unreachable():
@@ -192,7 +197,7 @@ def target_with_ratio(ctx, ratio, u=Q(1, 100)):
 
 def refusal(ctx, x, t=None):
     t = default_params(ctx).t if t is None else t
-    return construction.unreachable_at_t(ctx, construction.t_view(ctx, t), x)
+    return construction.unreachable_at_t(ctx, construction.t_view(ctx, t), pairs(x))
 
 
 def test_power_sum_pairs_are_found_from_the_monomials():
@@ -243,7 +248,7 @@ def test_targets_at_or_beyond_the_ends_are_refused(monkeypatch):
         assert rep.attempts == rep.runs == rep.iterations == 0
         assert rep.detail == refusal(ctx, x)
         # the all-t bound holds for these, so the label stays at t
-        assert construction.unreachable(ctx, x) is None
+        assert construction.unreachable(ctx, pairs(x)) is None
 
 
 def test_targets_near_the_ends_are_decided_exactly(monkeypatch):
@@ -287,6 +292,75 @@ def test_t_beyond_the_float_range_is_decided_exactly():
         assert (rep.status, rep.detail, rep.runs) == (ref.status, ref.detail, 0)
         statuses.append(rep.status)
     assert statuses == ["unreachable", "unreachable-at-t"]
+
+
+def fraction_verdicts(ctx, t):
+    # the details of construction.unreachable and unreachable_at_t at t,
+    # written in Fractions and printed by fmt_q: the bound's two values, and
+    # each pair's interval from density_s_poly's coefficients
+    intervals = []
+    for i, j, p, _ in ctx._power_sums:
+        beta, gamma = ({mono[0][0]: Fraction(c) for mono, c in terms}
+                       for terms in (density_s_poly(ctx, n + 1, t).terms.items() for n in (i, j)))
+        w = [beta[v] ** (p + 1) / gamma[v] ** p for v in beta]
+        names = encode(ctx.lyndon_seq[i]), p + 1, encode(ctx.lyndon_seq[j]), p
+        intervals.append((i, j, p, names, min(w), sum(w)))
+
+    def verdicts(x):
+        x = [Fraction(v) for v in x]
+        bound = None
+        if ctx.k == 4 and 96 * x[0] ** 3 < x[1] ** 4:
+            bound = "violates 96 t(4:110111)^3 >= t(3:101)^4: %s < %s" % (
+                fmt_q(96 * x[0] ** 3), fmt_q(x[1] ** 4))
+        for i, j, p, names, low, high in intervals:
+            ratio = x[i] ** (p + 1) / x[j] ** p
+            if ratio > high:
+                end, sign, value = "<= sum_m w_m", ">", high
+            elif ratio <= low:
+                end, sign, value = "> min_m w_m", "<=", low
+            else:
+                continue
+            return bound, end, "violates t(%s)^%d / t(%s)^%d %s at this t: %s %s %s" % (
+                names + (end, fmt_q(ratio), sign, fmt_q(value)))
+        return bound, None, None
+
+    return verdicts
+
+
+def test_refusal_details_match_the_fraction_formulas():
+    # the refusals read the targets as the (numerator, denominator) ints of
+    # solve and print each value reduced by one gcd; the text is what the
+    # Fraction formulas print, for float and exact targets, seeded and
+    # default t, at both ends of the interval, and in solve's reports
+    rng = random.Random(283)
+    seen = set()
+    for k, radius, seeded in ((4, 1e-4, 4), (5, 1e-6, 2)):
+        ctx = context(k)
+        for p in [default_params(ctx)] + [random_params(ctx, rng) for _ in range(seeded)]:
+            t = p.t
+            view = construction.t_view(ctx, t)
+            verdicts = fraction_verdicts(ctx, t)
+            x0 = [float(v) for v in point_densities(ctx, p)]
+            draws = [solver._ball_point(rng, x0, radius) for _ in range(12)]
+            draws += [[Fraction(v).limit_denominator(10 ** 9) for v in x] for x in draws[:6]]
+            # just outside either end of the pair (3:101, 4:110111)
+            low, high, _, _ = power_sum_ends(ctx, t)
+            draws += [target_with_ratio(ctx, end) for end in (high * (1 + Q(1, 10 ** 6)), low)]
+            for x in draws:
+                bound, end, at_t = verdicts(x)
+                ints = [Fraction(v).as_integer_ratio() for v in x]
+                assert construction.unreachable(ctx, ints) == bound
+                assert construction.unreachable_at_t(ctx, view, ints) == at_t
+                if at_t is None:
+                    continue
+                rep = solve(ctx, x, t=t)
+                status = "unreachable" if bound else "unreachable-at-t"
+                assert (rep.status, rep.detail, rep.runs) == (status, bound or at_t, 0)
+                seen.add((k, status, end))
+    upper, lower = "<= sum_m w_m", "> min_m w_m"
+    assert seen == {(4, "unreachable", upper), (4, "unreachable-at-t", upper),
+                    (4, "unreachable-at-t", lower), (5, "unreachable-at-t", upper),
+                    (5, "unreachable-at-t", lower)}
 
 
 def test_no_seeded_round_trip_is_refused(monkeypatch):
@@ -367,7 +441,7 @@ def test_a_run_ending_on_the_boundary_is_a_domain_violation(status, detail):
 def not_refused(ctx, x, t):
     # the precondition of a test that needs Newton runs on the target x
     view = construction.t_view(ctx, t)
-    return construction.unreachable_at_t(ctx, view, [q_from_float(v) for v in x]) is None
+    return construction.unreachable_at_t(ctx, view, [v.as_integer_ratio() for v in x]) is None
 
 
 def single_start(monkeypatch, start):
@@ -652,6 +726,20 @@ def test_t_outside_the_float_range_is_refused_before_any_run(monkeypatch, k, fac
     monkeypatch.setattr(solver, "_newton", no_run)
     with pytest.raises(DomainError, match="outside the float range of the solver"):
         solve(ctx, x, t=scaled_t(ctx, factor))
+
+
+def test_t_outside_the_float_range_raises_whatever_the_target():
+    # construction.t_view refuses the t before any target is read, so a
+    # boundary target, one below the float range and a refused one (here
+    # unreachable-at-t, then unreachable) raise as any other does
+    ctx3, ctx4 = context(3), context(4)
+    cases = [
+        (ctx3, [Q(0)]), (ctx3, [Q(1, 10 ** 400)]),
+        (ctx4, [Q(1, 1000), Q(1, 100), Q(1, 100)]), (ctx4, [Q(1, 1000), Q(1, 10), Q(1, 100)]),
+    ]
+    for ctx, x in cases:
+        with pytest.raises(DomainError, match="outside the float range of the solver"):
+            solve(ctx, x, t=scaled_t(ctx, Q(3, 10 ** 310)))
 
 
 def test_t_near_the_float_range_still_converges():
@@ -1070,14 +1158,14 @@ def test_integer_domain_test_at_the_boundary():
     # its exact binary value is the one point inside
     below = math.nextafter(0.25, 0.0)
     ((s, A, L),) = solver._rational_points([0.5, 0.25, below], D, R)
-    assert s == (Q(1, 2), Q(1, 4), q_from_float(below)) and L == 2 ** 55
+    assert s == (Q(1, 2), Q(1, 4), Q(*below.as_integer_ratio())) and L == 2 ** 55
     assert [Q(a, L) for a in A] == list(s)
     # the next point below on the 10^6 grid is inside
     (s, _, _), _ = solver._rational_points([0.5, 0.25, 0.249999], D, R)
     assert s == (Q(1, 2), Q(1, 4), Q(249999, 10 ** 6))
     # a component that the 10^6 rounding takes to 0 is refused there
     ((s, _, _),) = solver._rational_points([0.5, 0.25, 1e-7], D, R)
-    assert s[2] == q_from_float(1e-7)
+    assert s[2] == Q(*(1e-7).as_integer_ratio())
 
 
 def in_open_domain(s, t):
