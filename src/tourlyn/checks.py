@@ -16,6 +16,7 @@ from .flagalg import dimension, express, product
 from .poly import Polynomial, s_var, t_var, x_var
 from .rational import ONE, Q, ZERO
 from .construction import (
+    TView,
     build,
     certify_det_nonzero,
     context,
@@ -23,7 +24,6 @@ from .construction import (
     point_densities,
     random_params,
     symbolic_density,
-    t_view,
     unique_full_t_monomial,
     unreachable,
     unreachable_at_t,
@@ -232,7 +232,7 @@ def _check_four_bound(seeds):
 
 def _power_sum_interval(forms, i, j, p):
     # (min_m w_m, sum_m w_m), w_m = beta_m^(p+1) / gamma_m^p, read off the
-    # s-forms of letters i and j (0-based) at their t, t_view(ctx, t).forms[3]
+    # s-forms of letters i and j (0-based) at their t, TView(ctx, t).letters
     beta, gamma = ({mono[0][0]: Q(N, scale) for N, mono in terms}
                    for scale, _, terms in (forms[i], forms[j]))
     w = [beta[v] ** (p + 1) / gamma[v] ** p for v in beta]
@@ -253,18 +253,18 @@ def _check_power_sums(seeds, t_seeds):
         for seed in seeds[:count]:
             p = random_params(ctx, random.Random(seed))
             x = point_densities(ctx, p)
-            view = t_view(ctx, p.t)
+            view = TView(ctx, p.t)
             for i, j, q, _ in ctx._power_sums:
-                low, high = _power_sum_interval(view.forms[3], i, j, q)
+                low, high = _power_sum_interval(view.letters, i, j, q)
                 if not low < x[i] ** (q + 1) / x[j] ** q <= high:
                     return False, "k=%d point outside its power-sum interval (seed %d)" % (k, seed)
             pairs = [(q.numerator, q.denominator) for q in x]
-            if unreachable_at_t(ctx, view, pairs) is not None:
+            if unreachable_at_t(view, pairs) is not None:
                 return False, "k=%d point refused at its own t (seed %d)" % (k, seed)
     ctx = context(4)
     for seed in t_seeds:
         t = random_params(ctx, random.Random(seed)).t
-        if _power_sum_interval(t_view(ctx, t).forms[3], 1, 0, 3)[1] > 96:
+        if _power_sum_interval(TView(ctx, t).letters, 1, 0, 3)[1] > 96:
             return False, "sum_m w_m > 96 at k=4 (seed %d)" % seed
     return True, "pairs at k=4, 5; interval holds at 40 W_4 and 20 W_5 points; " \
         "sum_m w_m <= 96 at %d k=4 t" % len(t_seeds)

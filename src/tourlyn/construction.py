@@ -36,14 +36,14 @@ ends with F[P] = t(T_i, W_k); each inner map_sum runs on one host part
 monomial s_j t_{j,j'} as the measure of host vertex v_{j,j'} it gives the
 polynomial (once per context and letter), with the rationals s_j t_{j,j'}
 the exact densities at a point (point_densities: probe's centre, and
-the tests' oracle for the solver's check).  At fixed t, s_forms
-substitutes t into the polynomial in integers, once for every letter, and
-is the one reader of t.  A point (s, t) has one reader, _read_point: it
-reads t through s_forms and tests the domain in integers, and every
-function taking a point refuses a bad one through it.  These s-forms are
-read by the solver through t_view (its float coefficients, its domain
-test and its exact check), by the exact Jacobian (jacobian_at) and by
-density_s_poly.  The solver's float
+the tests' oracle for the solver's check).  t has one reader, TView: it
+reads and checks t, and at its first use substitutes t into every
+letter's polynomial in integers (its letters, the s-forms).  A point
+(s, t) has one reader, _read_point: it reads t through TView and tests
+the domain in integers, and every function taking a point refuses a bad
+one through it.  The s-forms are read by the solver (through the view's
+float coefficients, its domain test and its exact check), by the exact
+Jacobian (jacobian_at) and by density_s_poly.  The solver's float
 kernels (values, the Newton direction with its elimination, and a step's
 backtracking) are generated from the letters' s-monomials alone, so they
 depend on k only and are kept on the context; value_and_euler is the
@@ -63,12 +63,12 @@ before any Newton run: _inside_power_sums passes a target whose log ratio
 lies inside the float ends of every interval by a margin, and only the
 others meet the exact test.
 
-All a solve reads of t, whatever its target, is one TView, made by
-t_view: the s-forms, the float coefficients, the row sums and each
-pair's float ends, and at the first refusal its exact integer ends; a t
-beyond the solver's float range is refused there.  Both tests read the
-targets as the solver does, one (numerator, denominator) pair of ints
-per letter, and print their exact values from those ints.
+All a solve reads of t, whatever its target, is one TView, each part
+made at its first use: the s-forms, the float coefficients and the row
+sums (a t beyond the solver's float range is refused there), each pair's
+float ends, and at the first refusal its exact integer ends.  Both
+tests read the targets as the solver does, one (numerator, denominator)
+pair of ints per letter, and print their exact values from those ints.
 
 Everything above that depends on k alone is built once, by context(k):
 the letters' names, the host, its strong parts with their cross
@@ -170,11 +170,11 @@ class WkContext:
 
     @cached_property
     def _default_view(self):
-        """t_view at the default t (solver.default_params's, imported here
-        as _float_kernels imports), made at the first solve there."""
+        """The TView of the default t (solver.default_params's, imported
+        here as _float_kernels imports), made at the first solve there."""
         from .solver import default_params
 
-        return t_view(self, default_params(self).t)
+        return TView(self, default_params(self).t)
 
 
 @dataclass(frozen=True)
@@ -183,25 +183,98 @@ class WkParams:
     t: tuple
 
 
+FLOAT_RANGE = (
+    "t is outside the float range of the solver: its s-form coefficients and row "
+    "sums r_j must be finite floats with (1 / r_j)^%d < 2^1023"
+)
+
+
 class TView:
-    """What a solve reads of t, the same for every target: t_view makes
-    it, once per call, or once per context at the default t.  All tuples,
-    since the default t's is shared by every solve there.  A plain class,
-    not a dataclass: solve makes one per explicit t, and the package's
-    import pays for every dataclass it defines.
+    """A W_k context at fixed t: the one reader of t.  The constructor reads
+    t, ell rows, row i a sequence, not a string, of n_i positive entries
+    read by as_q, and keeps
 
-    pairs    -- ctx._power_sums
-    forms    -- s_forms(ctx, t): (t, D, R, per letter its s-form)
-    c        -- the float coefficients N / scale of every letter's s-form
-                terms, concatenated
-    row_sums -- the row sums R_i / D as floats, each with r_i^k > 2^-1023
-    log_ends -- per pair, _log_ends of its interval (None where floats
-                cannot place it)
-    """
+    ctx -- the context
+    t   -- the rows as Q tuples
+    D   -- the common denominator of t
+    R   -- the row sums R_i / D, as the ints R_i
 
-    def __init__(self, pairs, forms, c, row_sums, log_ends):
-        self.pairs, self.forms, self.c = pairs, forms, c
-        self.row_sums, self.log_ends = row_sums, log_ends
+    the rest is made at its first use.  A solve makes one per explicit t,
+    and WkContext._default_view keeps the default t's, which every solve
+    there shares.  A plain class, not a dataclass: the package's import
+    pays for every dataclass it defines."""
+
+    def __init__(self, ctx, t_values):
+        try:
+            # a string row would pass as the integers of its characters
+            if any(isinstance(row, str) for row in t_values):
+                raise TypeError("a row is a string")
+            t = tuple(tuple(as_q(x) for x in row) for row in t_values)
+        except TypeError as e:
+            raise DomainError("malformed t: %s" % e) from None
+        if len(t) != ctx.ell or any(len(row) != n for row, n in zip(t, ctx.sizes)):
+            raise DomainError("t rows must have lengths %s" % (ctx.sizes,))
+        D = lcm(*(x.denominator for row in t for x in row))
+        rows = [[int(x.numerator * (D // x.denominator)) for x in row] for row in t]
+        if any(a <= 0 for row in rows for a in row):
+            raise DomainError("all parameters must be strictly positive")
+        self.ctx, self.t, self.D = ctx, t, D
+        self.R = tuple([sum(row) for row in rows])
+        # t's entries as integers over D, in cell order, for letters
+        self._scaled = [a for row in rows for a in row]
+
+    @cached_property
+    def letters(self):
+        """Per letter its s-polynomial at this t in Python ints (so N / scale
+        rounds to the float nearest, whatever Q is): (scale, n_i, ((N,
+        ((j, e), ...)), ...)), G_i = sum N prod s_j^e / scale, j 0-based,
+        scale = den * D^n_i, the s-monomials in the order they first appear
+        among symbolic_density's terms.  symbolic_density is homogeneous of
+        degree n_i in t, so each s-monomial gets one positive integer N; it
+        is also homogeneous of degree n_i in s, so at s = A / L, G_i is one
+        integer sum over scale * L^n_i."""
+        ctx, scaled = self.ctx, self._scaled
+        forms = []
+        for i in range(1, ctx.ell + 1):
+            _, den, by_s = _letter(ctx, i)
+            terms = []
+            for s_mono, t_terms in by_s:
+                total = 0
+                for a, cells in t_terms:
+                    for m in cells:
+                        a *= scaled[m]
+                    total += a
+                terms.append((total, s_mono))
+            forms.append((den * self.D ** ctx.sizes[i - 1], ctx.sizes[i - 1], tuple(terms)))
+        return tuple(forms)
+
+    @cached_property
+    def floats(self):
+        """(c, row_sums) for the solver's float kernels: c the float
+        coefficients N / scale of every letter's terms, concatenated, and
+        the row sums R_i / D, each with r_i^k > 2^-1023.  A t beyond that
+        float range is a DomainError (FLOAT_RANGE)."""
+        k = self.ctx.k
+        try:
+            # int true division rounds correctly: bit for bit float(Q(N, scale))
+            c = tuple(N / scale for scale, _, terms in self.letters for N, _ in terms)
+            row_sums = tuple(r / self.D for r in self.R)
+        except OverflowError:
+            raise DomainError(FLOAT_RANGE % k) from None
+        # in the domain s_i < 1 / r_i, and no exponent of an s-form exceeds k
+        # (letter i's is homogeneous of degree n_i <= k), so with (1 / r_i)^k <
+        # 2^1023 no power the float kernels take overflows, and every grid
+        # start is finite
+        if not min(row_sums) > 2.0 ** (-1023 / k):
+            raise DomainError(FLOAT_RANGE % k)
+        return c, row_sums
+
+    @cached_property
+    def log_ends(self):
+        """Per pair of ctx._power_sums, _log_ends of its interval (None
+        where floats cannot place it)."""
+        c = self.floats[0]
+        return tuple(_log_ends(c, p, copies) for *_, p, copies in self.ctx._power_sums)
 
     @cached_property
     def exact_ends(self):
@@ -210,10 +283,10 @@ class TView:
         w_m = K n_m / g_m with n_m = N_beta^(p+1), g_m = N_gamma^p and K =
         sj / si, si and sj the scales to the powers p + 1 and p; sum_m n_m /
         g_m is U / V and n / g is the least n_m / g_m."""
-        letters = self.forms[3]
+        letters = self.letters
         flat = [N for _, _, terms in letters for N, _ in terms]
         ends = []
-        for i, j, p, copies in self.pairs:
+        for i, j, p, copies in self.ctx._power_sums:
             U, V, n, g = 0, 1, 0, 0
             for a, b in copies:
                 n_m, g_m = flat[a] ** (p + 1), flat[b] ** p
@@ -252,21 +325,21 @@ def context(k):
 
 
 def make_params(ctx, s, t):
-    s, t, *_ = _read_point(ctx, WkParams(s, t))
-    return WkParams(s, t)
+    s, view, *_ = _read_point(ctx, WkParams(s, t))
+    return WkParams(s, view.t)
 
 
-def _read_point(ctx, p, letters=()):
-    """The one reader of a W_k point: s counted, t read by s_forms (with
-    the s-forms of `letters`), s read by as_q and tested by integer_point.
-    Returns (s, t, forms, A, L, slack), s = A / L, slack = 1 - sum_i s_i
-    sum_j t_{i,j}."""
+def _read_point(ctx, p):
+    """The one reader of a W_k point: s counted, t read by TView, s read by
+    as_q and tested by integer_point.  Returns (s, view, A, L, slack), s =
+    A / L, slack = 1 - sum_i s_i sum_j t_{i,j}."""
     if len(p.s) != ctx.ell:
         raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
-    t, D, R, forms = s_forms(ctx, p.t, letters)
+    view = TView(ctx, p.t)
     s = tuple(as_q(x) for x in p.s)
-    A, L, used = integer_point([(x.numerator, x.denominator) for x in s], D, R)
-    return s, t, forms, A, L, Q(L * D - used, L * D)
+    D = view.D
+    A, L, used = integer_point([(x.numerator, x.denominator) for x in s], D, view.R)
+    return s, view, A, L, Q(L * D - used, L * D)
 
 
 def integer_point(ratios, D, R):
@@ -294,7 +367,8 @@ def block_labels(ctx):
 
 
 def build(ctx, p):
-    s, t, *_, slack = _read_point(ctx, p)
+    s, view, *_, slack = _read_point(ctx, p)
+    t = view.t
     blocks = [(s[i - 1] * t[i - 1][j - 1], TRANSITIVE_KIND) for i, j in ctx.cells]
     blocks.append((slack, TRANSITIVE_KIND))
     # the host's edges among the first N blocks, and every interval beating
@@ -344,11 +418,11 @@ def _letter(ctx, i):
 
 
 def _symbolic_density(ctx, i):
-    """The polynomial, and its integer form for s_forms: den (the lcm of
-    its denominators), and per s-monomial, in term order, as
+    """The polynomial, and its integer form for TView.letters: den (the lcm
+    of its denominators), and per s-monomial, in term order, as
     ((0-based s index, exponent), ...) the terms sharing it, each as
     (coefficient * den, the cell indices of its t-monomial, each repeated
-    as often as its exponent, so that s_forms takes no power)."""
+    as often as its exponent, so that TView.letters takes no power)."""
     measures = [Polynomial.var(s_var(a)) * Polynomial.var(t_var(a, b)) for a, b in ctx.cells]
     poly = _chain_density(ctx, i, measures, Polynomial.const(1), Polynomial.zero())
     den = lcm(*(c.denominator for c in poly.terms.values()))
@@ -370,7 +444,8 @@ def point_densities(ctx, p):
     the oracle of test_verification_is_the_chain_dp_at_the_rounded_point,
     test_verification_entries_match_the_fraction_formulas (test_solver.py)
     and test_five_vertex_symbolic_densities."""
-    s, t, *_ = _read_point(ctx, p)
+    s, view, *_ = _read_point(ctx, p)
+    t = view.t
     measures = [s[i - 1] * t[i - 1][j - 1] for i, j in ctx.cells]
     return [_chain_density(ctx, i, measures, ONE, ZERO) for i in range(1, ctx.ell + 1)]
 
@@ -413,11 +488,11 @@ def unreachable(ctx, x):
         _fmt_ratio(c3, cd ** 3), _fmt_ratio(b4, bd ** 4))
 
 
-def unreachable_at_t(ctx, view, x):
+def unreachable_at_t(view, x):
     """Why the target densities x (int pairs, as unreachable's) are no
-    point of W_k(s, t) for any s in the domain at the t of `view`
-    (t_view(ctx, t)): the violated inequality with its exact values, or
-    None.  Its pairs are those of ctx._power_sums: (3:101, 4:110111) at
+    point of W_k(s, t) for any s in the domain at the t of the TView
+    `view`: the violated inequality with its exact values, or None.  Its
+    pairs are those of view.ctx._power_sums: (3:101, 4:110111) at
     k = 4; that pair, (4:110111, 5:1110111111) and (4:110111,
     5:1110110111) at k = 5; none at k = 3.
 
@@ -439,7 +514,8 @@ def unreachable_at_t(ctx, view, x):
     terms.  At k = 4 the attained upper end is a point of W_4, so sum_m w_m
     <= 96 by unreachable, and this test refuses every target that one
     does (verify --level full checks it at 40 seeded t)."""
-    for (i, j, p, _), (si, sj, U, V, n, g) in zip(view.pairs, view.exact_ends):
+    names = view.ctx.names
+    for (i, j, p, _), (si, sj, U, V, n, g) in zip(view.ctx._power_sums, view.exact_ends):
         # in integers, the ratio is K A / B (TView.exact_ends)
         q = p + 1
         (xin, xid), (xjn, xjd) = x[i], x[j]
@@ -452,7 +528,7 @@ def unreachable_at_t(ctx, view, x):
         else:
             continue
         return "violates t(%s)^%d / t(%s)^%d %s at this t: %s %s %s" % (
-            ctx.names[i], q, ctx.names[j], p, end, _fmt_ratio(A * sj, B * si), sign, value)
+            names[i], q, names[j], p, end, _fmt_ratio(A * sj, B * si), sign, value)
     return None
 
 
@@ -486,7 +562,7 @@ def _inside_power_sums(view, log_targets):
     the logs of the float targets.  A pair with no float ends fails it, so
     floats only ever send a target to the exact test, whose verdict alone
     refuses."""
-    for (i, j, p, _), ends in zip(view.pairs, view.log_ends):
+    for (i, j, p, _), ends in zip(view.ctx._power_sums, view.log_ends):
         if ends is None:
             return False
         ratio = (p + 1) * log_targets[i] - p * log_targets[j]
@@ -495,83 +571,13 @@ def _inside_power_sums(view, log_targets):
     return True
 
 
-def s_forms(ctx, t_values, letters=None):
-    """The s-polynomials at fixed t in Python ints (so N / scale rounds to
-    the float nearest, whatever Q is), and the one reader of t: ell rows,
-    row i a sequence, not a string, of n_i positive entries read by as_q.
-    Returns (t, D, R, forms), D the common denominator of t, R_i / D the row sums,
-    and per letter (every one, or the 1-based `letters`) the s-form
-    (scale, n_i, ((N, ((j, e), ...)), ...)), G_i = sum N prod s_j^e / scale,
-    j 0-based, scale = den * D^n_i, the s-monomials in the order they first
-    appear among symbolic_density's terms.
-    symbolic_density is homogeneous of degree n_i in t, so each s-monomial
-    gets one positive integer N; it is also homogeneous of degree n_i in s,
-    so at s = A / L, G_i is one integer sum over scale * L^n_i."""
-    try:
-        # a string row would pass as the integers of its characters
-        if any(isinstance(row, str) for row in t_values):
-            raise TypeError("a row is a string")
-        t = tuple(tuple(as_q(x) for x in row) for row in t_values)
-    except TypeError as e:
-        raise DomainError("malformed t: %s" % e) from None
-    if len(t) != ctx.ell or any(len(row) != n for row, n in zip(t, ctx.sizes)):
-        raise DomainError("t rows must have lengths %s" % (ctx.sizes,))
-    D = lcm(*(x.denominator for row in t for x in row))
-    rows = [[int(x.numerator * (D // x.denominator)) for x in row] for row in t]
-    if any(a <= 0 for row in rows for a in row):
-        raise DomainError("all parameters must be strictly positive")
-    scaled = [a for row in rows for a in row]
-    forms = []
-    for i in range(1, ctx.ell + 1) if letters is None else letters:
-        _, den, by_s = _letter(ctx, i)
-        terms = []
-        for s_mono, t_terms in by_s:
-            total = 0
-            for a, cells in t_terms:
-                for m in cells:
-                    a *= scaled[m]
-                total += a
-            terms.append((total, s_mono))
-        forms.append((den * D ** ctx.sizes[i - 1], ctx.sizes[i - 1], tuple(terms)))
-    return t, D, tuple([sum(row) for row in rows]), tuple(forms)
-
-
-FLOAT_RANGE = (
-    "t is outside the float range of the solver: its s-form coefficients and row "
-    "sums r_j must be finite floats with (1 / r_j)^%d < 2^1023"
-)
-
-
-def t_view(ctx, t_values):
-    """The TView of t: s_forms read once (a malformed t raises there),
-    then the float coefficients, the row sums and the power-sum pairs'
-    float ends.  A t beyond the float range is a DomainError here, before
-    any target is read (FLOAT_RANGE).  The one maker of a solve's t-side:
-    solve calls it at an explicit t, and WkContext._default_view keeps the
-    default t's."""
-    forms = s_forms(ctx, t_values)
-    _, D, R, letters = forms
-    try:
-        # int true division rounds correctly: bit for bit float(Q(N, scale))
-        c = tuple(N / scale for scale, _, terms in letters for N, _ in terms)
-        row_sums = tuple(r / D for r in R)
-    except OverflowError:
-        raise DomainError(FLOAT_RANGE % ctx.k) from None
-    # in the domain s_i < 1 / r_i, and no exponent of an s-form exceeds k
-    # (letter i's is homogeneous of degree n_i <= k), so with (1 / r_i)^k <
-    # 2^1023 no power the float kernels take overflows, and every grid
-    # start is finite
-    if not min(row_sums) > 2.0 ** (-1023 / ctx.k):
-        raise DomainError(FLOAT_RANGE % ctx.k)
-    pairs = ctx._power_sums
-    log_ends = tuple(_log_ends(c, p, copies) for *_, p, copies in pairs)
-    return TView(pairs, forms, c, row_sums, log_ends)
-
-
 def density_s_poly(ctx, i, t_values):
     """t(T_i, W_k) with t bound to rationals and every s_j left symbolic:
-    letter i's s-form as a Polynomial, coefficient N / scale per term."""
-    _, _, _, ((scale, _, terms),) = s_forms(ctx, t_values, (i,))
+    letter i's s-form as a Polynomial, coefficient N / scale per term
+    (TView.letters, which forms every letter)."""
+    view = TView(ctx, t_values)
+    _letter(ctx, i)  # refuses an i outside 1..ell
+    scale, _, terms = view.letters[i - 1]
     return Polynomial(
         {tuple((s_var(j + 1), e) for j, e in mono): Q(N, scale) for N, mono in terms}
     )
@@ -579,9 +585,9 @@ def density_s_poly(ctx, i, t_values):
 
 def jacobian_at(ctx, p):
     """Exact ell x ell matrix with entry (i, j) = d t(T_i, W_k)/d s_j at p,
-    p read and its s-forms made by _read_point."""
-    _, _, forms, A, L, _ = _read_point(ctx, p, None)
-    return jacobian_of_forms(forms, A, L)
+    p read by _read_point, on the s-forms of its TView."""
+    _, view, A, L, _ = _read_point(ctx, p)
+    return jacobian_of_forms(view.letters, A, L)
 
 
 def jacobian_of_forms(forms, A, L):

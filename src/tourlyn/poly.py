@@ -78,9 +78,6 @@ class Polynomial:
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __add__(self, other):
         if not isinstance(other, Polynomial):
             other = Polynomial.const(as_q(other))
@@ -99,12 +96,7 @@ class Polynomial:
         return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.const(as_q(other))
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):

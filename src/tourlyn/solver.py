@@ -2,14 +2,14 @@
 
 The t-parameters stay fixed and only s moves, which keeps the system
 square with the certified ell x ell Jacobian.  Each solve reads t
-through its construction.TView, made by construction.t_view, once per
-solve at an explicit t and once per context at the default t: the
-integer s-forms of construction.s_forms, which the Newton loop reads as
-one flat tuple of float coefficients N / scale, and the row sums as
-R_i / D.  An attempt is one damped Newton run in log coordinates, floats
-only: the step solves J d = log x - log G (J the Jacobian of log G in
-log s), moves s_j to s_j exp(lam d_j) and halves lam until the merit, the
-largest relative error, drops.  The float side runs in three kernels,
+through one construction.TView, made once per solve at an explicit t and
+once per context at the default t: the integer s-forms of its letters,
+which the Newton loop reads as one flat tuple of float coefficients N /
+scale, and the row sums as R_i / D (its floats).  An attempt is one
+damped Newton run in log coordinates, floats only: the step solves J d =
+log x - log G (J the Jacobian of log G in log s), moves s_j to s_j
+exp(lam d_j) and halves lam until the merit, the largest relative error,
+drops.  The float side runs in three kernels,
 straight-line code that _compile_kernels generates from the letters'
 s-monomials, once per context (WkContext._float_kernels): the values and
 merit at the start, the direction d, and a step's backtracking, so that
@@ -100,7 +100,7 @@ from math import exp, gcd, isfinite, log
 from numbers import Integral, Real
 
 from .construction import (
-    WkParams, _inside_power_sums, integer_point, jacobian_of_forms, t_view, unreachable,
+    TView, WkParams, _inside_power_sums, integer_point, jacobian_of_forms, unreachable,
     unreachable_at_t,
 )
 from .errors import DomainError
@@ -185,8 +185,6 @@ def _rational_points(s_floats, D, R):
     value; those in the open domain (construction.integer_point, on the
     ints of ratio_from_float).  A point's Q tuple is built only when it is
     yielded."""
-    if any(x <= 0 for x in s_floats):
-        return
     for max_denominator in (RATIONALIZE_DENOMINATOR, None):
         ratios = [ratio_from_float(x, max_denominator) for x in s_floats]
         try:
@@ -221,10 +219,12 @@ def _compile_kernels(k, monomials):
     step(c, x, s, d, row_sums, merit) -- one Newton step's backtracking:
         for lam = 1, 1/2, ... down to MIN_STEP, the trial s_j exp(lam d_j),
         the clamp of max(min(lam d_j, 30), -30) written as comparisons (NaN
-        passing through) and the domain sum from int 0 in order, as sum()
-        adds; a trial inside the domain runs values' own lines, at the
-        current merit as the bound.  Returns (trial, values, merit, lam) of
-        the first trial that lowers the merit, None when none does.
+        passing through) and the domain sum 0 + v_0 r_0 + v_1 r_1 + ...,
+        plain float additions left to right from int 0 (uncompensated,
+        unlike sum() of floats from Python 3.12 on); a trial inside the
+        domain runs values' own lines, at the current merit as the bound.
+        Returns (trial, values, merit, lam) of the first trial that lowers
+        the merit, None when none does.
 
     The arithmetic is value_and_euler's, bit for bit: a term is
     ((c * s_j1 ** e1) * s_j2 ** e2) ... in monomial order, each power taken
@@ -410,7 +410,7 @@ def _newton(kernels, c, row_sums, targets_f, log_targets, s, tolerance, want_tra
     )
 
 
-def _finish(forms, targets, tolerance, report):
+def _finish(view, targets, tolerance, report):
     """Verifies a run exactly and decides its final status, the one place
     that does.  targets are the (numerator, denominator) ints of each
     letter's target, as _as_target reads them.  The first of
@@ -422,10 +422,11 @@ def _finish(forms, targets, tolerance, report):
 
     Each value V / (scale L^n) is reduced by one gcd, and its error from
     the target x = xn / xd is |xn gd - gn xd| / (xd gd) in int true
-    division, correctly rounded: abs(float(x - g)) bit for bit."""
-    _, D, R, letters = forms
+    division, correctly rounded: abs(float(x - g)) bit for bit.  view is
+    the solve's TView, whose s-forms (its letters) give the values."""
+    letters = view.letters
     error = None
-    for s, A, L in _rational_points(report.s, D, R):
+    for s, A, L in _rational_points(report.s, view.D, view.R):
         verification = []
         for (scale, n, terms), (xn, xd) in zip(letters, targets):
             value = 0
@@ -474,7 +475,7 @@ def _grid(row_sums):
     A start has s_j > 0 and s_j r_j = f_j / (2 ell), f_j <= 1, up to
     rounding, so sum_j s_j r_j is about 1/2 at most: every start lies
     inside the open domain for the finite, nonzero row sums r_j that
-    construction.t_view admits."""
+    construction.TView.floats admits."""
     ell = len(row_sums)
     base = [1.0 / (2 * ell * rs) for rs in row_sums]
     if ell > GRID_MAX:
@@ -512,8 +513,8 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
     detail is the inequality.  Such early reports have attempts = runs =
     iterations = 0.  A t whose s-form coefficients leave the float range,
     or whose row sums would let a power in the float kernels overflow, is
-    a DomainError raised by construction.t_view, before any target is
-    read, whatever the target.
+    a DomainError raised by construction.TView.floats, before any target
+    is read, whatever the target.
 
     All that depends on t alone is read from its construction.TView: at
     the default t (t None) the one kept on the context, made by the first
@@ -537,9 +538,9 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
     rational.as_q: a float in t or a malformed target is a DomainError.
     """
     tolerance = (options or SolveOptions()).tolerance
-    view = ctx._default_view if t is None else t_view(ctx, t)
-    forms = view.forms
-    t = forms[0]
+    view = ctx._default_view if t is None else TView(ctx, t)
+    c, row_sums = view.floats
+    t = view.t
     if len(x_target) != ctx.ell:
         raise DomainError("expected %d targets, got %d" % (ctx.ell, len(x_target)))
     targets = [_as_target(x) for x in x_target]
@@ -554,13 +555,12 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
         else:
             log_targets = [log(x) for x in targets_f]
             if not _inside_power_sums(view, log_targets):
-                status, detail = "unreachable-at-t", unreachable_at_t(ctx, view, targets)
+                status, detail = "unreachable-at-t", unreachable_at_t(view, targets)
                 why = detail and unreachable(ctx, targets)
                 if why:
                     status, detail = "unreachable", why
     if detail:
         return SolveReport(status, (), t=t, detail=detail, attempts=0, runs=0)
-    c, row_sums = view.c, view.row_sums
     kernels = ctx._float_kernels
 
     reports = []
@@ -573,13 +573,13 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
         if _repeats(rep.s, reports):
             continue
         reports.append(rep)
-        if rep.converged and _finish(forms, targets, tolerance, rep).converged:
+        if rep.converged and _finish(view, targets, tolerance, rep).converged:
             rep.attempts, rep.runs = len(reports), runs
             return rep
-    reports.sort(key=lambda r: r.residual_history[-1] if r.residual_history else float("inf"))
+    reports.sort(key=lambda r: r.residual_history[-1])
     best = reports[0]
     best.attempts, best.runs = len(reports), runs
-    return _finish(forms, targets, tolerance, best)
+    return _finish(view, targets, tolerance, best)
 
 
 def _ball_point(rng, x0, radius):

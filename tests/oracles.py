@@ -89,7 +89,8 @@ def shuffle_coefficient_sum(words):
 def substitute(p, assignment):
     """The polynomial p with some variables replaced by rationals, the rest
     left symbolic, its terms in the order of p's.  The oracle of
-    construction.s_forms in test_density_s_poly_is_the_substitution_term_for_term
+    construction.TView.letters in
+    test_density_s_poly_is_the_substitution_term_for_term
     (test_construction.py), held to evaluate in
     test_substitute_then_evaluate (test_poly.py)."""
     terms = {}

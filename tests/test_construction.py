@@ -24,7 +24,6 @@ from tourlyn.construction import (
     params_to_json,
     point_densities,
     random_params,
-    s_forms,
     symbolic_density,
     unique_full_t_monomial,
 )
@@ -136,7 +135,7 @@ def fraction_domain_test(ctx, p):
 
 def test_jacobian_at_refuses_what_check_domain_refuses():
     # make_params, build and jacobian_at test the domain in integers
-    # (jacobian_at reading t once, through s_forms); they refuse the same
+    # (jacobian_at reading t once, through TView); they refuse the same
     # points as the Fraction sum, with the same messages
     rng = random.Random(113)
     for k in (3, 4, 5):
@@ -175,8 +174,8 @@ def test_jacobian_at_refuses_what_check_domain_refuses():
 def test_every_caller_refuses_a_bad_point_alike():
     # one reader of a W_k point: each fault is the same DomainError, with
     # the same message, wherever the point enters, and every caller accepts
-    # a good point alike; a fault of t alone also through s_forms and
-    # solve's t
+    # a good point alike; a fault of t alone also through TView and
+    # solve's t.  A view is compared by what it read, (view.t, view.letters)
     ctx = context(4)
     s, t = default_params(ctx).s, default_params(ctx).t
     x = [float(v) for v in point_densities(ctx, default_params(ctx))]
@@ -205,12 +204,20 @@ def test_every_caller_refuses_a_bad_point_alike():
         # the default point uses half the measure
         "boundary": (tuple(2 * v for v in s), "domain violated: sum_i s_i sum_j t_ij = 1/1 >= 1"),
     }
+
+    def read(view):
+        return view.t, view.letters
+
+    def read_point(ctx, p):
+        s, view, *rest = construction._read_point(ctx, p)
+        return (s, read(view), *rest)
+
     readers = [
-        construction._read_point, build, point_densities, jacobian_at,
+        read_point, build, point_densities, jacobian_at,
         lambda ctx, p: make_params(ctx, p.s, p.t),
     ]
     t_readers = readers + [
-        lambda ctx, p: s_forms(ctx, p.t),
+        lambda ctx, p: read(construction.TView(ctx, p.t)),
         lambda ctx, p: solve(ctx, x, t=p.t),
     ]
     # a good point is accepted alike, and read to the same values, however
@@ -282,8 +289,8 @@ def test_five_vertex_symbolic_densities():
 
 
 def test_four_vertex_symbolic_term_order():
-    # s_forms, and through it density_s_poly and the solver's float terms,
-    # follows the polynomial's term order, so the order is pinned too
+    # TView.letters, and through it density_s_poly and the solver's float
+    # terms, follows the polynomial's term order, so the order is pinned too
     def written(mono, c):
         return "*".join([fmt_q(c)] + [var_name(v) + ("^%d" % e if e > 1 else "")
                                       for v, e in mono])

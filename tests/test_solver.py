@@ -17,7 +17,6 @@ from tourlyn.construction import (
     make_params,
     point_densities,
     random_params,
-    s_forms,
     value_and_euler,
 )
 from tourlyn.errors import DomainError
@@ -197,7 +196,7 @@ def target_with_ratio(ctx, ratio, u=Q(1, 100)):
 
 def refusal(ctx, x, t=None):
     t = default_params(ctx).t if t is None else t
-    return construction.unreachable_at_t(ctx, construction.t_view(ctx, t), pairs(x))
+    return construction.unreachable_at_t(construction.TView(ctx, t), pairs(x))
 
 
 def test_power_sum_pairs_are_found_from_the_monomials():
@@ -338,7 +337,7 @@ def test_refusal_details_match_the_fraction_formulas():
         ctx = context(k)
         for p in [default_params(ctx)] + [random_params(ctx, rng) for _ in range(seeded)]:
             t = p.t
-            view = construction.t_view(ctx, t)
+            view = construction.TView(ctx, t)
             verdicts = fraction_verdicts(ctx, t)
             x0 = [float(v) for v in point_densities(ctx, p)]
             draws = [solver._ball_point(rng, x0, radius) for _ in range(12)]
@@ -350,7 +349,7 @@ def test_refusal_details_match_the_fraction_formulas():
                 bound, end, at_t = verdicts(x)
                 ints = [Fraction(v).as_integer_ratio() for v in x]
                 assert construction.unreachable(ctx, ints) == bound
-                assert construction.unreachable_at_t(ctx, view, ints) == at_t
+                assert construction.unreachable_at_t(view, ints) == at_t
                 if at_t is None:
                     continue
                 rep = solve(ctx, x, t=t)
@@ -413,7 +412,7 @@ def test_malformed_t_refused_before_polynomial_work(monkeypatch, shape):
     def no_polynomials(*args):
         raise AssertionError("a letter's polynomial reached with a malformed t")
 
-    # s_forms checks t before it reads any letter's polynomial
+    # TView checks t before it reads any letter's polynomial
     monkeypatch.setattr(construction, "_letter", no_polynomials)
     with pytest.raises(DomainError):
         solve(ctx, [Q(1, 100), Q(1, 50), Q(3, 100)], t=bad)
@@ -424,24 +423,26 @@ def test_malformed_t_refused_before_polynomial_work(monkeypatch, shape):
     [("converged", "solution"), ("float-singular", "iterate")],
 )
 def test_a_run_ending_on_the_boundary_is_a_domain_violation(status, detail):
-    # s = (1/2, 1/4, 1/4) uses the whole measure at the default t, so
-    # neither rounding of it is a rational point of the open domain
+    # s = (1/2, 1/4, 1/4) uses the whole measure at the default t, and a
+    # coordinate 0.0 (as from underflow) rounds to 0 under both roundings,
+    # so neither rounding of either is a rational point of the open domain
     ctx = context(4)
     t = default_params(ctx).t
-    forms = s_forms(ctx, t)
+    view = construction.TView(ctx, t)
     targets = [(1, 100), (1, 50), (3, 100)]
-    assert list(solver._rational_points([0.5, 0.25, 0.25], *forms[1:3])) == []
-    rep = solver.SolveReport(status, (0.5, 0.25, 0.25), t=t)
-    rep = solver._finish(forms, targets, 1e-10, rep)
-    assert rep.status == "domain-violation"
-    assert rep.detail == detail + " rounds outside the open domain"
-    assert rep.s_rational == () and rep.verification == []
+    for end in ((0.5, 0.25, 0.25), (0.0, 0.25, 0.25)):
+        assert list(solver._rational_points(end, view.D, view.R)) == []
+        rep = solver.SolveReport(status, end, t=t)
+        rep = solver._finish(view, targets, 1e-10, rep)
+        assert rep.status == "domain-violation"
+        assert rep.detail == detail + " rounds outside the open domain"
+        assert rep.s_rational == () and rep.verification == []
 
 
 def not_refused(ctx, x, t):
     # the precondition of a test that needs Newton runs on the target x
-    view = construction.t_view(ctx, t)
-    return construction.unreachable_at_t(ctx, view, [v.as_integer_ratio() for v in x]) is None
+    view = construction.TView(ctx, t)
+    return construction.unreachable_at_t(view, [v.as_integer_ratio() for v in x]) is None
 
 
 def single_start(monkeypatch, start):
@@ -451,10 +452,10 @@ def single_start(monkeypatch, start):
 
 def single_start_solves(monkeypatch, ctx, x, t=None):
     # one solve from each grid start alone, in grid order
-    _, D, R, _ = s_forms(ctx, default_params(ctx).t if t is None else t, ())
+    view = construction.TView(ctx, default_params(ctx).t if t is None else t)
     reports = []
     with monkeypatch.context() as patch:
-        for start in solver._grid([r / D for r in R]):
+        for start in solver._grid([r / view.D for r in view.R]):
             single_start(patch, start)
             reports.append(solve(ctx, x, t=t))
     return reports
@@ -630,7 +631,7 @@ def test_float_terms_match_evaluate_float_bit_for_bit():
     rng = random.Random(67)
     ctx = context(4)
     p = random_params(ctx, rng)
-    for i, (scale, _, form) in enumerate(s_forms(ctx, p.t)[3], start=1):
+    for i, (scale, _, form) in enumerate(construction.TView(ctx, p.t).letters, start=1):
         poly = density_s_poly(ctx, i, p.t)
         assert integer_terms(poly, scale) == form
         for q in [poly] + [poly.partial_derivative(s_var(j)) for j in (1, 2, 3)]:
@@ -688,7 +689,8 @@ def test_grid_starts_lie_inside_the_open_domain():
     for k, count in ((3, 3), (4, 27), (5, 3)):
         ctx = context(k)
         for t in [default_params(ctx).t] + [random_params(ctx, rng).t for _ in range(40)]:
-            _, D, R, _ = s_forms(ctx, t, ())
+            view = construction.TView(ctx, t)
+            D, R = view.D, view.R
             starts = list(solver._grid([r / D for r in R]))
             assert len(starts) == count
             for start in starts:
@@ -729,9 +731,9 @@ def test_t_outside_the_float_range_is_refused_before_any_run(monkeypatch, k, fac
 
 
 def test_t_outside_the_float_range_raises_whatever_the_target():
-    # construction.t_view refuses the t before any target is read, so a
-    # boundary target, one below the float range and a refused one (here
-    # unreachable-at-t, then unreachable) raise as any other does
+    # construction.TView.floats refuses the t before any target is read,
+    # so a boundary target, one below the float range and a refused one
+    # (here unreachable-at-t, then unreachable) raise as any other does
     ctx3, ctx4 = context(3), context(4)
     cases = [
         (ctx3, [Q(0)]), (ctx3, [Q(1, 10 ** 400)]),
@@ -858,7 +860,7 @@ def test_log_jacobian_rows_come_from_the_value_pass():
             p = random_params(ctx, rng)
             s = [float(x) for x in p.s]
             point = {s_var(j): v for j, v in enumerate(s, start=1)}
-            for i, (scale, _, terms) in enumerate(s_forms(ctx, p.t)[3], start=1):
+            for i, (scale, _, terms) in enumerate(construction.TView(ctx, p.t).letters, start=1):
                 poly = density_s_poly(ctx, i, p.t)
                 value, row = value_and_euler(float_terms(scale, terms), s)
                 assert value == poly.evaluate_float(point)
@@ -894,7 +896,7 @@ def test_values_kernel_stops_exactly_where_the_trial_fails():
         for scale in (1.0, 1.0, 1.0, 1e-120):
             p = random_params(ctx, rng)
             polys = [density_s_poly(ctx, i, p.t) for i in range(1, ctx.ell + 1)]
-            forms = s_forms(ctx, p.t)[3]
+            forms = construction.TView(ctx, p.t).letters
             c = coefficients(forms)
             s = [float(x) * rng.uniform(0.8, 1.2) * scale for x in p.s]
             point = {s_var(j): v for j, v in enumerate(s, start=1)}
@@ -934,7 +936,7 @@ def test_kernels_match_value_and_euler_bit_for_bit():
         values, direction, step = ctx._float_kernels
         for scale in (1.0, 1.0, 1.0, 1e-120):
             p = random_params(ctx, rng)
-            forms = s_forms(ctx, p.t)[3]
+            forms = construction.TView(ctx, p.t).letters
             c = coefficients(forms)
             s = [float(x) * rng.uniform(0.5, 1.5) * scale for x in p.s]
             expected = [value_and_euler(float_terms(sc, terms), s) for sc, _, terms in forms]
@@ -1152,7 +1154,8 @@ def test_integer_domain_test_at_the_boundary():
     # the default k = 4 t has row sums 1, so s = (1/2, 1/4, 1/4) uses
     # exactly the measure 1 and lies on the boundary of the open domain
     ctx = context(4)
-    _, D, R, _ = s_forms(ctx, default_params(ctx).t, ())
+    view = construction.TView(ctx, default_params(ctx).t)
+    D, R = view.D, view.R
     assert list(solver._rational_points([0.5, 0.25, 0.25], D, R)) == []
     # the next float below: its 10^6 rounding snaps back onto the boundary,
     # its exact binary value is the one point inside
@@ -1184,7 +1187,8 @@ def test_integer_domain_test_agrees_with_check_domain():
     for k in (3, 4, 5):
         ctx = context(k)
         for _ in range(100):
-            t, D, R, _ = s_forms(ctx, random_params(ctx, rng).t, ())
+            view = construction.TView(ctx, random_params(ctx, rng).t)
+            t, D, R = view.t, view.D, view.R
             s = [rng.uniform(1e-8, 1.0) if rng.random() < 0.9 else rng.uniform(1e-9, 1e-6)
                  for _ in range(ctx.ell)]
             used = sum(x * float(sum(row)) for x, row in zip(s, t))
@@ -1349,8 +1353,13 @@ def test_default_t_view_is_made_once_per_context(monkeypatch):
     assert "_default_view" not in vars(ctx)
     x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
     calls = []
-    read = construction.s_forms
-    monkeypatch.setattr(construction, "s_forms", lambda *args: calls.append(1) or read(*args))
+
+    class Counted(construction.TView):
+        def __init__(self, *args):
+            calls.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(construction, "TView", Counted)
     caches = module_caches()
     before = cache_sizes(caches)
     views = []
@@ -1359,3 +1368,31 @@ def test_default_t_view_is_made_once_per_context(monkeypatch):
         views.append(ctx._default_view)
     assert len(calls) == 1 and all(view is views[0] for view in views)
     assert set(caches) == MODULE_CACHES and cache_sizes(caches) == before
+
+
+def test_an_explicit_t_is_read_once_and_a_point_forms_no_letter(monkeypatch):
+    # a solve at an explicit t reads it into one TView; reading a point
+    # for make_params, build or point_densities forms no letter, so a
+    # fresh context (not context(k)'s) keeps its polynomials unbuilt until
+    # the s-forms are needed, here by jacobian_at
+    ctx = context(4)
+    p = random_params(ctx, random.Random(31))
+    x = point_densities(ctx, p)
+    made = []
+
+    class Counted(construction.TView):
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "TView", Counted)
+        assert solve(ctx, x, t=p.t).converged
+    assert len(made) == 1
+    fresh = context.__wrapped__(4)
+    make_params(fresh, p.s, p.t)
+    build(fresh, p)
+    point_densities(fresh, p)
+    assert "_letters" not in vars(fresh)
+    construction.jacobian_at(fresh, p)
+    assert "_letters" in vars(fresh)
