@@ -18,7 +18,6 @@ from .flagalg import (
     lemma_reduce,
     lincomb_to_json,
     multi_product,
-    product,
 )
 from .poly import poly_to_json, x_var
 from .rational import Q, as_q, fmt_q
@@ -58,7 +57,6 @@ from .words import (
     multi_shuffle,
     parse_word,
     serialize_word,
-    shuffle,
     sigma_rank,
     tournament_less,
     tournament_of,
@@ -179,7 +177,7 @@ def _cmd_word(args):
         "word": serialize_word(w),
         "letters": [
             {"name": l.name, "size": l.size, "rank": sigma_rank(l.tournament)}
-            for l in w.letters
+            for l in w
         ],
     }
 
@@ -210,7 +208,7 @@ def _cmd_factorize(args):
 
 def _cmd_shuffle(args):
     words = [parse_word(w) for w in args.words]
-    combo = shuffle(words[0], words[1]) if len(words) == 2 else multi_shuffle(words)
+    combo = multi_shuffle(words)
     return {
         "terms": [
             {"word": serialize_word(w), "coeff": c}
@@ -221,7 +219,7 @@ def _cmd_shuffle(args):
 
 def _cmd_product(args):
     parts = [parse(enc) for enc in args.tournaments]
-    combo = product(parts[0], parts[1]) if len(parts) == 2 else multi_product(parts)
+    combo = multi_product(parts)
     return {"terms": lincomb_to_json(combo)}
 
 

@@ -220,33 +220,36 @@ class TView:
             raise DomainError("all parameters must be strictly positive")
         self.ctx, self.t, self.D = ctx, t, D
         self.R = tuple([sum(row) for row in rows])
-        # t's entries as integers over D, in cell order, for letters
+        # t's entries as integers over D, in cell order, for form
         self._scaled = [a for row in rows for a in row]
 
     @cached_property
     def letters(self):
-        """Per letter its s-polynomial at this t in Python ints (so N / scale
+        """Every letter's s-form at this t, form(i) for i in 1..ell."""
+        return tuple(self.form(i) for i in range(1, self.ctx.ell + 1))
+
+    def form(self, i):
+        """Letter i's s-polynomial at this t in Python ints (so N / scale
         rounds to the float nearest, whatever Q is): (scale, n_i, ((N,
         ((j, e), ...)), ...)), G_i = sum N prod s_j^e / scale, j 0-based,
         scale = den * D^n_i, the s-monomials in the order they first appear
         among symbolic_density's terms.  symbolic_density is homogeneous of
         degree n_i in t, so each s-monomial gets one positive integer N; it
         is also homogeneous of degree n_i in s, so at s = A / L, G_i is one
-        integer sum over scale * L^n_i."""
-        ctx, scaled = self.ctx, self._scaled
-        forms = []
-        for i in range(1, ctx.ell + 1):
-            _, den, by_s = _letter(ctx, i)
-            terms = []
-            for s_mono, t_terms in by_s:
-                total = 0
-                for a, cells in t_terms:
-                    for m in cells:
-                        a *= scaled[m]
-                    total += a
-                terms.append((total, s_mono))
-            forms.append((den * self.D ** ctx.sizes[i - 1], ctx.sizes[i - 1], tuple(terms)))
-        return tuple(forms)
+        integer sum over scale * L^n_i.  An i outside 1..ell is refused by
+        _letter."""
+        _, den, by_s = _letter(self.ctx, i)
+        scaled = self._scaled
+        terms = []
+        for s_mono, t_terms in by_s:
+            total = 0
+            for a, cells in t_terms:
+                for m in cells:
+                    a *= scaled[m]
+                total += a
+            terms.append((total, s_mono))
+        n = self.ctx.sizes[i - 1]
+        return den * self.D ** n, n, tuple(terms)
 
     @cached_property
     def floats(self):
@@ -418,11 +421,11 @@ def _letter(ctx, i):
 
 
 def _symbolic_density(ctx, i):
-    """The polynomial, and its integer form for TView.letters: den (the lcm
+    """The polynomial, and its integer form for TView.form: den (the lcm
     of its denominators), and per s-monomial, in term order, as
     ((0-based s index, exponent), ...) the terms sharing it, each as
     (coefficient * den, the cell indices of its t-monomial, each repeated
-    as often as its exponent, so that TView.letters takes no power)."""
+    as often as its exponent, so that TView.form takes no power)."""
     measures = [Polynomial.var(s_var(a)) * Polynomial.var(t_var(a, b)) for a, b in ctx.cells]
     poly = _chain_density(ctx, i, measures, Polynomial.const(1), Polynomial.zero())
     den = lcm(*(c.denominator for c in poly.terms.values()))
@@ -574,10 +577,8 @@ def _inside_power_sums(view, log_targets):
 def density_s_poly(ctx, i, t_values):
     """t(T_i, W_k) with t bound to rationals and every s_j left symbolic:
     letter i's s-form as a Polynomial, coefficient N / scale per term
-    (TView.letters, which forms every letter)."""
-    view = TView(ctx, t_values)
-    _letter(ctx, i)  # refuses an i outside 1..ell
-    scale, _, terms = view.letters[i - 1]
+    (TView.form, which forms that letter alone)."""
+    scale, _, terms = TView(ctx, t_values).form(i)
     return Polynomial(
         {tuple((s_var(j + 1), e) for j, e in mono): Q(N, scale) for N, mono in terms}
     )

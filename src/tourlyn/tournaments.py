@@ -1,11 +1,13 @@
 """Labeled tournaments, canonical forms, and exact enumeration.
 
-A tournament on vertices 0..n-1 orients every pair.  We store it as a tuple
-of out-neighbor bitmasks and serialize it as "n:bits" where the bits run
-over pairs (i, j) with i < j in lexicographic order and bit 1 means i beats
-j.  The canonical form of a tournament is the relabeling whose bit string
-is lexicographically largest; on a transitive tournament every bit is 1,
-which is the main reason for preferring "largest" over "smallest".
+A tournament on vertices 0..n-1 orients every pair.  We store it as the
+named tuple (n, out), out the tuple of out-neighbor bitmasks, so that its
+equality, hash and immutability are the tuple's, and serialize it as
+"n:bits" where the bits run over pairs (i, j) with i < j in lexicographic
+order and bit 1 means i beats j.  The canonical form of a tournament is
+the relabeling whose bit string is lexicographically largest; on a
+transitive tournament every bit is 1, which is the main reason for
+preferring "largest" over "smallest".
 
 Canonicalization does an individualization-refinement search: vertices are
 placed one at a time from the first remaining cell, each placement
@@ -41,6 +43,7 @@ Exact enumeration goes up to n = 7 (456 isomorphism classes); the counts
 1, 1, 2, 4, 12, 56, 456 act as a built-in regression check elsewhere.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BudgetError, DomainError
@@ -48,12 +51,18 @@ from .errors import BudgetError, DomainError
 ENUMERATION_MAX = 7
 
 
-class Tournament:
-    """Immutable labeled tournament; out[i] is the bitmask of j with i -> j."""
+class Tournament(namedtuple("Tournament", "n out")):
+    """Immutable labeled tournament; out[i] is the bitmask of j with i -> j.
 
-    __slots__ = ("n", "out", "_hash")
+    A tuple (n, out), so equality, hashing and immutability are the
+    tuple's: a Tournament equals the plain tuple of its two fields, and it
+    orders as a tuple, which is not tournament_less (sort tournaments by a
+    key).  The namedtuple's _make and _replace skip the checks, as _trusted
+    does."""
 
-    def __init__(self, n, out):
+    __slots__ = ()
+
+    def __new__(cls, n, out):
         out = tuple(out)
         if n < 1:
             raise DomainError("a tournament needs at least one vertex")
@@ -73,29 +82,13 @@ class Tournament:
                     raise DomainError(
                         "pair (%d, %d) is %s" % (i, j, "oriented both ways" if ij else "unoriented")
                     )
-        self._fill(n, out)
+        return tuple.__new__(cls, (n, out))
 
     @classmethod
     def _trusted(cls, n, out):
         """A Tournament on masks built from an already valid tournament
         (a relabeling, a completion of cross edges, a draw), unchecked."""
-        T = object.__new__(cls)
-        T._fill(n, tuple(out))
-        return T
-
-    def _fill(self, n, out):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "out", out)
-        object.__setattr__(self, "_hash", hash((n, out)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tournament is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Tournament) and self.n == other.n and self.out == other.out
-
-    def __hash__(self):
-        return self._hash
+        return tuple.__new__(cls, (n, tuple(out)))
 
     def __repr__(self):
         return "Tournament(%r)" % encode(self)

@@ -9,7 +9,13 @@ strongly connected 4-tournament ("c"), ranks 3..8 the six 5-vertex strong
 tournaments ("d1".."d6").
 
 A tournament T decomposes uniquely as a direct sum of strongly connected
-parts; w(T) is the word listing those parts.  On top of that we have the
+parts; w(T) is the word listing those parts.  Letters and words are
+tuples, so their equality, hashing and order are the tuple's: a Letter is
+(rank, tournament, name) and a Word the tuple of its letters, so letters
+of one LetterOrder compare by rank and words of one order compare
+lexicographically by rank.  A letter or word equals the plain tuple of the
+same items; words of two different orders are equal only when their
+letters are, whatever their ranks.  On top of that we have the
 usual Lyndon toolkit: lexicographic comparison, the Lyndon property (every
 proper suffix strictly larger), Chen-Fox-Lyndon factorization by Duval's
 scan, and shuffle products with integer multiplicities.  The three-stage
@@ -18,7 +24,7 @@ of words) lives here too.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetError, DomainError
 from .tournaments import (
@@ -39,11 +45,12 @@ _PREFIX_SIZE = {v: k for k, v in _SIZE_PREFIX.items()}
 SHUFFLE_MAX = 12
 
 
-@dataclass(frozen=True)
-class Letter:
-    rank: int
-    tournament: object
-    name: str
+class Letter(namedtuple("Letter", "rank tournament name")):
+    """A letter of the alphabet: its rank in its LetterOrder, its canonical
+    strongly connected tournament, and its name.  A tuple, so letters of one
+    order compare by rank."""
+
+    __slots__ = ()
 
     @property
     def size(self):
@@ -120,56 +127,36 @@ def sigma_rank(T):
     return DEFAULT_ORDER.letter_of(T).rank
 
 
-class Word:
-    """A non-empty sequence of letters; compared lexicographically by rank."""
+class Word(tuple):
+    """A non-empty tuple of letters, ordered as its ranks are within one
+    LetterOrder (module docstring); a slice and a sum of words are words."""
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
-    def __init__(self, letters):
-        letters = tuple(letters)
-        if not letters:
+    def __new__(cls, letters):
+        w = tuple.__new__(cls, letters)
+        if not w:
             raise DomainError("empty word")
-        self.letters = letters
+        return w
 
     @property
     def ranks(self):
-        return tuple(l.rank for l in self.letters)
+        return tuple(l.rank for l in self)
 
     @property
     def size(self):
-        return sum(l.size for l in self.letters)
-
-    def __len__(self):
-        return len(self.letters)
+        return sum(l.size for l in self)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.letters[i])
-        return self.letters[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.ranks == other.ranks
-
-    def __hash__(self):
-        return hash(self.ranks)
-
-    def __lt__(self, other):
-        return self.ranks < other.ranks
-
-    def __le__(self, other):
-        return self.ranks <= other.ranks
-
-    def __gt__(self, other):
-        return self.ranks > other.ranks
-
-    def __ge__(self, other):
-        return self.ranks >= other.ranks
+            return Word(tuple.__getitem__(self, i))
+        return tuple.__getitem__(self, i)
 
     def __add__(self, other):
-        return Word(self.letters + other.letters)
+        return Word(tuple.__add__(self, other))
 
     def __str__(self):
-        return "".join(l.name for l in self.letters)
+        return "".join(l.name for l in self)
 
     def __repr__(self):
         return "Word(%s)" % self
@@ -181,7 +168,7 @@ def word_of(T, order=DEFAULT_ORDER):
 
 def tournament_of(w):
     """Canonical form of the direct sum of the word's letters."""
-    return canonicalize(direct_sum([l.tournament for l in w.letters]))
+    return canonicalize(direct_sum([l.tournament for l in w]))
 
 
 def lex_compare(w1, w2):
@@ -219,7 +206,7 @@ def shuffle(w1, w2):
     """All interleavings of w1 and w2 with multiplicities; Σ coeffs = C(n+m, n)."""
     if len(w1) + len(w2) > SHUFFLE_MAX:
         raise BudgetError("shuffle is budgeted to total length %d" % SHUFFLE_MAX)
-    a, b = w1.letters, w2.letters
+    a, b = tuple(w1), tuple(w2)
     memo = {}
 
     def rec(i, j):
@@ -289,9 +276,9 @@ def enumerate_lyndon(k, order=DEFAULT_ORDER):
 
 def serialize_word(w):
     """Short names when every letter is one of a, b, c; else letter encodings."""
-    if all(l.size <= 4 for l in w.letters):
+    if all(l.size <= 4 for l in w):
         return str(w)
-    return ",".join(encode(l.tournament) for l in w.letters)
+    return ",".join(encode(l.tournament) for l in w)
 
 
 def parse_word(text):

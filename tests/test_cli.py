@@ -91,6 +91,12 @@ def test_exit_code_budget():
     assert code == 3 and out == "" and "budget" in err
 
 
+def test_verify_budget_seconds_exit_code():
+    # a budget of 0 s is spent before the second check starts
+    code, out, err = run("verify", "--budget-seconds", "0")
+    assert code == 3 and out == "" and "budget exceeded" in err
+
+
 def test_every_operation_has_exactly_one_home():
     ap = cli._build_parser()
     sub = next(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import shuffle_coefficient_sum
 
 from tourlyn.errors import BudgetError, DomainError
-from tourlyn.tournaments import enumerate_exact, parse, transitive
+from tourlyn.tournaments import Tournament, enumerate_exact, parse, transitive
 from tourlyn.words import (
     DEFAULT_ORDER,
     LetterOrder,
@@ -235,6 +235,28 @@ def test_word_construction_and_slicing():
     assert w[0].name == "a"
     with pytest.raises(DomainError):
         Word([])
+
+
+def test_tournaments_letters_and_words_are_tuples():
+    # equality, hashing, order and immutability come from tuple
+    T = parse("4:111101")
+    with pytest.raises(AttributeError):
+        T.n = 5
+    U = Tournament._trusted(T.n, list(T.out))
+    assert U == Tournament(T.n, T.out) == T and hash(U) == hash(T)
+    w = W("abca")
+    assert type(w[1:3]) is Word and w[1:3].ranks == (1, 2)
+    assert type(w + W("b")) is Word and str(w + W("b")) == "abcab"
+    with pytest.raises(DomainError):
+        Word(())
+    words = [W(x) for x in ("b", "ab", "a", "aab", "ba", "c", "abc", "abca")]
+    for u in words:
+        for v in words:
+            assert (u < v, u <= v, u > v, u >= v) == (
+                u.ranks < v.ranks, u.ranks <= v.ranks, u.ranks > v.ranks, u.ranks >= v.ranks
+            )
+    letters = [DEFAULT_ORDER.letter_by_name(x) for x in ("c", "a", "d2", "b", "d1")]
+    assert [l.name for l in sorted(letters)] == ["a", "b", "c", "d1", "d2"]
 
 
 def test_serialize_parse_round_trip_short_names():
