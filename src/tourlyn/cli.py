@@ -471,9 +471,8 @@ def _build_parser():
                                    "Q of degrees p, p + 1, P^(p+1) / Q^p "
                                    "lies outside (min_m w_m, sum_m w_m], "
                                    "so no s attains it at this t; no Newton "
-                                   "run), "
-                                   "domain-violation, singular-jacobian or "
-                                   "no-convergence; the last three say what "
+                                   "run), singular-jacobian or "
+                                   "no-convergence; the last two say what "
                                    "the solver did, not that the target is "
                                    "unattained.")
     p.add_argument("--k", type=int, required=True)

@@ -67,7 +67,8 @@ run's SolveReport gets its final status in one function, _finish, which
 verifies it; a float-singular run is classified only if it is the one
 reported.
 
-Failure modes are data, not exceptions.  A report's status is one of
+Failure modes are data; input errors, a boundary or below-float-range
+target among them, raise DomainError.  A report's status is one of
 
     converged          -- the reported rational point meets the tolerance
                           exactly;
@@ -78,14 +79,12 @@ Failure modes are data, not exceptions.  A report's status is one of
     unreachable-at-t   -- proved that no s in the domain attains the target
                           at this t (construction.unreachable_at_t, k = 4
                           and 5); decided before any Newton run;
-    domain-violation   -- a target not strictly inside (0, 1) or below the
-                          float range (both before any run), no admissible
-                          damped step, or an end point that rounds outside
-                          the open domain;
     singular-jacobian  -- the exact Jacobian at the reported iterate is
                           singular;
-    no-convergence     -- the runs stalled or hit the iteration cap, or the
-                          reported end point misses the tolerance exactly.
+    no-convergence     -- the runs stalled, hit the iteration cap or found no
+                          admissible damped step, or the reported end point
+                          rounds outside the open domain or misses the
+                          tolerance exactly.
 
 Only converged, unreachable and unreachable-at-t are proved verdicts on
 the target; the other failures say what the solver did, not that the
@@ -176,6 +175,14 @@ def _as_target(x):
         return ratio_from_float(x)
     x = as_q(x)
     return int(x.numerator), int(x.denominator)
+
+
+def _length(values, what):
+    """len(values); a DomainError, as a malformed t is, for a non-sequence."""
+    try:
+        return len(values)
+    except TypeError as e:
+        raise DomainError("malformed %s: %s" % (what, e)) from None
 
 
 def _rational_points(s_floats, D, R):
@@ -392,7 +399,7 @@ def _newton(kernels, c, row_sums, targets_f, log_targets, s, tolerance, want_tra
             break
         accepted = step(c, targets_f, s, d, row_sums, merit)
         if accepted is None:
-            status, detail = "domain-violation", "no admissible damped step reduced the residual"
+            detail = "no admissible damped step reduced the residual"
             break
         s, G, merit, lam = accepted
         history.append(merit)
@@ -417,7 +424,7 @@ def _finish(view, targets, tolerance, report):
     _rational_points is the report's point, where the exact Jacobian
     decides a float-singular run; a converged run that misses there tries
     the float's exact binary value next.  A converged or
-    float-singular run with no rational point is a domain-violation; other
+    float-singular run with no rational point ends no-convergence; other
     runs keep their status, so finishing twice changes nothing.
 
     Each value V / (scale L^n) is reduced by one gcd, and its error from
@@ -464,8 +471,7 @@ def _finish(view, targets, tolerance, report):
         )
     elif report.status in ("converged", "float-singular"):
         what = "solution" if report.converged else "iterate"
-        report.status = "domain-violation"
-        report.detail = what + " rounds outside the open domain"
+        report.status, report.detail = "no-convergence", what + " rounds outside the open domain"
     return report
 
 
@@ -501,14 +507,13 @@ def _repeats(s, reports):
 def solve(ctx, x_target, t=None, options=None, want_trace=False):
     """Find s with density(T_i, W_k(s, t)) = x_target_i to the tolerance.
 
-    x_target entries may be floats or rationals; floats convert exactly,
-    and NaN or infinite ones raise DomainError, as does an x_target of the
-    wrong length, all before any Newton run.  Entries must lie strictly
-    inside (0, 1): boundary targets are not in the open region the
-    construction parameterizes, and are reported as domain-violation
-    without iterating, as is a target below the float range, which rounds
-    to 0.0.  A target that construction.unreachable_at_t refuses at this t
-    is reported unreachable-at-t, or unreachable when
+    x_target entries may be floats, converted exactly, or exact rationals
+    read by rational.as_q.  An x_target that is not a sequence or has the
+    wrong length, or an entry that is NaN, infinite or malformed, not
+    strictly inside (0, 1), the open region the construction parameterizes,
+    or below the float range (it rounds to 0.0), raises DomainError before
+    any Newton run.  A target that construction.unreachable_at_t refuses
+    at this t is reported unreachable-at-t, or unreachable when
     construction.unreachable, run only then, refuses it for every t; its
     detail is the inequality.  Such early reports have attempts = runs =
     iterations = 0.  A t whose s-form coefficients leave the float range,
@@ -532,35 +537,30 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
     exact Jacobian only then.  `attempts` counts the distinct end points up
     to the report; when none verifies, every start has run and the report
     is the attempt of best merit (the last of its residual_history).
-    `runs` counts the Newton runs.
-    `trace` holds the reported attempt's Newton steps when want_trace is
-    set.  t and the non-float targets are exact inputs, read by
-    rational.as_q: a float in t or a malformed target is a DomainError.
+    `runs` counts the Newton runs.  `trace` holds the reported attempt's
+    Newton steps when want_trace is set.  t is an exact input, read by
+    rational.as_q: a float in t is a DomainError.
     """
     tolerance = (options or SolveOptions()).tolerance
     view = ctx._default_view if t is None else TView(ctx, t)
     c, row_sums = view.floats
     t = view.t
-    if len(x_target) != ctx.ell:
+    if _length(x_target, "targets") != ctx.ell:
         raise DomainError("expected %d targets, got %d" % (ctx.ell, len(x_target)))
     targets = [_as_target(x) for x in x_target]
-    status, detail = "domain-violation", ""
     if any(not 0 < n < d for n, d in targets):
-        detail = "target not strictly inside (0,1)"
-    else:
-        # the float given, or n / d in int true division: float(Q(n, d)) bit for bit
-        targets_f = [x if isinstance(x, float) else n / d for x, (n, d) in zip(x_target, targets)]
-        if 0.0 in targets_f:
-            detail = "target below the float range (under 5e-324): it rounds to 0.0"
-        else:
-            log_targets = [log(x) for x in targets_f]
-            if not _inside_power_sums(view, log_targets):
-                status, detail = "unreachable-at-t", unreachable_at_t(view, targets)
-                why = detail and unreachable(ctx, targets)
-                if why:
-                    status, detail = "unreachable", why
-    if detail:
-        return SolveReport(status, (), t=t, detail=detail, attempts=0, runs=0)
+        raise DomainError("target not strictly inside (0,1)")
+    # the float given, or n / d in int true division: float(Q(n, d)) bit for bit
+    targets_f = [x if isinstance(x, float) else n / d for x, (n, d) in zip(x_target, targets)]
+    if 0.0 in targets_f:
+        raise DomainError("target below the float range (under 5e-324): it rounds to 0.0")
+    log_targets = [log(x) for x in targets_f]
+    if not _inside_power_sums(view, log_targets):
+        detail = unreachable_at_t(view, targets)
+        if detail:
+            why = unreachable(ctx, targets)
+            status = "unreachable" if why else "unreachable-at-t"
+            return SolveReport(status, (), t=t, detail=why or detail, attempts=0, runs=0)
     kernels = ctx._float_kernels
 
     reports = []
@@ -622,12 +622,12 @@ def probe_ball(ctx, x0, eps, samples, seed=0):
     counts, the rate at eps, and the largest tested radius with a perfect
     score (None if there is none).  Failures count toward the rate; they
     are not exceptions.  The status counts keep unreachable,
-    unreachable-at-t and the failures with no verdict apart.  A centre of
-    the wrong length or not a real point
-    of (0,1)^ell, an eps not a finite real >= 0, or samples not a positive
+    unreachable-at-t and the failures with no verdict apart.  A centre
+    that is not a sequence, of the wrong length or not a real point of
+    (0,1)^ell, an eps not a finite real >= 0, or samples not a positive
     integer (a bool is neither) is a DomainError, raised before any draw.
     """
-    if len(x0) != ctx.ell:
+    if _length(x0, "x0") != ctx.ell:
         raise DomainError("expected %d coordinates, got %d" % (ctx.ell, len(x0)))
     if not all(isinstance(x, Real) and isfinite(x) for x in x0):
         raise DomainError("x0 coordinates must be finite numbers, got %r" % (list(x0),))

@@ -239,19 +239,16 @@ def test_solve_accepts_rational_and_float_targets():
         ["probe", "--k", "3", "--eps", "1e-3", "--samples", "1", "--x0", "inf"],
         ["probe", "--k", "3", "--eps", "1e-3", "--samples", "1", "--x0", "2"],
         ["solve", "--k", "4", "--tolerance", "inf", "0.01", "0.02", "0.03"],
+        # below the float range, and on the boundary of (0, 1)
+        ["solve", "--k", "3", "1/1" + "0" * 400],
+        ["solve", "--k", "3", "0"],
+        ["solve", "--k", "3", "1"],
     ],
 )
 def test_non_finite_numbers_are_domain_errors(argv):
     code, out, err = run(*argv)
     assert code == 1 and out == "" and err.startswith("error: ")
     assert len(err.splitlines()) == 1
-
-
-def test_solve_target_below_the_float_range():
-    payload = run_json("solve", "--k", "3", "1/1" + "0" * 400)
-    assert payload["status"] == "domain-violation"
-    assert payload["attempts"] == payload["runs"] == 0
-    assert "below the float range" in payload["detail"]
 
 
 def test_solve_unreachable_target():

@@ -85,22 +85,14 @@ def test_report_shape_and_rationalization():
 def test_boundary_targets_refused_without_iterating():
     ctx = context(3)
     for bad in ([Q(0)], [Q(1)], [Q(2)], [0.0], [-0.25]):
-        rep = solve(ctx, bad)
-        assert rep.status == "domain-violation"
-        assert rep.iterations == 0 and rep.attempts == 0
-        assert not rep.converged
+        with pytest.raises(DomainError, match=r"^target not strictly inside \(0,1\)$"):
+            solve(ctx, bad)
 
 
-def test_target_below_the_float_range_refused_without_iterating(monkeypatch):
+def test_target_below_the_float_range_refused_without_iterating():
     # inside (0, 1), but its float is 0.0, whose log the Newton run needs
-    def no_run(*args):
-        raise AssertionError("a Newton run started for a target that rounds to 0.0")
-
-    monkeypatch.setattr(solver, "_newton", no_run)
-    rep = solve(context(3), [Q(1, 10 ** 400)])
-    assert rep.status == "domain-violation"
-    assert rep.attempts == rep.runs == rep.iterations == 0
-    assert "below the float range" in rep.detail
+    with pytest.raises(DomainError, match=r"^target below the float range \(under 5e-324\)"):
+        solve(context(3), [Q(1, 10 ** 400)])
 
 
 def test_certified_draws_are_unreachable_without_a_run(monkeypatch):
@@ -114,9 +106,11 @@ def test_certified_draws_are_unreachable_without_a_run(monkeypatch):
     certified = [(x, why) for x, why in zip(draws, verdicts) if why]
     assert len(certified) == 11
     probed = probe_ball(ctx, x0, 1e-4, samples=50, seed=0)
-    statuses = probed["per_radius"][0]["statuses"]
-    # counted apart: 11 refused for every t, 27 more at the default t
-    assert statuses["unreachable"] == 11 and statuses["unreachable-at-t"] == 27
+    # counted apart: 11 refused for every t, 27 more at the default t, and
+    # the 7 runs that fail without a verdict
+    assert probed["per_radius"][0]["statuses"] == {
+        "converged": 5, "unreachable": 11, "unreachable-at-t": 27, "no-convergence": 7,
+    }
 
     def no_run(*args):
         raise AssertionError("a Newton run started for a certified unreachable target")
@@ -128,6 +122,22 @@ def test_certified_draws_are_unreachable_without_a_run(monkeypatch):
         assert rep.attempts == rep.runs == rep.iterations == 0
         assert rep.detail == why
         assert why.startswith("violates 96 t(4:110111)^3 >= t(3:101)^4: ")
+
+
+def test_refused_draws_do_not_converge_when_run(monkeypatch):
+    # the refusals are sound on acceptance 9's 38 refused draws at k = 4
+    # (probe seed 0, eps 1e-4): with the power-sum pre-test bypassed, every
+    # one runs Newton and none converges
+    ctx = context(4)
+    x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+    rng = random.Random(0)
+    draws = [solver._ball_point(rng, x0, 1e-4) for _ in range(50)]
+    refused = [x for x in draws if solve(ctx, x).status in ("unreachable", "unreachable-at-t")]
+    assert len(refused) == 38
+    monkeypatch.setattr(solver, "_inside_power_sums", lambda view, log_targets: True)
+    for x in refused:
+        rep = solve(ctx, x)
+        assert rep.runs > 0 and not rep.converged
 
 
 def test_unreachable_is_decided_exactly_at_the_bound():
@@ -383,6 +393,10 @@ def test_no_seeded_round_trip_is_refused(monkeypatch):
 def test_wrong_target_count():
     with pytest.raises(DomainError):
         solve(context(4), [Q(1, 16)])
+    # targets that are not a sequence are malformed, as such a t is
+    for x in (0.0625, None):
+        with pytest.raises(DomainError, match="malformed targets"):
+            solve(context(3), x)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -422,7 +436,7 @@ def test_malformed_t_refused_before_polynomial_work(monkeypatch, shape):
     "status, detail",
     [("converged", "solution"), ("float-singular", "iterate")],
 )
-def test_a_run_ending_on_the_boundary_is_a_domain_violation(status, detail):
+def test_a_run_ending_on_the_boundary_is_no_convergence(status, detail):
     # s = (1/2, 1/4, 1/4) uses the whole measure at the default t, and a
     # coordinate 0.0 (as from underflow) rounds to 0 under both roundings,
     # so neither rounding of either is a rational point of the open domain
@@ -434,7 +448,7 @@ def test_a_run_ending_on_the_boundary_is_a_domain_violation(status, detail):
         assert list(solver._rational_points(end, view.D, view.R)) == []
         rep = solver.SolveReport(status, end, t=t)
         rep = solver._finish(view, targets, 1e-10, rep)
-        assert rep.status == "domain-violation"
+        assert rep.status == "no-convergence"
         assert rep.detail == detail + " rounds outside the open domain"
         assert rep.s_rational == () and rep.verification == []
 
@@ -586,6 +600,9 @@ def test_probe_ball_rejections():
     ctx = context(3)
     with pytest.raises(DomainError):
         probe_ball(ctx, [0.1, 0.2], eps=1e-3, samples=1)
+    for x0 in (0.01, None):
+        with pytest.raises(DomainError, match="malformed x0"):
+            probe_ball(ctx, x0, eps=1e-3, samples=1)
     for eps in (-1e-3, math.nan, math.inf):
         with pytest.raises(DomainError, match="eps must be nonnegative"):
             probe_ball(ctx, [0.1], eps=eps, samples=1)
@@ -783,7 +800,7 @@ def test_verification_entries_match_the_fraction_formulas():
     # formulas it replaced: fmt_q of the target and of the chain DP's value
     # at the rounded point, and abs(float(x - g)), bit for bit
     rng = random.Random(131)
-    statuses = set()
+    statuses, details = set(), set()
     for k in (3, 4):
         ctx = context(k)
         x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
@@ -795,7 +812,7 @@ def test_verification_entries_match_the_fraction_formulas():
             cases += [(solver._ball_point(rng, x0, radius), None, None) for _ in range(4)]
         cases.append((x0, None, SolveOptions(tolerance=1e-40)))
         if k == 4:
-            # a far-ball target that runs Newton and ends domain-violation
+            # a far-ball target whose runs find no admissible damped step
             x = solver._ball_point(random.Random(35), x0, 1e-4)
             assert not_refused(ctx, x, default_params(ctx).t)
             cases.append((x, None, None))
@@ -804,13 +821,15 @@ def test_verification_entries_match_the_fraction_formulas():
             if not rep.verification:
                 continue
             statuses.add(rep.status)
+            details.add(rep.detail)
             exact = point_densities(ctx, make_params(ctx, rep.s_rational, rep.t))
             assert [(v["target"], v["achieved"], float.hex(v["abs_error"]))
                     for v in rep.verification] == [
                 (fmt_q(Q(xi)), fmt_q(g), float.hex(abs(float(Q(xi) - g))))
                 for xi, g in zip(x, exact)
             ]
-    assert {"converged", "no-convergence", "domain-violation"} <= statuses
+    assert {"converged", "no-convergence"} <= statuses
+    assert "no admissible damped step reduced the residual" in details
 
 
 def test_a_first_start_solve_builds_one_start_and_one_point(monkeypatch):
@@ -1334,13 +1353,16 @@ def test_default_t_solve_equals_the_explicit_default_t():
         rng = random.Random(27)
         targets = [solver._ball_point(rng, x0, radius)
                    for radius in (0.0, 1e-7, 1e-4, 1e-3) for _ in range(6)]
-        targets += [[Q(0)] + x0[1:], [Q(1)] + x0[1:], [Q(1, 10 ** 400)] + x0[1:]]
         for n, x in enumerate(targets):
             rep = solve(ctx, x, want_trace=n % 2 == 1)
             assert repr(vars(rep)) == repr(vars(solve(ctx, x, t=t, want_trace=n % 2 == 1)))
             statuses.add(rep.status if rep.converged or rep.runs == 0 else "failed run")
-    assert statuses == {"converged", "unreachable", "unreachable-at-t", "domain-violation",
-                        "failed run"}
+        # and the same input errors
+        for x in ([Q(0)] + x0[1:], [Q(1)] + x0[1:], [Q(1, 10 ** 400)] + x0[1:]):
+            for t_given in (None, t):
+                with pytest.raises(DomainError, match="not strictly inside|below the float range"):
+                    solve(ctx, x, t=t_given)
+    assert statuses == {"converged", "unreachable", "unreachable-at-t", "failed run"}
 
 
 def test_default_t_view_is_made_once_per_context(monkeypatch):
