@@ -191,8 +191,8 @@ FLOAT_RANGE = (
 
 class TView:
     """A W_k context at fixed t: the one reader of t.  The constructor reads
-    t, ell rows, row i a sequence, not a string, of n_i positive entries
-    read by as_q, and keeps
+    t, a sequence of ell rows, row i a sequence, not a string, of n_i
+    positive entries read by as_q, and keeps
 
     ctx -- the context
     t   -- the rows as Q tuples
@@ -205,6 +205,7 @@ class TView:
     pays for every dataclass it defines."""
 
     def __init__(self, ctx, t_values):
+        _length(t_values, "t")
         try:
             # a string row would pass as the integers of its characters
             if any(isinstance(row, str) for row in t_values):
@@ -332,11 +333,20 @@ def make_params(ctx, s, t):
     return WkParams(s, view.t)
 
 
+def _length(values, what):
+    """len(values); a DomainError "malformed <what>: ..." for a value that
+    is not a sequence (an int, None, a generator)."""
+    try:
+        return len(values)
+    except TypeError as e:
+        raise DomainError("malformed %s: %s" % (what, e)) from None
+
+
 def _read_point(ctx, p):
     """The one reader of a W_k point: s counted, t read by TView, s read by
     as_q and tested by integer_point.  Returns (s, view, A, L, slack), s =
     A / L, slack = 1 - sum_i s_i sum_j t_{i,j}."""
-    if len(p.s) != ctx.ell:
+    if _length(p.s, "s") != ctx.ell:
         raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
     view = TView(ctx, p.t)
     s = tuple(as_q(x) for x in p.s)

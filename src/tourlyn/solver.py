@@ -36,33 +36,30 @@ above.  The starts are built and run one at a time in grid order, and
 the distinct end points of their runs are the attempts.
 
 A solve reads each target once (_as_target), into the (numerator,
-denominator) ints of its exact value, a float's through
-rational.ratio_from_float, the one float-to-exact crossing; the
-refusals and _finish read those ints, so past its inputs a solve builds
-Q only for its report's s_rational and t.
+denominator) ints of its exact value, a float's by float.as_integer_ratio,
+the one float-to-exact crossing, which also reads the Newton end points;
+the refusals and _finish read those ints, so past its inputs a solve
+builds Q only for its report's s_rational and t.
 
-`converged` means exactly verified: a float-converged attempt is rounded
-to rationals s = A / L (continued fraction, denominator <= 10^6) as soon
-as its run ends, in Python ints, with no Fraction arithmetic on the way:
-the rounding is rational.ratio_from_float's, the open-domain test
+`converged` means exactly verified: a float-converged attempt is read at
+its exact binary value, s = A / L (float.as_integer_ratio per coordinate,
+L the lcm of the denominators), as soon as its run ends, in Python ints,
+with no Fraction arithmetic on the way: the open-domain test is
 construction.integer_point's, and each density is one integer sum of the
 s-form over scale * L^n_i, reduced by one gcd, the exact value of
 construction.point_densities (the tests' oracle for this check).  Its
 error from the target is one int true division, correctly rounded, so
 abs(float(x - g)) bit for bit; Q is built only for the coordinates of a
-point that is in the domain.  Where that rounding misses the tolerance
-or leaves the domain (near a simple rational it snaps onto it, and a
-component below 5e-7 rounds to 0), the float's exact binary value is
-verified instead.  The first attempt whose rational point is in the
-domain and meets the tolerance is the report; the remaining starts are
-never built.  A failed report keeps the 10^6 rounding whenever it is in
-the domain.  Of several preimages near the target the report is the
-earliest start's, not necessarily the one of least merit.  When no
-attempt verifies, the report is the attempt of least merit.
+point that is in the domain.  So a report's s_rational is exactly its s.
+The first attempt whose point is in the domain and meets the tolerance
+is the report; the remaining starts are never built.  Of several
+preimages near the target the report is the earliest start's, not
+necessarily the one of least merit.  When no attempt verifies, the
+report is the attempt of least merit.
 
 Floats are not trusted with singularity either: a float-singular Jacobian
-is reported as singular-jacobian only if the exact one at the rounded
-iterate, construction.jacobian_of_forms on the solve's s-forms, is.  A
+is reported as singular-jacobian only if the exact one at the reported
+point, construction.jacobian_of_forms on the solve's s-forms, is.  A
 run's SolveReport gets its final status in one function, _finish, which
 verifies it; a float-singular run is classified only if it is the one
 reported.
@@ -83,7 +80,7 @@ target among them, raise DomainError.  A report's status is one of
                           singular;
     no-convergence     -- the runs stalled, hit the iteration cap or found no
                           admissible damped step, or the reported end point
-                          rounds outside the open domain or misses the
+                          lies outside the open domain or misses the
                           tolerance exactly.
 
 Only converged, unreachable and unreachable-at-t are proved verdicts on
@@ -99,15 +96,14 @@ from math import exp, gcd, isfinite, log
 from numbers import Integral, Real
 
 from .construction import (
-    TView, WkParams, _inside_power_sums, integer_point, jacobian_of_forms, unreachable,
-    unreachable_at_t,
+    TView, WkParams, _inside_power_sums, _length, integer_point, jacobian_of_forms,
+    unreachable, unreachable_at_t,
 )
 from .errors import DomainError
 from .poly import det_rational
-from .rational import Q, as_q, ratio_from_float
+from .rational import Q, as_q
 
 MIN_STEP = 2.0 ** -20
-RATIONALIZE_DENOMINATOR = 10 ** 6
 
 ITERATION_CAP = 80
 MERIT_FLOOR = 1e-12
@@ -167,38 +163,26 @@ def default_params(ctx):
 def _as_target(x):
     """A target's exact value as (numerator, denominator) ints in lowest
     terms, the denominator positive: a float's exact binary value
-    (ratio_from_float), anything else read by as_q.  Python ints whatever
-    Q is, so that the exact side's arithmetic stays in them."""
+    (float.as_integer_ratio), anything else read by as_q.  Python ints
+    whatever Q is, so that the exact side's arithmetic stays in them."""
     if isinstance(x, float):
         if not isfinite(x):
             raise DomainError("target %r is not a finite number" % x)
-        return ratio_from_float(x)
+        return x.as_integer_ratio()
     x = as_q(x)
     return int(x.numerator), int(x.denominator)
 
 
-def _length(values, what):
-    """len(values); a DomainError, as a malformed t is, for a non-sequence."""
+def _rational_point(s_floats, D, R):
+    """The float point s at its exact binary value, A / L with L the lcm
+    of the denominators of float.as_integer_ratio: (s as Q, A, L), or None
+    when construction.integer_point puts it outside the open domain."""
+    ratios = [x.as_integer_ratio() for x in s_floats]
     try:
-        return len(values)
-    except TypeError as e:
-        raise DomainError("malformed %s: %s" % (what, e)) from None
-
-
-def _rational_points(s_floats, D, R):
-    """The rational points s = A / L (L the lcm of the denominators) that
-    stand for the float point s, in order of preference: its rounding to
-    denominators of at most RATIONALIZE_DENOMINATOR, then its exact binary
-    value; those in the open domain (construction.integer_point, on the
-    ints of ratio_from_float).  A point's Q tuple is built only when it is
-    yielded."""
-    for max_denominator in (RATIONALIZE_DENOMINATOR, None):
-        ratios = [ratio_from_float(x, max_denominator) for x in s_floats]
-        try:
-            A, L, _ = integer_point(ratios, D, R)
-        except DomainError:
-            continue
-        yield tuple(Q(p, q) for p, q in ratios), A, L
+        A, L, _ = integer_point(ratios, D, R)
+    except DomainError:
+        return None
+    return tuple(Q(p, q) for p, q in ratios), A, L
 
 
 def _compile_kernels(k, monomials):
@@ -420,58 +404,54 @@ def _newton(kernels, c, row_sums, targets_f, log_targets, s, tolerance, want_tra
 def _finish(view, targets, tolerance, report):
     """Verifies a run exactly and decides its final status, the one place
     that does.  targets are the (numerator, denominator) ints of each
-    letter's target, as _as_target reads them.  The first of
-    _rational_points is the report's point, where the exact Jacobian
-    decides a float-singular run; a converged run that misses there tries
-    the float's exact binary value next.  A converged or
-    float-singular run with no rational point ends no-convergence; other
-    runs keep their status, so finishing twice changes nothing.
+    letter's target, as _as_target reads them.  The run's end point is
+    verified at _rational_point, where the exact Jacobian decides a
+    float-singular run.  A converged or float-singular run with no rational
+    point, or a converged one that misses the tolerance there, ends
+    no-convergence; other runs keep their status, so finishing twice
+    changes nothing.
 
     Each value V / (scale L^n) is reduced by one gcd, and its error from
     the target x = xn / xd is |xn gd - gn xd| / (xd gd) in int true
     division, correctly rounded: abs(float(x - g)) bit for bit.  view is
     the solve's TView, whose s-forms (its letters) give the values."""
+    point = _rational_point(report.s, view.D, view.R)
+    if point is None:
+        if report.status in ("converged", "float-singular"):
+            what = "solution" if report.converged else "iterate"
+            report.status, report.detail = "no-convergence", what + " rounds outside the open domain"
+        return report
+    s, A, L = point
     letters = view.letters
-    error = None
-    for s, A, L in _rational_points(report.s, view.D, view.R):
-        verification = []
-        for (scale, n, terms), (xn, xd) in zip(letters, targets):
-            value = 0
-            for c, mono in terms:
-                for j, e in mono:
-                    c *= A[j] ** e
-                value += c
-            den = scale * L ** n
-            g = gcd(value, den)
-            gn, gd = value // g, den // g
-            verification.append({
-                "target": "%d/%d" % (xn, xd), "achieved": "%d/%d" % (gn, gd),
-                "abs_error": abs(xn * gd - gn * xd) / (xd * gd),
-            })
-        if error is None:
-            report.s_rational, report.verification = s, verification
-            error = max(v["abs_error"] for v in verification)
-            if report.status == "float-singular":
-                if det_rational(jacobian_of_forms(letters, A, L)) == 0:
-                    report.status = "singular-jacobian"
-                    report.detail = "exact Jacobian is singular at the rounded iterate"
-                else:
-                    report.status = "no-convergence"
-                    report.detail = "float Jacobian singular; the exact one is not"
-            if report.status != "converged" or error <= tolerance:
-                return report
-        elif max(v["abs_error"] for v in verification) <= tolerance:
-            # the rounding missed; the float's exact binary value meets it
-            report.s_rational, report.verification = s, verification
-            return report
-    if error is not None:
-        report.status, report.detail = "no-convergence", (
-            "exact error %.3g at the rounded solution exceeds the tolerance %.3g"
-            % (error, tolerance)
-        )
-    elif report.status in ("converged", "float-singular"):
-        what = "solution" if report.converged else "iterate"
-        report.status, report.detail = "no-convergence", what + " rounds outside the open domain"
+    verification = []
+    for (scale, n, terms), (xn, xd) in zip(letters, targets):
+        value = 0
+        for c, mono in terms:
+            for j, e in mono:
+                c *= A[j] ** e
+            value += c
+        den = scale * L ** n
+        g = gcd(value, den)
+        gn, gd = value // g, den // g
+        verification.append({
+            "target": "%d/%d" % (xn, xd), "achieved": "%d/%d" % (gn, gd),
+            "abs_error": abs(xn * gd - gn * xd) / (xd * gd),
+        })
+    report.s_rational, report.verification = s, verification
+    if report.status == "float-singular":
+        if det_rational(jacobian_of_forms(letters, A, L)) == 0:
+            report.status = "singular-jacobian"
+            report.detail = "exact Jacobian is singular at the rounded iterate"
+        else:
+            report.status = "no-convergence"
+            report.detail = "float Jacobian singular; the exact one is not"
+    elif report.converged:
+        error = max(v["abs_error"] for v in verification)
+        if error > tolerance:
+            report.status, report.detail = "no-convergence", (
+                "exact error %.3g at the rounded solution exceeds the tolerance %.3g"
+                % (error, tolerance)
+            )
     return report
 
 
@@ -527,11 +507,11 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
     the default t reads no t, and does only the work of its target.
 
     Newton runs go from the grid starts in order and each new
-    float-converged end point is verified at once, at the rational points
-    of the module docstring, by the integer s-forms (its `verification`);
-    the first that verifies is the report.  A float-converged attempt that
-    misses ends no-convergence, its detail giving the exact error of the
-    rounding, and the next start runs.  A float-singular Jacobian ends a run.
+    float-converged end point is verified at once, at its exact binary
+    value, by the integer s-forms (its `verification`); the first that
+    verifies is the report.  A float-converged attempt that misses ends
+    no-convergence, its detail giving the exact error there, and the next
+    start runs.  A float-singular Jacobian ends a run.
     _finish decides the status: a float-converged run's as soon as it ends,
     any other run's only if it is reported, so a float-singular run costs an
     exact Jacobian only then.  `attempts` counts the distinct end points up

@@ -190,7 +190,9 @@ def test_every_caller_refuses_a_bad_point_alike():
         "float t": (row(0, (0.25,) + t[0][1:]), a_float % 0.25),
         "string row": (row(1, "111"), "malformed t: a row is a string"),
         "None row": (row(2, None), "malformed t: 'NoneType' object is not iterable"),
-        "no rows": (5, "malformed t: 'int' object is not iterable"),
+        "no rows": (5, "malformed t: object of type 'int' has no len()"),
+        # of the right shape, but read once it would be used up
+        "generator t": ((r for r in t), "malformed t: object of type 'generator' has no len()"),
         "short row": (row(0, t[0][:-1]), lengths),
         "long row": (row(2, t[2] + t[2][:1]), lengths),
         "zero t": (row(1, (Q(0),) + t[1][1:]), positive),
@@ -199,6 +201,9 @@ def test_every_caller_refuses_a_bad_point_alike():
     s_faults = {
         "float s": ((0.1,) + s[1:], a_float % 0.1),
         "s count": (s[:-1], "expected 3 s-values, got 2"),
+        "int s": (5, "malformed s: object of type 'int' has no len()"),
+        "None s": (None, "malformed s: object of type 'NoneType' has no len()"),
+        "generator s": ((v for v in s), "malformed s: object of type 'generator' has no len()"),
         "zero s": ((Q(0),) + s[1:], positive),
         "negative s": (s[:-1] + (Q(-1, 6),), positive),
         # the default point uses half the measure

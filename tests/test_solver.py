@@ -22,7 +22,7 @@ from tourlyn.construction import (
 from tourlyn.errors import DomainError
 from tourlyn.poly import s_var
 from tourlyn import solver
-from tourlyn.rational import Q, fmt_q, ratio_from_float
+from tourlyn.rational import Q, fmt_q
 from tourlyn.solver import (
     SolveOptions,
     default_params,
@@ -71,7 +71,8 @@ def test_report_shape_and_rationalization():
     rep = solve(ctx, [Q(1, 16)])
     assert rep.status == "converged"
     assert len(rep.s) == 1 and len(rep.s_rational) == 1
-    assert rep.s_rational[0].denominator <= 10 ** 6
+    # the rational point is the exact value of the float s, not a rounding
+    assert rep.s_rational == (Q(*rep.s[0].as_integer_ratio()),)
     # the initializer may land within tolerance on its own, so zero Newton
     # iterations is a legitimate outcome
     assert rep.iterations >= 0
@@ -438,14 +439,14 @@ def test_malformed_t_refused_before_polynomial_work(monkeypatch, shape):
 )
 def test_a_run_ending_on_the_boundary_is_no_convergence(status, detail):
     # s = (1/2, 1/4, 1/4) uses the whole measure at the default t, and a
-    # coordinate 0.0 (as from underflow) rounds to 0 under both roundings,
-    # so neither rounding of either is a rational point of the open domain
+    # coordinate 0.0 (as from underflow) is 0 exactly, so neither is a
+    # rational point of the open domain
     ctx = context(4)
     t = default_params(ctx).t
     view = construction.TView(ctx, t)
     targets = [(1, 100), (1, 50), (3, 100)]
     for end in ((0.5, 0.25, 0.25), (0.0, 0.25, 0.25)):
-        assert list(solver._rational_points(end, view.D, view.R)) == []
+        assert solver._rational_point(end, view.D, view.R) is None
         rep = solver.SolveReport(status, end, t=t)
         rep = solver._finish(view, targets, 1e-10, rep)
         assert rep.status == "no-convergence"
@@ -505,8 +506,8 @@ def test_options_validation():
 
 
 def test_converged_means_verified():
-    # the float iterate meets 1e-13, but its rounding to denominators of at
-    # most 10^6 misses it in the exact densities
+    # at a tolerance near the float noise the exact densities at the float
+    # iterate decide: it converges only if they meet it
     ctx = context(3)
     rep = solve(ctx, [Q(1, 16)], options=SolveOptions(tolerance=1e-13))
     error = max(v["abs_error"] for v in rep.verification)
@@ -711,7 +712,7 @@ def test_grid_starts_lie_inside_the_open_domain():
             starts = list(solver._grid([r / D for r in R]))
             assert len(starts) == count
             for start in starts:
-                construction.integer_point([ratio_from_float(x) for x in start], D, R)
+                construction.integer_point([x.as_integer_ratio() for x in start], D, R)
 
 
 def scaled_t(ctx, factor):
@@ -859,13 +860,12 @@ def test_a_first_start_solve_builds_one_start_and_one_point(monkeypatch):
 
 
 def test_tiny_component_keeps_its_rational_point():
-    # s = 4.48e-7 is below half the fixed 1e-6 grid, which would round it
-    # to 0 and leave the report without a point to verify
+    # a tiny s = 4.48e-7 is verified at its own exact value, however small
     ctx = context(3)
     rep = solve(ctx, [1e-20])
     assert rep.converged, rep.detail
     (s,), (q,) = rep.s, rep.s_rational
-    assert s < 5e-7 and abs(float(q) - s) <= 1e-6 * s
+    assert s < 5e-7 and q == Q(*s.as_integer_ratio())
     assert rep.verification and rep.verification[0]["abs_error"] <= 1e-10
 
 
@@ -1121,17 +1121,43 @@ def test_exactly_singular_jacobian_is_reported(monkeypatch):
 
 
 def test_ball_targets_near_a_simple_rational_converge():
-    # the default k = 3 point is s = 1/2; within about 3e-8 of it the 10^6
-    # rounding snaps back onto 1/2 and misses the tolerance, so these
-    # solves verify the float's exact binary value
+    # the default k = 3 point is s = 1/2; targets within about 3e-8 of its
+    # densities converge, each verified at the exact value of its float s,
+    # not at a simple rational nearby
     ctx = context(3)
     x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
     rng = random.Random(5)
     reps = [solve(ctx, solver._ball_point(rng, x0, 1e-8)) for _ in range(20)]
     assert [rep.status for rep in reps] == ["converged"] * 20
-    assert any(rep.s_rational[0].denominator > 10 ** 6 for rep in reps)
+    assert all(rep.s_rational == (Q(*rep.s[0].as_integer_ratio()),) for rep in reps)
     for rep in reps:
         assert max(v["abs_error"] for v in rep.verification) <= 1e-10
+
+
+@pytest.mark.parametrize("k, trips", [(3, 4), (4, 4), (5, 2)])
+def test_every_report_is_verified_at_the_exact_value_of_its_s(monkeypatch, k, trips):
+    # whatever its status, a report that carries a point carries its float
+    # s read exactly, and a converged one meets the tolerance there: round
+    # trips, ball draws and a float-singular solve
+    ctx = context(k)
+    rng = random.Random(167 + k)
+    x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+    reports = []
+    for _ in range(trips):
+        p = random_params(ctx, rng)
+        reports.append(solve(ctx, point_densities(ctx, p), t=p.t))
+    for radius in (0.0, 1e-7, 1e-4):
+        reports += [solve(ctx, solver._ball_point(rng, x0, radius)) for _ in range(4)]
+    float_singular(monkeypatch, ctx)
+    p = random_params(ctx, rng)
+    reports.append(solve(ctx, point_densities(ctx, p), t=p.t))
+    assert reports[-1].detail == "float Jacobian singular; the exact one is not"
+    for rep in reports:
+        if rep.runs:
+            assert rep.s_rational == tuple(Q(*x.as_integer_ratio()) for x in rep.s)
+        if rep.converged:
+            assert max(v["abs_error"] for v in rep.verification) <= 1e-10
+    assert any(rep.converged for rep in reports)
 
 
 def test_one_exact_jacobian_per_float_singular_solve(monkeypatch):
@@ -1175,19 +1201,12 @@ def test_integer_domain_test_at_the_boundary():
     ctx = context(4)
     view = construction.TView(ctx, default_params(ctx).t)
     D, R = view.D, view.R
-    assert list(solver._rational_points([0.5, 0.25, 0.25], D, R)) == []
-    # the next float below: its 10^6 rounding snaps back onto the boundary,
-    # its exact binary value is the one point inside
+    assert solver._rational_point([0.5, 0.25, 0.25], D, R) is None
+    # the next float below, read at its exact binary value, is inside
     below = math.nextafter(0.25, 0.0)
-    ((s, A, L),) = solver._rational_points([0.5, 0.25, below], D, R)
+    s, A, L = solver._rational_point([0.5, 0.25, below], D, R)
     assert s == (Q(1, 2), Q(1, 4), Q(*below.as_integer_ratio())) and L == 2 ** 55
     assert [Q(a, L) for a in A] == list(s)
-    # the next point below on the 10^6 grid is inside
-    (s, _, _), _ = solver._rational_points([0.5, 0.25, 0.249999], D, R)
-    assert s == (Q(1, 2), Q(1, 4), Q(249999, 10 ** 6))
-    # a component that the 10^6 rounding takes to 0 is refused there
-    ((s, _, _),) = solver._rational_points([0.5, 0.25, 1e-7], D, R)
-    assert s[2] == Q(*(1e-7).as_integer_ratio())
 
 
 def in_open_domain(s, t):
@@ -1198,9 +1217,9 @@ def in_open_domain(s, t):
 
 
 def test_integer_domain_test_agrees_with_check_domain():
-    # float points within about 1e-6 of the boundary, some with a component
-    # that rounds to 0: _rational_points keeps exactly the roundings that
-    # the Fraction sum, and make_params, accept
+    # float points within about 1e-6 of the boundary, some with a tiny
+    # component: _rational_point keeps exactly the points that the Fraction
+    # sum, and make_params, accept
     rng = random.Random(103)
     outcomes = set()
     for k in (3, 4, 5):
@@ -1212,27 +1231,26 @@ def test_integer_domain_test_agrees_with_check_domain():
                  for _ in range(ctx.ell)]
             used = sum(x * float(sum(row)) for x, row in zip(s, t))
             s = [x / used * (1 + rng.uniform(-2e-6, 2e-6)) for x in s]
-            kept = []
-            for max_denominator in (solver.RATIONALIZE_DENOMINATOR, None):
-                q = tuple(Q(*ratio_from_float(x, max_denominator)) for x in s)
-                try:
-                    make_params(ctx, q, t)
-                except DomainError:
-                    assert not in_open_domain(q, t)
-                    outcomes.add("out")
-                    continue
-                assert in_open_domain(q, t)
-                outcomes.add("in")
-                kept.append(q)
-            assert [q for q, _, _ in solver._rational_points(s, D, R)] == kept
+            q = tuple(Q(*x.as_integer_ratio()) for x in s)
+            point = solver._rational_point(s, D, R)
+            try:
+                make_params(ctx, q, t)
+            except DomainError:
+                assert not in_open_domain(q, t) and point is None
+                outcomes.add("out")
+                continue
+            assert in_open_domain(q, t) and point[0] == q
+            outcomes.add("in")
     assert outcomes == {"in", "out"}
 
 
 def test_seeded_reports_are_pinned(monkeypatch):
-    # recorded before the solver's exact side moved to integer s-forms:
     # k = 3 and 4 round trips, ball targets at 1e-7 and 1e-4, and a
     # float-singular solve; floats as float.hex.  The failed reports'
-    # attempts are uncapped counts of distinct end points.
+    # attempts are uncapped counts of distinct end points.  Status, s,
+    # detail, attempts and runs were recorded before the solver's exact
+    # side moved to integer s-forms; s_rational and verification since
+    # each end point is verified at its own exact value.
     def fields(rep):
         return (rep.status, [float.hex(x) for x in rep.s], [fmt_q(q) for q in rep.s_rational],
                 [(v["target"], v["achieved"], float.hex(v["abs_error"]))
@@ -1254,88 +1272,113 @@ def test_seeded_reports_are_pinned(monkeypatch):
     got.append(fields(solve(ctx, point_densities(ctx, p), t=p.t)))
     assert got == [
         ("converged", ["0x1.0000000000001p-2"],
-         ["1/4"],
+         ["4503599627370497/18014398509481984"],
          [
              ("1/448",
-              "1/448",
-              "0x0.0p+0"),
+              "91343852333181493234959112999792471369131753473/4092204584526528170970317531605592"
+              "4550366111203328",
+              "0x1.b6db6db6db6ddp-60"),
          ],
          "", 1, 1),
         ("converged", ["0x1.ffffdcbcafb4bp-2"],
-         ["475774/951549"],
+         ["9007189788916555/18014398509481984"],
          [
              ("8006374095375577/576460752303423488",
-              "107696630396984824/7754181835585699341",
-              "0x1.308ae09d8e8acp-46"),
+              "730748514791131033050685415899779561156963653875/526140589439125050553326539777861"
+              "88707613571547136",
+              "0x1.eb012499c6ad5p-62"),
          ],
          "", 1, 1),
         ("converged", ["0x1.0069a1f1d29a4p-1"],
-         ["379995/758767"],
+         ["1127714661026409/2251799813685248"],
          [
              ("8045176528425979/576460752303423488",
-              "6096648225388875/436842921984403663",
-              "0x1.768a82cb85e89p-44"),
+              "159351138362519506308890616670059164754592881/114179815416476790484662877555959610"
+              "91061972992",
+              "0x1.550cbcd9ec66bp-57"),
          ],
          "", 1, 1),
         ("converged", ["0x1.c71c71c71c6efp-7", "0x1.5555555555554p-3", "0x1.8618618618696p-6"],
-         ["1/72", "1/6", "1/42"],
+         [
+             "8006399337547503/576460752303423488",
+             "1501199875790165/9007199254740992",
+             "3431314001806155/144115188075855872",
+         ],
          [
              ("78672463459/11292874661376000",
-              "78672463459/11292874661376000",
-              "0x0.0p+0"),
+              "114029882582208214749121390367251348734737524175736991559379840746814993/163681816"
+              "36048501078280267002976193563033050038399288754223442449162410393600",
+              "0x1.71c6a7749b99dp-68"),
              ("7437677/26404963200",
-              "7437677/26404963200",
-              "0x0.0p+0"),
+              "5193518921717812196246688643782038688757824027760773/18437836976042725327123862670"
+              "402157365412955063771463680",
+              "0x1.50b5a038d5f80p-65"),
              ("1567717/216040608000",
-              "1567717/216040608000",
-              "0x0.0p+0"),
+              "964099826745837496227791993882488876723033635593097264264985065297/132858617175718"
+              "352908119050348832739959683847714279941186878591308136448",
+              "0x1.4f84590d3d31bp-67"),
          ],
          "", 10, 10),
         ("converged", ["0x1.50d1ae92bccc6p-3", "0x1.5ac0bdafc2977p-3", "0x1.512a6b2e3930dp-3"],
-         ["82633/502443", "165766/979051", "12661/76905"],
+         [
+             "2962691871598179/18014398509481984",
+             "6100141429500279/36028797018963968",
+             "5931481686053645/36028797018963968",
+         ],
          [
              ("2283981309072297/73786976294838206464",
-              "4947656296281160995637805407520894758101211697085045219281243/159840448961198111"
-              "900882523266172840169098412806333844474547520000",
-              "0x1.2eefccce305bbp-50"),
+              "26704339382738729267938621547752437637310234229936491190004047411/8627182933488204"
+              "73429344482784628181556388621521298319395315527974912",
+              "0x1.57dd439b9b60bp-71"),
              ("2687442238298811/2305843009213693952",
-              "1846633329215693946200363269947776835933824723/158442346860008055417176599803588"
-              "9960883913208000",
-              "0x1.1ae6f955b880bp-45"),
+              "3488499472853181265241822828173094337805612258191/29931553532536891764811465374029"
+              "47624255349848014848",
+              "0x1.2fd9b5989cc47p-62"),
              ("3082739825299009/18446744073709551616",
-              "26134512518395803306783234509377074495037/15638577734780536170152328013438558123"
-              "8240000",
-              "0x1.17f939a2a8778p-47"),
+              "72086868834235040720863556885464405966077060977639516335837768383/4313591466744102"
+              "36714672241392314090778194310760649159697657763987456",
+              "0x1.2895f6209a32dp-62"),
          ],
          "", 1, 1),
         ("no-convergence", ["0x1.76266755a4dc0p-5", "0x1.5eff1cefbcd6ep-6", "0x1.2ee0e667db4cbp-2"],
-         ["31217/683495", "14141/660081", "230424/779039"],
+         [
+             "102845572802871/2251799813685248",
+             "3087398174844599/144115188075855872",
+             "5328295197258955/18014398509481984",
+         ],
          [
              ("3340815183293207/73786976294838206464",
-              "1184491119734047180706123086782229223868693711036089146724182598032187/263700426"
-              "89566602384854935080328474649558946960512838184039742687453880000",
-              "0x1.80dc7dce5fcb9p-22"),
+              "1046294030417878436076098101155105676319082261471125480594509934257/23293393920418"
+              "152782592301035184960902022492781075054623673519255322624",
+              "0x1.80dc7db8354e1p-22"),
              ("5444102800454063/4611686018427387904",
-              "15292870428030081958978323095724319740896569103004229/12504542553055362649224951"
-              "282600766106658296899279956000",
-              "0x1.6460cad7f1286p-15"),
+              "32945262184113102834201890349511468715586284007023/2693839817928320258833031883662"
+              "6528618298148632133632",
+              "0x1.6460cadb6e160p-15"),
              ("1519948222193483/9223372036854775808",
-              "111512672705203291854678793170657097504743493/6516379164559668288028116978118291"
-              "93621620459855",
-              "0x1.a90ad5a35d116p-18"),
+              "27681406802753620697629855323267590941649487807068520445017068519/1617596800029038"
+              "38768002090522117784041822866535243434886621661495296",
+              "0x1.a90ad5a836ee9p-18"),
          ],
          "stalled: relative progress under 5% across 10 iterations", 26, 27),
         ("no-convergence", ["0x1.904ea1bb327c3p-4", "0x1.1111111111111p-5", "0x1.4a5294a5294a4p-6"],
-         ["56/573", "1/30", "5/248"],
+         [
+             "7042277951350723/72057594037927936",
+             "4803839602528529/144115188075855872",
+             "1452774073345321/72057594037927936",
+         ],
          [
              ("22852736684801/9476282528122798080",
-              "6119546630954281/2134970329895202816000",
-              "0x1.e84d28ad3cffbp-22"),
+              "116322499247521213744238962020759866168226464562594313927671281686571/405822685191"
+              "28515070116364470188909660412520756361872944355642435939860480",
+              "0x1.e84d28ad3cff3p-22"),
              ("42156731/296751071232",
-              "54094231009501/478263962790144000",
-              "0x1.e5cb1347a62bbp-16"),
+              "37916703680420856598969177680223570693474182052293/3352333995644131877658884121891"
+              "30133916599182977662976",
+              "0x1.e5cb1347a62bfp-16"),
              ("2313652823/160245578465280",
-              "125339719/51067017216000",
+              "4743132428039901661293040487000833885917430503764853024927187888003/19324889771013"
+              "57860481731641437567126686310512207708235445506782663802880",
               "0x1.921ba7fce6d7ap-17"),
          ],
          "float Jacobian singular; the exact one is not", 27, 27),
