@@ -58,17 +58,16 @@ P^(p+1) / Q^p inside the interval (min_m w_m, sum_m w_m], w_m =
 beta_m^(p+1) / gamma_m^p from their coefficients (unreachable_at_t, with
 the proof; the pairs are found once per context, WkContext._power_sums).
 At k = 4 the interval's upper end is at most 96, so the fixed-t test
-refuses all the first one does.  The solver refuses targets with both
-before any Newton run: _inside_power_sums passes a target whose log ratio
-lies inside the float ends of every interval by a margin, and only the
-others meet the exact test.
+refuses all the first one does.  The solver runs the fixed-t test on
+every target before any Newton run, and the first only on a target it
+refuses, for the label.
 
 All a solve reads of t, whatever its target, is one TView, each part
 made at its first use: the s-forms, the float coefficients and the row
-sums (a t beyond the solver's float range is refused there), each pair's
-float ends, and at the first refusal its exact integer ends.  Both
-tests read the targets as the solver does, one (numerator, denominator)
-pair of ints per letter, and print their exact values from those ints.
+sums (a t beyond the solver's float range is refused there), and each
+pair's exact integer ends.  Both tests read the targets as the solver
+does, one (numerator, denominator) pair of ints per letter, and print
+their exact values from those ints.
 
 Everything above that depends on k alone is built once, by context(k):
 the letters' names, the host, its strong parts with their cross
@@ -94,7 +93,7 @@ and 9, and the output checks of perfbench.
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import ceil, gcd, lcm, log
+from math import ceil, gcd, lcm
 
 from .errors import BudgetError, DomainError, InconclusiveError
 from .poly import Polynomial, det_rational, s_var, t_var
@@ -274,19 +273,12 @@ class TView:
         return c, row_sums
 
     @cached_property
-    def log_ends(self):
-        """Per pair of ctx._power_sums, _log_ends of its interval (None
-        where floats cannot place it)."""
-        c = self.floats[0]
-        return tuple(_log_ends(c, p, copies) for *_, p, copies in self.ctx._power_sums)
-
-    @cached_property
     def exact_ends(self):
         """Per pair, the integers of unreachable_at_t that depend on t
-        alone, (si, sj, U, V, n, g), made at its first refusal at this t:
-        w_m = K n_m / g_m with n_m = N_beta^(p+1), g_m = N_gamma^p and K =
-        sj / si, si and sj the scales to the powers p + 1 and p; sum_m n_m /
-        g_m is U / V and n / g is the least n_m / g_m."""
+        alone, (si, sj, U, V, n, g), made at its first use, the first solve
+        at this t: w_m = K n_m / g_m with n_m = N_beta^(p+1), g_m =
+        N_gamma^p and K = sj / si, si and sj the scales to the powers p + 1
+        and p; sum_m n_m / g_m is U / V and n / g is the least n_m / g_m."""
         letters = self.letters
         flat = [N for _, _, terms in letters for N, _ in terms]
         ends = []
@@ -543,45 +535,6 @@ def unreachable_at_t(view, x):
         return "violates t(%s)^%d / t(%s)^%d %s at this t: %s %s %s" % (
             names[i], q, names[j], p, end, _fmt_ratio(A * sj, B * si), sign, value)
     return None
-
-
-def _log_ends(c, p, copies):
-    """The float ends of a pair's interval for _inside_power_sums, from the
-    float coefficients c: log(min_m w_m) + 1e-9 and log(sum_m w_m) - 1e-9,
-    w_m = c_a^(p+1) / c_b^p over the copies (a, b).  None unless the
-    powers and every w_m are normal floats, where the margin is far above
-    the float error."""
-    low, high = float("inf"), 0.0
-    try:
-        for a, b in copies:
-            x, y = c[a] ** (p + 1), c[b] ** p
-            if x < 1e-300 or y < 1e-300:
-                return None
-            w = x / y
-            high += w
-            if w < low:
-                low = w
-    except OverflowError:
-        return None
-    if not (low > 1e-300 and high < 1e300):
-        return None
-    return log(low) + 1e-9, log(high) - 1e-9
-
-
-def _inside_power_sums(view, log_targets):
-    """The float pre-test of unreachable_at_t: whether floats place every
-    pair's ratio P^(p+1) / Q^p inside its interval, strictly inside the
-    view's log ends, so that the exact test need not run.  log_targets are
-    the logs of the float targets.  A pair with no float ends fails it, so
-    floats only ever send a target to the exact test, whose verdict alone
-    refuses."""
-    for (i, j, p, _), ends in zip(view.ctx._power_sums, view.log_ends):
-        if ends is None:
-            return False
-        ratio = (p + 1) * log_targets[i] - p * log_targets[j]
-        if not ends[0] < ratio < ends[1]:
-            return False
-    return True
 
 
 def density_s_poly(ctx, i, t_values):

@@ -92,12 +92,6 @@ class Polynomial:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = Q(other)

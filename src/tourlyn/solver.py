@@ -96,8 +96,7 @@ from math import exp, gcd, isfinite, log
 from numbers import Integral, Real
 
 from .construction import (
-    TView, WkParams, _inside_power_sums, _length, integer_point, jacobian_of_forms,
-    unreachable, unreachable_at_t,
+    TView, WkParams, _length, integer_point, jacobian_of_forms, unreachable, unreachable_at_t,
 )
 from .errors import DomainError
 from .poly import det_rational
@@ -492,14 +491,15 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
     wrong length, or an entry that is NaN, infinite or malformed, not
     strictly inside (0, 1), the open region the construction parameterizes,
     or below the float range (it rounds to 0.0), raises DomainError before
-    any Newton run.  A target that construction.unreachable_at_t refuses
-    at this t is reported unreachable-at-t, or unreachable when
-    construction.unreachable, run only then, refuses it for every t; its
-    detail is the inequality.  Such early reports have attempts = runs =
-    iterations = 0.  A t whose s-form coefficients leave the float range,
-    or whose row sums would let a power in the float kernels overflow, is
-    a DomainError raised by construction.TView.floats, before any target
-    is read, whatever the target.
+    any Newton run.  Every other target then meets the exact test
+    construction.unreachable_at_t, and one it refuses at this t is
+    reported unreachable-at-t, or unreachable when construction.unreachable,
+    run only then, refuses it for every t; its detail is the inequality.
+    Such early reports have attempts = runs = iterations = 0.  A t whose
+    s-form coefficients leave the float range, or whose row sums would let
+    a power in the float kernels overflow, is a DomainError raised by
+    construction.TView.floats, before any target is read, whatever the
+    target.
 
     All that depends on t alone is read from its construction.TView: at
     the default t (t None) the one kept on the context, made by the first
@@ -534,13 +534,12 @@ def solve(ctx, x_target, t=None, options=None, want_trace=False):
     targets_f = [x if isinstance(x, float) else n / d for x, (n, d) in zip(x_target, targets)]
     if 0.0 in targets_f:
         raise DomainError("target below the float range (under 5e-324): it rounds to 0.0")
+    detail = unreachable_at_t(view, targets)
+    if detail:
+        why = unreachable(ctx, targets)
+        status = "unreachable" if why else "unreachable-at-t"
+        return SolveReport(status, (), t=t, detail=why or detail, attempts=0, runs=0)
     log_targets = [log(x) for x in targets_f]
-    if not _inside_power_sums(view, log_targets):
-        detail = unreachable_at_t(view, targets)
-        if detail:
-            why = unreachable(ctx, targets)
-            status = "unreachable" if why else "unreachable-at-t"
-            return SolveReport(status, (), t=t, detail=why or detail, attempts=0, runs=0)
     kernels = ctx._float_kernels
 
     reports = []

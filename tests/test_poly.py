@@ -70,7 +70,7 @@ def test_ring_laws(p, q, r):
     assert p * (q + r) == p * q + p * r
     assert p + Polynomial.zero() == p
     assert p * Polynomial.const(1) == p
-    assert p - p == Polynomial.zero()
+    assert p + (-1) * p == Polynomial.zero()
 
 
 @given(polys, polys, points)

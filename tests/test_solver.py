@@ -127,15 +127,15 @@ def test_certified_draws_are_unreachable_without_a_run(monkeypatch):
 
 def test_refused_draws_do_not_converge_when_run(monkeypatch):
     # the refusals are sound on acceptance 9's 38 refused draws at k = 4
-    # (probe seed 0, eps 1e-4): with the power-sum pre-test bypassed, every
-    # one runs Newton and none converges
+    # (probe seed 0, eps 1e-4): with the exact power-sum test bypassed,
+    # every one runs Newton and none converges
     ctx = context(4)
     x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
     rng = random.Random(0)
     draws = [solver._ball_point(rng, x0, 1e-4) for _ in range(50)]
     refused = [x for x in draws if solve(ctx, x).status in ("unreachable", "unreachable-at-t")]
     assert len(refused) == 38
-    monkeypatch.setattr(solver, "_inside_power_sums", lambda view, log_targets: True)
+    monkeypatch.setattr(solver, "unreachable_at_t", lambda view, x: None)
     for x in refused:
         rep = solve(ctx, x)
         assert rep.runs > 0 and not rep.converged
@@ -262,7 +262,8 @@ def test_targets_at_or_beyond_the_ends_are_refused(monkeypatch):
 
 
 def test_targets_near_the_ends_are_decided_exactly(monkeypatch):
-    # within 1e-12 of either end floats cannot tell; the exact test decides
+    # within 1e-12 of either end floats cannot tell; the exact test decides,
+    # and it is the one test: every solve calls it once, refused or not
     ctx = context(4)
     low, high, _, _ = power_sum_ends(ctx, default_params(ctx).t)
     calls = []
@@ -280,20 +281,20 @@ def test_targets_near_the_ends_are_decided_exactly(monkeypatch):
             rep = solve(ctx, x, options=SolveOptions(tolerance=1e-3))
             assert len(calls) == 1 and (calls[0] is not None) == refused
             assert (rep.status == "unreachable-at-t") == refused and (rep.runs == 0) == refused
-    # 1e-6 inside either end, or at the default point, the float pre-test
-    # passes the target without the exact test
-    calls.clear()
+    # 1e-6 inside either end, and at the default point, as well
     for ratio in (low * (1 + Q(1, 10 ** 6)), high * (1 - Q(1, 10 ** 6))):
+        calls.clear()
         solve(ctx, target_with_ratio(ctx, ratio), options=SolveOptions(tolerance=1e-3))
-    assert calls == []
+        assert calls == [None]
+    calls.clear()
     x0 = point_densities(ctx, default_params(ctx))
-    assert solve(ctx, x0).converged and calls == []
+    assert solve(ctx, x0).converged and calls == [None]
 
 
 def test_t_beyond_the_float_range_is_decided_exactly():
-    # at t = 10^-30 the coefficients' powers underflow, so floats send every
-    # target to the exact test; the interval is invariant under scaling t,
-    # so the verdicts are those at the default t
+    # at t = 10^-30 the coefficients' powers underflow as floats, and the
+    # exact test decides in integers; the interval is invariant under
+    # scaling t, so the verdicts are those at the default t
     ctx = context(4)
     tiny = [[Q(1, 10 ** 30)] * n for n in ctx.sizes]
     statuses = []
