@@ -4,7 +4,7 @@ Every exact number in this package is a ``Q``: gmpy2's mpq when gmpy2 is
 installed, fractions.Fraction otherwise.  The two are interchangeable for
 our purposes (arbitrary precision, hash-compatible, same operator surface);
 mpq is preferred because its products and sums are cheaper (the
-determinants and polynomial arithmetic); density's walk multiplies
+determinants and polynomial arithmetic); density's evaluation multiplies
 Python ints, the block measures included, and meets Q only in the two
 divisions that end each call.  Nothing else in the package may
 construct rationals directly from floats: binary rounding artifacts must

@@ -19,41 +19,70 @@ order-compatible region (each acyclic preimage has exactly one admissible
 vertex order, hence the 1/p!); the half factor is the fair-coin mass over
 all C(p,2) internal pairs.
 
-map_sum evaluates the sum exactly by a DFS over the assignments that
-multiplies Python ints only: the cross matrix scaled by den, the lcm of
-its entries' denominators (den = 1 for the 0/1 matrices of the blow-up
-construction).  The DFS prunes on zero cross factors and on cyclic
-transitive preimages, so those matrices stay cheap even with dozens of
-blocks; the acyclicity test is one lookup in a table of out-set unions
-with 2^n entries (n <= 6 through density, n <= 5 in the construction's
-chain DP).  The diagonal factors depend on the assignment only through
-the occupancy (p_0, ..., p_{B-1}), which also fixes the number of cross
-edges C(n,2) - sum C(p_b,2) and so the power of den to divide by; the
-leaves' integer products are summed per occupancy, each occupancy becomes
-one integer coefficient over the common denominator
-den^C(n,2) n! 2^C(n,2) times the powers m_b^p of its measures, and the
-sum is divided by that denominator once per call.
+map_sum evaluates the sum exactly in two steps: a walk that counts the
+assignments, once per host shape, and an evaluation of the counts at the
+call's numbers that multiplies Python ints only.
+
+The walk (_assignment_counts) is a DFS over the assignments in vertex
+order.  It prunes on zero cross factors and on cyclic transitive
+preimages, so the 0/1 matrices of the blow-up construction stay cheap
+even with dozens of blocks; the acyclicity test is one bit of a table
+made from the 2^n out-set unions (n <= 6 through density, n <= 5 in the
+construction's chain DP).  Each leaf adds 1 to the count of its
+signature: its occupancy (p_0, ..., p_{B-1}) and, for every free pair of
+blocks a < b (both cross entries nonzero), T's edges from a to b and
+back.  A leaf's cross factors depend on it only through its signature
+and its diagonal factors only through its occupancy, which also fixes
+the number of cross edges C(n,2) - sum C(p_b,2) and so the power of den
+to divide by.  On a 0/1 matrix no pair is free and the signature is the
+occupancy.
+
+The counts depend on T and on W's shape, not on W's numbers, so they are
+kept in the module's one cache, an lru_cache keyed on the labelled T, the
+blocks' transitive flags and the zero pattern of the cross matrix (per
+block, the bitmask of its nonzero entries), of at most ASSIGNMENT_TABLES
+tables; _assignment_counts.cache_info() gives its hits, misses and
+current size.  A table keeps its counts and edge numbers in arrays of
+the narrowest type that holds them, and each occupancy as one int.
+
+The evaluation scales the cross matrix by den, the lcm of its entries'
+denominators (den = 1 for a 0/1 matrix), tabulates the powers of each
+free pair's two entries once per call, and turns each occupancy into one
+integer coefficient over the common denominator den^C(n,2) n! 2^C(n,2)
+times the powers m_b^p of its measures.  The occupancies are summed in
+the order the walk first reached them, which fixes the term order of the
+polynomials construction.symbolic_density makes, and the sum is divided
+by that denominator once per call.
 
 density passes the measures as integers a_b over their lcm M, so for
-rational measures the whole walk stays in ints; the sum is homogeneous of
-degree n in the measures (every occupancy sums to n), so density divides
-the result by M^n once.
+rational measures the whole evaluation stays in ints; the sum is
+homogeneous of degree n in the measures (every occupancy sums to n), so
+density divides the result by M^n once.
 
-W is frozen, so what is computed from it is kept on it and goes with it:
-its validation, sample's float view, the integer measures, and density's
-results per canonical class.  The module keeps no cache of its own.
+W is frozen, so what is computed from its numbers is kept on it and goes
+with it: its validation, sample's float view, the integer measures, and
+density's results per canonical class.  The assignment counts are kept
+in the module, as they serve every W of a shape.
 """
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, islice, repeat
 from math import factorial, lcm
+from operator import and_, mul
 
 from .errors import BudgetError, DomainError
 from .rational import ONE, ZERO, Q, as_q, fmt_q
 from .tournaments import Tournament, canonicalize, enumerate_exact, automorphism_count
 
 DENSITY_MAX = 6
+# the tables _assignment_counts keeps: flag-algebra's 76 classes on its
+# three block patterns take 228, the k <= 5 contexts' chain DP and W_k
+# hosts 132
+ASSIGNMENT_TABLES = 1024
 HALF_KIND = "half"
 TRANSITIVE_KIND = "transitive"
 
@@ -103,10 +132,18 @@ class StepTournamenton:
 
 
 def step_tournamenton(blocks, cross):
-    """Build from (measure, kind) pairs and a cross matrix; diagonal cross
-    entries are forced to zero so equal tournamentons hash equally."""
+    """Build from (measure, kind) pairs and a cross matrix of B rows of B
+    entries, B the number of blocks (any other shape is a DomainError);
+    diagonal cross entries are forced to zero so equal tournamentons hash
+    equally."""
     blks = tuple(Block(as_q(m), kind) for m, kind in blocks)
     B = len(blks)
+    try:
+        square = len(cross) == B and all(len(row) == B for row in cross)
+    except TypeError as e:
+        raise DomainError("malformed cross matrix: %s" % e) from None
+    if not square:
+        raise DomainError("malformed cross matrix: not %d rows of %d entries" % (B, B))
     rows = []
     for i in range(B):
         row = [as_q(cross[i][j]) if i != j else ZERO for j in range(B)]
@@ -133,22 +170,19 @@ def validate(W):
         total += b.measure
     if B and total != 1:
         problems.append("measures sum to %s, not 1" % fmt_q(total))
-    if len(W.cross) != B or any(len(row) != B for row in W.cross):
-        problems.append("cross matrix is not %dx%d" % (B, B))
-    else:
-        for i in range(B):
-            for j in range(B):
-                if i == j:
-                    continue
-                v = W.cross[i][j]
-                if not (0 <= v <= 1):
-                    problems.append("cross[%d][%d] = %s outside [0,1]" % (i, j, fmt_q(v)))
-            for j in range(i + 1, B):
-                if W.cross[i][j] + W.cross[j][i] != 1:
-                    problems.append(
-                        "cross[%d][%d] + cross[%d][%d] = %s, not 1"
-                        % (i, j, j, i, fmt_q(W.cross[i][j] + W.cross[j][i]))
-                    )
+    for i in range(B):
+        for j in range(B):
+            if i == j:
+                continue
+            v = W.cross[i][j]
+            if not (0 <= v <= 1):
+                problems.append("cross[%d][%d] = %s outside [0,1]" % (i, j, fmt_q(v)))
+        for j in range(i + 1, B):
+            if W.cross[i][j] + W.cross[j][i] != 1:
+                problems.append(
+                    "cross[%d][%d] + cross[%d][%d] = %s, not 1"
+                    % (i, j, j, i, fmt_q(W.cross[i][j] + W.cross[j][i]))
+                )
     if problems:
         raise DomainError("; ".join(problems))
 
@@ -159,112 +193,239 @@ def map_sum(T, measures, kinds, cross, zero):
     ints, rationals or polynomials, `cross` rationals or plain ints (the
     construction's 0/1 matrix); any number type with .denominator works.
 
-    The DFS assigns vertices in order and multiplies the integers
-    den * F[b][c] of the cross edges (rows with a unit diagonal, so a
-    same-block pair multiplies by 1).  It tries for each vertex only the
-    blocks that no earlier vertex rules out by a zero cross factor (a
-    bitmask filter, skipped when F has no zero entry) and that keep a
-    transitive preimage acyclic, which one lookup in a 2^n table of
-    out-set unions decides.  The last vertex adds its products to the
-    weight of its occupancy (p_0, ..., p_{B-1}) directly.  Over the common
-    denominator D = den^C(n,2) n! 2^C(n,2) an occupancy is the integer
-    weight * den^(sum C(p_b,2)) * n! 2^C(n,2) / prod d_b(p_b), with
-    d_b(p) = p! for a transitive block and 2^C(p,2) for a half block,
-    times the powers m_b^p (cached per (b, p)); the sum meets `zero` and
-    D once, at the end.
+    The assignments are counted once per host shape (_assignment_counts)
+    and the counts are evaluated here at this call's numbers.  With den
+    the lcm of the cross entries' denominators and w[a][b] = den * F[a][b],
+    an occupancy's integer weight is the sum over its signatures of
+
+        count * prod over free pairs a < b of w[a][b]^e * w[b][a]^g
+
+    e and g being T's edges from block a to block b and back; the factors
+    of a pair are tabulated once per call, at the index e * S + g its
+    number holds.  A pair with a zero entry has all of its p_a p_b edges on
+    its nonzero side (or none, when both are zero), so it multiplies the
+    weight by (w[a][b] + w[b][a])^(p_a p_b), which is 1 on a 0/1 matrix.
+    Over the common denominator D = den^C(n,2) n! 2^C(n,2) an occupancy is
+    the integer weight * den^(sum C(p_b,2)) * n! 2^C(n,2) / prod d_b(p_b),
+    with d_b(p) = p! for a transitive block and 2^C(p,2) for a half block,
+    times the powers m_b^p (each taken once per call); the occupancies are
+    summed in the order the walk first reached them, and the sum meets
+    `zero` and D once, at the end.
     """
     n = T.n
     B = len(measures)
-    out = T.out
     den = 1
     for row in cross:
         for f in row:
             den = lcm(den, f.denominator)
-    # win[b][c]: the factor of an edge from block b to block c; lose[b][c]
-    # = win[c][b], the factor of an edge into block b
-    win = [[int(f * den) if b != c else 1 for c, f in enumerate(row)]
-           for b, row in enumerate(cross)]
-    lose = list(zip(*win))
-    transitive = [kind == TRANSITIVE_KIND for kind in kinds]
-    # an occupancy is coded as the base-(n+1) number with digits p_b
-    place = [(n + 1) ** b for b in range(B)]
-    # the blocks left open to v by an earlier vertex in block c that v
-    # beats (opened_by_loser) or that beats v (opened_by_winner)
-    opened_by_loser = [sum(1 << b for b in range(B) if win[b][c]) for c in range(B)]
-    opened_by_winner = [sum(1 << b for b in range(B) if lose[b][c]) for c in range(B)]
-    full = (1 << B) - 1
-    sparse = any(mask != full for mask in opened_by_loser)
-    # per vertex, the earlier vertices it beats and the ones beating it
-    losers = [tuple(u for u in range(v) if out[v] >> u & 1) for v in range(n)]
-    winners = [tuple(u for u in range(v) if out[u] >> v & 1) for v in range(n)]
-    # outs[S]: the union of the out-sets of the vertices in S
-    outs = [0] * (1 << n)
-    for S in range(1, 1 << n):
-        low = S & -S
-        outs[S] = outs[S ^ low] | out[low.bit_length() - 1]
-    assign = [0] * n
-    members = [0] * B  # bitmask of each block's preimage
-    weights = {}
-
-    def rec(v, acc, code):
-        below, above = losers[v], winners[v]
-        blocks = full
-        if sparse:
-            for u in below:
-                blocks &= opened_by_loser[assign[u]]
-            for u in above:
-                blocks &= opened_by_winner[assign[u]]
-        last = v == n - 1
-        while blocks:
-            low = blocks & -blocks
-            blocks ^= low
-            b = low.bit_length() - 1
-            pre = members[b]
-            if transitive[b]:
-                # an acyclic preimage stays acyclic with v iff none of v's
-                # out-neighbours in it beats one of v's in-neighbours
-                beaten = out[v] & pre
-                if outs[beaten] & (pre ^ beaten):
-                    continue
-            acc2 = acc
-            row, col = win[b], lose[b]
-            for u in below:
-                acc2 *= row[assign[u]]
-            for u in above:
-                acc2 *= col[assign[u]]
-            if last:
-                key = code + place[b]
-                weights[key] = weights.get(key, 0) + acc2
-            else:
-                assign[v] = b
-                members[b] = pre | 1 << v
-                rec(v + 1, acc2, code + place[b])
-                members[b] = pre
-
-    rec(0, 1, 0)
+    # w[b][c]: the factor of an edge from block b to block c
+    w = [[int(f.numerator) * (den // f.denominator) if b != c else 1 for c, f in enumerate(row)]
+         for b, row in enumerate(cross)]
+    transitive = tuple(kind == TRANSITIVE_KIND for kind in kinds)
+    opened = tuple(sum(1 << c for c, f in enumerate(row) if f) for row in w)
+    occupancies, counts, numbers = _assignment_counts(T, transitive, opened)
+    free = _free_pairs(opened)
+    if free:
+        codes, sizes = occupancies[::2], occupancies[1::2]
+    else:
+        codes, sizes = occupancies, repeat(1)
+    S = n * n // 4 + 1
+    weights = counts
+    for j, (a, b) in enumerate(free):
+        forward = list(accumulate(repeat(w[a][b], S - 1), mul, initial=1))
+        backward = list(accumulate(repeat(w[b][a], S - 1), mul, initial=1))
+        factor = [x * y for x in forward for y in backward]
+        weights = map(mul, weights, map(factor.__getitem__, numbers[j::len(free)]))
+    weights = iter(weights)
+    fixed = [(a, b, w[a][b] + w[b][a]) for a in range(B) for b in range(a + 1, B)
+             if not (w[a][b] and w[b][a]) and w[a][b] + w[b][a] != 1]
 
     pairs = n * (n - 1) // 2
     scale = factorial(n) << pairs
+    den_powers = list(accumulate(repeat(den, pairs), mul, initial=1))
+    # d_b(p) at the slot b * (n + 1) + p, and the powers m_b^p, as they
+    # are needed, at the same slot
     transitive_div = [factorial(p) for p in range(n + 1)]
     half_div = [1 << p * (p - 1) // 2 for p in range(n + 1)]
-    divisors = [transitive_div if t else half_div for t in transitive]
+    divisors = [d for t in transitive for d in (transitive_div if t else half_div)]
     powers = {}
+    place = [(n + 1) ** b for b in range(B)]
     acc = 0
-    for code, term in weights.items():
+    for code, size in zip(codes, sizes):
+        term = sum(islice(weights, size))
+        for a, b, base in fixed:
+            term *= base ** (code // place[a] % (n + 1) * (code // place[b] % (n + 1)))
         inner = 0
         divisor = 1
-        b = 0
+        slot = 0
         while code:
             code, p = divmod(code, n + 1)
             if p:
                 inner += p * (p - 1) // 2
-                divisor *= divisors[b][p]
-                if (b, p) not in powers:
-                    powers[b, p] = measures[b] ** p
-                term = term * powers[b, p]
-            b += 1
-        acc = acc + term * (den ** inner * (scale // divisor))
-    return (zero + acc) / (den ** pairs * scale)
+                divisor *= divisors[slot + p]
+                if slot + p not in powers:
+                    powers[slot + p] = measures[slot // (n + 1)] ** p
+                term = term * powers[slot + p]
+            slot += n + 1
+        acc = acc + term * (den_powers[inner] * (scale // divisor))
+    return (zero + acc) / (den_powers[pairs] * scale)
+
+
+def _free_pairs(opened):
+    """The pairs a < b of blocks with both cross entries nonzero, in
+    order; opened[b] is the bitmask of the blocks c with F[b][c] != 0."""
+    B = len(opened)
+    return [(a, b) for a in range(B) for b in range(a + 1, B)
+            if opened[a] >> b & 1 and opened[b] >> a & 1]
+
+
+@lru_cache(maxsize=ASSIGNMENT_TABLES)
+def _assignment_counts(T, transitive, opened):
+    """The block assignments of T that map_sum sums over, counted by
+    signature, on a host given by its shape alone: the blocks' transitive
+    flags and, per block b, the bitmask opened[b] of the blocks c with
+    F[b][c] != 0 (b's own bit set).  The signature of an assignment is its
+    occupancy (p_0, ..., p_{B-1}) and, per free pair a < b (_free_pairs),
+    the number e * S + g of T's e edges from block a to block b and g
+    back, S = n^2 // 4 + 1 (e + g = p_a p_b < S).  The numbers do not
+    depend on W's values, so one table serves every W of the shape.
+
+    The DFS assigns vertices in order and tries for each vertex only the
+    blocks that no earlier vertex rules out by a zero cross factor and
+    that keep a transitive preimage acyclic, which one bit of a table made
+    from the 2^n out-set unions decides; each leaf adds 1 to its
+    signature's count.  What the earlier vertices leave open to a vertex,
+    and what its edges to them add to its signature, are carried down the
+    walk for all later vertices at once, packed in one int each (`allowed`,
+    `ahead`), so a vertex reads its own in one step.  An occupancy is coded
+    as the base-(n+1) number with digits p_b; with free pairs a signature
+    is one int, the pairs' numbers in its low digits of `digit` bits and
+    the occupancy above them.  With no free pair (a 0/1 matrix) the
+    signature is the occupancy and the walk tracks nothing else.
+
+    Returns (occupancies, counts, numbers).  With no free pair: the
+    occupancy codes in the order the walk first reached them, their
+    counts, and no numbers.  With free pairs: each occupancy code in that
+    order followed by its number of signatures, the signatures' counts
+    grouped by occupancy in the same order, and their pairs' numbers, a
+    row of len(free) per signature.  The table is shared by every caller
+    on the shape: nothing may change it.
+    """
+    n = T.n
+    B = len(transitive)
+    out = T.out
+    free = _free_pairs(opened)
+    F = len(free)
+    S = n * n // 4 + 1
+    digit = 8 if S * S <= 1 << 8 else 16  # 16 bits hold S * S up to n = 31
+    low = F * digit
+    place = [(n + 1) ** b for b in range(B)]
+    base = (n + 1) ** B
+    # a vertex's step into each block at once: block b's in the field of
+    # `width` bits at at[b]; what an earlier vertex in block c adds to it
+    # if it beats that vertex (gain_out[c]) or loses to it (gain_in[c]).
+    # With no free pair the walk adds place[b] instead and packs nothing
+    width = low + base.bit_length() if free else 0
+    at = [width * b for b in range(B)]
+    field = (1 << width) - 1
+    gain_out = [0] * B
+    gain_in = [0] * B
+    for j, (a, c) in enumerate(free):
+        gain_out[c] += S << digit * j + at[a]
+        gain_out[a] += 1 << digit * j + at[c]
+        gain_in[c] += 1 << digit * j + at[a]
+        gain_in[a] += S << digit * j + at[c]
+    steps = sum(place[b] << low + at[b] for b in range(B)) if free else 0
+    # `ahead` holds the steps of v and of the vertices after it, vertex
+    # v + i's in the field of `stride` bits at i * stride, and `allowed`,
+    # in fields of B bits in the same way, the blocks still open to them.
+    # Placing v in block b adds push[v][b], what each later vertex gains
+    # from it, and masks with keep[v][b], what it leaves open to each: to a
+    # later vertex it beats the blocks c with F[b][c] != 0, to one beating
+    # it those with F[c][b] != 0; then v's own fields are dropped
+    stride = B * width
+    own = (1 << stride) - 1
+    full = (1 << B) - 1
+    opened_to_winner = [sum(1 << c for c in range(B) if opened[c] >> b & 1) for b in range(B)]
+    push = []
+    keep = []
+    for v in range(n):
+        # a 1 in the fields of the later vertices beating v, and of those
+        # v beats
+        up = down = up_mask = down_mask = 0
+        for x in range(v + 1, n):
+            if out[x] >> v & 1:
+                up += 1 << (x - v) * stride
+                up_mask += 1 << (x - v) * B
+            else:
+                down += 1 << (x - v) * stride
+                down_mask += 1 << (x - v) * B
+        push.append([gain_out[b] * up + gain_in[b] * down for b in range(B)])
+        keep.append([opened_to_winner[b] * up_mask + opened[b] * down_mask for b in range(B)])
+    split = {}  # a mask of blocks -> its blocks
+    # outs[X]: the union of the out-sets of the vertices in X; bit X of
+    # cyclic[v] is set when X + v would not be acyclic, for an acyclic X
+    # of vertices before v: when one of v's out-neighbours in X beats one
+    # of its in-neighbours there
+    outs = [0] * (1 << n)
+    for X in range(1, 1 << n):
+        bit = X & -X
+        outs[X] = outs[X ^ bit] | out[bit.bit_length() - 1]
+    cyclic = [sum(1 << X for X in range(1 << v) if outs[out[v] & X] & X & ~out[v])
+              for v in range(n)]
+    members = [0] * B  # bitmask of each block's preimage
+    tally = {}  # signature -> its count
+
+    def rec(v, sig, ahead, allowed):
+        cyclic_v, push_v, keep_v = cyclic[v], push[v], keep[v]
+        blocks = allowed & full
+        if blocks not in split:
+            split[blocks] = tuple(b for b in range(B) if blocks >> b & 1)
+        gains = ahead & own
+        last = v == n - 1
+        for b in split[blocks]:
+            pre = members[b]
+            if transitive[b] and cyclic_v >> pre & 1:
+                continue
+            sig2 = sig + (gains >> at[b] & field) if free else sig + place[b]
+            if last:
+                tally[sig2] = tally.get(sig2, 0) + 1
+            else:
+                members[b] = pre | 1 << v
+                rec(v + 1, sig2, (ahead + push_v[b]) >> stride, (allowed & keep_v[b]) >> B)
+                members[b] = pre
+
+    rec(0, 0, sum(steps << v * stride for v in range(n)), sum(full << v * B for v in range(n)))
+
+    if not free:
+        return _packed(tally), _packed(tally.values()), ()
+    groups = {}
+    for sig in tally:
+        groups.setdefault(sig >> low, []).append(sig)
+    rows = list(chain.from_iterable(groups.values()))
+    numbers = array("B" if digit == 8 else "H")
+    numbers.frombytes(b"".join(map(
+        int.to_bytes, map(and_, rows, repeat((1 << low) - 1)), repeat(low // 8), repeat("little")
+    )))
+    if sys.byteorder == "big":
+        numbers.byteswap()
+    return (
+        _packed(chain.from_iterable(zip(groups, map(len, groups.values())))),
+        _packed(map(tally.__getitem__, rows)),
+        numbers,
+    )
+
+
+def _packed(values):
+    """The non-negative ints `values` in the narrowest array that holds
+    them, or in a tuple when none does (the occupancy codes of a host with
+    dozens of blocks)."""
+    values = list(values)
+    top = max(values, default=0)
+    for typecode in "BHIQ":
+        if top >> 8 * array(typecode).itemsize == 0:
+            return array(typecode, values)
+    return tuple(values)
 
 
 def density(T, W):
@@ -365,9 +526,6 @@ def to_json(W):
 def from_json(data):
     try:
         blocks = [(b["measure"], b["diagonal"]) for b in data["blocks"]]
-        cross = data["cross"]
-        if len(cross) != len(blocks) or any(len(row) != len(blocks) for row in cross):
-            raise DomainError("cross matrix shape does not match block count")
-        return step_tournamenton(blocks, cross)
+        return step_tournamenton(blocks, data["cross"])
     except (KeyError, TypeError) as e:
         raise DomainError("malformed tournamenton JSON: %s" % e) from None

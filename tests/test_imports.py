@@ -190,6 +190,7 @@ MODULE_CACHES = {
     "flagalg._express_cache",
     "words.DEFAULT_ORDER._by_size",
     "words.DEFAULT_ORDER._rank_of",
+    "tournamentons._assignment_counts",
 }
 
 
@@ -237,15 +238,19 @@ def long_run_slice(seed):
 
 
 def test_module_caches_are_the_seven_and_stop_growing():
-    # every cache of a W or a t lives on its object; the module-level ones
-    # are keyed on a bounded space (k, labelled tournaments, class pairs),
-    # so once it is covered a longer run adds nothing to them
+    # every cache of a W or a t lives on its object; seven module-level
+    # ones are keyed on a bounded space (k, labelled tournaments, class
+    # pairs), so once it is covered a longer run adds nothing to them.  The
+    # eighth, the assignment counts, is keyed on W's block shape too, which
+    # random tournamentons do not cover: it is held to its lru bound
     caches = module_caches()
     assert set(caches) == MODULE_CACHES
+    counts = caches.pop("tournamentons._assignment_counts")
     long_run_slice(1)
     before = cache_sizes(caches)
     long_run_slice(2)
     assert cache_sizes(caches) == before
+    assert 0 < counts.cache_info().currsize <= counts.cache_info().maxsize
 
 
 def test_clearing_the_canonical_cache_forgets_every_form():

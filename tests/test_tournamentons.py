@@ -287,6 +287,54 @@ def test_map_sum_with_polynomial_measures_and_an_int_cross_matrix():
                 assert got.terms == want.terms
 
 
+def test_a_table_serves_every_w_of_its_shape():
+    # the assignment counts depend on T, the block kinds and where the
+    # cross matrix is zero, not on W's numbers: a second W of that shape
+    # reads the first one's table, and a W differing in one kind or in one
+    # zero entry gets its own; every density is the per-assignment formula
+    from tourlyn import tournamentons
+
+    counts = tournamentons._assignment_counts
+    T = parse("5:1110111111")
+    kinds = [HALF_KIND, TRANSITIVE_KIND, TRANSITIVE_KIND]
+
+    def density_is_the_formula(measures, kinds, cross):
+        W = step_tournamenton(zip(measures, kinds), cross)
+        assert density(T, W) == brute_force_map_sum(T, measures, kinds, W.cross, ZERO)
+
+    counts.cache_clear()
+    density_is_the_formula([Q(1, 6), Q(1, 3), Q(1, 2)], kinds,
+                           [[0, Q(1, 3), Q(2, 7)], [Q(2, 3), 0, Q(5, 8)], [Q(5, 7), Q(3, 8), 0]])
+    assert counts.cache_info()[:2] == (0, 1)
+    density_is_the_formula([Q(2, 5), Q(1, 5), Q(2, 5)], kinds,
+                           [[0, Q(4, 9), Q(1, 11)], [Q(5, 9), 0, Q(1, 2)], [Q(10, 11), Q(1, 2), 0]])
+    assert counts.cache_info()[:2] == (1, 1)
+    density_is_the_formula([Q(2, 5), Q(1, 5), Q(2, 5)], [HALF_KIND] * 3,
+                           [[0, Q(4, 9), Q(1, 11)], [Q(5, 9), 0, Q(1, 2)], [Q(10, 11), Q(1, 2), 0]])
+    assert counts.cache_info()[:2] == (1, 2)
+    density_is_the_formula([Q(2, 5), Q(1, 5), Q(2, 5)], kinds,
+                           [[0, ONE, Q(1, 11)], [ZERO, 0, Q(1, 2)], [Q(10, 11), Q(1, 2), 0]])
+    assert counts.cache_info()[:2] == (1, 3)
+
+
+def test_polynomial_measures_read_a_table_made_at_rational_ones():
+    from tourlyn import tournamentons
+
+    counts = tournamentons._assignment_counts
+    rng = random.Random(37)
+    for B in (2, 3, 4):
+        host = random_tournament(rng, B)
+        cross = [[host.out[i] >> j & 1 for j in range(B)] for i in range(B)]
+        kinds = [rng.choice((HALF_KIND, TRANSITIVE_KIND)) for _ in range(B)]
+        measures = [Polynomial.var(s_var(b)) for b in range(B)]
+        for T in enumerate_exact(4):
+            map_sum(T, [Q(1, B)] * B, kinds, cross, ZERO)
+            hits = counts.cache_info().hits
+            got = map_sum(T, measures, kinds, cross, Polynomial.zero())
+            assert counts.cache_info().hits == hits + 1
+            assert got.terms == brute_force_map_sum(T, measures, kinds, cross, Polynomial.zero()).terms
+
+
 def test_normalization():
     rng = random.Random(11)
     for _ in range(4):
@@ -376,6 +424,14 @@ def test_step_tournamenton_zeroes_the_diagonal():
     W = step_tournamenton([(Q(1, 2), HALF_KIND), (Q(1, 2), HALF_KIND)], [[7, Q(1, 3)], [Q(2, 3), 7]])
     assert W.cross[0][0] == 0 and W.cross[1][1] == 0
     validate(W)
+
+
+def test_step_tournamenton_refuses_a_cross_matrix_of_another_shape():
+    two = [(Q(1, 2), HALF_KIND), (Q(1, 2), TRANSITIVE_KIND)]
+    one = [(1, HALF_KIND)]
+    for blocks, cross in ((two, [[0]]), (two, [[0, Q(1, 2)]]), (one, [[0, 1], [0, 0]]), (one, 5)):
+        with pytest.raises(DomainError, match="malformed cross matrix"):
+            step_tournamenton(blocks, cross)
 
 
 def test_sample_draws_are_pinned():
