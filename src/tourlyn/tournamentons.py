@@ -19,9 +19,11 @@ order-compatible region (each acyclic preimage has exactly one admissible
 vertex order, hence the 1/p!); the half factor is the fair-coin mass over
 all C(p,2) internal pairs.
 
-map_sum evaluates the sum exactly in two steps: a walk that counts the
-assignments, once per host shape, and an evaluation of the counts at the
-call's numbers that multiplies Python ints only.
+map_sum evaluates the sum exactly in three parts: a walk that counts the
+assignments, once per host shape; host tables of what depends only on the
+host's numbers and the class size (_HostTables); and a sum for the class
+that reads the counts and the tables and multiplies Python ints only
+(_class_sum).
 
 The walk (_assignment_counts) is a DFS over the assignments in vertex
 order.  It prunes on zero cross factors and on cyclic transitive
@@ -42,17 +44,22 @@ kept in the module's one cache, an lru_cache keyed on the labelled T, the
 blocks' transitive flags and the zero pattern of the cross matrix (per
 block, the bitmask of its nonzero entries), of at most ASSIGNMENT_TABLES
 tables; _assignment_counts.cache_info() gives its hits, misses and
-current size.  A table keeps its counts and edge numbers in arrays of
-the narrowest type that holds them, and each occupancy as one int.
+current size.  A table keeps its counts, edge numbers and occupancy
+codes in arrays of the narrowest type that holds them; codes past 64
+bits, those of a host with dozens of blocks, are kept as fixed-width
+bytes (_WideInts) and read back with int.from_bytes.
 
-The evaluation scales the cross matrix by den, the lcm of its entries'
-denominators (den = 1 for a 0/1 matrix), tabulates the powers of each
-free pair's two entries once per call, and turns each occupancy into one
-integer coefficient over the common denominator den^C(n,2) n! 2^C(n,2)
-times the powers m_b^p of its measures.  The occupancies are summed in
-the order the walk first reached them, which fixes the term order of the
-polynomials construction.symbolic_density makes, and the sum is divided
-by that denominator once per call.
+The host tables scale the cross matrix by den, the lcm of its entries'
+denominators (den = 1 for a 0/1 matrix), tabulate the powers of each free
+pair's two entries, and turn each occupancy, the first time a class meets
+it, into its multiplier: one integer coefficient over the common
+denominator den^C(n,2) n! 2^C(n,2) times the powers m_b^p of its
+measures.  The sum for a class weights each signature's count by the
+factor tables, sums the rows of each occupancy and multiplies the sum by
+the occupancy's multiplier.  The occupancies are summed in the order the
+walk first reached them, which fixes the term order of the polynomials
+construction.symbolic_density makes, and the sum is divided by the
+denominator once per class.
 
 density passes the measures as integers a_b over their lcm M, so for
 rational measures the whole evaluation stays in ints; the sum is
@@ -60,9 +67,12 @@ homogeneous of degree n in the measures (every occupancy sums to n), so
 density divides the result by M^n once.
 
 W is frozen, so what is computed from its numbers is kept on it and goes
-with it: its validation, sample's float view, the integer measures, and
-density's results per canonical class.  The assignment counts are kept
-in the module, as they serve every W of a shape.
+with it: its validation, sample's float view, the integer measures,
+density's results per canonical class, and density's host tables per
+class size (the free pairs' factor tables, the fixed pairs, the powers of
+den and of the measures, the denominator and the multipliers met so
+far), which every class of that size on W reads.  The assignment counts
+are kept in the module, as they serve every W of a shape.
 """
 
 import random
@@ -107,6 +117,11 @@ class StepTournamenton:
     @cached_property
     def _densities(self):
         """What density has computed on this W, keyed by canonical class."""
+        return {}
+
+    @cached_property
+    def _host_tables(self):
+        """density's _HostTables on this W, keyed by class size."""
         return {}
 
     @cached_property
@@ -193,82 +208,123 @@ def map_sum(T, measures, kinds, cross, zero):
     ints, rationals or polynomials, `cross` rationals or plain ints (the
     construction's 0/1 matrix); any number type with .denominator works.
 
-    The assignments are counted once per host shape (_assignment_counts)
-    and the counts are evaluated here at this call's numbers.  With den
-    the lcm of the cross entries' denominators and w[a][b] = den * F[a][b],
-    an occupancy's integer weight is the sum over its signatures of
-
-        count * prod over free pairs a < b of w[a][b]^e * w[b][a]^g
-
-    e and g being T's edges from block a to block b and back; the factors
-    of a pair are tabulated once per call, at the index e * S + g its
-    number holds.  A pair with a zero entry has all of its p_a p_b edges on
-    its nonzero side (or none, when both are zero), so it multiplies the
-    weight by (w[a][b] + w[b][a])^(p_a p_b), which is 1 on a 0/1 matrix.
-    Over the common denominator D = den^C(n,2) n! 2^C(n,2) an occupancy is
-    the integer weight * den^(sum C(p_b,2)) * n! 2^C(n,2) / prod d_b(p_b),
-    with d_b(p) = p! for a transitive block and 2^C(p,2) for a half block,
-    times the powers m_b^p (each taken once per call); the occupancies are
-    summed in the order the walk first reached them, and the sum meets
-    `zero` and D once, at the end.
+    It builds the host tables for T's size (_HostTables) and sums T on
+    them (_class_sum).  density makes the same two calls, but keeps the
+    tables on W for every later class of that size.
     """
-    n = T.n
-    B = len(measures)
-    den = 1
-    for row in cross:
-        for f in row:
-            den = lcm(den, f.denominator)
-    # w[b][c]: the factor of an edge from block b to block c
-    w = [[int(f.numerator) * (den // f.denominator) if b != c else 1 for c, f in enumerate(row)]
-         for b, row in enumerate(cross)]
-    transitive = tuple(kind == TRANSITIVE_KIND for kind in kinds)
-    opened = tuple(sum(1 << c for c, f in enumerate(row) if f) for row in w)
-    occupancies, counts, numbers = _assignment_counts(T, transitive, opened)
-    free = _free_pairs(opened)
-    if free:
-        codes, sizes = occupancies[::2], occupancies[1::2]
-    else:
-        codes, sizes = occupancies, repeat(1)
-    S = n * n // 4 + 1
-    weights = counts
-    for j, (a, b) in enumerate(free):
-        forward = list(accumulate(repeat(w[a][b], S - 1), mul, initial=1))
-        backward = list(accumulate(repeat(w[b][a], S - 1), mul, initial=1))
-        factor = [x * y for x in forward for y in backward]
-        weights = map(mul, weights, map(factor.__getitem__, numbers[j::len(free)]))
-    weights = iter(weights)
-    fixed = [(a, b, w[a][b] + w[b][a]) for a in range(B) for b in range(a + 1, B)
-             if not (w[a][b] and w[b][a]) and w[a][b] + w[b][a] != 1]
+    return _class_sum(T, _HostTables(T.n, measures, kinds, cross), zero)
 
-    pairs = n * (n - 1) // 2
-    scale = factorial(n) << pairs
-    den_powers = list(accumulate(repeat(den, pairs), mul, initial=1))
-    # d_b(p) at the slot b * (n + 1) + p, and the powers m_b^p, as they
-    # are needed, at the same slot
-    transitive_div = [factorial(p) for p in range(n + 1)]
-    half_div = [1 << p * (p - 1) // 2 for p in range(n + 1)]
-    divisors = [d for t in transitive for d in (transitive_div if t else half_div)]
-    powers = {}
-    place = [(n + 1) ** b for b in range(B)]
-    acc = 0
-    for code, size in zip(codes, sizes):
-        term = sum(islice(weights, size))
-        for a, b, base in fixed:
-            term *= base ** (code // place[a] % (n + 1) * (code // place[b] % (n + 1)))
+
+class _HostTables:
+    """What map_sum's evaluation reads that depends only on the host's
+    numbers and the class size n, not on the class.
+
+    With den the lcm of the cross entries' denominators and w[a][b] =
+    den * F[a][b], an occupancy's integer weight is the sum over its
+    signatures (_assignment_counts) of
+
+        count * prod over free pairs a < b of w[a][b]^e * w[b][a]^g,
+
+    e and g being T's edges from block a to block b and back; `factors`
+    holds, per free pair, these products at the index e * S + g its number
+    holds.  A pair with a zero entry has all of its p_a p_b edges on its
+    nonzero side (or none, when both are zero), so it multiplies the weight
+    by (w[a][b] + w[b][a])^(p_a p_b), which is 1 on a 0/1 matrix; `fixed`
+    lists the pairs where it is not.  Over the common denominator
+    `denominator` = den^C(n,2) n! 2^C(n,2) an occupancy is its integer
+    weight times its multiplier
+
+        fixed-pair powers * prod m_b^p_b * den^(sum C(p_b,2)) * n! 2^C(n,2)
+        / prod d_b(p_b),
+
+    with d_b(p) = p! for a transitive block and 2^C(p,2) for a half block;
+    each occupancy's multiplier is made the first time a class meets it,
+    and kept in `multipliers`.
+    """
+
+    def __init__(self, n, measures, kinds, cross):
+        den = 1
+        for row in cross:
+            for f in row:
+                den = lcm(den, f.denominator)
+        # w[b][c]: the factor of an edge from block b to block c
+        w = [[int(f.numerator) * (den // f.denominator) if b != c else 1
+              for c, f in enumerate(row)] for b, row in enumerate(cross)]
+        B = len(measures)
+        self.n = n
+        self.measures = measures
+        self.transitive = tuple(kind == TRANSITIVE_KIND for kind in kinds)
+        self.opened = tuple(sum(1 << c for c, f in enumerate(row) if f) for row in w)
+        S = n * n // 4 + 1
+        self.factors = []
+        for a, b in _free_pairs(self.opened):
+            forward = list(accumulate(repeat(w[a][b], S - 1), mul, initial=1))
+            backward = list(accumulate(repeat(w[b][a], S - 1), mul, initial=1))
+            self.factors.append([x * y for x in forward for y in backward])
+        self.fixed = [(a, b, w[a][b] + w[b][a]) for a in range(B) for b in range(a + 1, B)
+                      if not (w[a][b] and w[b][a]) and w[a][b] + w[b][a] != 1]
+        pairs = n * (n - 1) // 2
+        self.scale = factorial(n) << pairs
+        self.den_powers = list(accumulate(repeat(den, pairs), mul, initial=1))
+        self.denominator = self.den_powers[pairs] * self.scale
+        self.powers = {}  # m_b^p at the slot b * (n + 1) + p, as needed
+        self.multipliers = {}
+
+    def multiplier(self, code):
+        """The multiplier of the occupancy with base-(n+1) code `code`;
+        made and kept at the first call."""
+        digit = self.n + 1
+        transitive, powers, measures = self.transitive, self.powers, self.measures
+        factor = 1
+        for a, b, base in self.fixed:
+            factor *= base ** (code // digit ** a % digit * (code // digit ** b % digit))
         inner = 0
         divisor = 1
-        slot = 0
-        while code:
-            code, p = divmod(code, n + 1)
+        # the product of the measure powers, the measures on the left so a
+        # Fraction or polynomial is the one whose method multiplies (n >= 1,
+        # so some block is occupied)
+        measured = None
+        b = 0
+        rest = code
+        while rest:
+            rest, p = divmod(rest, digit)
             if p:
-                inner += p * (p - 1) // 2
-                divisor *= divisors[slot + p]
-                if slot + p not in powers:
-                    powers[slot + p] = measures[slot // (n + 1)] ** p
-                term = term * powers[slot + p]
-            slot += n + 1
-        acc = acc + term * (den_powers[inner] * (scale // divisor))
-    return (zero + acc) / (den_powers[pairs] * scale)
+                inside = p * (p - 1) // 2
+                inner += inside
+                divisor *= factorial(p) if transitive[b] else 1 << inside
+                slot = b * digit + p
+                power = powers.get(slot)
+                if power is None:
+                    power = powers[slot] = measures[b] ** p
+                measured = power if measured is None else measured * power
+            b += 1
+        factor *= self.den_powers[inner] * (self.scale // divisor)
+        self.multipliers[code] = multiplier = measured * factor
+        return multiplier
+
+
+def _class_sum(T, host, zero):
+    """T's sum on the host `host` (a _HostTables for T's size): each
+    occupancy's rows are weighted by the factor tables and summed, in the
+    order the walk first reached the occupancies, which fixes the term
+    order of the polynomials construction.symbolic_density makes; each sum
+    meets its occupancy's multiplier, and the total `zero` and the
+    denominator once, at the end."""
+    occupancies, counts, numbers = _assignment_counts(T, host.transitive, host.opened)
+    weights = counts
+    for j, factor in enumerate(host.factors):
+        weights = map(mul, weights, map(factor.__getitem__, numbers[j::len(host.factors)]))
+    weights = iter(weights)
+    multipliers = host.multipliers
+    # with free pairs each occupancy code is followed by its number of rows
+    codes = iter(occupancies)
+    acc = 0
+    for code, size in zip(codes, codes if host.factors else repeat(1)):
+        multiplier = multipliers.get(code)
+        if multiplier is None:
+            multiplier = host.multiplier(code)
+        acc = acc + multiplier * sum(islice(weights, size))
+    return (zero + acc) / host.denominator
 
 
 def _free_pairs(opened):
@@ -418,14 +474,29 @@ def _assignment_counts(T, transitive, opened):
 
 def _packed(values):
     """The non-negative ints `values` in the narrowest array that holds
-    them, or in a tuple when none does (the occupancy codes of a host with
-    dozens of blocks)."""
+    them, or as _WideInts when none does (the occupancy codes of a host
+    with dozens of blocks)."""
     values = list(values)
     top = max(values, default=0)
     for typecode in "BHIQ":
         if top >> 8 * array(typecode).itemsize == 0:
             return array(typecode, values)
-    return tuple(values)
+    return _WideInts(values, (top.bit_length() + 7) // 8)
+
+
+class _WideInts:
+    """Non-negative ints past 64 bits, `width` little-endian bytes each in
+    one bytes object; iterating reads them back with int.from_bytes."""
+
+    __slots__ = ("data", "width")
+
+    def __init__(self, values, width):
+        self.data = b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
+        self.width = width
+
+    def __iter__(self):
+        data, width, from_bytes = self.data, self.width, int.from_bytes
+        return (from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
 
 
 def density(T, W):
@@ -438,15 +509,18 @@ def density(T, W):
         # the sum is homogeneous of degree n in the measures, so the walk
         # runs on the integers a_b and the result is divided by M^n once
         M, numerators = W._integer_measures
-        kinds = [b.diagonal for b in W.blocks]
-        W._densities[C] = map_sum(C, numerators, kinds, W.cross, ZERO) / M ** C.n
+        host = W._host_tables.get(C.n)
+        if host is None:
+            kinds = [b.diagonal for b in W.blocks]
+            host = W._host_tables[C.n] = _HostTables(C.n, numerators, kinds, W.cross)
+        W._densities[C] = _class_sum(C, host, ZERO) / M ** C.n
     return W._densities[C]
 
 
 def normalization_check(k, W):
     """Sum of (k!/|Aut(T)|) t(T,W) over all classes on k vertices; must be 1."""
-    if k > 5:
-        raise BudgetError("normalization_check is budgeted to k <= 5")
+    if k > DENSITY_MAX:
+        raise BudgetError("normalization_check is budgeted to k <= %d" % DENSITY_MAX)
     total = ZERO
     for T in enumerate_exact(k):
         total += Q(factorial(k)) / automorphism_count(T) * density(T, W)

@@ -27,6 +27,7 @@ from tourlyn.tournamentons import (
     validate,
 )
 from tourlyn.tournaments import (
+    canonicalize,
     encode,
     enumerate_exact,
     parse,
@@ -195,20 +196,24 @@ def test_density_caches_live_on_each_tournamenton(monkeypatch):
         m = Q(1, i + 3)
         W = step_tournamenton([(m, HALF_KIND), (1 - m, TRANSITIVE_KIND)], cross)
         density(C3, W)
+        density(transitive(4), W)
         sample(W, 4, seed=i)
         refs.append(weakref.ref(W))
+        refs += map(weakref.ref, W._host_tables.values())
+    assert len(refs) == 9000
     del W
     gc.collect()
     assert sum(ref() is not None for ref in refs) == 0
 
-    # a repeated density on one W, under any labelling, walks map_sum once
+    # a repeated density on one W, under any labelling, sums once
     walks = []
+    class_sum = tournamentons._class_sum
 
     def counted(*args):
         walks.append(args[0])
-        return map_sum(*args)
+        return class_sum(*args)
 
-    monkeypatch.setattr(tournamentons, "map_sum", counted)
+    monkeypatch.setattr(tournamentons, "_class_sum", counted)
     W = random_step_tournamenton(random.Random(11))
     first = density(C3, W)
     assert density(C3, W) == density(parse("3:010"), W) == first
@@ -335,6 +340,55 @@ def test_polynomial_measures_read_a_table_made_at_rational_ones():
             assert got.terms == brute_force_map_sum(T, measures, kinds, cross, Polynomial.zero()).terms
 
 
+def flag_host(rng, B):
+    """The (measure, kind) pairs and cross matrix of a B-block host with
+    both kinds and every cross entry strictly between 0 and 1, so every
+    pair of blocks is free."""
+    kinds = [HALF_KIND, TRANSITIVE_KIND] + [rng.choice((HALF_KIND, TRANSITIVE_KIND))
+                                            for _ in range(B - 2)]
+    rng.shuffle(kinds)
+    weights = [rng.randint(1, 8) for _ in kinds]
+    cross = [[ZERO] * B for _ in range(B)]
+    for i, j in itertools.combinations(range(B), 2):
+        den = rng.randint(2, 12)
+        cross[i][j] = Q(rng.randint(1, den - 1), den)
+        cross[j][i] = 1 - cross[i][j]
+    return [(Q(w, sum(weights)), kind) for w, kind in zip(weights, kinds)], cross
+
+
+def test_host_tables_serve_every_class_of_their_size_in_any_order():
+    # density keeps one set of host tables per class size on W, made by
+    # whichever class of that size comes first: all classes up to 6 taken
+    # in ascending, descending and shuffled order, each on a fresh copy of
+    # W, give equal densities, and a sample of them is the per-assignment
+    # formula
+    rng = random.Random(41)
+    classes = [T for n in range(1, 7) for T in enumerate_exact(n)]
+    for B in (3, 4, 3):
+        blocks, cross = flag_host(rng, B)
+        results = []
+        for order in (classes, classes[::-1], rng.sample(classes, len(classes))):
+            W = step_tournamenton(blocks, cross)
+            results.append({T: density(T, W) for T in order})
+        assert results[0] == results[1] == results[2]
+        measures = [m for m, _ in blocks]
+        kinds = [kind for _, kind in blocks]
+        for T in rng.sample(classes, 4) + [random_tournament(rng, 6)]:
+            assert results[0][canonicalize(T)] == brute_force_map_sum(T, measures, kinds, cross, ZERO)
+
+
+def test_host_tables_of_one_size_leave_the_next_size_alone():
+    # a 5-vertex class and then a 6-vertex one on one W equal the same
+    # classes on fresh copies of W
+    rng = random.Random(43)
+    for _ in range(3):
+        blocks, cross = flag_host(rng, 3)
+        T5, T6 = rng.choice(enumerate_exact(5)), rng.choice(enumerate_exact(6))
+        W = step_tournamenton(blocks, cross)
+        assert [density(T5, W), density(T6, W)] == [
+            density(T, step_tournamenton(blocks, cross)) for T in (T5, T6)]
+
+
 def test_normalization():
     rng = random.Random(11)
     for _ in range(4):
@@ -342,8 +396,10 @@ def test_normalization():
         for k in range(1, 5):
             assert normalization_check(k, W) == 1
     assert normalization_check(5, random_step_tournamenton(rng)) == 1
+    # k = 6 reads every six-vertex class from one set of host tables
+    assert normalization_check(6, step_tournamenton(*flag_host(random.Random(6), 4))) == 1
     with pytest.raises(BudgetError):
-        normalization_check(6, constant_half())
+        normalization_check(7, constant_half())
 
 
 def test_density_against_monte_carlo():
