@@ -25,29 +25,32 @@ host's numbers and the class size (_HostTables); and a sum for the class
 that reads the counts and the tables and multiplies Python ints only
 (_class_sum).
 
-The walk (_assignment_counts) is a DFS over the assignments in vertex
-order.  It prunes on zero cross factors and on cyclic transitive
-preimages, so the 0/1 matrices of the blow-up construction stay cheap
-even with dozens of blocks; the acyclicity test is one bit of a table
-made from the 2^n out-set unions (n <= 6 through density, n <= 5 in the
-construction's chain DP).  Each leaf adds 1 to the count of its
-signature: its occupancy (p_0, ..., p_{B-1}) and, for every free pair of
-blocks a < b (both cross entries nonzero), T's edges from a to b and
-back.  A leaf's cross factors depend on it only through its signature
-and its diagonal factors only through its occupancy, which also fixes
-the number of cross edges C(n,2) - sum C(p_b,2) and so the power of den
-to divide by.  On a 0/1 matrix no pair is free and the signature is the
-occupancy.
+The walk (_assignment_counts) is a plain DFS over the assignments in
+vertex order, keeping each placed vertex's block.  A vertex tries, in
+ascending order, the blocks that no earlier vertex rules out by a zero
+cross factor, and skips a transitive block whose preimage would turn
+cyclic; this pruning keeps the 0/1 matrices of the blow-up construction
+cheap even with dozens of blocks.  The acyclicity test is one bit of a
+table made from the 2^n out-set unions (n <= 6 through density, n <= 5
+in the construction's chain DP).  Each leaf adds 1 to the count of its
+signature: its occupancy (p_0, ..., p_{B-1}) and, for every free pair
+of blocks a < b (both cross entries nonzero), T's edges from a to b and
+back.  A leaf's cross factors depend on it only through its
+signature and its diagonal factors only through its occupancy, which
+also fixes the number of cross edges C(n,2) - sum C(p_b,2) and so the
+power of den to divide by.  On a 0/1 matrix no pair is free and the
+signature is the occupancy.
 
 The counts depend on T and on W's shape, not on W's numbers, so they are
-kept in the module's one cache, an lru_cache keyed on the labelled T, the
-blocks' transitive flags and the zero pattern of the cross matrix (per
-block, the bitmask of its nonzero entries), of at most ASSIGNMENT_TABLES
-tables; _assignment_counts.cache_info() gives its hits, misses and
-current size.  A table keeps its counts, edge numbers and occupancy
-codes in arrays of the narrowest type that holds them; codes past 64
-bits, those of a host with dozens of blocks, are kept as fixed-width
-bytes (_WideInts) and read back with int.from_bytes.
+kept in the module's one cache, an lru_cache keyed on the labelled T,
+the blocks' transitive flags and the zero pattern of the cross matrix
+(per block, the bitmask of its nonzero entries), of at most
+ASSIGNMENT_TABLES tables; _assignment_counts.cache_info() gives its
+hits, misses and current size.  A table keeps its counts, its occupancy
+codes and each free pair's edge numbers in arrays of the narrowest type
+that holds them, one array per free pair; codes past 64 bits, those of a
+host with dozens of blocks, are kept as fixed-width bytes (_WideInts)
+and read back with int.from_bytes.
 
 The host tables scale the cross matrix by den, the lcm of its entries'
 denominators (den = 1 for a 0/1 matrix), tabulate the powers of each free
@@ -76,13 +79,12 @@ are kept in the module, as they serve every W of a shape.
 """
 
 import random
-import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, islice, repeat
 from math import factorial, lcm
-from operator import and_, mul
+from operator import mul
 
 from .errors import BudgetError, DomainError
 from .rational import ONE, ZERO, Q, as_q, fmt_q
@@ -305,15 +307,17 @@ class _HostTables:
 
 def _class_sum(T, host, zero):
     """T's sum on the host `host` (a _HostTables for T's size): each
-    occupancy's rows are weighted by the factor tables and summed, in the
-    order the walk first reached the occupancies, which fixes the term
-    order of the polynomials construction.symbolic_density makes; each sum
-    meets its occupancy's multiplier, and the total `zero` and the
-    denominator once, at the end."""
+    signature's count is multiplied, per free pair, by the pair's factor
+    table at the pair's number, read from the pair's own column; each
+    occupancy's rows are then summed, in the order the walk first reached
+    the occupancies, which fixes the term order of the polynomials
+    construction.symbolic_density makes; each sum meets its occupancy's
+    multiplier, and the total `zero` and the denominator once, at the
+    end."""
     occupancies, counts, numbers = _assignment_counts(T, host.transitive, host.opened)
     weights = counts
-    for j, factor in enumerate(host.factors):
-        weights = map(mul, weights, map(factor.__getitem__, numbers[j::len(host.factors)]))
+    for factor, column in zip(host.factors, numbers):
+        weights = map(mul, weights, map(factor.__getitem__, column))
     weights = iter(weights)
     multipliers = host.multipliers
     # with free pairs each occupancy code is followed by its number of rows
@@ -346,79 +350,48 @@ def _assignment_counts(T, transitive, opened):
     back, S = n^2 // 4 + 1 (e + g = p_a p_b < S).  The numbers do not
     depend on W's values, so one table serves every W of the shape.
 
-    The DFS assigns vertices in order and tries for each vertex only the
-    blocks that no earlier vertex rules out by a zero cross factor and
-    that keep a transitive preimage acyclic, which one bit of a table made
-    from the 2^n out-set unions decides; each leaf adds 1 to its
-    signature's count.  What the earlier vertices leave open to a vertex,
-    and what its edges to them add to its signature, are carried down the
-    walk for all later vertices at once, packed in one int each (`allowed`,
-    `ahead`), so a vertex reads its own in one step.  An occupancy is coded
-    as the base-(n+1) number with digits p_b; with free pairs a signature
-    is one int, the pairs' numbers in its low digits of `digit` bits and
-    the occupancy above them.  With no free pair (a 0/1 matrix) the
-    signature is the occupancy and the walk tracks nothing else.
+    The DFS assigns vertices in order, recording each one's block in
+    `assign`, and tries for each vertex, in ascending order, the blocks
+    that no earlier vertex rules out by a zero cross factor and that leave
+    a transitive preimage acyclic, which one bit of a table made from the
+    2^n out-set unions decides; each leaf adds 1 to its signature's count.
+    An occupancy is coded as the base-(n+1) number with digits p_b; with
+    free pairs a signature is one int, the pairs' numbers in its low
+    digits of `digit` bits and the occupancy above them, and a vertex
+    placed in block b adds to it b's place and, per earlier vertex in a
+    block c of a free pair with b, edge[b][c] if it beats that vertex and
+    edge[c][b] if it loses to it.  With no free pair (a 0/1 matrix) the
+    signature is the occupancy and the walk adds nothing else.
 
     Returns (occupancies, counts, numbers).  With no free pair: the
     occupancy codes in the order the walk first reached them, their
     counts, and no numbers.  With free pairs: each occupancy code in that
     order followed by its number of signatures, the signatures' counts
-    grouped by occupancy in the same order, and their pairs' numbers, a
-    row of len(free) per signature.  The table is shared by every caller
-    on the shape: nothing may change it.
+    grouped by occupancy in the same order, and their pairs' numbers,
+    one array per free pair in the order of _free_pairs, holding that
+    pair's number for each signature in the counts' order.  The table is
+    shared by every caller on the shape: nothing may change it.
     """
     n = T.n
     B = len(transitive)
     out = T.out
     free = _free_pairs(opened)
-    F = len(free)
     S = n * n // 4 + 1
     digit = 8 if S * S <= 1 << 8 else 16  # 16 bits hold S * S up to n = 31
-    low = F * digit
-    place = [(n + 1) ** b for b in range(B)]
-    base = (n + 1) ** B
-    # a vertex's step into each block at once: block b's in the field of
-    # `width` bits at at[b]; what an earlier vertex in block c adds to it
-    # if it beats that vertex (gain_out[c]) or loses to it (gain_in[c]).
-    # With no free pair the walk adds place[b] instead and packs nothing
-    width = low + base.bit_length() if free else 0
-    at = [width * b for b in range(B)]
-    field = (1 << width) - 1
-    gain_out = [0] * B
-    gain_in = [0] * B
+    low = len(free) * digit
+    place = [(n + 1) ** b << low for b in range(B)]
+    # edge[b][c]: what an edge from a vertex in block b to one in block c
+    # adds to the signature, S or 1 in the digit of its free pair
+    edge = [[0] * B for _ in range(B)]
     for j, (a, c) in enumerate(free):
-        gain_out[c] += S << digit * j + at[a]
-        gain_out[a] += 1 << digit * j + at[c]
-        gain_in[c] += 1 << digit * j + at[a]
-        gain_in[a] += S << digit * j + at[c]
-    steps = sum(place[b] << low + at[b] for b in range(B)) if free else 0
-    # `ahead` holds the steps of v and of the vertices after it, vertex
-    # v + i's in the field of `stride` bits at i * stride, and `allowed`,
-    # in fields of B bits in the same way, the blocks still open to them.
-    # Placing v in block b adds push[v][b], what each later vertex gains
-    # from it, and masks with keep[v][b], what it leaves open to each: to a
-    # later vertex it beats the blocks c with F[b][c] != 0, to one beating
-    # it those with F[c][b] != 0; then v's own fields are dropped
-    stride = B * width
-    own = (1 << stride) - 1
-    full = (1 << B) - 1
-    opened_to_winner = [sum(1 << c for c in range(B) if opened[c] >> b & 1) for b in range(B)]
-    push = []
-    keep = []
-    for v in range(n):
-        # a 1 in the fields of the later vertices beating v, and of those
-        # v beats
-        up = down = up_mask = down_mask = 0
-        for x in range(v + 1, n):
-            if out[x] >> v & 1:
-                up += 1 << (x - v) * stride
-                up_mask += 1 << (x - v) * B
-            else:
-                down += 1 << (x - v) * stride
-                down_mask += 1 << (x - v) * B
-        push.append([gain_out[b] * up + gain_in[b] * down for b in range(B)])
-        keep.append([opened_to_winner[b] * up_mask + opened[b] * down_mask for b in range(B)])
-    split = {}  # a mask of blocks -> its blocks
+        edge[a][c] = S << digit * j
+        edge[c][a] = 1 << digit * j
+    # beaten[c]: the blocks b with F[b][c] != 0, those open to a vertex
+    # beating one in block c
+    beaten = [sum(1 << b for b in range(B) if opened[b] >> c & 1) for c in range(B)]
+    # the earlier vertices each vertex beats, and those beating it
+    beats = [[u for u in range(v) if out[v] >> u & 1] for v in range(n)]
+    beaten_by = [[u for u in range(v) if out[u] >> v & 1] for v in range(n)]
     # outs[X]: the union of the out-sets of the vertices in X; bit X of
     # cyclic[v] is set when X + v would not be acyclic, for an acyclic X
     # of vertices before v: when one of v's out-neighbours in X beats one
@@ -429,29 +402,37 @@ def _assignment_counts(T, transitive, opened):
         outs[X] = outs[X ^ bit] | out[bit.bit_length() - 1]
     cyclic = [sum(1 << X for X in range(1 << v) if outs[out[v] & X] & X & ~out[v])
               for v in range(n)]
+    assign = [0] * n  # each earlier vertex's block
     members = [0] * B  # bitmask of each block's preimage
     tally = {}  # signature -> its count
 
-    def rec(v, sig, ahead, allowed):
-        cyclic_v, push_v, keep_v = cyclic[v], push[v], keep[v]
-        blocks = allowed & full
-        if blocks not in split:
-            split[blocks] = tuple(b for b in range(B) if blocks >> b & 1)
-        gains = ahead & own
-        last = v == n - 1
-        for b in split[blocks]:
+    def rec(v, sig):
+        blocks = (1 << B) - 1
+        for u in beats[v]:
+            blocks &= beaten[assign[u]]
+        for u in beaten_by[v]:
+            blocks &= opened[assign[u]]
+        while blocks:
+            b = (blocks & -blocks).bit_length() - 1
+            blocks &= blocks - 1
             pre = members[b]
-            if transitive[b] and cyclic_v >> pre & 1:
+            if transitive[b] and cyclic[v] >> pre & 1:
                 continue
-            sig2 = sig + (gains >> at[b] & field) if free else sig + place[b]
-            if last:
+            sig2 = sig + place[b]
+            if free:
+                for u in beats[v]:
+                    sig2 += edge[b][assign[u]]
+                for u in beaten_by[v]:
+                    sig2 += edge[assign[u]][b]
+            if v == n - 1:
                 tally[sig2] = tally.get(sig2, 0) + 1
             else:
+                assign[v] = b
                 members[b] = pre | 1 << v
-                rec(v + 1, sig2, (ahead + push_v[b]) >> stride, (allowed & keep_v[b]) >> B)
+                rec(v + 1, sig2)
                 members[b] = pre
 
-    rec(0, 0, sum(steps << v * stride for v in range(n)), sum(full << v * B for v in range(n)))
+    rec(0, 0)
 
     if not free:
         return _packed(tally), _packed(tally.values()), ()
@@ -459,16 +440,12 @@ def _assignment_counts(T, transitive, opened):
     for sig in tally:
         groups.setdefault(sig >> low, []).append(sig)
     rows = list(chain.from_iterable(groups.values()))
-    numbers = array("B" if digit == 8 else "H")
-    numbers.frombytes(b"".join(map(
-        int.to_bytes, map(and_, rows, repeat((1 << low) - 1)), repeat(low // 8), repeat("little")
-    )))
-    if sys.byteorder == "big":
-        numbers.byteswap()
+    mask = (1 << digit) - 1
     return (
         _packed(chain.from_iterable(zip(groups, map(len, groups.values())))),
         _packed(map(tally.__getitem__, rows)),
-        numbers,
+        tuple(array("B" if digit == 8 else "H", [sig >> digit * j & mask for sig in rows])
+              for j in range(len(free))),
     )
 
 

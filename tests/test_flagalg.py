@@ -151,17 +151,33 @@ def test_express_evaluates_to_density():
                 assert express(T).evaluate(point) == density(T, W)
 
 
+def test_express_evaluates_to_density_on_six_vertices():
+    # k = 6 is the first k where the upper bound says more than
+    # normalization: 56 classes, 13 of them not Lyndon, and every class's
+    # density is its express polynomial at the letters' densities
+    classes = enumerate_exact(6)
+    assert len(classes) == 56
+    assert sum(not is_lyndon_tournament(T) for T in classes) == 13
+    rng = random.Random(61)
+    for _ in range(2):
+        W = random_step_tournamenton(rng)
+        point = densities_of_letters(W, 6)
+        for T in classes:
+            assert express(T).evaluate(point) == density(T, W)
+
+
 def test_dimension_values():
     assert dimension(3) == 1
     assert dimension(4) == 3
     assert dimension(5) == 11
+    assert dimension(6) == 54
 
 
 def test_dimension_tie_break_invariant():
     from tourlyn.words import enumerate_lyndon
 
     desc = LetterOrder("desc")
-    for k in (3, 4, 5):
+    for k in (3, 4, 5, 6):
         assert dimension(k) == len(enumerate_lyndon(k, desc))
 
 

@@ -88,6 +88,43 @@ def brute_force_map_sum(T, measures, kinds, cross, zero):
     return total
 
 
+def assignment_table_oracle(T, transitive, opened):
+    """What tournamentons._assignment_counts returns for T on the shape
+    (transitive, opened), from the definition: every block assignment in
+    itertools.product order (vertex 0 slowest, blocks ascending), those
+    with a zero cross factor or a cyclic transitive preimage skipped, each
+    signature counted where it is first reached.  Returns (occupancy codes,
+    counts, one list of numbers per free pair); with free pairs each code
+    is followed by its number of signatures and the signatures are
+    grouped by occupancy, in the order the occupancies are first reached."""
+    n, B = T.n, len(transitive)
+    free = [(a, c) for a, c in itertools.combinations(range(B), 2)
+            if opened[a] >> c & 1 and opened[c] >> a & 1]
+    S = n * n // 4 + 1
+    edges = [(u, v) for u in range(n) for v in range(n) if T.out[u] >> v & 1]
+    tally = {}  # (occupancy code, the free pairs' numbers) -> count
+    for f in itertools.product(range(B), repeat=n):
+        if any(not opened[f[u]] >> f[v] & 1 for u, v in edges):
+            continue
+        preimages = [[v for v in range(n) if f[v] == b] for b in range(B)]
+        if any(transitive[b] and sorted(sum(T.out[u] >> w & 1 for w in pre) for u in pre)
+               != list(range(len(pre))) for b, pre in enumerate(preimages)):
+            continue
+        code = sum(len(pre) * (n + 1) ** b for b, pre in enumerate(preimages))
+        numbers = tuple(S * sum(f[u] == a and f[v] == c for u, v in edges)
+                        + sum(f[u] == c and f[v] == a for u, v in edges) for a, c in free)
+        tally[code, numbers] = tally.get((code, numbers), 0) + 1
+    if not free:
+        return [code for code, _ in tally], list(tally.values()), []
+    groups = {}
+    for code, numbers in tally:
+        groups.setdefault(code, []).append((code, numbers))
+    codes = [x for code, rows in groups.items() for x in (code, len(rows))]
+    rows = [row for group in groups.values() for row in group]
+    return codes, [tally[row] for row in rows], [[numbers[j] for _, numbers in rows]
+                                                  for j in range(len(free))]
+
+
 def refine(W):
     """Split every block in half; densities must not move.  A lower
     transitive half-block beats the upper one outright, a half block
@@ -387,6 +424,48 @@ def test_host_tables_of_one_size_leave_the_next_size_alone():
         W = step_tournamenton(blocks, cross)
         assert [density(T5, W), density(T6, W)] == [
             density(T, step_tournamenton(blocks, cross)) for T in (T5, T6)]
+
+
+def test_assignment_tables_are_the_oracle_table():
+    # the walk's table is the per-assignment oracle's: the same occupancy
+    # codes in the same first-reach order, the same rows per occupancy and
+    # counts, and each free pair's numbers in its own column; on the W_k
+    # host parts, a 12-block W_4 build, hosts mixing fixed and free pairs,
+    # and 3-block hosts where every pair is free, with both block kinds
+    from tourlyn import tournamentons
+    from tourlyn.construction import build, context, random_params
+
+    def opened_of(cross):
+        return tuple(sum(1 << c for c, f in enumerate(row) if f or c == b)
+                     for b, row in enumerate(cross))
+
+    def agrees(T, transitive, opened):
+        occupancies, counts, numbers = tournamentons._assignment_counts(T, transitive, opened)
+        got = list(occupancies), list(counts), [list(column) for column in numbers]
+        assert got == assignment_table_oracle(T, transitive, opened)
+
+    rng = random.Random(53)
+    for k in (3, 4, 5):
+        ctx = context(k)
+        for H, cross in ctx.parts:
+            for runs in ctx.runs:
+                for T in runs.values():
+                    agrees(T, (True,) * len(H), opened_of(cross))
+    ctx = context(4)
+    W = build(ctx, random_params(ctx, rng))
+    assert len(W.blocks) == 12
+    for T in ctx.lyndon_seq + (random_tournament(rng, 4),):
+        agrees(T, tuple(b.diagonal == TRANSITIVE_KIND for b in W.blocks), opened_of(W.cross))
+    for n in range(1, 7):
+        for B in (3, 4):
+            transitive = tuple(rng.random() < 0.5 for _ in range(B))
+            cross = [[0] * B for _ in range(B)]
+            for a, c in itertools.combinations(range(B), 2):
+                cross[a][c], cross[c][a] = rng.choice([(1, 0), (0, 1), (Q(1, 3), Q(2, 3))])
+            agrees(random_tournament(rng, n), transitive, opened_of(cross))
+        for transitive in ((True, False, True), (False, False, False), (True, True, True)):
+            for T in rng.sample(enumerate_exact(n), min(4, len(enumerate_exact(n)))):
+                agrees(T, transitive, (7, 7, 7))
 
 
 def test_normalization():
