@@ -3,10 +3,11 @@ densities, the reduction of a non-Lyndon tournament to strictly smaller
 ones, and the induction that writes any density as a polynomial in the
 densities of non-trivial Lyndon tournaments.
 
-The product T1 x T2 enumerates all 2^(|T1||T2|) orientations of the cross
-edges and buckets the results by canonical form; its defining property is
-t(T1 x T2, W) = t(T1, W) t(T2, W) for every tournamenton W, which the test
-suite checks exactly on random step tournamentons.
+The product T1 x T2 is the sum of the classes that the 2^(|T1||T2|)
+orientations of the cross edges complete T1 + T2 to, each with the number
+of orientations reaching it (tournaments.completion_counts); its defining
+property is t(T1 x T2, W) = t(T1, W) t(T2, W) for every tournamenton W,
+which the test suite checks exactly on random step tournamentons.
 
 For a non-Lyndon T, multiplying out the tournaments of the CFL factors of
 w(T) gives sum_S beta_S * S in which T itself carries a positive
@@ -21,7 +22,7 @@ otherwise.
 from .errors import BudgetError, DomainError
 from .poly import Polynomial, x_var
 from .rational import ONE, ZERO, Q, fmt_q
-from .tournaments import Tournament, canonicalize, encode
+from .tournaments import canonicalize, completion_counts, encode
 from .words import (
     cfl_factorize,
     enumerate_lyndon,
@@ -37,28 +38,14 @@ _product_cache = {}
 
 
 def product(T1, T2):
-    """LinComb of all cross-orientation completions, keyed by canonical form."""
+    """LinComb of all cross-orientation completions, keyed by canonical
+    form: completion_counts of the two canonical forms, kept per pair."""
     if T1.n + T2.n > PRODUCT_MAX:
         raise BudgetError("product is budgeted to %d total vertices" % PRODUCT_MAX)
     key = (canonicalize(T1), canonicalize(T2))
     if key in _product_cache:
         return dict(_product_cache[key])
-    T1, T2 = key
-    n1, n2 = T1.n, T2.n
-    n = n1 + n2
-    pairs = [(u, n1 + v) for u in range(n1) for v in range(n2)]
-    base = [T1.out[u] for u in range(n1)] + [T2.out[v] << n1 for v in range(n2)]
-    acc = {}
-    for mask in range(1 << len(pairs)):
-        out = list(base)
-        for idx, (u, w) in enumerate(pairs):
-            if mask >> idx & 1:
-                out[u] |= 1 << w
-            else:
-                out[w] |= 1 << u
-        C = canonicalize(Tournament._trusted(n, out))
-        acc[C] = acc.get(C, 0) + 1
-    result = {T: Q(c) for T, c in acc.items()}
+    result = {T: Q(c) for T, c in completion_counts(*key).items()}
     _product_cache[key] = result
     return dict(result)
 

@@ -39,6 +39,14 @@ Such m vertices score at least n - m each and the others at most n - m - 1,
 so ties in the scores never straddle a cut: sorting by score and cutting
 where the prefix sums meet that bound gives the parts in order.
 
+The classes on n vertices are those that the classes on n - 1 complete to
+with one more vertex, and a product of two tournaments counts the classes
+that the orientations of their cross pairs complete them to: both are
+completion_counts.  It keys each completion by its score relabeling, the
+vertices sorted by descending score and then by the sum of their
+out-neighbours' scores, ties kept in label order.  That is a relabeling, so
+completions that share a key are isomorphic; many isomorphic ones share
+one, so each distinct key is canonicalized once, not each completion.
 Exact enumeration goes up to n = 7 (456 isomorphism classes); the counts
 1, 1, 2, 4, 12, 56, 456 act as a built-in regression check elsewhere.
 """
@@ -322,20 +330,60 @@ def automorphism_count(T):
     return _canonical_order(T.n, T.out)[1]
 
 
+def _score_relabeling(out):
+    """The out-masks of the relabeling that sorts the vertices by
+    descending (score, sum of the out-neighbours' scores), ties kept in
+    label order: a labelled tournament isomorphic to `out`."""
+    scores = [m.bit_count() for m in out]
+    rank = []
+    for m, s in zip(out, scores):
+        r = s << 8  # a sum of scores stays below 2^8 for n <= 16
+        while m:
+            low = m & -m
+            r += scores[low.bit_length() - 1]
+            m ^= low
+        rank.append(r)
+    return tuple(_relabeled_out(out, sorted(range(len(out)), key=rank.__getitem__, reverse=True)))
+
+
+def completion_counts(T1, T2):
+    """{canonical class: how many of the 2^(n1 n2) orientations of the
+    pairs between T1 and T2 complete T1 + T2 (T2's vertices after T1's) to
+    it}.
+
+    Each completion is keyed by its score relabeling (_score_relabeling),
+    the completions are counted per key, and each distinct key is
+    canonicalized once: isomorphic completions often share a key, and the
+    key is isomorphic to its completion, so no two classes share one."""
+    n1 = T1.n
+    n = n1 + T2.n
+    pairs = [(u, n1 + v) for u in range(n1) for v in range(T2.n)]
+    # start with T2 beating all of T1, then turn one pair a step, in
+    # Gray-code order, so that every orientation comes up once
+    out = list(T1.out) + [m << n1 | (1 << n1) - 1 for m in T2.out]
+    tally = {}
+    for i in range(1 << len(pairs)):
+        if i:
+            u, w = pairs[(i & -i).bit_length() - 1]
+            out[u] ^= 1 << w
+            out[w] ^= 1 << u
+        key = _score_relabeling(out)
+        tally[key] = tally.get(key, 0) + 1
+    counts = {}
+    for key, c in tally.items():
+        C = canonicalize(Tournament._trusted(n, key))
+        counts[C] = counts.get(C, 0) + c
+    return counts
+
+
 @lru_cache(maxsize=None)
 def _reps_up_to(n):
     if n == 1:
         return (single_vertex(),)
-    seen = {}
+    seen = set()
     for R in _reps_up_to(n - 1):
-        for mask in range(1 << (n - 1)):
-            out = list(R.out) + [mask]
-            for j in range(n - 1):
-                if not (mask >> j & 1):
-                    out[j] |= 1 << (n - 1)
-            C = canonicalize(Tournament._trusted(n, out))
-            seen[C.out] = C
-    return tuple(sorted(seen.values(), key=encode))
+        seen.update(completion_counts(R, single_vertex()))
+    return tuple(sorted(seen, key=encode))
 
 
 def enumerate_exact(n):

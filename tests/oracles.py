@@ -9,7 +9,7 @@ from math import comb
 from tourlyn.poly import Polynomial
 from tourlyn.rational import Q
 from tourlyn.tournamentons import TRANSITIVE_KIND, step_tournamenton
-from tourlyn.tournaments import Tournament
+from tourlyn.tournaments import Tournament, canonicalize, encode, single_vertex
 
 
 def random_tournament(rng, n):
@@ -44,6 +44,45 @@ def relabel(T, perm):
         sum(1 << q for q in range(n) if T.out[perm[p]] >> perm[q] & 1) for p in range(n)
     ]
     return Tournament(n, out)
+
+
+def completion_counts_oracle(T1, T2):
+    """{canonical class: number of cross orientations} for T1 + T2 (T2's
+    vertices after T1's), each of the 2^(n1 n2) completions canonicalized
+    on its own: the loop that tournaments.completion_counts keys by score
+    relabelings.  test_product_is_the_completion_oracle (test_flagalg.py),
+    test_completion_counts_are_the_oracle_s_on_labelled_inputs and, through
+    enumeration_oracle, test_enumeration_is_the_completion_oracle
+    (test_tournaments.py)."""
+    n1, n2 = T1.n, T2.n
+    n = n1 + n2
+    pairs = [(u, n1 + v) for u in range(n1) for v in range(n2)]
+    base = [T1.out[u] for u in range(n1)] + [T2.out[v] << n1 for v in range(n2)]
+    acc = {}
+    for mask in range(1 << len(pairs)):
+        out = list(base)
+        for idx, (u, w) in enumerate(pairs):
+            if mask >> idx & 1:
+                out[u] |= 1 << w
+            else:
+                out[w] |= 1 << u
+        C = canonicalize(Tournament._trusted(n, out))
+        acc[C] = acc.get(C, 0) + 1
+    return acc
+
+
+def enumeration_oracle(n):
+    """The classes on n vertices, ascending by encoding: every class on
+    n - 1 extended by one vertex in every way, through
+    completion_counts_oracle.  test_enumeration_is_the_completion_oracle
+    (test_tournaments.py)."""
+    classes = [single_vertex()]
+    for _ in range(n - 1):
+        seen = set()
+        for R in classes:
+            seen.update(completion_counts_oracle(R, single_vertex()))
+        classes = sorted(seen, key=encode)
+    return classes
 
 
 def is_transitive(T):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import random_tournament
+from oracles import completion_counts_oracle, random_tournament, relabel
 
 from tourlyn.errors import BudgetError, DomainError
 from tourlyn.flagalg import (
@@ -63,6 +63,25 @@ def test_product_mirrors_density():
             lhs = density(T1, W) * density(T2, W)
             rhs = sum(c * density(S, W) for S, c in combo.items())
             assert lhs == rhs
+
+
+def test_product_is_the_completion_oracle():
+    # every size pair up to 7 vertices in both orders, on seeded classes
+    # given relabelled, against every completion canonicalized on its own
+    rng = random.Random(61)
+
+    def shuffled(T):
+        perm = list(range(T.n))
+        rng.shuffle(perm)
+        return relabel(T, perm)
+
+    for n in range(2, 8):
+        for n1 in range(1, n // 2 + 1):
+            A = shuffled(rng.choice(enumerate_exact(n1)))
+            B = shuffled(rng.choice(enumerate_exact(n - n1)))
+            for T1, T2 in ((A, B), (B, A)):
+                want = completion_counts_oracle(T1, T2)
+                assert product(T1, T2) == {C: Q(c) for C, c in want.items()}
 
 
 def test_multi_product_associates():

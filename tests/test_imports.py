@@ -238,7 +238,7 @@ def long_run_slice(seed):
             density(T, W)
 
 
-def test_module_caches_are_the_seven_and_stop_growing():
+def test_module_caches_are_the_eight_and_stop_growing():
     # every cache of a W or a t lives on its object; seven module-level
     # ones are keyed on a bounded space (k, labelled tournaments, class
     # pairs), so once it is covered a longer run adds nothing to them.  The

@@ -468,6 +468,32 @@ def test_assignment_tables_are_the_oracle_table():
                 agrees(T, transitive, (7, 7, 7))
 
 
+def test_map_sum_on_eight_vertices_reads_sixteen_bit_numbers():
+    # from 8 vertices on, S = n^2 // 4 + 1 = 17 and a free pair's number
+    # e * S + g can pass 255, so the numbers are kept in 16-bit columns:
+    # map_sum on hosts with a free pair is still the per-assignment formula
+    from tourlyn import tournamentons
+
+    rng = random.Random(67)
+    tours = [transitive(8), random_tournament(rng, 8), random_tournament(rng, 8)]
+    hosts = [
+        ([Q(1, 3), Q(2, 3)], [HALF_KIND, TRANSITIVE_KIND], [[0, Q(2, 5)], [Q(3, 5), 0]]),
+        ([Q(1, 2), Q(1, 2)], [HALF_KIND, HALF_KIND], [[0, Q(1, 7)], [Q(6, 7), 0]]),
+    ]
+    widest = 0
+    for measures, kinds, cross in hosts:
+        transitive_flags = tuple(kind == TRANSITIVE_KIND for kind in kinds)
+        opened = tuple(sum(1 << c for c, f in enumerate(row) if f or c == b)
+                       for b, row in enumerate(cross))
+        for T in tours:
+            assert map_sum(T, measures, kinds, cross, ZERO) == \
+                brute_force_map_sum(T, measures, kinds, cross, ZERO)
+            numbers = tournamentons._assignment_counts(T, transitive_flags, opened)[2]
+            assert numbers and all(column.typecode == "H" for column in numbers)
+            widest = max([widest] + [max(column) for column in numbers])
+    assert widest > 255
+
+
 def test_normalization():
     rng = random.Random(11)
     for _ in range(4):

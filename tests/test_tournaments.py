@@ -11,15 +11,23 @@ from math import factorial
 
 import pytest
 
-from oracles import is_transitive, random_tournament, relabel
+from oracles import (
+    completion_counts_oracle,
+    enumeration_oracle,
+    is_transitive,
+    random_tournament,
+    relabel,
+)
 
 from tourlyn.errors import DomainError
 from tourlyn.tournaments import (
     Tournament,
     _canonical_order,
+    _score_relabeling,
     are_isomorphic,
     automorphism_count,
     canonicalize,
+    completion_counts,
     direct_sum,
     encode,
     enumerate_exact,
@@ -141,6 +149,40 @@ def test_seven_vertex_counts():
     classes = enumerate_exact(7)
     assert len(classes) == 456
     assert sum(1 for T in classes if is_strongly_connected(T)) == 353
+
+
+def test_enumeration_is_the_completion_oracle():
+    # enumerate_exact extends each smaller class through completion_counts;
+    # the oracle extends it by canonicalizing every completion on its own
+    for n in range(1, 8):
+        assert enumerate_exact(n) == enumeration_oracle(n)
+    assert [len(enumerate_exact(n)) for n in range(1, 8)] == [1, 1, 2, 4, 12, 56, 456]
+
+
+def test_completion_counts_are_the_oracle_s_on_labelled_inputs():
+    # inputs that are not canonical, on both sides and in both orders
+    rng = random.Random(53)
+    for n1, n2 in ((1, 1), (1, 4), (2, 3), (3, 3), (2, 5), (4, 3)):
+        T1, T2 = random_tournament(rng, n1), random_tournament(rng, n2)
+        assert completion_counts(T1, T2) == completion_counts_oracle(T1, T2)
+        assert completion_counts(T2, T1) == completion_counts_oracle(T2, T1)
+
+
+def test_score_relabeling_is_the_sorted_relabeling():
+    # the key of a completion is the completion relabelled by descending
+    # (score, sum of the out-neighbours' scores), ties in label order, so it
+    # is isomorphic to it
+    rng = random.Random(59)
+    completions = [random_tournament(rng, n) for n in range(1, 8) for _ in range(30)]
+    completions += [direct_sum([T, transitive(3)]) for T in enumerate_exact(4)]
+    completions += [circulant(7, (1, 2, 4)), transitive(7)]
+    for T in completions:
+        scores = [bin(m).count("1") for m in T.out]
+        second = [sum(scores[w] for w in range(T.n) if beats(T, v, w)) for v in range(T.n)]
+        order = sorted(range(T.n), key=lambda v: (-scores[v], -second[v], v))
+        key = Tournament(T.n, _score_relabeling(T.out))
+        assert key == relabel(T, order)
+        assert are_isomorphic(key, T)
 
 
 def test_are_isomorphic_vs_relabeling():
