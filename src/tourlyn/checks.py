@@ -241,7 +241,7 @@ def _power_sum_interval(forms, i, j, p):
 
 def _check_power_sums(seeds, t_seeds):
     # the pairs of construction.unreachable_at_t, its interval at seeded
-    # W_4 and W_5 points (densities by the chain DP), and sum_m w_m <= 96
+    # W_4 and W_5 points (densities by point_densities), and sum_m w_m <= 96
     # at k = 4, which makes it refuse all that unreachable refuses
     for k, want in POWER_SUM_PAIRS.items():
         ctx = context(k)

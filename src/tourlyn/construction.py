@@ -32,23 +32,24 @@ taken in order, the chain DP
     F[b] += F[a] * map_sum(T_i[C_{a+1} .. C_b], blocks of H_m)
 
 ends with F[P] = t(T_i, W_k); each inner map_sum runs on one host part
-(at most k blocks).  The DP is generic over the measure algebra: with the
-monomial s_j t_{j,j'} as the measure of host vertex v_{j,j'} it gives the
-polynomial (once per context and letter), with the rationals s_j t_{j,j'}
-the exact densities at a point (point_densities: probe's centre, and
-the tests' oracle for the solver's check).  t has one reader, TView: it
-reads and checks t, and at its first use substitutes t into every
-letter's polynomial in integers (its letters, the s-forms).  A point
-(s, t) has one reader, _read_point: it reads t through TView and tests
-the domain in integers, and every function taking a point refuses a bad
-one through it.  The s-forms are read by the solver (through the view's
-float coefficients, its domain test and its exact check), by the exact
-Jacobian (jacobian_at) and by density_s_poly.  The solver's float
-kernels (values, the Newton direction with its elimination, and a step's
-backtracking) are generated from the letters' s-monomials alone, so they
-depend on k only and are kept on the context; value_and_euler is the
-generic pass they unroll, and the one jacobian_at runs on the integer
-s-forms.
+(at most k blocks).  The DP is generic over the measure algebra (the
+ring contract in map_sum's docstring); the package runs it once per
+context and letter, with the monomial s_j t_{j,j'} as the measure of host
+vertex v_{j,j'}, which gives the polynomial, and the tests run it on the
+rationals s_j t_{j,j'} as an oracle for the densities at a point.  t has
+one reader, TView: it reads and checks t, and at its first use
+substitutes t into every letter's polynomial in integers (its letters,
+the s-forms).  A point (s, t) has one reader, _read_point: it reads t
+through TView and tests the domain in integers, and every function taking
+a point refuses a bad one through it.  The s-forms are read by the solver
+(through the view's float coefficients and its domain test), by the one
+exact evaluation at a point (form_values: the solver's exact check and
+point_densities, probe's centre), by the exact Jacobian (jacobian_at) and
+by density_s_poly.  The solver's float kernels (values, the Newton
+direction with its elimination, and a step's backtracking) are generated
+from the letters' s-monomials alone, so they depend on k only and are
+kept on the context; value_and_euler is the generic pass they unroll,
+and the one jacobian_at runs on the integer s-forms.
 
 The letters' polynomials also bound the image of the construction: at
 k = 4 they imply 96 t(c)^3 >= t(b)^4 on the whole domain (unreachable,
@@ -86,8 +87,9 @@ Besides `tourlyn build-wk`, which prints W, only the verify self-check of
 the solver and these tests use it:
 test_density_two_routes_agree, test_point_densities_match_build_and_density
 and test_build_is_a_valid_tournamenton (test_construction.py), the
-round trips and probe centres of test_solver.py, acceptance items 8
-and 9, and the output checks of perfbench.
+round trips, probe centres and checks of the solver's verification in
+test_solver.py, acceptance items 8 and 9, and the output checks of
+perfbench.
 """
 
 import random
@@ -97,7 +99,7 @@ from math import ceil, gcd, lcm
 
 from .errors import BudgetError, DomainError, InconclusiveError
 from .poly import Polynomial, det_rational, s_var, t_var
-from .rational import ONE, ZERO, Q, as_q, fmt_q
+from .rational import ZERO, Q, as_q, fmt_q
 from .tournaments import Tournament, direct_sum, encode, induced, strongly_connected_components
 from .tournamentons import TRANSITIVE_KIND, map_sum, step_tournamenton
 from .words import enumerate_lyndon, serialize_word, word_of
@@ -386,7 +388,9 @@ def build(ctx, p):
 def _chain_density(ctx, i, measures, one, zero):
     """t(T_i, W_k) by the chain DP over the host's strong parts (module
     docstring); measures[v] is the measure of host vertex v, in any algebra
-    map_sum accepts, with `one` and `zero` its units."""
+    that meets map_sum's ring contract, with `one` and `zero` its units.
+    _symbolic_density runs it on polynomials; the tests also run it on
+    rationals, as point_densities' oracle."""
     runs = ctx.runs[i - 1]
     P = max(b for _, b in runs)
     F = [one] + [zero] * P
@@ -444,15 +448,29 @@ def _symbolic_density(ctx, i):
 
 
 def point_densities(ctx, p):
-    """Exact t(T_i, W_k(s, t)) at p for every letter, in order: the chain
-    DP with the rational block measures s_i t_{i,j}.  Probe's centre, and
-    the oracle of test_verification_is_the_chain_dp_at_the_rounded_point,
-    test_verification_entries_match_the_fraction_formulas (test_solver.py)
-    and test_five_vertex_symbolic_densities."""
-    s, view, *_ = _read_point(ctx, p)
-    t = view.t
-    measures = [s[i - 1] * t[i - 1][j - 1] for i, j in ctx.cells]
-    return [_chain_density(ctx, i, measures, ONE, ZERO) for i in range(1, ctx.ell + 1)]
+    """Exact t(T_i, W_k(s, t)) at p for every letter, in order: the
+    s-forms of p's t at s = A / L (form_values), as Q.  Probe's centre and
+    the verify suite's densities."""
+    _, view, A, L, _ = _read_point(ctx, p)
+    return [Q(n, d) for n, d in form_values(view.letters, A, L)]
+
+
+def form_values(forms, A, L):
+    """Each s-form's value at s = A / L, as its (numerator, denominator)
+    ints in lowest terms: one integer sum over scale * L^n, reduced by one
+    gcd.  The one exact evaluation of the letters at a point: the solver's
+    check of its end points (solver._finish) and point_densities."""
+    values = []
+    for scale, n, terms in forms:
+        value = 0
+        for c, mono in terms:
+            for j, e in mono:
+                c *= A[j] ** e
+            value += c
+        den = scale * L ** n
+        g = gcd(value, den)
+        values.append((value // g, den // g))
+    return values
 
 
 def _fmt_ratio(n, d):

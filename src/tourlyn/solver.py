@@ -46,15 +46,15 @@ its exact binary value, s = A / L (float.as_integer_ratio per coordinate,
 L the lcm of the denominators), as soon as its run ends, in Python ints,
 with no Fraction arithmetic on the way: the open-domain test is
 construction.integer_point's, and each density is one integer sum of the
-s-form over scale * L^n_i, reduced by one gcd, the exact value of
-construction.point_densities (the tests' oracle for this check).  Its
-error from the target is one int true division, correctly rounded, so
-abs(float(x - g)) bit for bit; Q is built only for the coordinates of a
-point that is in the domain.  So a report's s_rational is exactly its s.
-The first attempt whose point is in the domain and meets the tolerance
-is the report; the remaining starts are never built.  Of several
-preimages near the target the report is the earliest start's, not
-necessarily the one of least merit.  When no attempt verifies, the
+s-form over scale * L^n_i, reduced by one gcd: construction.form_values,
+which point_densities reads too, and which the tests hold to build +
+density.  Its error from the target is one int true division, correctly
+rounded, so abs(float(x - g)) bit for bit; Q is built only for the
+coordinates of a point that is in the domain.  So a report's s_rational
+is exactly its s.  The first attempt whose point is in the domain and
+meets the tolerance is the report; the remaining starts are never built.
+Of several preimages near the target the report is the earliest start's,
+not necessarily the one of least merit.  When no attempt verifies, the
 report is the attempt of least merit.
 
 Floats are not trusted with singularity either: a float-singular Jacobian
@@ -92,11 +92,12 @@ import linecache
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from math import exp, gcd, isfinite, log
+from math import exp, isfinite, log
 from numbers import Integral, Real
 
 from .construction import (
-    TView, WkParams, _length, integer_point, jacobian_of_forms, unreachable, unreachable_at_t,
+    TView, WkParams, _length, form_values, integer_point, jacobian_of_forms, unreachable,
+    unreachable_at_t,
 )
 from .errors import DomainError
 from .poly import det_rational
@@ -410,10 +411,10 @@ def _finish(view, targets, tolerance, report):
     no-convergence; other runs keep their status, so finishing twice
     changes nothing.
 
-    Each value V / (scale L^n) is reduced by one gcd, and its error from
-    the target x = xn / xd is |xn gd - gn xd| / (xd gd) in int true
-    division, correctly rounded: abs(float(x - g)) bit for bit.  view is
-    the solve's TView, whose s-forms (its letters) give the values."""
+    Each value is gn / gd in lowest terms, construction.form_values on the
+    s-forms of view, the solve's TView, and its error from the target x =
+    xn / xd is |xn gd - gn xd| / (xd gd) in int true division, correctly
+    rounded: abs(float(x - g)) bit for bit."""
     point = _rational_point(report.s, view.D, view.R)
     if point is None:
         if report.status in ("converged", "float-singular"):
@@ -422,21 +423,11 @@ def _finish(view, targets, tolerance, report):
         return report
     s, A, L = point
     letters = view.letters
-    verification = []
-    for (scale, n, terms), (xn, xd) in zip(letters, targets):
-        value = 0
-        for c, mono in terms:
-            for j, e in mono:
-                c *= A[j] ** e
-            value += c
-        den = scale * L ** n
-        g = gcd(value, den)
-        gn, gd = value // g, den // g
-        verification.append({
-            "target": "%d/%d" % (xn, xd), "achieved": "%d/%d" % (gn, gd),
-            "abs_error": abs(xn * gd - gn * xd) / (xd * gd),
-        })
-    report.s_rational, report.verification = s, verification
+    report.s_rational, report.verification = s, [
+        {"target": "%d/%d" % (xn, xd), "achieved": "%d/%d" % (gn, gd),
+         "abs_error": abs(xn * gd - gn * xd) / (xd * gd)}
+        for (gn, gd), (xn, xd) in zip(form_values(letters, A, L), targets)
+    ]
     if report.status == "float-singular":
         if det_rational(jacobian_of_forms(letters, A, L)) == 0:
             report.status = "singular-jacobian"
@@ -445,7 +436,7 @@ def _finish(view, targets, tolerance, report):
             report.status = "no-convergence"
             report.detail = "float Jacobian singular; the exact one is not"
     elif report.converged:
-        error = max(v["abs_error"] for v in verification)
+        error = max(v["abs_error"] for v in report.verification)
         if error > tolerance:
             report.status, report.detail = "no-convergence", (
                 "exact error %.3g at the rounded solution exceeds the tolerance %.3g"

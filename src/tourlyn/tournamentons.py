@@ -70,12 +70,13 @@ homogeneous of degree n in the measures (every occupancy sums to n), so
 density divides the result by M^n once.
 
 W is frozen, so what is computed from its numbers is kept on it and goes
-with it: its validation, sample's float view, the integer measures,
-density's results per canonical class, and density's host tables per
-class size (the free pairs' factor tables, the fixed pairs, the powers of
-den and of the measures, the denominator and the multipliers met so
-far), which every class of that size on W reads.  The assignment counts
-are kept in the module, as they serve every W of a shape.
+with it: its validation, sample's float view, the integer measures, and
+density's host tables per class size (the free pairs' factor tables, the
+fixed pairs, the powers of den and of the measures, the denominator and
+the multipliers met so far), which every class of that size on W reads.
+A density itself is not kept: each call sums its class on the tables.
+The assignment counts are kept in the module, as they serve every W of a
+shape.
 """
 
 import random
@@ -115,11 +116,6 @@ class StepTournamenton:
         """validate(self) once per W; a raise stores nothing, so it recurs."""
         validate(self)
         return True
-
-    @cached_property
-    def _densities(self):
-        """What density has computed on this W, keyed by canonical class."""
-        return {}
 
     @cached_property
     def _host_tables(self):
@@ -206,9 +202,21 @@ def validate(W):
 
 def map_sum(T, measures, kinds, cross, zero):
     """The module docstring's sum over block assignments, shared by
-    density() and the construction module's chain DP: `measures` may be
-    ints, rationals or polynomials, `cross` rationals or plain ints (the
-    construction's 0/1 matrix); any number type with .denominator works.
+    density() and the construction module's chain DP.
+
+    The ring contract, what map_sum and construction._chain_density need
+    of the measures' type (ints, rationals and polynomials meet it), with
+    x, y measures and `zero` one of them:
+
+        x + y, and 0 + x and x + 0 for the int 0 (_class_sum starts its
+            sum from it);
+        x * y, and x * n for an int n;
+        x ** p for an int p >= 1;
+        x / n for a positive int n;
+        == and != against zero.
+
+    The cross entries are rationals or plain ints (the construction's 0/1
+    matrix): anything with .numerator and .denominator.
 
     It builds the host tables for T's size (_HostTables) and sums T on
     them (_class_sum).  density makes the same two calls, but keeps the
@@ -482,16 +490,14 @@ def density(T, W):
         raise BudgetError("density is budgeted to |T| <= %d" % DENSITY_MAX)
     W._valid
     C = canonicalize(T)
-    if C not in W._densities:
-        # the sum is homogeneous of degree n in the measures, so the walk
-        # runs on the integers a_b and the result is divided by M^n once
-        M, numerators = W._integer_measures
-        host = W._host_tables.get(C.n)
-        if host is None:
-            kinds = [b.diagonal for b in W.blocks]
-            host = W._host_tables[C.n] = _HostTables(C.n, numerators, kinds, W.cross)
-        W._densities[C] = _class_sum(C, host, ZERO) / M ** C.n
-    return W._densities[C]
+    # the sum is homogeneous of degree n in the measures, so the walk runs
+    # on the integers a_b and the result is divided by M^n once
+    M, numerators = W._integer_measures
+    host = W._host_tables.get(C.n)
+    if host is None:
+        kinds = [b.diagonal for b in W.blocks]
+        host = W._host_tables[C.n] = _HostTables(C.n, numerators, kinds, W.cross)
+    return _class_sum(C, host, ZERO) / M ** C.n
 
 
 def normalization_check(k, W):

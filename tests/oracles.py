@@ -149,3 +149,60 @@ def substitute(p, assignment):
         else:
             terms.pop(rest, None)
     return Polynomial(terms)
+
+
+class ContractMeasure:
+    """A measure that wraps a rational and defines only the operations of
+    the ring contract in tournamentons.map_sum's docstring: + with another
+    measure or the int 0 on either side, * with a measure or an int on the
+    right, ** an int p >= 1, / a positive int, and == and != between
+    measures.  Anything else (a float, a Fraction, an int on the left of *,
+    an ordering, a truth test) is a TypeError, so a use outside the
+    contract cannot pass unnoticed.  The measures of
+    test_map_sum_and_the_chain_dp_need_only_the_ring_contract
+    (test_tournamentons.py)."""
+
+    __slots__ = ("value",)
+    __hash__ = None
+
+    def __init__(self, value):
+        self.value = Q(value)
+
+    def _other(self, other):
+        if type(other) is not ContractMeasure:
+            raise TypeError("outside the ring contract: %r" % (other,))
+        return other.value
+
+    def __add__(self, other):
+        if type(other) is int and other == 0:
+            return self
+        return ContractMeasure(self.value + self._other(other))
+
+    def __radd__(self, other):
+        if type(other) is int and other == 0:
+            return self
+        raise TypeError("outside the ring contract: %r + a measure" % (other,))
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return ContractMeasure(self.value * other)
+        return ContractMeasure(self.value * self._other(other))
+
+    def __pow__(self, p):
+        if type(p) is not int or p < 1:
+            raise TypeError("outside the ring contract: ** %r" % (p,))
+        return ContractMeasure(self.value ** p)
+
+    def __truediv__(self, n):
+        if type(n) is not int or n <= 0:
+            raise TypeError("outside the ring contract: / %r" % (n,))
+        return ContractMeasure(self.value / n)
+
+    def __eq__(self, other):
+        return self.value == self._other(other)
+
+    def __ne__(self, other):
+        return self.value != self._other(other)
+
+    def __bool__(self):
+        raise TypeError("outside the ring contract: a measure has no truth value")

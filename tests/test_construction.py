@@ -279,6 +279,14 @@ def test_chain_dp_equals_the_unfactored_walk():
             assert symbolic_density(ctx, i).terms == unfactored.terms
 
 
+def chain_dp_densities(ctx, p):
+    # the chain DP on the rational block measures s_i t_{i,j}: the route the
+    # polynomials come from, run at the point instead of on monomials
+    measures = [p.s[i - 1] * p.t[i - 1][j - 1] for i, j in ctx.cells]
+    return [construction._chain_density(ctx, i, measures, Q(1), Q(0))
+            for i in range(1, ctx.ell + 1)]
+
+
 def test_five_vertex_symbolic_densities():
     ctx = context(5)
     polys = [symbolic_density(ctx, i) for i in range(1, ctx.ell + 1)]
@@ -290,7 +298,17 @@ def test_five_vertex_symbolic_densities():
     for i, row in enumerate(p.t, start=1):
         for j, v in enumerate(row, start=1):
             point[t_var(i, j)] = v
-    assert [q.evaluate(point) for q in polys] == point_densities(ctx, p)
+    assert [q.evaluate(point) for q in polys] == chain_dp_densities(ctx, p)
+
+
+def test_point_densities_are_the_rational_chain_dp():
+    # point_densities evaluates the s-forms; the chain DP on rationals
+    # reaches the same values without them, for every letter at k = 5 too
+    rng = random.Random(67)
+    for k, draws in ((3, 3), (4, 3), (5, 2)):
+        ctx = context(k)
+        for p in [default_params(ctx)] + [random_params(ctx, rng) for _ in range(draws)]:
+            assert point_densities(ctx, p) == chain_dp_densities(ctx, p)
 
 
 def test_four_vertex_symbolic_term_order():

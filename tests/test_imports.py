@@ -6,6 +6,7 @@ assignment tables, held to its bound."""
 
 import ast
 import importlib
+import importlib.util
 import random
 from pathlib import Path
 
@@ -181,6 +182,56 @@ def test_every_public_function_has_a_caller():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     lookups = {path.name: path.read_text() for path in sorted(BENCHMARK.glob("*.py"))}
     assert uncalled_functions(sources, private=False, lookups=lookups) == []
+
+
+def benchmark_reads():
+    """The "module.attr" paths perfbench reads from the package: each
+    attribute workloads.py takes from a tourlyn module it imports, each
+    TRACED path of tracing.py ("Class.method" ones included), and map_sum
+    in each module of tracing.py's MAP_SUM_FROM."""
+    tree = ast.parse((BENCHMARK / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "tourlyn"
+        for alias in node.names
+    }
+    reads = {
+        "%s.%s" % (node.value.id, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    spec = importlib.util.spec_from_file_location("tracing", BENCHMARK / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    reads.update("%s.%s" % traced for traced in tracing.TRACED)
+    reads.update("%s.map_sum" % module for module in tracing.MAP_SUM_FROM)
+    return reads
+
+
+def unresolved(paths):
+    """The paths "module.attr.attr..." that do not resolve in the package."""
+    missing = []
+    for path in sorted(paths):
+        module, *attrs = path.split(".")
+        value = importlib.import_module("tourlyn." + module)
+        for attr in attrs:
+            value = getattr(value, attr, None)
+        if value is None:
+            missing.append(path)
+    return missing
+
+
+def test_what_the_benchmark_reads_resolves():
+    # a benchmark run stops with an AttributeError on a name the package
+    # dropped, which no other test would notice: construction's map_sum,
+    # say, which only the trace of `run.py --trace 1` looks up
+    reads = benchmark_reads()
+    assert {"construction.map_sum", "tournamentons.map_sum", "poly.Polynomial.evaluate",
+            "tournaments._canonical_order", "solver.SolveOptions"} <= reads
+    assert unresolved(reads) == []
+    assert unresolved(["construction.no_such_name", "poly.Polynomial.no_such"]) == [
+        "construction.no_such_name", "poly.Polynomial.no_such",
+    ]
 
 
 MODULE_CACHES = {

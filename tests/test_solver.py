@@ -771,9 +771,9 @@ def test_t_near_the_float_range_still_converges():
         assert rep.converged
 
 
-def test_verification_is_the_chain_dp_at_the_rounded_point():
-    # the solver checks through its s-polynomials; point_densities, the
-    # chain DP over the rational block measures, is the oracle
+def test_verification_is_build_and_density_at_the_rounded_point():
+    # the solver checks through its s-polynomials; build + density, which
+    # integrates W over all its blocks, unfactored, is the oracle
     rng = random.Random(73)
     reports = []
     for k in (3, 4):
@@ -781,7 +781,7 @@ def test_verification_is_the_chain_dp_at_the_rounded_point():
         x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
         for _ in range(2):
             p = random_params(ctx, rng)
-            reports.append((ctx, solve(ctx, point_densities(ctx, p), t=p.t)))
+            reports.append((ctx, solve(ctx, exact_densities(ctx, p), t=p.t)))
         reports.append((ctx, solve(ctx, solver._ball_point(rng, x0, 1e-4))))
         # the float loop cannot meet this tolerance: a failed report that
         # still carries its verification
@@ -793,23 +793,23 @@ def test_verification_is_the_chain_dp_at_the_rounded_point():
             assert rep.s_rational == () and rep.verification == []
             continue
         assert rep.verification
-        exact = point_densities(ctx, make_params(ctx, rep.s_rational, rep.t))
+        exact = exact_densities(ctx, make_params(ctx, rep.s_rational, rep.t))
         assert [v["achieved"] for v in rep.verification] == [fmt_q(g) for g in exact]
 
 
 def test_verification_entries_match_the_fraction_formulas():
     # each entry's strings and error, from _finish's ints, against the
-    # formulas it replaced: fmt_q of the target and of the chain DP's value
-    # at the rounded point, and abs(float(x - g)), bit for bit
+    # formulas it replaced: fmt_q of the target and of build + density's
+    # value at the rounded point, and abs(float(x - g)), bit for bit
     rng = random.Random(131)
     statuses, details = set(), set()
     for k in (3, 4):
         ctx = context(k)
-        x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+        x0 = [float(x) for x in exact_densities(ctx, default_params(ctx))]
         cases = []
         for _ in range(6):
             p = random_params(ctx, rng)
-            cases.append((point_densities(ctx, p), p.t, None))
+            cases.append((exact_densities(ctx, p), p.t, None))
         for radius in (1e-7, 1e-4):
             cases += [(solver._ball_point(rng, x0, radius), None, None) for _ in range(4)]
         cases.append((x0, None, SolveOptions(tolerance=1e-40)))
@@ -824,7 +824,7 @@ def test_verification_entries_match_the_fraction_formulas():
                 continue
             statuses.add(rep.status)
             details.add(rep.detail)
-            exact = point_densities(ctx, make_params(ctx, rep.s_rational, rep.t))
+            exact = exact_densities(ctx, make_params(ctx, rep.s_rational, rep.t))
             assert [(v["target"], v["achieved"], float.hex(v["abs_error"]))
                     for v in rep.verification] == [
                 (fmt_q(Q(xi)), fmt_q(g), float.hex(abs(float(Q(xi) - g))))
@@ -1438,9 +1438,9 @@ def test_default_t_view_is_made_once_per_context(monkeypatch):
 
 def test_an_explicit_t_is_read_once_and_a_point_forms_no_letter(monkeypatch):
     # a solve at an explicit t reads it into one TView; reading a point
-    # for make_params, build or point_densities forms no letter, so a
-    # fresh context (not context(k)'s) keeps its polynomials unbuilt until
-    # the s-forms are needed, here by jacobian_at
+    # for make_params or build forms no letter, so a fresh context (not
+    # context(k)'s) keeps its polynomials unbuilt until the s-forms are
+    # needed, here by point_densities or jacobian_at
     ctx = context(4)
     p = random_params(ctx, random.Random(31))
     x = point_densities(ctx, p)
@@ -1455,10 +1455,10 @@ def test_an_explicit_t_is_read_once_and_a_point_forms_no_letter(monkeypatch):
         patch.setattr(solver, "TView", Counted)
         assert solve(ctx, x, t=p.t).converged
     assert len(made) == 1
-    fresh = context.__wrapped__(4)
-    make_params(fresh, p.s, p.t)
-    build(fresh, p)
-    point_densities(fresh, p)
-    assert "_letters" not in vars(fresh)
-    construction.jacobian_at(fresh, p)
-    assert "_letters" in vars(fresh)
+    for reader in (point_densities, construction.jacobian_at):
+        fresh = context.__wrapped__(4)
+        make_params(fresh, p.s, p.t)
+        build(fresh, p)
+        assert "_letters" not in vars(fresh)
+        reader(fresh, p)
+        assert "_letters" in vars(fresh)

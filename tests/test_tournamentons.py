@@ -7,8 +7,9 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from oracles import random_tournament, relabel, single_transitive
+from oracles import ContractMeasure, random_tournament, relabel, single_transitive
 
+from tourlyn import construction
 from tourlyn.errors import BudgetError, DomainError
 from tourlyn.poly import Polynomial, s_var
 from tourlyn.rational import ONE, Q, ZERO
@@ -242,21 +243,23 @@ def test_density_caches_live_on_each_tournamenton(monkeypatch):
     gc.collect()
     assert sum(ref() is not None for ref in refs) == 0
 
-    # a repeated density on one W, under any labelling, sums once
-    walks = []
-    class_sum = tournamentons._class_sum
+    # a repeated density on one W, under any labelling, is equal and reads
+    # the host tables of its size made at the first
+    built = []
+    host_tables = tournamentons._HostTables
 
-    def counted(*args):
-        walks.append(args[0])
-        return class_sum(*args)
+    def counted(n, *args):
+        built.append(n)
+        return host_tables(n, *args)
 
-    monkeypatch.setattr(tournamentons, "_class_sum", counted)
+    monkeypatch.setattr(tournamentons, "_HostTables", counted)
     W = random_step_tournamenton(random.Random(11))
     first = density(C3, W)
     assert density(C3, W) == density(parse("3:010"), W) == first
-    assert len(walks) == 1
+    assert built == [3]
 
-    # a failed validation is not kept: every call raises again
+    # a failed validation is not kept: every call raises again, and builds
+    # no tables
     bad = step_tournamenton([(Q(1, 2), HALF_KIND), (Q(1, 4), HALF_KIND)],
                             [[0, Q(1, 2)], [Q(1, 2), 0]])
     for seed in range(3):
@@ -264,7 +267,42 @@ def test_density_caches_live_on_each_tournamenton(monkeypatch):
             density(C3, bad)
         with pytest.raises(DomainError, match="sum"):
             sample(bad, 3, seed=seed)
-    assert walks == [C3]
+    assert built == [3]
+
+
+def test_map_sum_and_the_chain_dp_need_only_the_ring_contract():
+    # measures that define only the contract's operations give the
+    # rationals' values: map_sum on hosts mixing half and transitive blocks
+    # with 0, 1 and fractional cross entries, and the chain DP at a seeded
+    # W_4 point
+    rng = random.Random(29)
+    entries = [ZERO, ONE, Q(1, 97), Q(1, 2), Q(5, 12)]
+    for trial in range(6):
+        B = rng.randint(1, 4)
+        measures = [Q(rng.randint(1, 9), 40) for _ in range(B)]
+        kinds = [rng.choice((HALF_KIND, TRANSITIVE_KIND)) for _ in range(B)]
+        cross = [[ZERO] * B for _ in range(B)]
+        for i, j in itertools.combinations(range(B), 2):
+            cross[i][j] = rng.choice(entries)
+            cross[j][i] = 1 - cross[i][j]
+        wrapped = list(map(ContractMeasure, measures))
+        for T in [random_tournament(rng, rng.randint(1, 5)) for _ in range(4)]:
+            got = map_sum(T, wrapped, kinds, cross, ContractMeasure(0))
+            assert got.value == map_sum(T, measures, kinds, cross, ZERO)
+    ctx = construction.context(4)
+    p = construction.random_params(ctx, random.Random(43))
+    measures = [p.s[i - 1] * p.t[i - 1][j - 1] for i, j in ctx.cells]
+    wrapped = list(map(ContractMeasure, measures))
+    for i in range(1, ctx.ell + 1):
+        got = construction._chain_density(
+            ctx, i, wrapped, ContractMeasure(1), ContractMeasure(0))
+        assert got.value == construction._chain_density(ctx, i, measures, ONE, ZERO)
+    # the measure refuses what the contract leaves out
+    x = ContractMeasure(Q(1, 3))
+    for outside in (lambda: 2 * x, lambda: x + 1, lambda: x - x, lambda: x < x,
+                    lambda: bool(x), lambda: x ** 0, lambda: x / x, lambda: x == ZERO):
+        with pytest.raises(TypeError):
+            outside()
 
 
 def test_map_sum_equals_the_per_assignment_formula():
