@@ -17,9 +17,11 @@ from .poly import Polynomial, s_var, t_var, x_var
 from .rational import ONE, Q, ZERO
 from .construction import (
     TView,
+    _read_point,
     build,
     certify_det_nonzero,
     context,
+    form_values,
     jacobian_symbolic,
     point_densities,
     random_params,
@@ -241,8 +243,10 @@ def _power_sum_interval(forms, i, j, p):
 
 def _check_power_sums(seeds, t_seeds):
     # the pairs of construction.unreachable_at_t, its interval at seeded
-    # W_4 and W_5 points (densities by point_densities), and sum_m w_m <= 96
-    # at k = 4, which makes it refuse all that unreachable refuses
+    # W_4 and W_5 points (the point's densities, as point_densities makes
+    # them, and the interval read off one TView's s-forms), and
+    # sum_m w_m <= 96 at k = 4, which makes it refuse all that unreachable
+    # refuses
     for k, want in POWER_SUM_PAIRS.items():
         ctx = context(k)
         got = [tuple(ctx.names[n] for n in pair[:2]) for pair in ctx._power_sums]
@@ -251,9 +255,8 @@ def _check_power_sums(seeds, t_seeds):
     for k, count in ((4, 40), (5, 20)):
         ctx = context(k)
         for seed in seeds[:count]:
-            p = random_params(ctx, random.Random(seed))
-            x = point_densities(ctx, p)
-            view = TView(ctx, p.t)
+            _, view, A, L, _ = _read_point(ctx, random_params(ctx, random.Random(seed)))
+            x = [Q(n, d) for n, d in form_values(view.letters, A, L)]
             for i, j, q, _ in ctx._power_sums:
                 low, high = _power_sum_interval(view.letters, i, j, q)
                 if not low < x[i] ** (q + 1) / x[j] ** q <= high:

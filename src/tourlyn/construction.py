@@ -76,8 +76,9 @@ submatrices, each letter's runs of strong parts, and the block order
 (the WkContext fields).  Kept
 on the context too, each made at its first use, are the letters'
 polynomials (all at once), their power-sum pairs, the solver's float
-kernels and the TView of the default t, which every solve at the default
-t shares, so that such a solve reads no t.  context is the module's one
+kernels and the TView of the default t, which every solve and every
+point read at the default t share, so that such a solve reads no t and
+probe's centre forms no letter a second time.  context is the module's one
 cache; what it keeps lives and dies with the context.  I_0 appears only
 in build().
 
@@ -172,7 +173,8 @@ class WkContext:
     @cached_property
     def _default_view(self):
         """The TView of the default t (solver.default_params's, imported
-        here as _float_kernels imports), made at the first solve there."""
+        here as _float_kernels imports), made at the first point read
+        (_read_point) or solve there."""
         from .solver import default_params
 
         return TView(self, default_params(self).t)
@@ -202,8 +204,8 @@ class TView:
 
     the rest is made at its first use.  A solve makes one per explicit t,
     and WkContext._default_view keeps the default t's, which every solve
-    there shares.  A plain class, not a dataclass: the package's import
-    pays for every dataclass it defines."""
+    and every point read there share.  A plain class, not a dataclass:
+    the package's import pays for every dataclass it defines."""
 
     def __init__(self, ctx, t_values):
         _length(t_values, "t")
@@ -339,10 +341,14 @@ def _length(values, what):
 def _read_point(ctx, p):
     """The one reader of a W_k point: s counted, t read by TView, s read by
     as_q and tested by integer_point.  Returns (s, view, A, L, slack), s =
-    A / L, slack = 1 - sum_i s_i sum_j t_{i,j}."""
+    A / L, slack = 1 - sum_i s_i sum_j t_{i,j}.  At the default t the view
+    is the context's, so its s-forms are made once, for every solve there
+    too."""
     if _length(p.s, "s") != ctx.ell:
         raise DomainError("expected %d s-values, got %d" % (ctx.ell, len(p.s)))
     view = TView(ctx, p.t)
+    if view.t == ctx._default_view.t:
+        view = ctx._default_view
     s = tuple(as_q(x) for x in p.s)
     D = view.D
     A, L, used = integer_point([(x.numerator, x.denominator) for x in s], D, view.R)

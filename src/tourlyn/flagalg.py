@@ -5,9 +5,15 @@ densities of non-trivial Lyndon tournaments.
 
 The product T1 x T2 is the sum of the classes that the 2^(|T1||T2|)
 orientations of the cross edges complete T1 + T2 to, each with the number
-of orientations reaching it (tournaments.completion_counts); its defining
-property is t(T1 x T2, W) = t(T1, W) t(T2, W) for every tournamenton W,
-which the test suite checks exactly on random step tournamentons.
+of orientations reaching it; its defining property is t(T1 x T2, W) =
+t(T1, W) t(T2, W) for every tournamenton W, which the test suite checks
+exactly on random step tournamentons.  As in Razborov's flag algebras, a
+coefficient is an induced-subflag count: a class C is reached by |Aut A|
+|Aut B| N_{A,B}(C) / |Aut C| orientations, A and B the canonical forms of
+T1 and T2 and N_{A,B}(C) the number of ways to split C's vertices into a
+copy of A and a copy of B.  product reads the counts off one table per
+size pair (tournaments.split_counts) and orders the pair first, since it
+commutes, so that there are at most 12 tables.
 
 For a non-Lyndon T, multiplying out the tournaments of the CFL factors of
 w(T) gives sum_S beta_S * S in which T itself carries a positive
@@ -22,7 +28,7 @@ otherwise.
 from .errors import BudgetError, DomainError
 from .poly import Polynomial, x_var
 from .rational import ONE, ZERO, Q, fmt_q
-from .tournaments import canonicalize, completion_counts, encode
+from .tournaments import automorphism_count, canonicalize, encode, split_counts
 from .words import (
     cfl_factorize,
     enumerate_lyndon,
@@ -38,14 +44,25 @@ _product_cache = {}
 
 
 def product(T1, T2):
-    """LinComb of all cross-orientation completions, keyed by canonical
-    form: completion_counts of the two canonical forms, kept per pair."""
+    """LinComb of the classes C that the cross orientations of T1 + T2
+    complete to, each with the number of orientations reaching it: |Aut A|
+    |Aut B| N_{A,B}(C) / |Aut C|, A and B the canonical forms, read off the
+    split table of the size pair (tournaments.split_counts), kept per pair.
+
+    A split S of C with an isomorphism onto each side is one bijection
+    from T1 + T2's vertices to C's, and each completion reaching C is
+    reached by |Aut C| of them."""
     if T1.n + T2.n > PRODUCT_MAX:
         raise BudgetError("product is budgeted to %d total vertices" % PRODUCT_MAX)
+    if T1.n > T2.n:
+        # the product commutes: (5, 2) reads (2, 5)'s table
+        T1, T2 = T2, T1
     key = (canonicalize(T1), canonicalize(T2))
     if key in _product_cache:
         return dict(_product_cache[key])
-    result = {T: Q(c) for T, c in completion_counts(*key).items()}
+    A, B = key
+    sides = automorphism_count(A) * automorphism_count(B)
+    result = {C: Q(sides * N // aut) for C, N, aut in zip(*split_counts(A.n, B.n)[key])}
     _product_cache[key] = result
     return dict(result)
 

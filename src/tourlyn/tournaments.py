@@ -40,19 +40,29 @@ so ties in the scores never straddle a cut: sorting by score and cutting
 where the prefix sums meet that bound gives the parts in order.
 
 The classes on n vertices are those that the classes on n - 1 complete to
-with one more vertex, and a product of two tournaments counts the classes
-that the orientations of their cross pairs complete them to: both are
-completion_counts.  It keys each completion by its score relabeling, the
-vertices sorted by descending score and then by the sum of their
-out-neighbours' scores, ties kept in label order.  That is a relabeling, so
-completions that share a key are isomorphic; many isomorphic ones share
-one, so each distinct key is canonicalized once, not each completion.
-Exact enumeration goes up to n = 7 (456 isomorphism classes); the counts
-1, 1, 2, 4, 12, 56, 456 act as a built-in regression check elsewhere.
+with one more vertex (completion_counts).  It keys each completion by its
+score relabeling, the vertices sorted by descending score and then by the
+sum of their out-neighbours' scores, ties kept in label order.  That is a
+relabeling, so completions that share a key are isomorphic; many
+isomorphic ones share one, so each distinct key is canonicalized once, not
+each completion.  Exact enumeration goes up to n = 7 (456 isomorphism
+classes); the counts 1, 1, 2, 4, 12, 56, 456 act as a built-in regression
+check elsewhere.
+
+A product of two classes A and B on n1 and n2 vertices reads a table kept
+per size pair (split_counts): for each class C on n1 + n2 vertices, the
+number N_{A,B}(C) of n1-subsets S of its vertices with C[S] ~ A and
+C[V - S] ~ B, and |Aut C|.  The cross orientations of A + B that complete
+it to C number |Aut A| |Aut B| N_{A,B}(C) / |Aut C| (flagalg.product), so
+no product searches a class on n1 + n2 vertices.  A table splits every
+class in every way, reading each side's out-masks off one 2^n table per
+subset that packs a mask's bits at the subset (_squeeze), and
+canonicalizes the sides, which have at most n - 1 vertices.
 """
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import BudgetError, DomainError
 
@@ -374,6 +384,51 @@ def completion_counts(T1, T2):
         C = canonicalize(Tournament._trusted(n, key))
         counts[C] = counts.get(C, 0) + c
     return counts
+
+
+def _squeeze(verts, n):
+    """sq[m] for every mask m on n vertices: m's bits at verts, packed in
+    verts' order, so that the out-masks of T[verts] are sq[T.out[v]] for v
+    in verts."""
+    place = [0] * n
+    for p, v in enumerate(verts):
+        place[v] = 1 << p
+    sq = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        sq[m] = sq[m ^ low] | place[low.bit_length() - 1]
+    return sq
+
+
+@lru_cache(maxsize=None)
+def split_counts(n1, n2):
+    """{(A, B): (classes, counts, automorphism counts)}, three aligned
+    tuples over the classes C on n1 + n2 vertices in enumerate_exact order
+    with N_{A,B}(C) > 0: the number of n1-subsets S of C's vertices with
+    C[S] ~ A and C[V - S] ~ B, A and B canonical.
+
+    One table per size pair, each row keeping |Aut C|, so that reading it
+    searches no class (flagalg.product)."""
+    if n1 < 1 or n2 < 1:
+        raise DomainError("a split needs a vertex on each side")
+    n = n1 + n2
+    classes = enumerate_exact(n)
+    splits = []
+    for S in combinations(range(n), n1):
+        rest = tuple(v for v in range(n) if v not in S)
+        splits.append((S, _squeeze(S, n), rest, _squeeze(rest, n)))
+    rows = {}
+    for C in classes:
+        out = C.out
+        tally = {}
+        for S, sq, rest, sq_rest in splits:
+            A = _canonical_order(n1, tuple([sq[out[v]] for v in S]))[0]
+            B = _canonical_order(n2, tuple([sq_rest[out[v]] for v in rest]))[0]
+            tally[A, B] = tally.get((A, B), 0) + 1
+        aut = _canonical_order(n, out)[1]
+        for pair, N in tally.items():
+            rows.setdefault(pair, []).append((C, N, aut))
+    return {pair: tuple(zip(*row)) for pair, row in rows.items()}
 
 
 @lru_cache(maxsize=None)

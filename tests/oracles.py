@@ -49,8 +49,9 @@ def relabel(T, perm):
 def completion_counts_oracle(T1, T2):
     """{canonical class: number of cross orientations} for T1 + T2 (T2's
     vertices after T1's), each of the 2^(n1 n2) completions canonicalized
-    on its own: the loop that tournaments.completion_counts keys by score
-    relabelings.  test_product_is_the_completion_oracle (test_flagalg.py),
+    on its own: the counts that tournaments.completion_counts gets by
+    keying the completions, and that flagalg.product reads off a split
+    table.  test_product_is_the_completion_oracle (test_flagalg.py),
     test_completion_counts_are_the_oracle_s_on_labelled_inputs and, through
     enumeration_oracle, test_enumeration_is_the_completion_oracle
     (test_tournaments.py)."""

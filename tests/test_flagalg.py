@@ -6,8 +6,10 @@ import pytest
 
 from oracles import completion_counts_oracle, random_tournament, relabel
 
+from tourlyn import tournaments
 from tourlyn.errors import BudgetError, DomainError
 from tourlyn.flagalg import (
+    _product_cache,
     dimension,
     express,
     lemma_reduce,
@@ -25,6 +27,7 @@ from tourlyn.tournaments import (
     encode,
     enumerate_exact,
     parse,
+    split_counts,
     transitive,
 )
 from tourlyn.words import LetterOrder, is_lyndon_tournament, tournament_less, word_of
@@ -65,9 +68,20 @@ def test_product_mirrors_density():
             assert lhs == rhs
 
 
+def class_pairs():
+    """Every pair of classes (A, B) with |A| <= |B| and |A| + |B| <= 7."""
+    for n1 in range(1, 4):
+        for n2 in range(n1, 8 - n1):
+            for A in enumerate_exact(n1):
+                for B in enumerate_exact(n2):
+                    yield A, B
+
+
 def test_product_is_the_completion_oracle():
-    # every size pair up to 7 vertices in both orders, on seeded classes
-    # given relabelled, against every completion canonicalized on its own
+    # every class pair up to 7 vertices in both orders, given relabelled,
+    # against every completion canonicalized on its own (the product
+    # commutes, so once per pair); product reads the split table of the
+    # ordered size pair
     rng = random.Random(61)
 
     def shuffled(T):
@@ -75,13 +89,30 @@ def test_product_is_the_completion_oracle():
         rng.shuffle(perm)
         return relabel(T, perm)
 
-    for n in range(2, 8):
-        for n1 in range(1, n // 2 + 1):
-            A = shuffled(rng.choice(enumerate_exact(n1)))
-            B = shuffled(rng.choice(enumerate_exact(n - n1)))
-            for T1, T2 in ((A, B), (B, A)):
-                want = completion_counts_oracle(T1, T2)
-                assert product(T1, T2) == {C: Q(c) for C, c in want.items()}
+    pairs = list(class_pairs())
+    assert len(pairs) == 107
+    for A, B in pairs:
+        A, B = shuffled(A), shuffled(B)
+        want = {C: Q(c) for C, c in completion_counts_oracle(A, B).items()}
+        assert product(A, B) == want == product(B, A)
+
+
+def test_each_size_pair_builds_one_split_table():
+    # (n1, n2) and (n2, n1) share one table, built at the first product of
+    # the pair; after the canonical cache is cleared, as the benchmark does
+    # before every batch, a product of two canonical classes searches only
+    # its two sides, the table keeping each class's automorphism count
+    _product_cache.clear()
+    split_counts.cache_clear()
+    for A, B in class_pairs():
+        product(A, B)
+        product(B, A)
+    assert split_counts.cache_info().misses == split_counts.cache_info().currsize == 12
+    _product_cache.clear()
+    tournaments._canonical_order.cache_clear()
+    product(enumerate_exact(2)[0], enumerate_exact(5)[7])
+    assert tournaments._canonical_order.cache_info().misses <= 2
+    assert split_counts.cache_info().misses == 12
 
 
 def test_multi_product_associates():

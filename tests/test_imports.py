@@ -1,7 +1,7 @@
 """Every module, the tests' included, imports only names it uses; every
 function and method of the package has a caller in the package or the
 benchmark (no linter ships with the package); and the module-level
-caches are eight: the seven whose key spaces are bounded, and the lru of
+caches are nine: the eight whose key spaces are bounded, and the lru of
 assignment tables, held to its bound."""
 
 import ast
@@ -238,6 +238,7 @@ MODULE_CACHES = {
     "construction.context",
     "tournaments._canonical_order",
     "tournaments._reps_up_to",
+    "tournaments.split_counts",
     "flagalg._product_cache",
     "flagalg._express_cache",
     "words.DEFAULT_ORDER._by_size",
@@ -289,12 +290,13 @@ def long_run_slice(seed):
             density(T, W)
 
 
-def test_module_caches_are_the_eight_and_stop_growing():
-    # every cache of a W or a t lives on its object; seven module-level
+def test_module_caches_are_the_nine_and_stop_growing():
+    # every cache of a W or a t lives on its object; eight module-level
     # ones are keyed on a bounded space (k, labelled tournaments, class
-    # pairs), so once it is covered a longer run adds nothing to them.  The
-    # eighth, the assignment counts, is keyed on W's block shape too, which
-    # random tournamentons do not cover: it is held to its lru bound
+    # pairs, size pairs), so once it is covered a longer run adds nothing to
+    # them.  The ninth, the assignment counts, is keyed on W's block shape
+    # too, which random tournamentons do not cover: it is held to its lru
+    # bound
     caches = module_caches()
     assert set(caches) == MODULE_CACHES
     counts = caches.pop("tournamentons._assignment_counts")

@@ -1410,29 +1410,39 @@ def test_default_t_solve_equals_the_explicit_default_t():
 
 
 def test_default_t_view_is_made_once_per_context(monkeypatch):
-    # the default t's view lives on the context, made at its first solve
-    # there (not by context(k), which a fresh instance here stands in for),
-    # and keeping it left the module-level caches as they were
+    # the default t's view lives on the context, made at the first point
+    # read or solve there (not by context(k), which a fresh instance here
+    # stands in for).  Probe's centre, point_densities at the default t,
+    # reads it too, so the centre, a probe and the solves after them form
+    # each letter once; keeping it left the module-level caches as they were
     from test_imports import MODULE_CACHES, cache_sizes, module_caches
 
     ctx = context.__wrapped__(4)
     assert "_default_view" not in vars(ctx)
-    x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
-    calls = []
+    made, formed = [], []
 
     class Counted(construction.TView):
         def __init__(self, *args):
-            calls.append(1)
+            made.append(1)
             super().__init__(*args)
 
+        def form(self, i):
+            formed.append(i)
+            return super().form(i)
+
     monkeypatch.setattr(construction, "TView", Counted)
+    x0 = [float(x) for x in point_densities(ctx, default_params(ctx))]
+    # point_densities' reading of t, and the default view it finds equal
+    assert len(made) == 2 and isinstance(ctx._default_view, Counted)
     caches = module_caches()
     before = cache_sizes(caches)
+    probe_ball(ctx, x0, 1e-7, 2, seed=5)
     views = []
     for radius in (0.0, 1e-7, 1e-4, 1e-3):
         solve(ctx, solver._ball_point(random.Random(5), x0, radius))
         views.append(ctx._default_view)
-    assert len(calls) == 1 and all(view is views[0] for view in views)
+    assert len(made) == 2 and all(view is views[0] for view in views)
+    assert sorted(formed) == list(range(1, ctx.ell + 1))
     assert set(caches) == MODULE_CACHES and cache_sizes(caches) == before
 
 
