@@ -10,6 +10,8 @@ with positive exponents; a polynomial is a dict monomial -> coefficient
 with no zero coefficients stored.
 """
 
+from math import lcm
+
 from .errors import DomainError
 from .rational import ONE, ZERO, Q, as_q, fmt_q
 
@@ -149,17 +151,30 @@ class Polynomial:
         return Polynomial(acc)
 
     def evaluate(self, point):
-        """Exact evaluation; every variable present must be assigned."""
-        missing = [v for v in self.variables() if v not in point]
-        if missing:
-            raise DomainError("unassigned variables: %s" % ", ".join(var_name(v) for v in missing))
-        total = ZERO
+        """Exact evaluation; every variable present must be assigned.
+
+        Each term is an integer numerator over an integer denominator, each
+        variable's value read once; the terms meet over the lcm L of their
+        denominators, and the value is one Q(sum, L)."""
+        values = {}  # variable -> (numerator, denominator) of its value
+        numerators, denominators = [], []
         for mono, c in self.terms.items():
-            val = c
+            num, den = c.numerator, c.denominator
             for v, e in mono:
-                val *= Q(point[v]) ** e
-            total += val
-        return total
+                value = values.get(v)
+                if value is None:
+                    if v not in point:
+                        missing = [v for v in self.variables() if v not in point]
+                        raise DomainError("unassigned variables: %s"
+                                          % ", ".join(var_name(v) for v in missing))
+                    x = Q(point[v])
+                    value = values[v] = x.numerator, x.denominator
+                num *= value[0] ** e
+                den *= value[1] ** e
+            numerators.append(num)
+            denominators.append(den)
+        L = lcm(*denominators)
+        return Q(sum(num * (L // den) for num, den in zip(numerators, denominators)), L)
 
     def evaluate_float(self, point):
         """The value at a point of floats, term by term in float arithmetic.

@@ -5,8 +5,9 @@ installed, fractions.Fraction otherwise.  The two are interchangeable for
 our purposes (arbitrary precision, hash-compatible, same operator surface);
 mpq is preferred because its products and sums are cheaper (the
 determinants and polynomial arithmetic); density's evaluation multiplies
-Python ints, the block measures included, and meets Q only in the two
-divisions that end each call.  Nothing else in the package may
+Python ints, the block measures included, and meets Q only in the one
+rational that ends each call, as Polynomial.evaluate sums its terms'
+integer numerators over one denominator.  Nothing else in the package may
 construct rationals directly from floats: binary rounding artifacts must
 stay out of exact pipelines, so a float crosses to exact in one place
 only, float.as_integer_ratio, its exact binary value, at the boundary

@@ -42,41 +42,51 @@ power of den to divide by.  On a 0/1 matrix no pair is free and the
 signature is the occupancy.
 
 The counts depend on T and on W's shape, not on W's numbers, so they are
-kept in the module's one cache, an lru_cache keyed on the labelled T,
-the blocks' transitive flags and the zero pattern of the cross matrix
-(per block, the bitmask of its nonzero entries), of at most
-ASSIGNMENT_TABLES tables; _assignment_counts.cache_info() gives its
-hits, misses and current size.  A table keeps its counts, its occupancy
-codes and each free pair's edge numbers in arrays of the narrowest type
-that holds them, one array per free pair; codes past 64 bits, those of a
-host with dozens of blocks, are kept as fixed-width bytes (_WideInts)
-and read back with int.from_bytes.
+kept in the module, in an lru_cache keyed on the labelled T, the blocks'
+transitive flags and the zero pattern of the cross matrix (per block,
+the bitmask of its nonzero entries), of at most ASSIGNMENT_TABLES
+tables; _assignment_counts.cache_info() gives its hits, misses and
+current size.  A table keeps its counts, its occupancy codes and, per
+row, one id in arrays of the narrowest type that holds them; codes past
+64 bits, those of a host with dozens of blocks, are kept as fixed-width
+bytes (_WideInts) and read back with int.from_bytes.  An id stands for
+the free pairs' numbers of its row in the signature index of the host
+shape and class size (_SignatureIndex), which holds each pair's numbers
+in its own column and grows as the tables of the shape meet new ones.
+The indexes are the module's second cache, _signature_index, an lru of
+at most SIGNATURE_INDEXES keyed on the class size and the shape; a
+table keeps the index its ids point into, so an eviction from either
+cache never pairs a table with a rebuilt index.
 
 The host tables scale the cross matrix by den, the lcm of its entries'
 denominators (den = 1 for a 0/1 matrix), tabulate the powers of each free
-pair's two entries, and turn each occupancy, the first time a class meets
-it, into its multiplier: one integer coefficient over the common
-denominator den^C(n,2) n! 2^C(n,2) times the powers m_b^p of its
-measures.  The sum for a class weights each signature's count by the
-factor tables, sums the rows of each occupancy and multiplies the sum by
-the occupancy's multiplier.  The occupancies are summed in the order the
-walk first reached them, which fixes the term order of the polynomials
-construction.symbolic_density makes, and the sum is divided by the
-denominator once per class.
+pair's two entries, weigh each id of an index once, the product of its
+pairs' powers (extended in one pass when a class brings new ids), and
+turn each occupancy, the first time a class meets it, into its
+multiplier: one integer coefficient over the common denominator
+den^C(n,2) n! 2^C(n,2) times the powers m_b^p of its measures.  The sum
+for a class multiplies each row's count by its id's weight, one lookup
+and one product per row, sums the rows of each occupancy and multiplies
+the sum by the occupancy's multiplier.  The occupancies are summed in
+the order the walk first reached them, which fixes the term order of the
+polynomials construction.symbolic_density makes; map_sum divides the sum
+by the denominator once per class.
 
 density passes the measures as integers a_b over their lcm M, so for
 rational measures the whole evaluation stays in ints; the sum is
 homogeneous of degree n in the measures (every occupancy sums to n), so
-density divides the result by M^n once.
+density makes one rational of it, the sum over the denominator times
+M^n.
 
 W is frozen, so what is computed from its numbers is kept on it and goes
 with it: its validation, sample's float view, the integer measures, and
-density's host tables per class size (the free pairs' factor tables, the
-fixed pairs, the powers of den and of the measures, the denominator and
-the multipliers met so far), which every class of that size on W reads.
-A density itself is not kept: each call sums its class on the tables.
-The assignment counts are kept in the module, as they serve every W of a
-shape.
+density's host tables per class size (the free pairs' factor tables and
+the weights of the ids met so far, the fixed pairs, the powers of den
+and of the measures, the denominator and the multipliers met so far),
+which every class of that size on W reads.  A density itself is not
+kept: each call sums its class on the tables.  The assignment counts and
+the signature indexes are kept in the module, as they serve every W of
+a shape.
 """
 
 import random
@@ -96,6 +106,9 @@ DENSITY_MAX = 6
 # three block patterns take 228, the k <= 5 contexts' chain DP and W_k
 # hosts 132
 ASSIGNMENT_TABLES = 1024
+# the signature indexes _signature_index keeps, one per host shape and
+# class size: flag-algebra's three block patterns take 18
+SIGNATURE_INDEXES = 256
 HALF_KIND = "half"
 TRANSITIVE_KIND = "transitive"
 
@@ -218,11 +231,13 @@ def map_sum(T, measures, kinds, cross, zero):
     The cross entries are rationals or plain ints (the construction's 0/1
     matrix): anything with .numerator and .denominator.
 
-    It builds the host tables for T's size (_HostTables) and sums T on
-    them (_class_sum).  density makes the same two calls, but keeps the
-    tables on W for every later class of that size.
+    It builds the host tables for T's size (_HostTables), sums T on them
+    (_class_sum) and divides the sum by the tables' denominator.  density
+    makes the same two calls, but keeps the tables on W for every later
+    class of that size, and makes its int sum one rational.
     """
-    return _class_sum(T, _HostTables(T.n, measures, kinds, cross), zero)
+    host = _HostTables(T.n, measures, kinds, cross)
+    return (zero + _class_sum(T, host)) / host.denominator
 
 
 class _HostTables:
@@ -237,9 +252,11 @@ class _HostTables:
 
     e and g being T's edges from block a to block b and back; `factors`
     holds, per free pair, these products at the index e * S + g its number
-    holds.  A pair with a zero entry has all of its p_a p_b edges on its
-    nonzero side (or none, when both are zero), so it multiplies the weight
-    by (w[a][b] + w[b][a])^(p_a p_b), which is 1 on a 0/1 matrix; `fixed`
+    holds, and their product over the pairs is the cross weight of the
+    signature's id, kept per signature index in `weights` (cross_weights).
+    A pair with a zero entry has all of its p_a p_b edges on its nonzero
+    side (or none, when both are zero), so it multiplies the weight by
+    (w[a][b] + w[b][a])^(p_a p_b), which is 1 on a 0/1 matrix; `fixed`
     lists the pairs where it is not.  Over the common denominator
     `denominator` = den^C(n,2) n! 2^C(n,2) an occupancy is its integer
     weight times its multiplier
@@ -279,6 +296,23 @@ class _HostTables:
         self.denominator = self.den_powers[pairs] * self.scale
         self.powers = {}  # m_b^p at the slot b * (n + 1) + p, as needed
         self.multipliers = {}
+        self.weights = {}  # _SignatureIndex -> the cross weights of its ids
+
+    def cross_weights(self, index):
+        """The cross weights of the ids of `index` (a _SignatureIndex of
+        this host's shape and size), id by id: the list kept for that index,
+        first extended in one pass by the ids it gained since."""
+        weights = self.weights.get(index)
+        if weights is None:
+            weights = self.weights[index] = []
+        start = len(weights)
+        if start < len(index.ids):
+            columns = iter(index.columns)
+            new = map(self.factors[0].__getitem__, islice(next(columns), start, None))
+            for factor, column in zip(self.factors[1:], columns):
+                new = map(mul, new, map(factor.__getitem__, islice(column, start, None)))
+            weights.extend(new)
+        return weights
 
     def multiplier(self, code):
         """The multiplier of the occupancy with base-(n+1) code `code`;
@@ -313,30 +347,31 @@ class _HostTables:
         return multiplier
 
 
-def _class_sum(T, host, zero):
-    """T's sum on the host `host` (a _HostTables for T's size): each
-    signature's count is multiplied, per free pair, by the pair's factor
-    table at the pair's number, read from the pair's own column; each
-    occupancy's rows are then summed, in the order the walk first reached
-    the occupancies, which fixes the term order of the polynomials
-    construction.symbolic_density makes; each sum meets its occupancy's
-    multiplier, and the total `zero` and the denominator once, at the
-    end."""
-    occupancies, counts, numbers = _assignment_counts(T, host.transitive, host.opened)
-    weights = counts
-    for factor, column in zip(host.factors, numbers):
-        weights = map(mul, weights, map(factor.__getitem__, column))
-    weights = iter(weights)
+def _class_sum(T, host):
+    """T's sum on the host `host` (a _HostTables for T's size), the
+    numerator over the host's denominator: each signature's count is
+    multiplied by the cross weight of its id (_HostTables.cross_weights),
+    one lookup and one product per row; each occupancy's rows
+    are then summed, in the order the walk first reached the occupancies,
+    which fixes the term order of the polynomials
+    construction.symbolic_density makes, and each sum meets its
+    occupancy's multiplier.  The sum starts from the int 0; the caller
+    divides it by the denominator."""
+    occupancies, counts, ids, index = _assignment_counts(T, host.transitive, host.opened)
+    if index is None:
+        rows = iter(counts)
+    else:
+        rows = map(mul, counts, map(host.cross_weights(index).__getitem__, ids))
     multipliers = host.multipliers
     # with free pairs each occupancy code is followed by its number of rows
     codes = iter(occupancies)
     acc = 0
-    for code, size in zip(codes, codes if host.factors else repeat(1)):
+    for code, size in zip(codes, codes if index is not None else repeat(1)):
         multiplier = multipliers.get(code)
         if multiplier is None:
             multiplier = host.multiplier(code)
-        acc = acc + multiplier * sum(islice(weights, size))
-    return (zero + acc) / host.denominator
+        acc = acc + multiplier * sum(islice(rows, size))
+    return acc
 
 
 def _free_pairs(opened):
@@ -371,14 +406,15 @@ def _assignment_counts(T, transitive, opened):
     edge[c][b] if it loses to it.  With no free pair (a 0/1 matrix) the
     signature is the occupancy and the walk adds nothing else.
 
-    Returns (occupancies, counts, numbers).  With no free pair: the
+    Returns (occupancies, counts, ids, index).  With no free pair: the
     occupancy codes in the order the walk first reached them, their
-    counts, and no numbers.  With free pairs: each occupancy code in that
-    order followed by its number of signatures, the signatures' counts
-    grouped by occupancy in the same order, and their pairs' numbers,
-    one array per free pair in the order of _free_pairs, holding that
-    pair's number for each signature in the counts' order.  The table is
-    shared by every caller on the shape: nothing may change it.
+    counts, no ids and no index.  With free pairs: each occupancy code in
+    that order followed by its number of signatures, the signatures'
+    counts grouped by occupancy in the same order, and per signature, in
+    the counts' order, the id of its pairs' numbers in `index`, the
+    _SignatureIndex of the shape and size, to which the walk first adds
+    the numbers it has not met.  The table is shared by every caller on
+    the shape: nothing may change it.
     """
     n = T.n
     B = len(transitive)
@@ -443,18 +479,51 @@ def _assignment_counts(T, transitive, opened):
     rec(0, 0)
 
     if not free:
-        return _packed(tally), _packed(tally.values()), ()
+        return _packed(tally), _packed(tally.values()), (), None
     groups = {}
     for sig in tally:
         groups.setdefault(sig >> low, []).append(sig)
     rows = list(chain.from_iterable(groups.values()))
-    mask = (1 << digit) - 1
+    index = _signature_index(n, transitive, opened)
+    ids = index.ids
+    mask, number = (1 << low) - 1, (1 << digit) - 1
+    for sig in rows:
+        key = sig & mask
+        if key not in ids:
+            ids[key] = len(ids)
+            for j, column in enumerate(index.columns):
+                column.append(key >> digit * j & number)
     return (
         _packed(chain.from_iterable(zip(groups, map(len, groups.values())))),
         _packed(map(tally.__getitem__, rows)),
-        tuple(array("B" if digit == 8 else "H", [sig >> digit * j & mask for sig in rows])
-              for j in range(len(free))),
+        _packed(ids[sig & mask] for sig in rows),
+        index,
     )
+
+
+@lru_cache(maxsize=SIGNATURE_INDEXES)
+def _signature_index(n, transitive, opened):
+    """The _SignatureIndex of the host shape (transitive, opened) and the
+    class size n, empty until _assignment_counts fills it."""
+    return _SignatureIndex(len(_free_pairs(opened)))
+
+
+class _SignatureIndex:
+    """The free pairs' numbers met by the tables of one host shape and
+    class size, each under one id: `ids` maps the numbers, packed as in
+    a signature's low digits, to their id, given in the order they are
+    first met, and `columns` holds, per free pair, that pair's number for
+    each id.  A host weighs each id once (_HostTables.cross_weights), and
+    every class of the size reads the weights.  A table keeps the index
+    its ids point into, so a table made before an eviction from
+    _signature_index never reads a rebuilt one's ids."""
+
+    __slots__ = ("ids", "columns")
+
+    def __init__(self, pairs):
+        self.ids = {}
+        # 16 bits hold a pair's number, as they hold a signature's digit
+        self.columns = [array("H") for _ in range(pairs)]
 
 
 def _packed(values):
@@ -490,14 +559,14 @@ def density(T, W):
         raise BudgetError("density is budgeted to |T| <= %d" % DENSITY_MAX)
     W._valid
     C = canonicalize(T)
-    # the sum is homogeneous of degree n in the measures, so the walk runs
-    # on the integers a_b and the result is divided by M^n once
+    # the sum is homogeneous of degree n in the measures, so it is summed
+    # on the integers a_b, an int over the host's denominator times M^n
     M, numerators = W._integer_measures
     host = W._host_tables.get(C.n)
     if host is None:
         kinds = [b.diagonal for b in W.blocks]
         host = W._host_tables[C.n] = _HostTables(C.n, numerators, kinds, W.cross)
-    return _class_sum(C, host, ZERO) / M ** C.n
+    return Q(_class_sum(C, host), host.denominator * M ** C.n)
 
 
 def normalization_check(k, W):

@@ -6,8 +6,9 @@ its docstring names the tests that use it.
 
 from math import comb
 
-from tourlyn.poly import Polynomial
-from tourlyn.rational import Q
+from tourlyn.errors import DomainError
+from tourlyn.poly import Polynomial, var_name
+from tourlyn.rational import ZERO, Q
 from tourlyn.tournamentons import TRANSITIVE_KIND, step_tournamenton
 from tourlyn.tournaments import Tournament, canonicalize, encode, single_vertex
 
@@ -150,6 +151,26 @@ def substitute(p, assignment):
         else:
             terms.pop(rest, None)
     return Polynomial(terms)
+
+
+def evaluate_oracle(p, point):
+    """The value of p at a point, term by term in Q: each coefficient times
+    its variables' values to their powers, the terms added one at a time;
+    an unassigned variable raises the DomainError poly.Polynomial.evaluate
+    raises, naming every unassigned variable.  The oracle of
+    Polynomial.evaluate, which sums integer numerators over the lcm of the
+    terms' denominators, in test_evaluate_is_the_term_by_term_oracle
+    (test_poly.py)."""
+    missing = [v for v in p.variables() if v not in point]
+    if missing:
+        raise DomainError("unassigned variables: %s" % ", ".join(var_name(v) for v in missing))
+    total = ZERO
+    for mono, c in p.terms.items():
+        val = c
+        for v, e in mono:
+            val *= Q(point[v]) ** e
+        total += val
+    return total
 
 
 class ContractMeasure:

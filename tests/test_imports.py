@@ -1,8 +1,9 @@
 """Every module, the tests' included, imports only names it uses; every
 function and method of the package has a caller in the package or the
 benchmark (no linter ships with the package); and the module-level
-caches are nine: the eight whose key spaces are bounded, and the lru of
-assignment tables, held to its bound."""
+caches are ten: the eight whose key spaces are bounded, and the lrus of
+assignment tables and of their signature indexes, each held to its
+bound."""
 
 import ast
 import importlib
@@ -244,6 +245,7 @@ MODULE_CACHES = {
     "words.DEFAULT_ORDER._by_size",
     "words.DEFAULT_ORDER._rank_of",
     "tournamentons._assignment_counts",
+    "tournamentons._signature_index",
 }
 
 
@@ -290,21 +292,23 @@ def long_run_slice(seed):
             density(T, W)
 
 
-def test_module_caches_are_the_nine_and_stop_growing():
+def test_module_caches_are_the_ten_and_stop_growing():
     # every cache of a W or a t lives on its object; eight module-level
     # ones are keyed on a bounded space (k, labelled tournaments, class
     # pairs, size pairs), so once it is covered a longer run adds nothing to
-    # them.  The ninth, the assignment counts, is keyed on W's block shape
-    # too, which random tournamentons do not cover: it is held to its lru
-    # bound
+    # them.  The other two, the assignment counts and the signature indexes
+    # their ids point into, are keyed on W's block shape too, which random
+    # tournamentons do not cover: each is held to its lru bound
     caches = module_caches()
     assert set(caches) == MODULE_CACHES
-    counts = caches.pop("tournamentons._assignment_counts")
+    shaped = [caches.pop("tournamentons._assignment_counts"),
+              caches.pop("tournamentons._signature_index")]
     long_run_slice(1)
     before = cache_sizes(caches)
     long_run_slice(2)
     assert cache_sizes(caches) == before
-    assert 0 < counts.cache_info().currsize <= counts.cache_info().maxsize
+    for cache in shaped:
+        assert 0 < cache.cache_info().currsize <= cache.cache_info().maxsize
 
 
 def test_clearing_the_canonical_cache_forgets_every_form():

@@ -1,12 +1,13 @@
 """Exact polynomial arithmetic and the fraction-free linear algebra."""
 
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import substitute, uniform_degrees
+from oracles import evaluate_oracle, substitute, uniform_degrees
 
 from tourlyn.errors import DomainError
 from tourlyn.poly import (
@@ -84,6 +85,35 @@ def test_evaluate_float_tracks_exact(p, pt):
     exact = p.evaluate(pt)
     approx = p.evaluate_float({v: float(x) for v, x in pt.items()})
     assert abs(approx - float(exact)) <= 1e-9 * (1.0 + abs(float(exact)))
+
+
+def test_evaluate_is_the_term_by_term_oracle():
+    # seeded polynomials whose coefficients and point values have mixed
+    # denominators, at points whose values are ints, Qs and "p/q" strings;
+    # the zero polynomial and a constant at any point, and the same error
+    # for unassigned variables
+    rng = random.Random(17)
+    variables = [S1, S2, T11, x_var("3:101"), x_var("4:111101")]
+    denominators = (1, 2, 3, 7, 12, 97, 101, 2 ** 40 + 15)
+    for _ in range(300):
+        p = finished(
+            (tuple((v, rng.randint(1, 4)) for v in rng.sample(variables, rng.randint(0, 3))),
+             Q(rng.randint(-60, 60), rng.choice(denominators)))
+            for _ in range(rng.randint(0, 9)))
+        point = {}
+        for v in variables:
+            x = Q(rng.randint(-30, 30), rng.choice(denominators))
+            point[v] = rng.choice((x, "%d/%d" % (x.numerator, x.denominator),
+                                   rng.randint(-5, 5)))
+        value = p.evaluate(point)
+        assert type(value) is Q and value == evaluate_oracle(p, point)
+    for point in ({}, {S1: "2/3"}):
+        assert Polynomial.zero().evaluate(point) == evaluate_oracle(Polynomial.zero(), point) == 0
+        assert Polynomial.const(Q(-5, 7)).evaluate(point) == Q(-5, 7)
+    p = Polynomial.var(T11) * Polynomial.var(S1) + Polynomial.var(S2) * Q(1, 3)
+    for evaluate in (p.evaluate, lambda point: evaluate_oracle(p, point)):
+        with pytest.raises(DomainError, match="^unassigned variables: s1, t1_1$"):
+            evaluate({S2: 1})
 
 
 @given(polys, polys)

@@ -464,12 +464,55 @@ def test_host_tables_of_one_size_leave_the_next_size_alone():
             density(T, step_tournamenton(blocks, cross)) for T in (T5, T6)]
 
 
+def table_numbers(table):
+    """Each free pair's numbers, one list per pair, of the rows of an
+    _assignment_counts table, read back from the signature index its ids
+    point into."""
+    ids, index = table[2:]
+    if index is None:
+        return []
+    return [[column[i] for i in ids] for column in index.columns]
+
+
+def test_host_tables_read_each_table_against_its_own_index():
+    # a table keeps the signature index its ids point into, and the host
+    # tables weigh each index's ids apart: with the assignment tables and
+    # the indexes dropped between two classes, or the indexes alone, every
+    # density on one W is still the per-assignment formula, the tables made
+    # before the second drop read against their own index, those after it
+    # against the new one
+    from tourlyn import tournamentons
+
+    rng = random.Random(71)
+    for _ in range(3):
+        blocks, cross = flag_host(rng, 3)
+        measures = [m for m, _ in blocks]
+        kinds = [kind for _, kind in blocks]
+        W = step_tournamenton(blocks, cross)
+        A, B, C, D = rng.sample(enumerate_exact(5), 4)
+
+        def is_the_formula(T):
+            assert density(T, W) == brute_force_map_sum(T, measures, kinds, cross, ZERO)
+
+        is_the_formula(A)
+        tournamentons._assignment_counts.cache_clear()
+        tournamentons._signature_index.cache_clear()
+        is_the_formula(B)
+        is_the_formula(A)
+        tournamentons._signature_index.cache_clear()
+        for T in (C, B, D, A):
+            is_the_formula(T)
+        assert len(W._host_tables[5].weights) == 3
+
+
 def test_assignment_tables_are_the_oracle_table():
     # the walk's table is the per-assignment oracle's: the same occupancy
     # codes in the same first-reach order, the same rows per occupancy and
-    # counts, and each free pair's numbers in its own column; on the W_k
-    # host parts, a 12-block W_4 build, hosts mixing fixed and free pairs,
-    # and 3-block hosts where every pair is free, with both block kinds
+    # counts, and each row's free pairs' numbers, read through its id in
+    # the signature index of the shape and size, which gives distinct ids
+    # distinct numbers; on the W_k host parts, a 12-block W_4 build, hosts
+    # mixing fixed and free pairs, and 3-block hosts where every pair is
+    # free, with both block kinds
     from tourlyn import tournamentons
     from tourlyn.construction import build, context, random_params
 
@@ -478,9 +521,13 @@ def test_assignment_tables_are_the_oracle_table():
                      for b, row in enumerate(cross))
 
     def agrees(T, transitive, opened):
-        occupancies, counts, numbers = tournamentons._assignment_counts(T, transitive, opened)
-        got = list(occupancies), list(counts), [list(column) for column in numbers]
+        table = tournamentons._assignment_counts(T, transitive, opened)
+        occupancies, counts, ids, index = table
+        got = list(occupancies), list(counts), table_numbers(table)
         assert got == assignment_table_oracle(T, transitive, opened)
+        if index is not None:
+            assert index is tournamentons._signature_index(T.n, transitive, opened)
+            assert len(set(zip(*index.columns))) == len(index.ids) > max(ids)
 
     rng = random.Random(53)
     for k in (3, 4, 5):
@@ -508,8 +555,9 @@ def test_assignment_tables_are_the_oracle_table():
 
 def test_map_sum_on_eight_vertices_reads_sixteen_bit_numbers():
     # from 8 vertices on, S = n^2 // 4 + 1 = 17 and a free pair's number
-    # e * S + g can pass 255, so the numbers are kept in 16-bit columns:
-    # map_sum on hosts with a free pair is still the per-assignment formula
+    # e * S + g can pass 255, so the signature index keeps the numbers in
+    # 16-bit columns: map_sum on hosts with a free pair is still the
+    # per-assignment formula, and the rows' ids read numbers past 255
     from tourlyn import tournamentons
 
     rng = random.Random(67)
@@ -526,8 +574,8 @@ def test_map_sum_on_eight_vertices_reads_sixteen_bit_numbers():
         for T in tours:
             assert map_sum(T, measures, kinds, cross, ZERO) == \
                 brute_force_map_sum(T, measures, kinds, cross, ZERO)
-            numbers = tournamentons._assignment_counts(T, transitive_flags, opened)[2]
-            assert numbers and all(column.typecode == "H" for column in numbers)
+            numbers = table_numbers(tournamentons._assignment_counts(T, transitive_flags, opened))
+            assert numbers
             widest = max([widest] + [max(column) for column in numbers])
     assert widest > 255
 
